@@ -49,29 +49,31 @@ def data_dir() -> Path:
 
 
 # ---------------------------------------------------------------------------
-# expression helpers bound to the Λ² coordinates of a 4-dimensional algebra
+# expression helpers bound to the multivector coordinates of an algebra
+# (dimension 4 unless told otherwise)
 # ---------------------------------------------------------------------------
 
 NVARS = 6
 
 
-def _bivector_env(params: dict) -> dict:
+def _bivector_env(params: dict, dim: int = 4) -> dict:
     env: dict = {}
-    for m in range(1, 4):
-        for mask_indices in itertools.combinations(range(4), m):
+    for m in range(1, dim + 1):
+        for mask_indices in itertools.combinations(range(dim), m):
             name = "e" + "".join(str(i + 1) for i in mask_indices)
-            env[name] = MultiVector.blade(4, list(mask_indices))
-    env["e1234"] = MultiVector.blade(4, [0, 1, 2, 3])
+            env[name] = MultiVector.blade(dim, list(mask_indices))
     env.update({k: Fraction(v) for k, v in params.items()})
     return env
 
 
-def parse_multivector(s: str, params: dict) -> MultiVector:
+def parse_multivector(s: str, params: dict, dim: int = 4) -> MultiVector:
+    """Parse a multivector over a dim-dimensional algebra, written in the
+    blade names e1, e12, ... (the literal 0 is the zero bivector)."""
     s = s.strip()
-    v = parse_expr(s, _bivector_env(params))
+    v = parse_expr(s, _bivector_env(params, dim))
     if isinstance(v, (int, Fraction)):
         if Fraction(v) == 0:
-            return MultiVector.zero(4, 2)
+            return MultiVector.zero(dim, 2)
         raise ExprError(f"{s!r} is not a multivector")
     return v
 

@@ -122,8 +122,8 @@ def cmd_invariants(args):
 def cmd_schouten(args):
     g = _load_algebra(args)
     from .grassmann import schouten
-    a = parse_multivector(args.left, {})
-    b = parse_multivector(args.right, {})
+    a = parse_multivector(args.left, {}, g.dim)
+    b = parse_multivector(args.right, {}, g.dim)
     out = schouten(g, a, b)
     _emit(args, [f"[{args.left}, {args.right}] = {out.text()}"],
           {"algebra": g.name, "left": args.left, "right": args.right,
@@ -172,7 +172,7 @@ def cmd_bricks(args):
 
 def cmd_orbit_dim(args):
     g = _load_algebra(args)
-    w = parse_multivector(args.bivector, {})
+    w = parse_multivector(args.bivector, {}, g.dim)
     d = orbit_dim(g, w)
     _emit(args, [f"orbit dimension of {args.bivector} under Aut({g.name}): {d}"],
           {"algebra": g.name, "bivector": args.bivector, "orbit_dim": d})

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .derivations import LinearVectorField, rank_at, vf_apply
@@ -161,7 +162,7 @@ def _rational_eigenvalues(m: RatMatrix) -> list[Fraction]:
     coeffs = _char_poly(m)
     den = 1
     for c in coeffs:
-        den = den * c.denominator // __import__("math").gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (Poly, RatMatrix, intersect_row_spaces, kernel_basis,
-                        rank, rat)
+from .exactmath import Poly, RatMatrix, kernel_basis, rank, rat
 from .grassmann import MultiVector, blades, wedge
 from .liealg import LieAlgebra
 
@@ -130,18 +129,3 @@ def field_matrix_at(fields: Sequence[LinearVectorField],
 def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:
     """Rank of the span of the fields at p (the stratum dimension there)."""
     return rank(field_matrix_at(fields, [rat(x) for x in p]))
-
-
-def derivation_intersection(algebras: Sequence[LieAlgebra]) -> list[Derivation]:
-    """Common derivations of several algebras on the same space: the
-    intersection of their derivation spaces (used for parameterized
-    families verified against the parameter-independent automorphisms)."""
-    spaces = []
-    for g in algebras:
-        basis = derivation_basis(g)
-        spaces.append(RatMatrix([d.flat() for d in basis])
-                      if basis else RatMatrix.zero(0, g.dim * g.dim))
-    inter = intersect_row_spaces(spaces)
-    n = algebras[0].dim
-    return [RatMatrix([v[r * n:(r + 1) * n] for r in range(n)])
-            for v in inter.entries]

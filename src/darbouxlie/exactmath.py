@@ -1,5 +1,5 @@
 """Exact rational scalars, sparse multivariate polynomials, and rational
-linear algebra (RREF, rank, kernel, solve).
+linear algebra (RREF, rank, kernel, solve) by sparse exact elimination.
 
 Everything here is over Q via :class:`fractions.Fraction`; no floats, no
 rounding anywhere.  Monomials are canonically encoded as sorted tuples of
@@ -324,9 +324,10 @@ def normalize_poly(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RatMatrix:
-    """Dense matrix of Fractions.  Immutable once constructed."""
+    """Dense matrix of Fractions.  Immutable once constructed, so the
+    nonzero pattern (``_nonzero_rows``) is computed once and cached."""
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("entries", "rows", "cols", "_sparse")
 
     def __init__(self, entries: Iterable[Iterable]):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -357,19 +358,28 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self.entries)) if self.rows else RatMatrix([])
 
+    def _nonzero_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each row as its ``(column, entry)`` pairs with nonzero entry."""
+        try:
+            return self._sparse
+        except AttributeError:
+            self._sparse = tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                                 for r in self.entries)
+            return self._sparse
+
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = [rat(x) for x in v]
         if len(v) != self.cols:
             raise ValueError(f"matvec size mismatch: {self.cols} vs {len(v)}")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
-                     for r in self.entries)
+        return tuple(sum((x * v[j] for j, x in r), Fraction(0))
+                     for r in self._nonzero_rows())
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("matmul size mismatch")
         bt = other.transpose()
-        return RatMatrix([[sum((a[k] * b[k] for k in range(self.cols)), Fraction(0))
-                           for b in bt.entries] for a in self.entries])
+        return RatMatrix([[sum((x * b[k] for k, x in a), Fraction(0))
+                           for b in bt.entries] for a in self._nonzero_rows()])
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -411,104 +421,133 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
+# ---------------------------------------------------------------------------
+# sparse exact elimination
+# ---------------------------------------------------------------------------
+
+#: a sparse row: column -> nonzero entry (zeros are never stored)
+SparseRow = dict
+
+
+def _echelon(rows: Iterable) -> dict[int, SparseRow]:
+    """Forward elimination: pivot column -> row scaled to leading entry 1.
+
+    Each row (a SparseRow or its ``(column, entry)`` pairs) is reduced
+    against the pivot rows at its smallest column until it either vanishes
+    or leads with a new pivot column.  The input rows are not modified."""
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                inv = 1 / row[c]
+                pivots[c] = (row if inv == 1
+                             else {j: x * inv for j, x in row.items()})
+                break
+            _axpy(row, row[c], p)
+    return pivots
+
+
+def _axpy(row: SparseRow, f: Fraction, p: SparseRow) -> None:
+    """row -= f * p in place, dropping entries that cancel."""
+    for j, x in p.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = -f * x
+        else:
+            y -= f * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
+def _gauss_jordan(rows: Iterable) -> tuple[list[SparseRow], list[int]]:
+    """Sparse reduced row-echelon form: the nonzero rows in pivot order and
+    their pivot columns.  Back substitution runs from the last pivot up, so
+    each row is cleared against rows that are already fully reduced."""
+    pivots = _echelon(rows)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            _axpy(row, row[j], pivots[j])
+    return [pivots[c] for c in cols], cols
+
+
+def _solve_rows(rows: Iterable, ncols: int
+                ) -> Optional[dict[int, Fraction]]:
+    """Solution of the augmented system whose column ``ncols`` holds the
+    right-hand side, as {column: nonzero value} with free variables 0; None
+    if inconsistent."""
+    red, pivots = _gauss_jordan(rows)
+    if pivots and pivots[-1] == ncols:
+        return None
+    return {c: r[ncols] for r, c in zip(red, pivots) if ncols in r}
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row-echelon form and its pivot columns (row space preserved)."""
-    a = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return RatMatrix(a), pivots
+    red, pivots = _gauss_jordan(m._nonzero_rows())
+    zero = Fraction(0)
+    dense = [[r.get(j, zero) for j in range(m.cols)] for r in red]
+    dense += [[zero] * m.cols] * (m.rows - len(red))
+    return RatMatrix(dense), pivots
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m._nonzero_rows()))
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space.  Each basis vector has one free
     coordinate set to 1 (free coordinates taken in increasing column order)."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    red, pivots = _gauss_jordan(m._nonzero_rows())
+    pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        v = [zero] * m.cols
+        v[fc] = one
+        for r, pc in zip(red, pivots):
+            x = r.get(fc)
+            if x:
+                v[pc] = -x
         basis.append(tuple(v))
     return basis
 
 
 def solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One exact solution of m x = b, or None if inconsistent."""
+    """One exact solution of m x = b, or None if inconsistent.  Free
+    variables are set to 0."""
     b = [rat(x) for x in b]
-    aug = RatMatrix([list(r) + [b[i]] for i, r in enumerate(m.entries)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
+    if len(b) != m.rows:
+        raise ValueError(f"solve size mismatch: {m.rows} vs {len(b)}")
+    sol = _solve_rows([r + ((m.cols, bi),) if bi else r
+                       for r, bi in zip(m._nonzero_rows(), b)], m.cols)
+    if sol is None:
         return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, m.cols]
-    return tuple(x)
+    zero = Fraction(0)
+    return tuple(sol.get(j, zero) for j in range(m.cols))
 
 
 def row_space_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """Whether two matrices span the same row space."""
     if a.cols != b.cols:
         return False
-    ra, pa = rref(a)
-    rb, pb = rref(b)
-    if pa != pb:
-        return False
-    return ra.entries[: len(pa)] == rb.entries[: len(pb)]
+    return (_gauss_jordan(a._nonzero_rows())
+            == _gauss_jordan(b._nonzero_rows()))
 
 
 def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
     """Whether vector v lies in the span of the given row vectors."""
-    rows = [list(map(rat, r)) for r in basis]
-    if not rows:
-        return all(not rat(x) for x in v)
-    m = RatMatrix(rows)
-    return rank(m) == rank(RatMatrix(rows + [list(map(rat, v))]))
-
-
-def intersect_row_spaces(spaces: Sequence[RatMatrix]) -> RatMatrix:
-    """Basis (as rows) of the intersection of several row spaces."""
-    if not spaces:
-        raise ValueError("need at least one space")
-    current = [list(r) for r in rref(spaces[0])[0].entries[: rank(spaces[0])]]
-    for sp in spaces[1:]:
-        other = [list(r) for r in rref(sp)[0].entries[: rank(sp)]]
-        if not current or not other:
-            current = []
-            break
-        # x in span(current) ∩ span(other):  x = a·C = b·O
-        stacked = RatMatrix([list(c) for c in zip(*(current + other))])
-        inter = []
-        for k in kernel_basis(stacked):
-            coefs = k[: len(current)]
-            vec = [sum((coefs[i] * current[i][j] for i in range(len(current))),
-                       Fraction(0)) for j in range(len(current[0]))]
-            if any(vec):
-                inter.append(vec)
-        current = ([list(r) for r in rref(RatMatrix(inter))[0].entries[: rank(RatMatrix(inter))]]
-                   if inter else [])
-    return RatMatrix(current) if current else RatMatrix.zero(0, spaces[0].cols)
+    rows = [{j: x for j, x in enumerate(map(rat, r)) if x}
+            for r in [*basis, v]]
+    return len(_echelon(rows)) == len(_echelon(rows[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -533,26 +572,15 @@ def ideal_membership(target: Poly, generators: Sequence[Poly],
     for g in gens:
         for mu in monos:
             columns.append(g * Poly({mu: 1}))
-    support: list[Monomial] = sorted(
-        {m for p in columns + [target] for m in p.terms}, key=mono_key)
-    if not support:
-        return [Poly.zero() for _ in gens]
-    row_index = {m: i for i, m in enumerate(support)}
-    mat = [[Fraction(0)] * len(columns) for _ in support]
-    for j, p in enumerate(columns):
+    # one sparse row per monomial of the support; column len(columns) is
+    # the right-hand side
+    rows: dict[Monomial, SparseRow] = {}
+    for j, p in enumerate(columns + [target]):
         for m, c in p.terms.items():
-            mat[row_index[m]][j] = c
-    rhs = [target.terms.get(m, Fraction(0)) for m in support]
-    sol = solve(RatMatrix(mat), rhs)
+            rows.setdefault(m, {})[j] = c
+    sol = _solve_rows(rows.values(), len(columns))
     if sol is None:
         return None
-    cofs = []
-    k = 0
-    for _ in gens:
-        terms = {}
-        for mu in monos:
-            if sol[k]:
-                terms[mu] = sol[k]
-            k += 1
-        cofs.append(Poly(terms))
-    return cofs
+    k = len(monos)
+    return [Poly({mu: sol[i * k + t] for t, mu in enumerate(monos)
+                  if i * k + t in sol}) for i in range(len(gens))]

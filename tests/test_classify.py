@@ -12,6 +12,7 @@ from darbouxlie.classify import (FAMILY_FILES, GoldenDataMissing, TREE_FILES,
                                  verify_schouten_family, verify_tree)
 from darbouxlie.darboux import TreeBranch
 from darbouxlie.exactmath import Poly, RatMatrix
+from darbouxlie.exprparse import ExprError
 from darbouxlie.grassmann import MultiVector
 from darbouxlie.liealg import catalog
 
@@ -153,3 +154,14 @@ def test_parse_multivector():
     w = parse_multivector("(1+a)*e13", {"a": Fraction(1, 2)})
     assert w.coords() == (0, Fraction(3, 2), 0, 0, 0, 0)
     assert parse_multivector("0", {}).is_zero()
+
+
+def test_parse_multivector_other_dimensions():
+    v = parse_multivector("e12 - 2*e13", {}, 3)
+    assert (v.dim, v.degree) == (3, 2)
+    assert v.coords() == (1, -2, 0)
+    assert parse_multivector("e23", {}, 3).coords() == (0, 0, 1)
+    assert parse_multivector("0", {}, 5).dim == 5
+    assert parse_multivector("e45", {}, 5).coords()[-1] == 1
+    with pytest.raises(ExprError):
+        parse_multivector("e4", {}, 3)

@@ -62,6 +62,21 @@ def test_schouten_verb():
     assert code == 0 and "-2*e124" in out
 
 
+SO3 = "dim 3\n[1,2] = e3\n[2,3] = e1\n[3,1] = e2\n"
+
+
+def test_schouten_and_orbit_dim_outside_dimension_4(tmp_path):
+    f = tmp_path / "so3.txt"
+    f.write_text(SO3)
+    code, out = run_cli("schouten", "--algebra", str(f), "e1", "e2")
+    assert code == 0 and out.strip() == "[e1, e2] = e3"
+    code, out = run_cli("schouten", "--algebra", str(f), "e12", "e3")
+    assert code == 0 and out.strip().endswith("= 0")
+    # Aut(so(3)) acts on Λ²so(3) ≅ R³ by rotations: orbits are spheres
+    code, out = run_cli("orbit-dim", "--algebra", str(f), "e12")
+    assert code == 0 and out.strip().endswith(": 2")
+
+
 def test_derivations_s12():
     code, out = run_cli("derivations", "--algebra", "s12",
                         "--format", "json")

@@ -1,5 +1,6 @@
 """Exact linear algebra and polynomial substrate."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from darbouxlie.exactmath import (MissingVariable, Poly, RatMatrix,
                                   ideal_membership, kernel_basis,
                                   normalize_poly, poly_eval, rank, rref,
-                                  solve)
+                                  row_space_equal, solve, span_contains)
 
 x = Poly.var
 
@@ -143,7 +144,116 @@ def test_solve_consistency():
     assert solve(RatMatrix([[1, 1], [1, 1]]), [0, 1]) is None
 
 
+def test_size_mismatch_and_coercion():
+    with pytest.raises(ValueError, match="matvec size mismatch"):
+        RatMatrix.identity(2).matvec([1, 2, 3])
+    with pytest.raises(ValueError, match="solve size mismatch"):
+        solve(RatMatrix.identity(2), [1])
+    assert RatMatrix([[1, 2]]).matvec(["1/2", 1]) == (Fraction(5, 2),)
+    assert solve(RatMatrix([[2, 0]]), ["1/3"]) == (Fraction(1, 6), 0)
+
+
 def test_normalize_poly():
     p = Fraction(2, 3) * x(0) - Fraction(4, 3) * x(1)
     n = normalize_poly(p)
     assert n == x(0) - 2 * x(1)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy (skipped when sympy is absent)
+# ---------------------------------------------------------------------------
+
+SHAPES = [(7, 4, 0.1), (7, 4, 0.9), (4, 9, 0.1), (4, 9, 0.9),
+          (12, 12, 0.1), (6, 6, 1.0), (3, 5, 0.0), (0, 5, 0.0)]
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def random_rows(seed, nrows, ncols, density):
+    """Seeded rational matrix; every other seed repeats a combination of
+    two rows so that rank deficiency is exercised too."""
+    rng = random.Random(seed)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+             if rng.random() < density else Fraction(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+    if seed % 2 and nrows > 2:
+        rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def cases():
+    return [pytest.param(seed, r, c, d, id=f"{r}x{c}-d{d}-s{seed}")
+            for r, c, d in SHAPES for seed in range(4)]
+
+
+def to_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def sym(sp, rows, ncols):
+    """The sympy twin of RatMatrix(rows); a RatMatrix without rows also has
+    no columns, so pass its ``cols``."""
+    return sp.Matrix(rows) if rows else sp.zeros(0, ncols)
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,density", cases())
+def test_rref_rank_kernel_match_sympy(sp, seed, nrows, ncols, density):
+    rows = random_rows(seed, nrows, ncols, density)
+    m = RatMatrix(rows)
+    s = sym(sp, rows, m.cols)
+    red, pivots = rref(m)
+    sred, spivots = s.rref()
+    assert pivots == list(spivots)
+    assert [list(r) for r in red.entries] == [
+        [to_fraction(x) for x in r] for r in sred.tolist()]
+    assert rank(m) == s.rank()
+    assert kernel_basis(m) == [tuple(to_fraction(x) for x in v)
+                               for v in s.nullspace()]
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,density", cases())
+def test_solve_matches_sympy(sp, seed, nrows, ncols, density):
+    rows = random_rows(seed, nrows, ncols, density)
+    m = RatMatrix(rows)
+    s = sym(sp, rows, m.cols)
+    rng = random.Random(seed + 100)
+    # one right-hand side in the column space, one almost surely outside it
+    x = [Fraction(rng.randint(-4, 4)) for _ in range(ncols)]
+    for b in (list(m.matvec(x)) if nrows else [],
+              [Fraction(rng.randint(-4, 4), 3) for _ in range(nrows)]):
+        sol = solve(m, b)
+        try:
+            ssol, params = s.gauss_jordan_solve(sp.Matrix(nrows, 1, b))
+        except ValueError:
+            assert sol is None
+            continue
+        want = ssol.subs({t: 0 for t in params})
+        assert sol == tuple(to_fraction(v) for v in want)
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,density", cases())
+def test_spans_and_matvec_match_sympy(sp, seed, nrows, ncols, density):
+    rows = random_rows(seed, nrows, ncols, density)
+    m = RatMatrix(rows)
+    s = sym(sp, rows, m.cols)
+    rng = random.Random(seed + 200)
+    inside = [sum((rows[i][j] * (i + 1) for i in range(nrows)), Fraction(0))
+              for j in range(ncols)]
+    outside = [Fraction(rng.randint(-4, 4)) for _ in range(ncols)]
+    for v in (inside, outside):
+        want = s.rank() == sp.Matrix(rows + [v]).rank()
+        assert span_contains(rows, v) == want
+    other = random_rows(seed + 1, nrows, ncols, density)
+    for b in (other, [list(r) for r in rref(m)[0].entries] or other):
+        mb = RatMatrix(b)
+        sb = sym(sp, b, mb.cols)
+        want = s.rank() == sb.rank() == s.col_join(sb).rank()
+        assert row_space_equal(m, mb) == want
+    if nrows:
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+             for _ in range(ncols)]
+        assert m.matvec(v) == tuple(to_fraction(x)
+                                    for x in s * sp.Matrix(ncols, 1, v))
