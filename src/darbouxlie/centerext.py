@@ -54,10 +54,7 @@ def _alpha_kernel(g: LieAlgebra) -> list[tuple[Fraction, ...]]:
                     row[j] += 1
                     row[k] -= 1
                     rows.append(row)
-    if not rows:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                for i in range(n)]
-    return kernel_basis(RatMatrix(rows))
+    return kernel_basis(RatMatrix(rows) if rows else RatMatrix.zero(0, n))
 
 
 def _center_injective(alphas, center_basis) -> bool:

@@ -24,7 +24,7 @@ from .darboux import (TreeBranch, branch_samples, certify_no_solutions,
 from .derivations import (derivation_basis, fundamental_fields, lift,
                           orbit_dim, rank_at)
 from .exactmath import (Poly, RatMatrix, ideal_membership, normalize_poly,
-                        rank, rat, row_space_equal)
+                        poly_rref, rat, row_space_equal)
 from .exprparse import ExprError, parse_condition, parse_expr, parse_poly
 from .grassmann import MultiVector, apply_linear, blades, invariants, schouten
 from .liealg import LieAlgebra, catalog
@@ -76,9 +76,6 @@ def parse_multivector(s: str, params: dict, dim: int = 4) -> MultiVector:
             return MultiVector.zero(dim, 2)
         raise ExprError(f"{s!r} is not a multivector")
     return v
-
-
-_PARAM_NAMES = ("a", "b", "k")
 
 
 def _short_params(params: dict) -> dict:
@@ -304,8 +301,6 @@ FAMILY_FILES = ["s1", "s2", "s3", "s3aa", "s3a1", "s311", "s4", "s41",
                 "s12", "n1"]
 TREE_FILES = ["s1", "s2", "s3", "s311", "s4", "s5", "s6", "s7", "s8",
               "s9", "s10", "s11", "s12", "n1"]
-#: which family file carries the derivation form used by each tree
-TREE_FAMILY = {"s311": "s311", "s8": "s8", "s3": "s3", "s4": "s4"}
 
 
 # ---------------------------------------------------------------------------
@@ -714,25 +709,16 @@ def _pick_system(lines, sp) -> Optional[list[Poly]]:
 
 
 def _same_span(a, b) -> bool:
-    a = [list(map(rat, v)) for v in a]
-    b = [list(map(rat, v)) for v in b]
     if not a and not b:
         return True
-    width = len(a[0]) if a else len(b[0])
+    width = len(a[0] if a else b[0])
     ma = RatMatrix(a) if a else RatMatrix.zero(0, width)
     mb = RatMatrix(b) if b else RatMatrix.zero(0, width)
-    if not a or not b:
-        return rank(ma) == rank(mb) == 0
     return row_space_equal(ma, mb)
 
 
 def _poly_span_equal(a: Sequence[Poly], b: Sequence[Poly]) -> bool:
-    from .exactmath import mono_key
-    support = sorted({m for p in list(a) + list(b) for m in p.terms},
-                     key=mono_key)
-    va = [[p.terms.get(m, Fraction(0)) for m in support] for p in a]
-    vb = [[p.terms.get(m, Fraction(0)) for m in support] for p in b]
-    return _same_span(va, vb)
+    return poly_rref(a) == poly_rref(b)
 
 
 def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
@@ -905,9 +891,7 @@ def load_tree(stem: str) -> TreeData:
         eqs = [e.strip() for e in eq_part.split(",") if e.strip()]
         ineqs = [e.strip() for e in ineq_part.split(",") if e.strip()]
         branches.append((kind, label.strip(), eqs, ineqs, meta))
-    fam_stem = {"s311": "s311", "s3": "s3", "s4": "s4", "s8": "s8"}.get(
-        name, name)
-    return TreeData(name=name, family_stem=fam_stem, samples=samples,
+    return TreeData(name=name, family_stem=name, samples=samples,
                     branches=branches)
 
 

@@ -20,7 +20,7 @@ from . import classify
 from .centerext import build_rep, solve_grading
 from .darboux import find_bricks
 from .derivations import derivation_basis, fundamental_fields, orbit_dim, rank_at
-from .exactmath import Poly, RatMatrix
+from .exactmath import Poly, RatMatrix, mono_str
 from .grassmann import MultiVector, invariants
 from .liealg import FAMILIES, catalog, parse_algebra, validate
 from .yangbaxter import yb_system
@@ -65,11 +65,7 @@ def _mv_json(w: MultiVector) -> dict:
 
 
 def _poly_json(p: Poly) -> dict:
-    from .exactmath import mono_key, mono_str
-    out = {}
-    for m, c in sorted(p.terms.items(), key=lambda it: mono_key(it[0])):
-        out[mono_str(m)] = _rat_str(c)
-    return out
+    return {mono_str(m): _rat_str(c) for m, c in p.sorted_terms()}
 
 
 def _matrix_lines(m: RatMatrix) -> list[str]:

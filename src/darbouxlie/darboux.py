@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 from .derivations import LinearVectorField, rank_at, vf_apply
 from .exactmath import (Poly, RatMatrix, ideal_membership, kernel_basis,
-                        monomials_up_to, normalize_poly, rank, rat, rref,
-                        span_contains)
+                        monomials_up_to, normalize_poly, poly_rref, rat, rref)
 from .yangbaxter import is_mcybe_solution
 from .liealg import LieAlgebra
 
@@ -70,22 +69,12 @@ class TreeBranch:
     note: str = ""
 
 
-def _independent(polys: Sequence[Poly]) -> bool:
-    from .exactmath import mono_key
-    support = sorted({m for p in polys for m in p.terms}, key=mono_key)
-    if not support:
-        return not polys
-    mat = RatMatrix([[p.terms.get(m, Fraction(0)) for m in support]
-                     for p in polys])
-    return rank(mat) == len(polys)
-
-
 def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
                   cofactor_degree_bound: int = 0) -> Optional[DarbouxFamily]:
     """Check the closure X f_j in <f_1..f_s> for every field, returning the
     witnessed family or None when some membership fails within the bound."""
     gens = list(gens)
-    if not gens or not _independent(gens):
+    if not gens or len(poly_rref(gens)) != len(gens):
         return None
     table: list[list[list[Poly]]] = []
     linear = True
@@ -124,12 +113,7 @@ def family_sum(a: DarbouxFamily, b: DarbouxFamily,
         raise IncompatibleFields("families verified against different fields")
     gens = list(a.generators)
     for p in b.generators:
-        from .exactmath import mono_key
-        support = sorted({m for q in gens + [p] for m in q.terms},
-                         key=mono_key)
-        rows = [[q.terms.get(m, Fraction(0)) for m in support] for q in gens]
-        if not span_contains(rows, [p.terms.get(m, Fraction(0))
-                                    for m in support]):
+        if len(poly_rref(gens + [p])) > len(gens):
             gens.append(p)
     out = verify_family(a.fields, gens, cofactor_degree_bound)
     if out is None:
@@ -205,24 +189,16 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
     eigrecords: list[tuple[Fraction, ...]] = [()]
     for X in fields:
         mt = X.matrix.transpose()
+        shifts = [(lam, mt - RatMatrix.identity(n).scale(lam))
+                  for lam in _rational_eigenvalues(mt)]
         new_spaces, new_recs = [], []
         for space, rec in zip(subspaces, eigrecords):
-            for lam in _rational_eigenvalues(mt):
-                rows = [list(r) for r in
-                        (mt - RatMatrix.identity(n).scale(lam)).entries]
-                # v in row space of `space` with (mt - lam) v = 0
-                basis = [list(r) for r in space.entries]
-                stacked = []
-                for row in rows:
-                    stacked.append([sum(row[j] * b[j] for j in range(n))
-                                    for b in basis])
-                ker = kernel_basis(RatMatrix(stacked))
-                vecs = []
-                for kv in ker:
-                    v = [sum((kv[i] * basis[i][j] for i in range(len(basis))),
-                             Fraction(0)) for j in range(n)]
-                    if any(v):
-                        vecs.append(v)
+            st = space.transpose()
+            for lam, shift in shifts:
+                # v = spaceᵀ k, in the row space of `space`, with shift v = 0
+                vecs = [v for v in map(st.matvec,
+                                       kernel_basis(shift.matmul(st)))
+                        if any(v)]
                 if vecs:
                     new_spaces.append(RatMatrix(vecs))
                     new_recs.append(rec + (lam,))
@@ -319,31 +295,19 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
     inequality polynomial.  Returns a human-readable certificate or None
     (reported as "unconfirmed", never asserted).
     """
-    from .exactmath import mono_key
-
-    consequences: list[Poly] = [p for p in system if not p.is_zero()]
+    consequences: list[Poly] = list(system)
     for f in branch.equalities:
         bound = max_degree - f.degree()
         if bound < 0:
             continue
         for mu in monomials_up_to(nvars, bound):
             consequences.append(f * Poly({mu: 1}))
-    consequences = [p for p in consequences
-                    if not p.is_zero() and p.degree() <= max_degree]
-    support = sorted({m for p in consequences for m in p.terms}, key=mono_key)
-    if not support:
+    basis = poly_rref(p for p in consequences if p.degree() <= max_degree)
+    if not basis:
         return None
-    col = {m: i for i, m in enumerate(support)}
-    zmat = RatMatrix([[p.terms.get(m, Fraction(0)) for m in support]
-                      for p in consequences])
-    zrank = rank(zmat)
-    rows = [list(r) for r in zmat.entries]
 
     def in_z(p: Poly) -> bool:
-        if p.degree() > max_degree or any(m not in col for m in p.terms):
-            return False
-        vec = [p.terms.get(m, Fraction(0)) for m in support]
-        return rank(RatMatrix(rows + [vec])) == zrank
+        return len(poly_rref(basis + [p])) == len(basis)
 
     ineqs = [f for f, _ in branch.inequalities]
     # (a) products of inequality polynomials up to total degree 2
@@ -360,8 +324,7 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
         if in_z(p):
             return f"forced zero: {tag} = {p.text()}"
     # (b) PSD form z with z - c*q^2 still PSD for a linear inequality q
-    basis_polys = _z_basis(consequences, support)
-    for z in basis_polys:
+    for z in basis:
         gram = _gram(z, nvars)
         if gram is None or not _psd(gram):
             continue
@@ -377,14 +340,6 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
                     return (f"PSD domination: {z.text()} = 0 forces "
                             f"ineq{i + 1} = {q.text()} = 0")
     return None
-
-
-def _z_basis(consequences, support):
-    mat = RatMatrix([[p.terms.get(m, Fraction(0)) for m in support]
-                     for p in consequences])
-    red, pivots = rref(mat)
-    return [Poly({support[j]: red[i, j] for j in range(len(support))
-                  if red[i, j]}) for i in range(len(pivots))]
 
 
 def _gram(p: Poly, nvars: int) -> Optional[RatMatrix]:

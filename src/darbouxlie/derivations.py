@@ -64,7 +64,8 @@ def derivation_basis(g: LieAlgebra) -> list[Derivation]:
                     row[m * n + i] -= g.c[m][j][k]      # d[m][i] c_{mj}^k
                     row[m * n + j] -= g.c[i][m][k]      # d[m][j] c_{im}^k
                 rows.append(row)
-    basis = kernel_basis(RatMatrix(rows))
+    basis = kernel_basis(RatMatrix(rows) if rows
+                         else RatMatrix.zero(0, n * n))
     return [RatMatrix([v[r * n:(r + 1) * n] for r in range(n)]) for v in basis]
 
 

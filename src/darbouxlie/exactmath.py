@@ -343,7 +343,10 @@ class RatMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[0] * cols for _ in range(rows)])
+        """The zero matrix; it keeps its width even without rows."""
+        m = RatMatrix([[0] * cols for _ in range(rows)])
+        m.cols = cols
+        return m
 
     def __getitem__(self, ij):
         i, j = ij
@@ -356,7 +359,9 @@ class RatMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.entries)) if self.rows else RatMatrix([])
+        if not self.cols:
+            return RatMatrix.zero(0, self.rows)
+        return RatMatrix(zip(*self.entries) if self.rows else [()] * self.cols)
 
     def _nonzero_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Each row as its ``(column, entry)`` pairs with nonzero entry."""
@@ -411,7 +416,8 @@ class RatMatrix:
         return tuple(x for r in self.entries for x in r)
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.entries == other.entries
+        return (isinstance(other, RatMatrix) and self.cols == other.cols
+                and self.entries == other.entries)
 
     def __hash__(self):
         return hash(self.entries)
@@ -494,7 +500,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     zero = Fraction(0)
     dense = [[r.get(j, zero) for j in range(m.cols)] for r in red]
     dense += [[zero] * m.cols] * (m.rows - len(red))
-    return RatMatrix(dense), pivots
+    return (RatMatrix(dense) if dense else m), pivots
 
 
 def rank(m: RatMatrix) -> int:
@@ -541,6 +547,21 @@ def row_space_equal(a: RatMatrix, b: RatMatrix) -> bool:
         return False
     return (_gauss_jordan(a._nonzero_rows())
             == _gauss_jordan(b._nonzero_rows()))
+
+
+def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:
+    """RREF basis of the Q-span of the polynomials, with the monomials as
+    columns in graded-lex order (``mono_key``, highest first if reverse):
+    each basis polynomial has coefficient 1 at its pivot monomial and 0 at
+    the others'.  The basis depends only on the span and the order, so two
+    lists span the same space exactly when their bases are equal."""
+    polys = list(polys)
+    support = sorted({m for p in polys for m in p.terms}, key=mono_key,
+                     reverse=reverse)
+    col = {m: j for j, m in enumerate(support)}
+    red, _ = _gauss_jordan({col[m]: c for m, c in p.terms.items()}
+                           for p in polys)
+    return [Poly({support[j]: c for j, c in r.items()}) for r in red]
 
 
 def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:

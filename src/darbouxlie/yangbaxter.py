@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .derivations import derivation_basis, orbit_dim
-from .exactmath import (Poly, RatMatrix, normalize_poly, rank, rref,
-                        span_contains, rat)
+from .exactmath import (Poly, RatMatrix, normalize_poly, poly_rref, rank,
+                        rref, span_contains, rat)
 from .grassmann import (MultiVector, SymMultiVector, ad_action, apply_linear,
                         blades, generic_bivector, invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra, bracket
@@ -60,9 +60,10 @@ def _coefficients(w: SymMultiVector) -> list[Poly]:
     return [w.terms.get(b, Poly.zero()) for b in blades(w.dim, w.degree)]
 
 
-def _project_out(coords: list[Poly], inv: list[MultiVector]) -> list[Poly]:
+def _project_out(coords: list, inv: list[MultiVector]) -> list:
     """Canonical components after eliminating the pivot coordinates of the
-    invariant span (deterministic complement: the non-pivot coordinates)."""
+    invariant span (deterministic complement: the non-pivot coordinates).
+    The coordinates may be Polys or Fractions."""
     if not inv:
         return list(coords)
     red, pivots = rref(RatMatrix([v.coords() for v in inv]))
@@ -107,23 +108,8 @@ def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
 
 
 def _span_basis(polys: Sequence[Poly]) -> list[Poly]:
-    """RREF basis of the Q-span of the polynomials (graded-lex columns)."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    from .exactmath import mono_key
-    support = sorted({m for p in polys for m in p.terms}, key=mono_key,
-                     reverse=True)
-    col = {m: i for i, m in enumerate(support)}
-    mat = RatMatrix([[p.terms.get(m, Fraction(0)) for m in support]
-                     for p in polys])
-    red, pivots = rref(mat)
-    out = []
-    for i in range(len(pivots)):
-        out.append(normalize_poly(
-            Poly({support[j]: red[i, j] for j in range(len(support))
-                  if red[i, j]})))
-    return out
+    """Normalized RREF basis of the Q-span, highest monomials first."""
+    return [normalize_poly(p) for p in poly_rref(polys, reverse=True)]
 
 
 def _pure_square_vars(p: Poly) -> list[int]:
@@ -155,10 +141,8 @@ def yb_system(g: LieAlgebra) -> YbSystem:
     mcybe = [normalize_poly(p)
              for p in _project_out(_coefficients(rr), inv3)]
     mcybe = [p for p in mcybe if not p.is_zero()] or [Poly.zero()]
-    cybe_nz = [p for p in cybe if not p.is_zero()]
     return YbSystem(cybe=cybe, mcybe=mcybe, inv3=inv3,
-                    reduced=reduce_system([p for p in mcybe
-                                           if not p.is_zero()] or cybe_nz))
+                    reduced=reduce_system(mcybe))
 
 
 def is_mcybe_solution(g: LieAlgebra, r: RMatrix) -> bool:
@@ -203,17 +187,7 @@ def cocycle_defect(g: LieAlgebra, r: RMatrix, i: int, j: int) -> MultiVector:
 def quotient_class(g: LieAlgebra, r: RMatrix) -> tuple[Fraction, ...]:
     """Coordinates of r in Λ²g / (Λ²g)^g, in the deterministic complement
     basis given by the non-pivot blade coordinates of the invariant span."""
-    coords = list(as_bivector(g, r).coords())
-    inv = invariants(g, 2)
-    if not inv:
-        return tuple(coords)
-    red, pivots = rref(RatMatrix([v.coords() for v in inv]))
-    for prow, pc in enumerate(pivots):
-        factor = coords[pc]
-        if factor:
-            for j in range(len(coords)):
-                coords[j] -= factor * red[prow, j]
-    return tuple(coords[j] for j in range(len(coords)) if j not in pivots)
+    return tuple(_project_out(as_bivector(g, r).coords(), invariants(g, 2)))
 
 
 def is_automorphism(g: LieAlgebra, T: RatMatrix) -> bool:

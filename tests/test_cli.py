@@ -77,6 +77,35 @@ def test_schouten_and_orbit_dim_outside_dimension_4(tmp_path):
     assert code == 0 and out.strip().endswith(": 2")
 
 
+def test_ybe_vacuous_mcybe_keeps_reduced_system_empty(tmp_path):
+    # (Λ³so(3))^g is all of Λ³so(3), so every r solves the mCYBE; the
+    # reduced system must not fall back to the CYBE's x1 = x2 = x3 = 0
+    f = tmp_path / "so3.txt"
+    f.write_text(SO3)
+    code, out = run_cli("ybe", "--algebra", str(f))
+    assert code == 0
+    assert "mCYBE generators (reduced): {}" in out
+    assert "mCYBE component span: {}" in out
+    assert "CYBE components: {x1^2 + x2^2 + x3^2}" in out
+    code, out = run_cli("ybe", "--algebra", str(f), "--format", "json")
+    data = json.loads(out)
+    assert data["mcybe_reduced"] == [] and data["mcybe_span"] == []
+    assert data["cybe"] == [{"x1^2": "1", "x2^2": "1", "x3^2": "1"}]
+
+
+def test_derivations_dimension_1(tmp_path):
+    # no brackets, hence no Leibniz equations: der(g) = gl(1)
+    f = tmp_path / "d1.txt"
+    f.write_text("dim 1\n")
+    code, out = run_cli("derivations", "--algebra", str(f))
+    assert code == 0
+    assert out.splitlines() == [f"derivation algebra of {f}: dimension 1",
+                                "d1:", "  1"]
+    code, out = run_cli("derivations", "--algebra", str(f), "--format", "json")
+    data = json.loads(out)
+    assert data["dimension"] == 1 and data["basis"] == [["1"]]
+
+
 def test_derivations_s12():
     code, out = run_cli("derivations", "--algebra", "s12",
                         "--format", "json")

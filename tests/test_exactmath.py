@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbouxlie.exactmath import (MissingVariable, Poly, RatMatrix,
-                                  ideal_membership, kernel_basis,
-                                  normalize_poly, poly_eval, rank, rref,
-                                  row_space_equal, solve, span_contains)
+                                  ideal_membership, kernel_basis, mono_key,
+                                  monomials_up_to, normalize_poly, poly_eval,
+                                  poly_rref, rank, rref, row_space_equal,
+                                  solve, span_contains)
 
 x = Poly.var
 
@@ -33,6 +34,20 @@ def test_rref_rank_one():
     red, pivots = rref(RatMatrix([[2, 4], [1, 2]]))
     assert red == RatMatrix([[1, 2], [0, 0]])
     assert pivots == [0]
+
+
+def test_zero_matrix_without_rows_keeps_its_width():
+    m = RatMatrix.zero(0, 5)
+    assert (m.rows, m.cols) == (0, 5)
+    assert m.matvec([1, 2, 3, 4, 5]) == ()
+    assert kernel_basis(m) == [tuple(Fraction(int(i == j)) for j in range(5))
+                               for i in range(5)]
+    assert m != RatMatrix.zero(0, 4)
+    assert rref(m) == (m, [])
+    assert row_space_equal(m, RatMatrix.zero(3, 5))
+    assert not row_space_equal(m, RatMatrix.zero(0, 4))
+    assert m.transpose() == RatMatrix([()] * 5)
+    assert m.transpose().transpose() == m
 
 
 def test_kernel_identity_empty():
@@ -193,17 +208,21 @@ def to_fraction(x):
     return Fraction(int(x.p), int(x.q))
 
 
+def mat(rows, ncols):
+    """RatMatrix of the rows, keeping the width when there are none."""
+    return RatMatrix(rows) if rows else RatMatrix.zero(0, ncols)
+
+
 def sym(sp, rows, ncols):
-    """The sympy twin of RatMatrix(rows); a RatMatrix without rows also has
-    no columns, so pass its ``cols``."""
+    """The sympy twin of ``mat(rows, ncols)``."""
     return sp.Matrix(rows) if rows else sp.zeros(0, ncols)
 
 
 @pytest.mark.parametrize("seed,nrows,ncols,density", cases())
 def test_rref_rank_kernel_match_sympy(sp, seed, nrows, ncols, density):
     rows = random_rows(seed, nrows, ncols, density)
-    m = RatMatrix(rows)
-    s = sym(sp, rows, m.cols)
+    m = mat(rows, ncols)
+    s = sym(sp, rows, ncols)
     red, pivots = rref(m)
     sred, spivots = s.rref()
     assert pivots == list(spivots)
@@ -217,12 +236,12 @@ def test_rref_rank_kernel_match_sympy(sp, seed, nrows, ncols, density):
 @pytest.mark.parametrize("seed,nrows,ncols,density", cases())
 def test_solve_matches_sympy(sp, seed, nrows, ncols, density):
     rows = random_rows(seed, nrows, ncols, density)
-    m = RatMatrix(rows)
-    s = sym(sp, rows, m.cols)
+    m = mat(rows, ncols)
+    s = sym(sp, rows, ncols)
     rng = random.Random(seed + 100)
     # one right-hand side in the column space, one almost surely outside it
     x = [Fraction(rng.randint(-4, 4)) for _ in range(ncols)]
-    for b in (list(m.matvec(x)) if nrows else [],
+    for b in (list(m.matvec(x)),
               [Fraction(rng.randint(-4, 4), 3) for _ in range(nrows)]):
         sol = solve(m, b)
         try:
@@ -237,8 +256,8 @@ def test_solve_matches_sympy(sp, seed, nrows, ncols, density):
 @pytest.mark.parametrize("seed,nrows,ncols,density", cases())
 def test_spans_and_matvec_match_sympy(sp, seed, nrows, ncols, density):
     rows = random_rows(seed, nrows, ncols, density)
-    m = RatMatrix(rows)
-    s = sym(sp, rows, m.cols)
+    m = mat(rows, ncols)
+    s = sym(sp, rows, ncols)
     rng = random.Random(seed + 200)
     inside = [sum((rows[i][j] * (i + 1) for i in range(nrows)), Fraction(0))
               for j in range(ncols)]
@@ -248,12 +267,94 @@ def test_spans_and_matvec_match_sympy(sp, seed, nrows, ncols, density):
         assert span_contains(rows, v) == want
     other = random_rows(seed + 1, nrows, ncols, density)
     for b in (other, [list(r) for r in rref(m)[0].entries] or other):
-        mb = RatMatrix(b)
-        sb = sym(sp, b, mb.cols)
+        mb = mat(b, ncols)
+        sb = sym(sp, b, ncols)
         want = s.rank() == sb.rank() == s.col_join(sb).rank()
         assert row_space_equal(m, mb) == want
-    if nrows:
-        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-             for _ in range(ncols)]
-        assert m.matvec(v) == tuple(to_fraction(x)
-                                    for x in s * sp.Matrix(ncols, 1, v))
+    v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)]
+    assert m.matvec(v) == tuple(to_fraction(x)
+                                for x in s * sp.Matrix(ncols, 1, v))
+
+
+# ---------------------------------------------------------------------------
+# poly_rref: the RREF basis of a span of polynomials
+# ---------------------------------------------------------------------------
+
+def random_polys(seed, count, nvars=3, degree=2, density=0.4):
+    """Seeded polynomials of degree <= degree; odd seeds make the last one a
+    combination of the first two."""
+    rng = random.Random(seed)
+    out = [Poly({m: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for m in monomials_up_to(nvars, degree)
+                 if rng.random() < density})
+           for _ in range(count)]
+    if seed % 2 and count > 2:
+        out[-1] = out[0] * 2 - out[1] * Fraction(1, 3)
+    return out
+
+
+def coefficient_rows(polys, support):
+    return [[p.coefficient(m) for m in support] for p in polys]
+
+
+def test_poly_rref_empty_and_zero():
+    assert poly_rref([]) == []
+    assert poly_rref([Poly.zero(), Poly.zero()], reverse=True) == []
+    assert poly_rref([Poly.zero(), 2 * x(0)]) == [x(0)]
+
+
+def test_poly_rref_example_orders():
+    a = x(0) ** 2 + 2 * x(1)
+    b = x(0) ** 2 - x(1) + 3
+    # lowest first: the constant and x2 lead; highest first: x1^2 leads
+    assert poly_rref([a, b]) == [1 + Fraction(1, 2) * x(0) ** 2,
+                                 x(1) + Fraction(1, 2) * x(0) ** 2]
+    assert poly_rref([a, b], reverse=True) == [x(0) ** 2 + 2,
+                                               x(1) - 1]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_rref_depends_only_on_the_span(seed, reverse):
+    polys = random_polys(seed, 4)
+    basis = poly_rref(polys, reverse)
+    rng = random.Random(seed + 300)
+    shuffled = list(polys)
+    rng.shuffle(shuffled)
+    assert poly_rref(shuffled, reverse) == basis
+    scaled = [p * Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+              for p in polys]
+    assert poly_rref(scaled, reverse) == basis
+    mixed = [p + polys[0] * (i + 1) for i, p in enumerate(polys[1:])]
+    mixed = [polys[0]] + mixed + [Poly.zero(), polys[1] - polys[2]]
+    assert poly_rref(mixed, reverse) == basis
+    assert poly_rref(basis, reverse) == basis
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_rref_pivots_lead_with_one(seed, reverse):
+    basis = poly_rref(random_polys(seed, 5), reverse)
+    pick = max if reverse else min
+    pivots = [pick(p.terms, key=mono_key) for p in basis]
+    assert len(set(pivots)) == len(pivots)
+    for p, m in zip(basis, pivots):
+        assert p.terms[m] == 1
+        assert all(q.coefficient(m) == 0 for q in basis if q is not p)
+    # pivots come in the order of the columns
+    assert pivots == sorted(pivots, key=mono_key, reverse=reverse)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_poly_rref_rank_and_span_match_sympy(sp, seed):
+    a = random_polys(seed, 1 + seed % 5, density=0.3 + 0.1 * (seed % 4))
+    # a[:-1] spans the same space as a on odd seeds with three or more
+    for b in (random_polys(seed + 1, len(a)), a[:-1]):
+        support = sorted({m for p in a + b for m in p.terms}, key=mono_key)
+        sa, sb = (sym(sp, coefficient_rows(q, support), len(support))
+                  for q in (a, b))
+        want = sa.rank() == sb.rank() == sa.col_join(sb).rank()
+        for reverse in (False, True):
+            assert len(poly_rref(a, reverse)) == sa.rank()
+            assert len(poly_rref(b, reverse)) == sb.rank()
+            assert (poly_rref(a, reverse) == poly_rref(b, reverse)) == want
