@@ -14,7 +14,10 @@ from darbouxlie.derivations import derivation_basis, lift, rank_at
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
                                   monomials_up_to, solve)
 from darbouxlie.exprparse import parse_poly
+from darbouxlie.grassmann import (MultiVector, blades, generic_bivector,
+                                  schouten, wedge)
 from darbouxlie.liealg import catalog
+from darbouxlie.yangbaxter import necessary_checks
 
 #: the largest ideal-membership system that the s3, s9 and n1 family-bundle
 #: checks solve: x6 against four quadrics with cofactors of degree <= 2
@@ -52,9 +55,12 @@ def test_ideal_membership(benchmark, system):
     assert benchmark(ideal_membership, target, gens, BOUND) is None
 
 
+S3 = dict(alpha=Fraction(1, 2), beta=Fraction(1, 3))
+
+
 @pytest.fixture(scope="module")
 def fields():
-    g = catalog("s3", alpha=Fraction(1, 2), beta=Fraction(1, 3))
+    g = catalog("s3", **S3)
     return [lift(d, 2) for d in derivation_basis(g)]
 
 
@@ -68,3 +74,37 @@ def test_matvec_lifted_field(benchmark, fields):
     assert benchmark(A.matvec, p) == tuple(
         sum((A[i, j] * p[j] for j in range(6)), Fraction(0))
         for i in range(6))
+
+
+def test_lift_s3_derivation(benchmark):
+    d = derivation_basis(catalog("s3", **S3))[0]
+    X = benchmark(lift, d, 2)
+    # Λ²d (e_i ∧ e_j) = d e_i ∧ e_j + e_i ∧ d e_j on every blade
+    for k, mask in enumerate(blades(4, 2)):
+        i, j = (b for b in range(4) if mask & (1 << b))
+        ei, ej = MultiVector.blade(4, [i]), MultiVector.blade(4, [j])
+        want = (wedge(MultiVector.vector(4, d.col(i)), ej)
+                + wedge(ei, MultiVector.vector(4, d.col(j))))
+        assert X.matrix.col(k) == want.coords()
+
+
+def test_schouten_generic_bivector_s3(benchmark):
+    g = catalog("s3", **S3)
+    r = generic_bivector(g)
+    rr = benchmark(schouten, g, r, r)
+    # the [r,r] displayed in the s3 family file, at a = 1/2, b = 1/3
+    golden = ["2*((1+a)*x1*x6-(1+b)*x2*x5+(a+b)*x3*x4)", "2*(a-1)*x3*x5",
+              "2*(b-1)*x3*x6", "2*(b-a)*x5*x6"]
+    env = {"a": S3["alpha"], "b": S3["beta"]}
+    assert [rr.terms.get(b, Poly.zero()) for b in blades(4, 3)] == \
+        [parse_poly(e, 6, env) for e in golden]
+
+
+def test_necessary_checks_s3(benchmark):
+    g = catalog("s3", **S3)
+    e12 = MultiVector.from_coords(4, 2, [1, 0, 0, 0, 0, 0])
+    e12_13_23 = MultiVector.from_coords(4, 2, [1, 1, 0, 1, 0, 0])
+    report = benchmark(necessary_checks, g, e12, e12_13_23)
+    assert (report.rank1, report.rank2) == (2, 2)
+    assert (report.orbit_dim1, report.orbit_dim2) == (1, 3)
+    assert report.reasons == ["orbit dimensions differ: 1 vs 3"]

@@ -19,9 +19,9 @@ from .grassmann import (MultiVector, SymMultiVector, ad_action, blades,
 from .derivations import (LinearVectorField, derivation_basis,
                           fundamental_fields, lift, orbit_dim, rank_at,
                           vf_apply)
-from .yangbaxter import (NotAnAutomorphism, RMatrix, YbSystem, cocommutator,
-                         is_automorphism, is_cybe_solution,
-                         is_mcybe_solution, necessary_checks,
+from .yangbaxter import (AlgebraContext, NotAnAutomorphism, RMatrix,
+                         YbSystem, cocommutator, is_automorphism,
+                         is_cybe_solution, is_mcybe_solution, necessary_checks,
                          quotient_class, same_coboundary, yb_system)
 from .darboux import (Brick, BranchInvalid, DarbouxFamily, TreeBranch,
                       family_sum, find_bricks, flow_invariance,

@@ -25,16 +25,6 @@ class GradingSolution:
     alphas: tuple[Fraction, ...]
     center_basis: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def center_idx(self) -> tuple[int, ...]:
-        """Indices of coordinate-aligned center basis vectors."""
-        out = []
-        for v in self.center_basis:
-            nz = [i for i, x in enumerate(v) if x]
-            if len(nz) == 1:
-                out.append(nz[0])
-        return tuple(out)
-
 
 @dataclass
 class MatrixRep:

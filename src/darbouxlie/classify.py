@@ -14,23 +14,24 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .darboux import (TreeBranch, branch_samples, certify_no_solutions,
-                      find_bricks, locus_contains, verify_branch)
-from .derivations import (derivation_basis, fundamental_fields, lift,
-                          orbit_dim, rank_at)
+from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
+                      branch_samples, certify_no_solutions, find_bricks,
+                      locus_contains, verify_branch)
+from .derivations import rank_at
 from .exactmath import (Poly, RatMatrix, ideal_membership, normalize_poly,
                         poly_rref, rat, row_space_equal)
 from .exprparse import ExprError, parse_condition, parse_expr, parse_poly
-from .grassmann import MultiVector, apply_linear, blades, invariants, schouten
+from .grassmann import MultiVector, apply_linear, blades, schouten
 from .liealg import LieAlgebra, catalog
-from .yangbaxter import (generic_bivector, is_automorphism, is_cybe_solution,
-                         is_mcybe_solution, necessary_checks, reduce_system,
-                         same_coboundary, yb_system)
+from .yangbaxter import (AlgebraContext, NecessaryReport, generic_bivector,
+                         is_automorphism, is_cybe_solution, is_mcybe_solution,
+                         reduce_system)
 
 
 class GoldenDataMissing(FileNotFoundError):
@@ -502,8 +503,7 @@ def verify_orbit_table(stem: str, params: Optional[dict] = None,
         g = catalog(fam.algebra, **ps)
         auts = load_automorphisms(fam, ps, g)
         auts_count += len(auts)
-        ders = derivation_basis(g)
-        fields = [lift(d, 2) for d in ders]
+        ctx = AlgebraContext(g)
         for rec in expand_rows(fam, ps):
             problems = []
             errata = []
@@ -511,7 +511,7 @@ def verify_orbit_table(stem: str, params: Optional[dict] = None,
                 errata.append(rec.papernote)
             if not locus_contains(rec.branch, rec.rep.coords()):
                 problems.append("representative violates its own constraints")
-            d = orbit_dim(g, rec.rep, ders)
+            d = ctx.orbit_dim(rec.rep)
             if d != rec.dim:
                 problems.append(f"orbit dim {d} != expected {rec.dim}")
             if rec.paperdim is not None and rec.paperdim != rec.dim:
@@ -519,7 +519,7 @@ def verify_orbit_table(stem: str, params: Optional[dict] = None,
             if not rec.samples:
                 problems.append("no usable sample points")
             for p in rec.samples:
-                if rank_at(fields, p) != rec.dim:
+                if rank_at(ctx.fields, p) != rec.dim:
                     problems.append(f"rank at {p} != {rec.dim}")
                     break
                 if not is_mcybe_solution(g, p):
@@ -584,29 +584,13 @@ class BundleResult:
 
 def _der_form_basis(form_rows, params: dict) -> list[RatMatrix]:
     syms = sorted({tok for row in form_rows for e in row
-                   for tok in _m_symbols(e)})
+                   for tok in re.findall(r"m\d+", e)})
     out = []
     for s in syms:
         env = {t: Fraction(1 if t == s else 0) for t in syms}
         env.update({k: Fraction(v) for k, v in params.items()})
         out.append(RatMatrix([[parse_expr(e, env) for e in row]
                               for row in form_rows]))
-    return out
-
-
-def _m_symbols(expr: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(expr):
-        if expr[i] == "m" and i + 2 < len(expr) + 1:
-            j = i + 1
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            if j > i + 1:
-                out.append(expr[i:j])
-            i = j
-        else:
-            i += 1
     return out
 
 
@@ -621,21 +605,21 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
         if fam.when and not parse_condition(fam.when, sp):
             continue
         g = catalog(fam.algebra, **ps)
+        ctx = AlgebraContext(g)
         problems = []
 
-        for deg in (2, 3):
+        for deg, (inv, _) in ((2, ctx.inv2), (3, ctx.inv3)):
             want = [parse_multivector(e, sp).coords()
                     for cond, e in fam.invariants[deg]
                     if parse_condition(cond, sp)]
-            got = [v.coords() for v in invariants(g, deg)]
+            got = [v.coords() for v in inv]
             if not _same_span(want, got):
                 problems.append(f"invariants deg {deg} disagree")
 
         if fam.der_form:
             form = _der_form_basis(fam.der_form, sp)
-            comp = derivation_basis(g)
             if not _same_span([m.flat() for m in form],
-                              [m.flat() for m in comp]):
+                              [m.flat() for m in ctx.ders]):
                 problems.append("derivation form span disagrees")
 
         if fam.fields:
@@ -643,7 +627,7 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
             for frow in fam.fields:
                 mat = _field_matrix(frow, sp)
                 want_rows.append(mat.flat())
-            comp = [lift(d, 2).matrix.flat() for d in derivation_basis(g)]
+            comp = [X.matrix.flat() for X in ctx.fields]
             if not _same_span(want_rows, comp):
                 problems.append("fundamental field span disagrees")
 
@@ -651,7 +635,7 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
             want_bricks = [normalize_poly(parse_poly(bstr, NVARS, sp))
                            for bstr in fam.bricks]
             got_bricks = [b.poly
-                          for b in find_bricks(fundamental_fields(g, 2))]
+                          for b in find_bricks(ctx.fields)]
             if sorted(p.text() for p in want_bricks) != \
                     sorted(p.text() for p in got_bricks):
                 problems.append(
@@ -659,7 +643,7 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
                     f"{[p.text() for p in want_bricks]},"
                     f" got {[p.text() for p in got_bricks]}")
 
-        ybs = yb_system(g)
+        ybs = ctx.yb_system
         if fam.rr:
             r = generic_bivector(g)
             rrv = schouten(g, r, r)
@@ -920,13 +904,9 @@ def verify_tree(stem: str, flow_order: int = 8) -> TreeReport:
     for ps in tree.samples:
         sp = _short_params(ps)
         g = catalog(fam.algebra, **ps)
-        if fam.der_form:
-            ders = _der_form_basis(fam.der_form, sp)
-        else:
-            ders = derivation_basis(g)
-        fields = [lift(d, 2) for d in ders]
-        ybs = yb_system(g)
-        msys = [p for p in ybs.mcybe if not p.is_zero()]
+        ctx = AlgebraContext(g, _der_form_basis(fam.der_form, sp)
+                             if fam.der_form else None)
+        msys = [p for p in ctx.yb_system.mcybe if not p.is_zero()]
         for kind, label, eqs, ineqs, meta in tree.branches:
             if meta.get("skip"):
                 continue
@@ -958,10 +938,10 @@ def verify_tree(stem: str, flow_order: int = 8) -> TreeReport:
                                   for v in s.split(",")])
                 pts = branch_samples(branch, NVARS, extra=extra)
                 try:
-                    rep = verify_branch(g, fields, branch, pts,
+                    rep = verify_branch(g, ctx.fields, branch, pts,
                                         flow_order=flow_order,
                                         family_cache=family_cache)
-                except Exception as e:   # BranchInvalid and friends
+                except (BranchInvalid, IncompatibleFields) as e:
                     failures.append((blabel, dict(ps), str(e)))
                     continue
                 if not rep.passed:
@@ -1028,6 +1008,7 @@ def verify_coboundary_classes(stem: str,
                                        witnessed=[], unwitnessed=[],
                                        separations=[], skipped=skip))
             continue
+        ctx = AlgebraContext(g)
         records = {r.label: r for r in expand_rows(fam, ps)}
         auts = [("id", RatMatrix.identity(4))] + load_automorphisms(fam, ps, g)
         applied: list[tuple[str, list[str]]] = []
@@ -1049,7 +1030,7 @@ def verify_coboundary_classes(stem: str,
             for m in members[1:]:
                 found = None
                 for tname, T in auts:
-                    if same_coboundary(g, records[m].rep, anchor, T):
+                    if ctx.same_coboundary(records[m].rep, anchor, T):
                         found = tname
                         break
                 if found is None:
@@ -1060,15 +1041,13 @@ def verify_coboundary_classes(stem: str,
             if ok:
                 witnessed.append((cname, members, names))
         separations = []
-        reps = [(cname, records[ms[0]].rep) for cname, ms in applied]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                rep_i = reps[i][1]
-                rep_j = reps[j][1]
-                nc = necessary_checks(g, rep_i, rep_j)
+        sigs = [(cname, ctx.signature(records[ms[0]].rep))
+                for cname, ms in applied]
+        for i, (name_i, sig_i) in enumerate(sigs):
+            for name_j, sig_j in sigs[i + 1:]:
+                nc = NecessaryReport.compare(sig_i, sig_j)
                 if nc.provably_inequivalent:
-                    separations.append(((reps[i][0], reps[j][0]),
-                                        nc.reasons[0]))
+                    separations.append(((name_i, name_j), nc.reasons[0]))
         reports.append(ClassReport(family=fam.name, params=dict(ps),
                                    witnessed=witnessed,
                                    unwitnessed=unwitnessed,

@@ -102,10 +102,7 @@ def orbit_dim(g: LieAlgebra, w: MultiVector,
               ders: Sequence[Derivation] | None = None) -> int:
     """Dimension of the automorphism orbit through w: the rank of
     d -> (Λ^m d)(w) over the derivation basis."""
-    if ders is None:
-        ders = derivation_basis(g)
-    rows = [lift(d, w.degree).at(w.coords()) for d in ders]
-    return rank(RatMatrix(rows)) if rows else 0
+    return rank_at(fundamental_fields(g, w.degree, ders), w.coords())
 
 
 def vf_apply(X: LinearVectorField, f: Poly) -> Poly:

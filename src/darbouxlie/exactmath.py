@@ -329,13 +329,14 @@ class RatMatrix:
 
     __slots__ = ("entries", "rows", "cols", "_sparse")
 
-    def __init__(self, entries: Iterable[Iterable]):
+    def __init__(self, entries: Iterable[Iterable], cols: int = 0):
+        """``cols`` is the width of a matrix without rows."""
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         self.entries = rows
         self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        self.cols = len(rows[0]) if rows else cols
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -344,9 +345,7 @@ class RatMatrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
         """The zero matrix; it keeps its width even without rows."""
-        m = RatMatrix([[0] * cols for _ in range(rows)])
-        m.cols = cols
-        return m
+        return RatMatrix([[0] * cols for _ in range(rows)], cols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -393,18 +392,20 @@ class RatMatrix:
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
+                          for r1, r2 in zip(self.entries, other.entries)],
+                         self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
+                          for r1, r2 in zip(self.entries, other.entries)],
+                         self.cols)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in r] for r in self.entries])
+        return RatMatrix([[-a for a in r] for r in self.entries], self.cols)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix([[a * c for a in r] for r in self.entries])
+        return RatMatrix([[a * c for a in r] for r in self.entries], self.cols)
 
     def commutator(self, other: "RatMatrix") -> "RatMatrix":
         return self.matmul(other) - other.matmul(self)

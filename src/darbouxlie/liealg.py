@@ -151,12 +151,6 @@ FAMILY_PARAMS = {
 }
 
 
-def _e(k: int, dim: int = 4):
-    v = [Fraction(0)] * dim
-    v[k - 1] = Fraction(1)
-    return v
-
-
 def _check_params(family: str, p: dict) -> None:
     a = p.get("alpha")
     b = p.get("beta")

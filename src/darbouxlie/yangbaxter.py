@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .derivations import derivation_basis, orbit_dim
+from .derivations import (Derivation, LinearVectorField, derivation_basis,
+                          lift, rank_at)
 from .exactmath import (Poly, RatMatrix, normalize_poly, poly_rref, rank,
-                        rref, span_contains, rat)
+                        rref, rat)
 from .grassmann import (MultiVector, SymMultiVector, ad_action, apply_linear,
                         blades, generic_bivector, invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra, bracket
@@ -60,13 +62,15 @@ def _coefficients(w: SymMultiVector) -> list[Poly]:
     return [w.terms.get(b, Poly.zero()) for b in blades(w.dim, w.degree)]
 
 
-def _project_out(coords: list, inv: list[MultiVector]) -> list:
-    """Canonical components after eliminating the pivot coordinates of the
-    invariant span (deterministic complement: the non-pivot coordinates).
-    The coordinates may be Polys or Fractions."""
-    if not inv:
-        return list(coords)
-    red, pivots = rref(RatMatrix([v.coords() for v in inv]))
+def _span_rref(vs: list[MultiVector]) -> tuple[RatMatrix, list[int]]:
+    return rref(RatMatrix([v.coords() for v in vs]))
+
+
+def _project_out(coords: list, span: tuple[RatMatrix, list[int]]) -> list:
+    """Canonical components after eliminating the pivot coordinates of an
+    invariant span given by its RREF (deterministic complement: the
+    non-pivot coordinates).  The coordinates may be Polys or Fractions."""
+    red, pivots = span
     out = list(coords)
     for prow, pc in enumerate(pivots):
         factor = out[pc]
@@ -134,15 +138,7 @@ def _pure_square_vars(p: Poly) -> list[int]:
 def yb_system(g: LieAlgebra) -> YbSystem:
     """[r, r] as polynomials: the CYBE components, the mCYBE components in
     the quotient by (Λ³g)^g, and a reduced display system."""
-    r = generic_bivector(g)
-    rr = schouten(g, r, r)
-    cybe = [normalize_poly(p) for p in _coefficients(rr)]
-    inv3 = invariants(g, 3)
-    mcybe = [normalize_poly(p)
-             for p in _project_out(_coefficients(rr), inv3)]
-    mcybe = [p for p in mcybe if not p.is_zero()] or [Poly.zero()]
-    return YbSystem(cybe=cybe, mcybe=mcybe, inv3=inv3,
-                    reduced=reduce_system(mcybe))
+    return AlgebraContext(g).yb_system
 
 
 def is_mcybe_solution(g: LieAlgebra, r: RMatrix) -> bool:
@@ -187,7 +183,7 @@ def cocycle_defect(g: LieAlgebra, r: RMatrix, i: int, j: int) -> MultiVector:
 def quotient_class(g: LieAlgebra, r: RMatrix) -> tuple[Fraction, ...]:
     """Coordinates of r in Λ²g / (Λ²g)^g, in the deterministic complement
     basis given by the non-pivot blade coordinates of the invariant span."""
-    return tuple(_project_out(as_bivector(g, r).coords(), invariants(g, 2)))
+    return AlgebraContext(g).quotient_class(r)
 
 
 def is_automorphism(g: LieAlgebra, T: RatMatrix) -> bool:
@@ -210,10 +206,7 @@ def same_coboundary(g: LieAlgebra, r1: RMatrix, r2: RMatrix,
                     T: RatMatrix) -> bool:
     """Whether (Λ²T) r1 and r2 induce the same cocommutator, i.e. agree in
     Λ²g/(Λ²g)^g.  T must preserve brackets exactly."""
-    if not is_automorphism(g, T):
-        raise NotAnAutomorphism("T does not preserve the Lie bracket")
-    moved = apply_linear(T, as_bivector(g, r1))
-    return quotient_class(g, moved) == quotient_class(g, r2)
+    return AlgebraContext(g).same_coboundary(r1, r2, T)
 
 
 def bilinear_matrix(g: LieAlgebra, r: RMatrix) -> RatMatrix:
@@ -241,32 +234,93 @@ class NecessaryReport:
     provably_inequivalent: bool
     reasons: list[str]
 
+    @classmethod
+    def compare(cls, sig1: tuple, sig2: tuple) -> "NecessaryReport":
+        """The report for two representatives from their signatures
+        (``AlgebraContext.signature``)."""
+        (k1, z1, inv1, d1), (k2, z2, inv2, d2) = sig1, sig2
+        reasons = []
+        if k1 != k2:
+            reasons.append(f"bilinear ranks differ: {k1} vs {k2}")
+        if z1 != z2:
+            reasons.append("[r1,r1] and [r2,r2] do not vanish together")
+        if inv1 != inv2:
+            reasons.append("[r,r] invariance differs")
+        if d1 != d2:
+            reasons.append(f"orbit dimensions differ: {d1} vs {d2}")
+        return cls(rank1=k1, rank2=k2, rr1_zero=z1, rr2_zero=z2,
+                   rr1_invariant=inv1, rr2_invariant=inv2,
+                   orbit_dim1=d1, orbit_dim2=d2,
+                   provably_inequivalent=bool(reasons), reasons=reasons)
+
 
 def necessary_checks(g: LieAlgebra, r1: RMatrix, r2: RMatrix) -> NecessaryReport:
     """Machine-checkable necessary conditions for equivalence of two
     r-matrices: equal bilinear ranks, matching [r,r] vanishing/invariance,
     and equal orbit dimensions.  Any failure proves inequivalence."""
-    b1, b2 = as_bivector(g, r1), as_bivector(g, r2)
-    k1, k2 = rank(bilinear_matrix(g, b1)), rank(bilinear_matrix(g, b2))
-    assert k1 % 2 == 0 and k2 % 2 == 0, "antisymmetric rank must be even"
-    rr1 = schouten(g, b1, b1)
-    rr2 = schouten(g, b2, b2)
-    inv_coords = [v.coords() for v in invariants(g, 3)]
-    inv1 = span_contains(inv_coords, rr1.coords())
-    inv2 = span_contains(inv_coords, rr2.coords())
-    ders = derivation_basis(g)
-    d1, d2 = orbit_dim(g, b1, ders), orbit_dim(g, b2, ders)
-    reasons = []
-    if k1 != k2:
-        reasons.append(f"bilinear ranks differ: {k1} vs {k2}")
-    if rr1.is_zero() != rr2.is_zero():
-        reasons.append("[r1,r1] and [r2,r2] do not vanish together")
-    if inv1 != inv2:
-        reasons.append("[r,r] invariance differs")
-    if d1 != d2:
-        reasons.append(f"orbit dimensions differ: {d1} vs {d2}")
-    return NecessaryReport(
-        rank1=k1, rank2=k2, rr1_zero=rr1.is_zero(), rr2_zero=rr2.is_zero(),
-        rr1_invariant=inv1, rr2_invariant=inv2,
-        orbit_dim1=d1, orbit_dim2=d2,
-        provably_inequivalent=bool(reasons), reasons=reasons)
+    ctx = AlgebraContext(g)
+    return NecessaryReport.compare(ctx.signature(r1), ctx.signature(r2))
+
+
+class AlgebraContext:
+    """The derived data of one concrete algebra, each piece computed at most
+    once: derivations, their Λ² fields, (Λ²g)^g and (Λ³g)^g with their
+    RREFs, and the Yang-Baxter system.  Build one per algebra and pass it
+    along; ``ders`` overrides the computed derivation basis."""
+
+    def __init__(self, g: LieAlgebra, ders: list[Derivation] | None = None):
+        self.g = g
+        if ders is not None:
+            self.ders = ders
+
+    @cached_property
+    def ders(self) -> list[Derivation]:
+        return derivation_basis(self.g)
+
+    @cached_property
+    def fields(self) -> list[LinearVectorField]:
+        return [lift(d, 2) for d in self.ders]
+
+    @cached_property
+    def inv2(self) -> tuple[list[MultiVector], tuple[RatMatrix, list[int]]]:
+        inv = invariants(self.g, 2)
+        return inv, _span_rref(inv)
+
+    @cached_property
+    def inv3(self) -> tuple[list[MultiVector], tuple[RatMatrix, list[int]]]:
+        inv = invariants(self.g, 3)
+        return inv, _span_rref(inv)
+
+    @cached_property
+    def yb_system(self) -> YbSystem:
+        r = generic_bivector(self.g)
+        rr = _coefficients(schouten(self.g, r, r))
+        mcybe = [normalize_poly(p) for p in _project_out(rr, self.inv3[1])]
+        mcybe = [p for p in mcybe if not p.is_zero()] or [Poly.zero()]
+        return YbSystem(cybe=[normalize_poly(p) for p in rr], mcybe=mcybe,
+                        inv3=self.inv3[0], reduced=reduce_system(mcybe))
+
+    def orbit_dim(self, w: MultiVector) -> int:
+        """Dimension of the automorphism orbit through the bivector w."""
+        return rank_at(self.fields, w.coords())
+
+    def quotient_class(self, r: RMatrix) -> tuple[Fraction, ...]:
+        return tuple(_project_out(as_bivector(self.g, r).coords(),
+                                  self.inv2[1]))
+
+    def same_coboundary(self, r1: RMatrix, r2: RMatrix, T: RatMatrix) -> bool:
+        if not is_automorphism(self.g, T):
+            raise NotAnAutomorphism("T does not preserve the Lie bracket")
+        moved = apply_linear(T, as_bivector(self.g, r1))
+        return self.quotient_class(moved) == self.quotient_class(r2)
+
+    def signature(self, r: RMatrix) -> tuple[int, bool, bool, int]:
+        """The invariants separating r from other representatives: its
+        bilinear rank, [r,r] = 0, [r,r] in (Λ³g)^g, its orbit dimension."""
+        b = as_bivector(self.g, r)
+        k = rank(bilinear_matrix(self.g, b))
+        assert k % 2 == 0, "antisymmetric rank must be even"
+        rr = schouten(self.g, b, b)
+        return (k, rr.is_zero(),
+                not any(_project_out(rr.coords(), self.inv3[1])),
+                self.orbit_dim(b))

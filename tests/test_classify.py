@@ -165,3 +165,24 @@ def test_parse_multivector_other_dimensions():
     assert parse_multivector("e45", {}, 5).coords()[-1] == 1
     with pytest.raises(ExprError):
         parse_multivector("e4", {}, 3)
+
+
+def test_verify_tree_records_branch_errors_only(monkeypatch):
+    import darbouxlie.classify as classify
+    from darbouxlie.darboux import BranchInvalid
+
+    def invalid(*args, **kwargs):
+        raise BranchInvalid("no mCYBE points")
+
+    monkeypatch.setattr(classify, "verify_branch", invalid)
+    rep = verify_tree("s1")
+    assert len(rep.failures) == 9 and not rep.verified
+    assert all(reason == "no mCYBE points" for *_, reason in rep.failures)
+
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    # a bug must surface, not be reported as a failed branch
+    monkeypatch.setattr(classify, "verify_branch", broken)
+    with pytest.raises(TypeError):
+        verify_tree("s1")

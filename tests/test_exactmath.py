@@ -50,6 +50,16 @@ def test_zero_matrix_without_rows_keeps_its_width():
     assert m.transpose().transpose() == m
 
 
+def test_arithmetic_without_rows_keeps_the_width():
+    m = RatMatrix.zero(0, 5)
+    for out in (m + m, m - m, -m, m.scale(2)):
+        assert (out.rows, out.cols) == (0, 5)
+        assert out == m
+    a = RatMatrix([[1, 2], [3, 4]])
+    assert a + a == a.scale(2) and a - a == RatMatrix.zero(2, 2)
+    assert -a == RatMatrix([[-1, -2], [-3, -4]])
+
+
 def test_kernel_identity_empty():
     assert kernel_basis(RatMatrix.identity(4)) == []
 

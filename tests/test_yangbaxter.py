@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.exactmath import Poly
-from darbouxlie.grassmann import MultiVector, blades
-from darbouxlie.liealg import FAMILIES, abelian, catalog
-from darbouxlie.yangbaxter import (NotAnAutomorphism, bilinear_matrix,
+import darbouxlie.classify as classify
+import darbouxlie.derivations as derivations
+import darbouxlie.yangbaxter as yangbaxter
+from darbouxlie.derivations import derivation_basis, orbit_dim
+from darbouxlie.exactmath import Poly, rref, solve, span_contains
+from darbouxlie.grassmann import MultiVector, blades, invariants, schouten
+from darbouxlie.liealg import FAMILIES, abelian, catalog, parse_algebra
+from darbouxlie.yangbaxter import (AlgebraContext, NecessaryReport,
+                                   NotAnAutomorphism, bilinear_matrix,
                                    cocommutator, cocycle_defect,
                                    is_automorphism, is_cybe_solution,
                                    is_mcybe_solution, necessary_checks,
@@ -170,3 +175,109 @@ def test_same_coboundary_false_without_invariants():
                          [0, 0, -1, 0], [0, 0, 0, 1]])):
         assert not same_coboundary(g, bv(1, 0, 0, 0, 0, 0),
                                    bv(0, 1, 0, 0, 0, 0), T)
+
+
+# ---------------------------------------------------------------------------
+# the per-algebra context against independent routes to the same data
+# ---------------------------------------------------------------------------
+
+SO3 = "dim 3\n[1,2] = e3\n[2,3] = e1\n[3,1] = e2\n"
+CONTEXT_ALGEBRAS = [("s1", lambda: catalog("s1")),
+                    ("s3", lambda: catalog("s3", **PARAMS["s3"])),
+                    ("s7", lambda: catalog("s7")),
+                    ("n1", lambda: catalog("n1")),
+                    ("so3", lambda: parse_algebra(SO3, "so3"))]
+
+
+def random_bivectors(g, seed: int, count: int = 12) -> list[MultiVector]:
+    """The zero bivector and seeded sparse random ones with small entries."""
+    rng = random.Random(seed)
+    n = len(blades(g.dim, 2))
+    out = [MultiVector.from_coords(g.dim, 2, [0] * n)]
+    for _ in range(count):
+        out.append(MultiVector.from_coords(g.dim, 2, [
+            rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 2)))
+            for _ in range(n)]))
+    return out
+
+
+def reference_quotient_class(g, r):
+    """r - sum c_i v_i over the invariant bivectors v_i, with the c_i solved
+    so that it vanishes at the pivot columns of their span; the class is the
+    rest of its coordinates."""
+    inv = [v.coords() for v in invariants(g, 2)]
+    coords = r.coords()
+    pivots = rref(RatMatrix(inv))[1] if inv else []
+    c = solve(RatMatrix([[v[p] for v in inv] for p in pivots]),
+              [coords[p] for p in pivots]) if pivots else []
+    rest = [x - sum((ci * v[j] for ci, v in zip(c, inv)), Fraction(0))
+            for j, x in enumerate(coords)]
+    return tuple(x for j, x in enumerate(rest) if j not in pivots)
+
+
+def reference_signature(g, r):
+    """Bilinear rank, [r,r] = 0, [r,r] in (Λ³g)^g and orbit dimension,
+    each computed from scratch."""
+    rr = schouten(g, r, r)
+    inv3 = [v.coords() for v in invariants(g, 3)]
+    return (rank(bilinear_matrix(g, r)), rr.is_zero(),
+            span_contains(inv3, rr.coords()), orbit_dim(g, r))
+
+
+@pytest.mark.parametrize("name,make", CONTEXT_ALGEBRAS)
+def test_context_agrees_with_public_functions(name, make):
+    g = make()
+    ctx = AlgebraContext(g)
+    rs = random_bivectors(g, seed=len(name) * 101 + g.dim)
+    sigs = []
+    for r in rs:
+        assert ctx.orbit_dim(r) == orbit_dim(g, r)
+        assert ctx.quotient_class(r) == quotient_class(g, r) == \
+            reference_quotient_class(g, r)
+        sig = ctx.signature(r)
+        assert sig == reference_signature(g, r)
+        assert sig[2] == is_mcybe_solution(g, r)
+        sigs.append(sig)
+    for i in range(len(rs)):
+        for j in range(i, len(rs)):
+            report = NecessaryReport.compare(sigs[i], sigs[j])
+            assert report == necessary_checks(g, rs[i], rs[j])
+            assert (report.rank1, report.rr1_zero, report.rr1_invariant,
+                    report.orbit_dim1) == sigs[i]
+            assert (report.rank2, report.rr2_zero, report.rr2_invariant,
+                    report.orbit_dim2) == sigs[j]
+            assert len(report.reasons) == sum(
+                a != b for a, b in zip(sigs[i], sigs[j]))
+            assert report.provably_inequivalent == (sigs[i] != sigs[j])
+    # at least two signatures, so some pairs are separated
+    assert len(set(sigs)) > 1
+
+
+def test_context_computes_each_piece_once():
+    g = catalog("s3", **PARAMS["s3"])
+    ctx = AlgebraContext(g)
+    assert ctx.fields is ctx.fields and ctx.inv2 is ctx.inv2
+    assert ctx.yb_system.inv3 is ctx.inv3[0]
+    assert [v.text() for v in ctx.yb_system.inv3] == \
+        [v.text() for v in yb_system(g).inv3]
+    assert ctx.yb_system.reduced == yb_system(g).reduced
+    # an explicit derivation basis is used as given
+    ders = derivation_basis(g)[:2]
+    assert AlgebraContext(g, ders).ders is ders
+    assert len(AlgebraContext(g, ders).fields) == 2
+
+
+def test_classes_compute_derivations_once_per_sample(monkeypatch):
+    calls = []
+    original = derivations.derivation_basis
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for mod in (derivations, yangbaxter, classify):
+        monkeypatch.setattr(mod, "derivation_basis", counting, raising=False)
+    reports = classify.verify_coboundary_classes("s3")
+    processed = [rep for rep in reports if not rep.skipped]
+    assert processed and all(rep.separations for rep in processed)
+    assert 0 < len(calls) <= len(processed)
