@@ -10,14 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.derivations import derivation_basis, lift, rank_at
+from darbouxlie.darboux import flow_invariance, verify_family
+from darbouxlie.derivations import (derivation_basis, fundamental_fields,
+                                    lift, rank_at)
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
                                   monomials_up_to, solve)
 from darbouxlie.exprparse import parse_poly
 from darbouxlie.grassmann import (MultiVector, blades, generic_bivector,
                                   schouten, wedge)
 from darbouxlie.liealg import catalog
-from darbouxlie.yangbaxter import necessary_checks
+from darbouxlie.yangbaxter import necessary_checks, yb_system
 
 #: the largest ideal-membership system that the s3, s9 and n1 family-bundle
 #: checks solve: x6 against four quadrics with cofactors of degree <= 2
@@ -108,3 +110,17 @@ def test_necessary_checks_s3(benchmark):
     assert (report.rank1, report.rank2) == (2, 2)
     assert (report.orbit_dim1, report.orbit_dim2) == (1, 3)
     assert report.reasons == ["orbit dimensions differ: 1 vs 3"]
+
+
+def test_flow_invariance_s1_mcybe(benchmark):
+    g = catalog("s1")
+    fields = fundamental_fields(g, 2)
+    family = verify_family(fields, [p for p in yb_system(g).mcybe
+                                    if not p.is_zero()], 0)
+    point = [1, 2, 0, 1, 0, 0]          # on the mCYBE locus of s1
+
+    def every_field():
+        return [flow_invariance(family, X, point) for X in fields]
+
+    assert every_field() == [True] * 6
+    assert benchmark(every_field) == [True] * 6

@@ -27,6 +27,7 @@ from .darboux import (Brick, BranchInvalid, DarbouxFamily, TreeBranch,
                       family_sum, find_bricks, flow_invariance,
                       locus_contains, verify_branch, verify_family,
                       verify_family_auto)
-from .centerext import GradingSolution, MatrixRep, build_rep, solve_grading
+from .centerext import (GradingSolution, MatrixRep, RepresentationInvalid,
+                        build_rep, solve_grading)
 
 __version__ = "0.1.0"

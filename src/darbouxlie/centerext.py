@@ -20,6 +20,10 @@ from .exactmath import RatMatrix, kernel_basis, rank
 from .liealg import LieAlgebra, center, from_brackets, validate
 
 
+class RepresentationInvalid(ValueError):
+    """The graded extension or its adjoint representation fails a check."""
+
+
 @dataclass(frozen=True)
 class GradingSolution:
     alphas: tuple[Fraction, ...]
@@ -105,7 +109,7 @@ def build_rep(g: LieAlgebra, sol: GradingSolution) -> MatrixRep:
     gt = extend(g, sol)
     bad = validate(gt)
     if bad:
-        raise ValueError(f"extension is not a Lie algebra: {bad[0]}")
+        raise RepresentationInvalid(f"extension is not a Lie algebra: {bad[0]}")
     n = g.dim
     mats = [gt.ad([1 if k == i else 0 for k in range(n + 1)])
             for i in range(n)]
@@ -117,10 +121,10 @@ def build_rep(g: LieAlgebra, sol: GradingSolution) -> MatrixRep:
                 if g.c[i][j][k]:
                     expect = expect + mats[k].scale(g.c[i][j][k])
             if mats[i].commutator(mats[j]) != expect:
-                raise ValueError(f"commutation fidelity fails on "
-                                 f"(e{i + 1}, e{j + 1})")
+                raise RepresentationInvalid(f"commutation fidelity fails "
+                                            f"on (e{i + 1}, e{j + 1})")
     # faithfulness: R_v = 0 only for v = 0
     flat = RatMatrix([m.flat() for m in mats])
     if rank(flat) != n:
-        raise ValueError("representation is not faithful")
+        raise RepresentationInvalid("representation is not faithful")
     return MatrixRep(matrices=mats, extended=gt)

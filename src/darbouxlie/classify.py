@@ -892,10 +892,10 @@ class TreeReport:
         return not self.failures and not self.unconfirmed
 
 
-def verify_tree(stem: str, flow_order: int = 8) -> TreeReport:
+def verify_tree(stem: str) -> TreeReport:
     """Check every branch of a classification tree at every qualifying
     parameter sample: solution branches pass verify_branch (Darboux family,
-    constant rank, mCYBE membership, truncated-flow invariance) and
+    constant rank, mCYBE membership, order-8 Lie-derivative flow check) and
     no-solution branches get an exact infeasibility certificate."""
     tree = load_tree(stem)
     fam = load_family(tree.family_stem)
@@ -939,7 +939,6 @@ def verify_tree(stem: str, flow_order: int = 8) -> TreeReport:
                 pts = branch_samples(branch, NVARS, extra=extra)
                 try:
                     rep = verify_branch(g, ctx.fields, branch, pts,
-                                        flow_order=flow_order,
                                         family_cache=family_cache)
                 except (BranchInvalid, IncompatibleFields) as e:
                     failures.append((blabel, dict(ps), str(e)))

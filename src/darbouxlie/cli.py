@@ -13,25 +13,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from fractions import Fraction
 
 from . import classify
-from .centerext import build_rep, solve_grading
-from .darboux import find_bricks
+from .centerext import RepresentationInvalid, build_rep, solve_grading
+from .darboux import BranchInvalid, IncompatibleFields, find_bricks
 from .derivations import derivation_basis, fundamental_fields, orbit_dim, rank_at
 from .exactmath import Poly, RatMatrix, mono_str
 from .grassmann import MultiVector, invariants
 from .liealg import FAMILIES, catalog, parse_algebra, validate
-from .yangbaxter import yb_system
-from .classify import (FAMILY_FILES, TREE_FILES, parse_multivector,
-                       verify_coboundary_classes, verify_orbit_table,
-                       verify_schouten_family, verify_tree,
+from .yangbaxter import NotAnAutomorphism, yb_system
+from .classify import (FAMILY_FILES, TREE_FILES, WitnessMissing,
+                       parse_multivector, verify_coboundary_classes,
+                       verify_orbit_table, verify_schouten_family, verify_tree,
                        verify_family_bundle)
 
 
 class InputError(ValueError):
     pass
+
+
+#: ValueErrors that report a failed check (exit 1), not bad input (exit 2)
+VERIFICATION_FAILURES = (WitnessMissing, BranchInvalid, IncompatibleFields,
+                         NotAnAutomorphism, RepresentationInvalid)
 
 
 def _rat_str(x: Fraction) -> str:
@@ -410,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    warnings.simplefilter("ignore")
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -418,6 +421,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except VERIFICATION_FAILURES as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return 1
     except (InputError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

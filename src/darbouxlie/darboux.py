@@ -24,6 +24,11 @@ from .exactmath import (Poly, RatMatrix, ideal_membership, kernel_basis,
 from .yangbaxter import is_mcybe_solution
 from .liealg import LieAlgebra
 
+#: verify_branch checks closure with cofactors up to this degree and the
+#: flow invariance of each branch family up to this order
+COFACTOR_DEGREE_BOUND = 2
+FLOW_ORDER = 8
+
 
 class IncompatibleFields(ValueError):
     pass
@@ -400,13 +405,13 @@ class BranchReport:
 
 def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
                   branch: TreeBranch, samples: Sequence[Sequence],
-                  cofactor_degree_bound: int = 2,
-                  flow_order: int = 8,
                   family_cache: Optional[dict] = None) -> BranchReport:
-    """Full branch check: the equalities form a Darboux family on the
-    branch's open set, the field rank is constant across samples and equals
-    the expected stratum dimension (when recorded), every sample solves the
-    mCYBE, and the truncated-flow invariance holds to the given order."""
+    """Full branch check: the equalities form a Darboux family (cofactors
+    of degree <= COFACTOR_DEGREE_BOUND) on the branch's open set, the field
+    rank is constant across samples and equals the expected stratum
+    dimension (when recorded), every sample solves the mCYBE, and the
+    order-8 (FLOW_ORDER) Lie-derivative flow check of flow_invariance holds
+    at the first four samples."""
     pts = [tuple(rat(x) for x in p) for p in samples]
     for p in pts:
         if not locus_contains(branch, p):
@@ -421,14 +426,14 @@ def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
         fam = family_cache.get(key) if key is not None else None
         if fam is None:
             fam = verify_family_auto(fields, branch.equalities,
-                                     cofactor_degree_bound)
+                                     COFACTOR_DEGREE_BOUND)
             if key is not None and fam is not None:
                 family_cache[key] = fam
     else:
         fam = DarbouxFamily([], [], True, tuple(fields))
     if fam is None:
         raise BranchInvalid(f"{branch.label}: equalities are not a Darboux "
-                            f"family at bound {cofactor_degree_bound}")
+                            f"family at bound {COFACTOR_DEGREE_BOUND}")
     ranks = [rank_at(fields, p) for p in pts]
     rank_constant = len(set(ranks)) == 1
     dim_matches = None
@@ -440,7 +445,7 @@ def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
     mcybe_ok = all(solves)
     for p in pts[:4]:
         for X in fields:
-            if not flow_invariance(fam, X, p, order=flow_order):
+            if not flow_invariance(fam, X, p, order=FLOW_ORDER):
                 raise BranchInvalid(
                     f"{branch.label}: flow invariance fails at {p}")
     return BranchReport(
@@ -451,47 +456,18 @@ def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
 
 
 def flow_invariance(family: DarbouxFamily, X: LinearVectorField,
-                    p: Sequence, order: int = 8) -> bool:
-    """Finite-order flow check: with p(t) = sum_{k<=K} t^k A^k p / k!, every
-    generator satisfies f(p(t)) = O(t^{K - deg f + 1}) whenever f(p) = 0
-    for all generators."""
-    p = [rat(x) for x in p]
-    A = X.matrix
-    n = len(p)
-    # p(t) as a vector of univariate polynomials in t (coefficient lists)
-    curves = [[Fraction(0)] * (order + 1) for _ in range(n)]
-    vec = list(p)
-    fact = Fraction(1)
-    for k in range(order + 1):
-        if k:
-            fact *= k
-            vec = list(A.matvec(vec))
-        for i in range(n):
-            curves[i][k] = vec[i] / fact
+                    p: Sequence, order: int = FLOW_ORDER) -> bool:
+    """Finite-order flow check by Lie derivatives: the t^k coefficient of
+    f(exp(tA) p) is (X^k f)(p) / k!, so every generator must satisfy
+    (X^k f)(p) = 0 for k <= order - deg f.  The loop stops once X^k f is
+    the zero polynomial."""
     for f in family.generators:
-        # expand f(p(t)) exactly up to degree `order` in t
-        acc = [Fraction(0)] * (order + 1)
-        for mono, c in f.terms.items():
-            term = [c] + [Fraction(0)] * order
-            for v, e in mono:
-                for _ in range(e):
-                    term = _poly1d_mul(term, curves[v], order)
-            for k in range(order + 1):
-                acc[k] += term[k]
-        cutoff = order - f.degree() + 1
-        if any(acc[k] for k in range(min(cutoff, order + 1))):
-            return False
-    return True
-
-
-def _poly1d_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
+        xf = f
+        for k in range(order - f.degree() + 1):
+            if k:
+                xf = vf_apply(X, xf)
+            if xf.is_zero():
                 break
-            if bj:
-                out[i + j] += ai * bj
-    return out
+            if xf.eval(p):
+                return False
+    return True

@@ -390,12 +390,18 @@ class RatMatrix:
             return self.matmul(other)
         return self.matvec(other)
 
+    def _same_shape(self, other: "RatMatrix", op: str) -> None:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"{op} size mismatch")
+
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        self._same_shape(other, "add")
         return RatMatrix([[a + b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.entries, other.entries)],
                          self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        self._same_shape(other, "sub")
         return RatMatrix([[a - b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.entries, other.entries)],
                          self.cols)

@@ -201,7 +201,7 @@ def test_criterion_6_darboux_verification():
     unconfirmed = []
     nbranches = ncert = 0
     for stem in TREE_FILES:
-        rep = verify_tree(stem, flow_order=8)
+        rep = verify_tree(stem)
         nbranches += len(rep.verified)
         ncert += len(rep.nosol)
         tree_failures.extend(rep.failures)

@@ -34,7 +34,7 @@ def test_validate_file(tmp_path):
     assert code == 1
 
 
-def test_input_errors_exit_2():
+def test_input_errors_exit_2(tmp_path, capsys):
     code, _ = run_cli("validate", "--algebra", "missing-file.txt")
     assert code == 2
     code, _ = run_cli("validate", "--algebra", "s3", "--param", "alpha=2",
@@ -42,6 +42,67 @@ def test_input_errors_exit_2():
     assert code == 2
     code, _ = run_cli("ybe", "--algebra", "s1", "--param", "oops")
     assert code == 2
+    code, _ = run_cli("validate", "--algebra", "s9", "--param", "alpha=x")
+    assert code == 2
+    code, _ = run_cli("schouten", "--algebra", "s1", "e12+", "e3")
+    assert code == 2    # ExprError
+    big = tmp_path / "big.txt"
+    big.write_text("dim 9\n")
+    code, _ = run_cli("validate", "--algebra", str(big))
+    assert code == 2    # DimensionMismatch
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6 and all(e.startswith("error: ") for e in err)
+
+
+def _corrupted_data(tmp_path, monkeypatch):
+    """A copy of the golden data whose s1 witness T(+,-) is not an
+    automorphism (its first entry is 2)."""
+    import shutil
+    from darbouxlie.classify import data_dir
+    alt = tmp_path / "data"
+    shutil.copytree(data_dir(), alt)
+    fam = alt / "families" / "s1.txt"
+    text = fam.read_text()
+    assert "T(+,-) : 1 0 0 0 ;" in text
+    fam.write_text(text.replace("T(+,-) : 1 0 0 0 ;", "T(+,-) : 2 0 0 0 ;"))
+    monkeypatch.setenv("DARBOUXLIE_DATA", str(alt))
+
+
+@pytest.mark.parametrize("verb", ["verify-tables", "coboundary-classes"])
+def test_failed_witness_exits_1(verb, tmp_path, monkeypatch, capsys):
+    _corrupted_data(tmp_path, monkeypatch)
+    code, out = run_cli(verb, "--algebra", "s1")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "verification failed: s1: shipped matrix T(+,-) fails bracket "
+        "preservation\n")
+
+
+def test_failed_representation_check_exits_1(monkeypatch, capsys):
+    from darbouxlie import centerext
+    monkeypatch.setattr(centerext, "validate", lambda g: ["Jacobi fails"])
+    code, out = run_cli("center-ext", "--algebra", "s1")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "verification failed: extension is not a Lie algebra: "
+        "Jacobi fails\n")
+
+
+S3_SWAPPED = ("validate", "--algebra", "s3", "--param", "alpha=-1/2",
+              "--param", "beta=1/2")
+
+
+def test_warnings_are_shown():
+    # s3 with alpha < beta is outside the catalog convention: main warns
+    # and still answers as before
+    with pytest.warns(UserWarning, match="convention is alpha >= beta"):
+        code, out = run_cli(*S3_SWAPPED)
+    assert code == 0
+    assert out == "algebra s3(alpha=-1/2,beta=1/2): valid\n"
+    proc = subprocess.run([sys.executable, "-m", "darbouxlie.cli",
+                           *S3_SWAPPED], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == out
+    assert "UserWarning: s3 with |alpha| = |beta|" in proc.stderr
 
 
 def test_ybe_prints_reference_generators():

@@ -1,16 +1,18 @@
 """Darboux families, bricks, branch loci and flow invariance."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from darbouxlie.darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
+from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
+                                IncompatibleFields, TreeBranch,
                                 branch_samples, certify_no_solutions,
                                 family_sum, find_bricks, flow_invariance,
                                 locus_contains, verify_branch, verify_family,
                                 verify_family_auto)
 from darbouxlie.derivations import fundamental_fields, lift
-from darbouxlie.exactmath import Poly, RatMatrix
+from darbouxlie.exactmath import Poly, RatMatrix, monomials_up_to
 from darbouxlie.liealg import catalog
 from darbouxlie.yangbaxter import yb_system
 
@@ -155,9 +157,92 @@ def test_flow_invariance(s1_fields):
     # a point off the locus is detected immediately
     assert not flow_invariance(fam, s1_fields[0], [0, 0, 0, 0, 0, 1])
     # a non-invariant function family fails the check: x1 alone is not
-    # Darboux, and its truncated flow leaves the zero set
+    # Darboux, and its flow leaves the zero set
     fake = verify_family(s1_fields, [x(0) + x(2)], 2)
     assert fake is None
+
+
+def _flow_coefficients(sp, f, A, p, K):
+    """The t-coefficients 0..K of f(sum_{k<=K} t^k A^k p / k!), expanded
+    by sympy."""
+    t = sp.Symbol("t")
+    M = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row]
+                   for row in A.entries])
+    vec = sp.Matrix([sp.Rational(x.numerator, x.denominator) for x in p])
+    curve = sp.zeros(len(p), 1)
+    for k in range(K + 1):
+        curve += t ** k * vec / sp.factorial(k)
+        vec = M * vec
+    value = sum(sp.Rational(c.numerator, c.denominator)
+                * sp.Mul(*(curve[v] ** e for v, e in mono))
+                for mono, c in f.terms.items())
+    coeffs = sp.Poly(sp.expand(value), t).all_coeffs()[::-1]
+    return (coeffs + [0] * (K + 1))[:K + 1]
+
+
+def _oracle(coeffs, gens, order):
+    """The flow check read off the expansions: for every generator, the
+    coefficients of t^k with k <= order - deg f vanish."""
+    return all(not c for f, cs in zip(gens, coeffs)
+               for c in cs[:max(0, order - f.degree() + 1)])
+
+
+MONOS = [Poly({mu: 1}) for mu in monomials_up_to(6, 2)]
+
+
+def _vanishing_generator(sp, rng, table, degree, m):
+    """A generator of degree `degree` whose flow coefficients vanish exactly
+    below t^m, from the table of the monomials' coefficients; None when the
+    field allows none."""
+    cols = [i for i, mu in enumerate(MONOS) if mu.degree() <= degree]
+    sub = table[:, cols]
+    kernel = sub[:m, :].nullspace() if m else [
+        sp.eye(len(cols))[:, i] for i in range(len(cols))]
+    for _ in range(4):
+        comb = sum((rng.randint(-2, 2) * v for v in kernel),
+                   sp.zeros(len(cols), 1))
+        if (sub[m, :] * comb)[0]:
+            f = sum((Fraction(int(sp.numer(c)), int(sp.denom(c))) * MONOS[i]
+                     for c, i in zip(comb, cols)), Poly.zero())
+            if f.degree() == degree:
+                return f
+    return None
+
+
+def test_flow_invariance_matches_sympy_expansion():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    fields = (fundamental_fields(catalog("s1"), 2)
+              + fundamental_fields(catalog("s3", alpha=Fraction(1, 2),
+                                           beta=Fraction(1, 3)), 2))
+    seen = set()
+    for X in fields:
+        p = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+             for _ in range(6)]
+        table = sp.Matrix([_flow_coefficients(sp, mu, X.matrix, p, 3)
+                           for mu in MONOS]).T
+        for degree in (1, 2):
+            for m in range(4):
+                f = _vanishing_generator(sp, rng, table, degree, m)
+                if f is None:
+                    continue
+                # a generator of the other degree that vanishes at p; the
+                # family is not closed under the fields
+                g = _vanishing_generator(sp, rng, table, 3 - degree, 1)
+                for gens in [[f]] + ([[f, g]] if g is not None else []):
+                    fam = DarbouxFamily(gens, [], False)
+                    on_locus = all(not h.eval(p) for h in gens)
+                    coeffs = [_flow_coefficients(sp, h, X.matrix, p, 8)
+                              for h in gens]
+                    for order in range(9):
+                        want = _oracle(coeffs, gens, order)
+                        assert flow_invariance(fam, X, p, order) == want
+                        seen.add((want, on_locus, m))
+    # every verdict occurs on the locus (a failure at some k > 0) and off
+    # it, and the first nonvanishing coefficient ranges over t^0..t^3
+    assert {(w, o) for w, o, _ in seen} == {(True, True), (False, True),
+                                           (True, False), (False, False)}
+    assert {m for w, o, m in seen if not w} == {0, 1, 2, 3}
 
 
 def test_verify_branch_no_mcybe_points(s1_fields):

@@ -60,6 +60,19 @@ def test_arithmetic_without_rows_keeps_the_width():
     assert -a == RatMatrix([[-1, -2], [-3, -4]])
 
 
+def test_add_and_sub_reject_mismatched_shapes():
+    # no silent truncation: [[1,2],[3,4]] + [[1]] is not [[2]]
+    a = RatMatrix([[1, 2], [3, 4]])
+    for other in (RatMatrix([[1]]), RatMatrix([[1, 2]]), RatMatrix([[1], [2]]),
+                  RatMatrix.zero(0, 2), RatMatrix.zero(3, 2)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            a + other
+        with pytest.raises(ValueError, match="size mismatch"):
+            a - other
+    with pytest.raises(ValueError, match="size mismatch"):
+        RatMatrix.zero(0, 5) + RatMatrix.zero(0, 4)
+
+
 def test_kernel_identity_empty():
     assert kernel_basis(RatMatrix.identity(4)) == []
 
