@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
+from darbouxlie.classify import load_family, loci_agree
 from darbouxlie.darboux import flow_invariance, verify_family
 from darbouxlie.derivations import (derivation_basis, fundamental_fields,
                                     lift, rank_at)
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
-                                  monomials_up_to, solve)
-from darbouxlie.exprparse import parse_poly
+                                  monomials_up_to, normalize_poly, solve)
+from darbouxlie.exprparse import parse_condition, parse_poly
 from darbouxlie.grassmann import (MultiVector, blades, generic_bivector,
                                   schouten, wedge)
 from darbouxlie.liealg import catalog
@@ -124,3 +125,14 @@ def test_flow_invariance_s1_mcybe(benchmark):
 
     assert every_field() == [True] * 6
     assert benchmark(every_field) == [True] * 6
+
+
+def test_loci_agree_s3_mcybe(benchmark):
+    env = {"a": S3["alpha"], "b": S3["beta"]}
+    golden = next(polys for cond, polys in load_family("s3").mcybe
+                  if parse_condition(cond, env))
+    golden = [normalize_poly(parse_poly(p, 6, env)) for p in golden]
+    computed = [p for p in yb_system(catalog("s3", **S3)).mcybe
+                if not p.is_zero()]
+    assert loci_agree(computed, golden)
+    assert benchmark(loci_agree, computed, golden)

@@ -9,13 +9,11 @@ indecomposable Lie algebras.  All arithmetic is exact over Q.
 """
 
 from .exactmath import (Poly, RatMatrix, Rational, ideal_membership,
-                        kernel_basis, poly_eval, poly_rref, rank, rat, rref,
-                        solve)
+                        kernel_basis, poly_rref, rank, rat, rref, solve)
 from .liealg import (CatalogId, LieAlgebra, abelian, bracket, catalog,
                      center, from_brackets, parse_algebra, validate)
 from .grassmann import (MultiVector, SymMultiVector, ad_action, blades,
-                        generic_bivector, invariants, schouten,
-                        schouten_sym, wedge)
+                        generic_bivector, invariants, schouten, wedge)
 from .derivations import (LinearVectorField, derivation_basis,
                           fundamental_fields, lift, orbit_dim, rank_at,
                           vf_apply)

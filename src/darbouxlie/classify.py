@@ -24,10 +24,11 @@ from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
                       locus_contains, verify_branch)
 from .derivations import rank_at
-from .exactmath import (Poly, RatMatrix, ideal_membership, normalize_poly,
-                        poly_rref, rat, row_space_equal)
+from .exactmath import (IntPoly, Poly, RatMatrix, ideal_membership,
+                        normalize_poly, poly_rref, rat, row_space_equal)
 from .exprparse import ExprError, parse_condition, parse_expr, parse_poly
-from .grassmann import MultiVector, apply_linear, blades, schouten
+from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
+                        schouten)
 from .liealg import LieAlgebra, catalog
 from .yangbaxter import (AlgebraContext, NecessaryReport, generic_bivector,
                          is_automorphism, is_cybe_solution, is_mcybe_solution,
@@ -503,6 +504,7 @@ def verify_orbit_table(stem: str, params: Optional[dict] = None,
         g = catalog(fam.algebra, **ps)
         auts = load_automorphisms(fam, ps, g)
         auts_count += len(auts)
+        lifted = [lambda_matrix(T, 2) for _, T in auts]
         ctx = AlgebraContext(g)
         for rec in expand_rows(fam, ps):
             problems = []
@@ -533,16 +535,18 @@ def verify_orbit_table(stem: str, params: Optional[dict] = None,
                                   ok=not problems, problems=problems,
                                   errata=errata, dims_checked=len(rec.samples)))
             if check_components and not problems:
-                miss = _component_merge_gaps(g, auts, rec)
+                miss = _component_merge_gaps(lifted, rec)
                 if miss:
                     unmerged.append((rec.label, dict(ps), miss))
     return TableReport(family=fam.name, rows=rows,
                        unmerged_components=unmerged, auts_validated=auts_count)
 
 
-def _component_merge_gaps(g, auts, rec: OrbitRecord) -> list:
+def _component_merge_gaps(lifted: Sequence[RatMatrix],
+                          rec: OrbitRecord) -> list:
     """Sign components of the row locus not reachable from the
-    representative's component via the shipped automorphisms."""
+    representative's component via the shipped automorphisms, given as
+    their lifts Λ²T."""
     strict = [f for f, op in rec.branch.inequalities if op == "!="
               and f.degree() == 1]
     if not strict:
@@ -560,8 +564,8 @@ def _component_merge_gaps(g, auts, rec: OrbitRecord) -> list:
     frontier = [rec.rep.coords()]
     while frontier:
         p = frontier.pop()
-        for _, T in auts:
-            q = apply_linear(T, MultiVector.from_coords(4, 2, p)).coords()
+        for L in lifted:
+            q = L.matvec(p)
             if locus_contains(rec.branch, q):
                 s = signature(q)
                 if s not in reached:
@@ -713,7 +717,8 @@ def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
     degree <= 2 in each direction (a found certificate proves one-way
     containment outright; radical steps like x5 against x5^2 legitimately
     have none), and mutual vanishing on a biased random grid whose random
-    zero patterns make the sampled points actually hit the loci.  Any
+    zero patterns make the sampled points actually hit the loci (integer
+    points, tested on the ``IntPoly`` forms of both systems).  Any
     containment certificate that fails to reproduce its target, or any
     sampled point on one locus but not the other, refutes agreement."""
     for target_side, other_side in ((system_a, system_b),
@@ -726,14 +731,16 @@ def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
                     total = total + c * q
                 if total != p:
                     return False
+    int_a = [IntPoly(p) for p in system_a]
+    int_b = [IntPoly(p) for p in system_b]
     rng = random.Random(seed)
     for _ in range(npoints):
-        pt = [Fraction(0)] * NVARS
+        pt = [0] * NVARS
         nz = rng.randint(0, NVARS)
         for i in rng.sample(range(NVARS), nz):
-            pt[i] = Fraction(rng.randint(-3, 3))
-        on_a = all(p.eval(pt) == 0 for p in system_a)
-        on_b = all(p.eval(pt) == 0 for p in system_b)
+            pt[i] = rng.randint(-3, 3)
+        on_a = all(p.eval(pt) == 0 for p in int_a)
+        on_b = all(p.eval(pt) == 0 for p in int_b)
         if on_a != on_b:
             return False
     return True

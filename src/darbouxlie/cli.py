@@ -42,13 +42,21 @@ def _rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _fraction(text: str) -> Fraction:
+    """An exact rational given on the command line."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _load_algebra(args):
     params = {}
     for p in args.param or []:
         if "=" not in p:
             raise InputError(f"bad --param {p!r}, expected name=value")
         k, v = p.split("=", 1)
-        params[k.strip()] = Fraction(v.strip())
+        params[k.strip()] = _fraction(v)
     src = args.algebra
     if src in FAMILIES:
         return catalog(src, **params)
@@ -181,7 +189,7 @@ def cmd_orbit_dim(args):
 
 def cmd_rank_at(args):
     g = _load_algebra(args)
-    coords = [Fraction(v) for v in args.point.split(",")]
+    coords = [_fraction(v) for v in args.point.split(",")]
     fields = fundamental_fields(g, 2)
     r = rank_at(fields, coords)
     _emit(args, [f"rank of the fundamental distribution at ({args.point}): {r}"],
@@ -263,15 +271,25 @@ def _verify_one_family(stem: str):
     return ok, lines, errata
 
 
+def _family_stems(args, groups: dict) -> list[str]:
+    """The golden family files that ``--algebra`` names for a verb that
+    reads only the catalog's data (``groups`` maps a name to several)."""
+    if args.algebra in (None, "all"):
+        return FAMILY_FILES
+    stems = groups.get(args.algebra, [args.algebra])
+    if any(s not in FAMILY_FILES for s in stems):
+        raise InputError(f"{args.verb} needs a catalog family stem "
+                         f"({', '.join(FAMILY_FILES)} or all), "
+                         f"got {args.algebra!r}")
+    return stems
+
+
 def cmd_verify_tables(args):
-    stems = FAMILY_FILES if args.algebra in (None, "all") else None
+    stems = _family_stems(args, {"s3": ["s3", "s3aa", "s3a1", "s311"],
+                                 "s4": ["s4", "s41"], "s8": ["s8", "s81"]})
     lines = []
     payload = {"families": {}, "schouten": {}, "errata": []}
     ok = True
-    if stems is None:
-        stem_map = {"s3": ["s3", "s3aa", "s3a1", "s311"],
-                    "s4": ["s4", "s41"], "s8": ["s8", "s81"]}
-        stems = stem_map.get(args.algebra, [args.algebra])
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
@@ -303,7 +321,7 @@ def cmd_verify_tables(args):
 
 
 def cmd_coboundary_classes(args):
-    stems = FAMILY_FILES if args.algebra in (None, "all") else [args.algebra]
+    stems = _family_stems(args, {})
     lines = []
     ok = True
     payload = []

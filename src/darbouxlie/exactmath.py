@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -297,9 +297,8 @@ def _as_poly(x) -> Poly:
     raise TypeError(f"cannot coerce {x!r} to Poly")
 
 
-def poly_eval(p: Poly, point) -> Fraction:
-    """Exact substitution value; raises MissingVariable if underdetermined."""
-    return p.eval(point)
+def _denominator_lcm(p: Poly) -> int:
+    return lcm(*(c.denominator for c in p.terms.values()))
 
 
 def normalize_poly(p: Poly) -> Poly:
@@ -307,9 +306,7 @@ def normalize_poly(p: Poly) -> Poly:
     (graded-lex) coefficient.  The zero polynomial is returned unchanged."""
     if p.is_zero():
         return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = _denominator_lcm(p)
     num = 0
     for c in p.terms.values():
         num = gcd(num, abs(c.numerator * (den // c.denominator)))
@@ -317,6 +314,28 @@ def normalize_poly(p: Poly) -> Poly:
     if p.leading()[1] < 0:
         scale = -scale
     return p * scale
+
+
+class IntPoly:
+    """``scale * p`` with integer coefficients, for a positive integer
+    ``scale`` that clears the denominators of ``p``: the same zeros and
+    signs as ``p``, evaluated at integer points in ``int`` arithmetic."""
+
+    __slots__ = ("scale", "terms")
+
+    def __init__(self, p: Poly):
+        self.scale = _denominator_lcm(p)
+        self.terms = tuple((c.numerator * (self.scale // c.denominator), m)
+                           for m, c in p.terms.items())
+
+    def eval(self, point: Sequence[int]) -> int:
+        """``scale * p(point)`` at a point of ints indexed by variable."""
+        total = 0
+        for c, m in self.terms:
+            for v, e in m:
+                c *= point[v] ** e
+            total += c
+        return total
 
 
 # ---------------------------------------------------------------------------

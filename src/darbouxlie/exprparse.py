@@ -83,6 +83,8 @@ class _Parser:
             else:
                 if not isinstance(w, (int, Fraction)):
                     raise ExprError("division only by constants")
+                if not w:
+                    raise ExprError("division by zero")
                 v = v * (Fraction(1) / Fraction(w))
         return v
 
@@ -102,6 +104,8 @@ class _Parser:
             e = self.atom()
             if not isinstance(e, (int, Fraction)) or Fraction(e).denominator != 1:
                 raise ExprError("exponents must be integers")
+            if e < 0 and isinstance(v, (int, Fraction)) and not v:
+                raise ExprError("division by zero")
             return v ** int(Fraction(e))
         return v
 

@@ -286,12 +286,6 @@ def schouten(g: LieAlgebra, a: MultiVector, b: MultiVector) -> MultiVector:
     return cls(g.dim, deg, out)
 
 
-def schouten_sym(g: LieAlgebra, a: SymMultiVector,
-                 b: SymMultiVector) -> SymMultiVector:
-    """Schouten bracket with polynomial coefficients."""
-    return schouten(g, a, b)
-
-
 def ad_action(g: LieAlgebra, v: Sequence, w: MultiVector) -> MultiVector:
     """ad_v(w) = [v, w]; satisfies the Leibniz rule over the wedge."""
     return schouten(g, MultiVector.vector(g.dim, v), w)

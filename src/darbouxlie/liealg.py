@@ -263,6 +263,7 @@ def parse_algebra(text: str, name: str = "user") -> LieAlgebra:
     """
     dim = None
     brackets: dict[tuple[int, int], list] = {}
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -290,12 +291,20 @@ def parse_algebra(text: str, name: str = "user") -> LieAlgebra:
                 if not t:
                     raise ValueError(f"line {lineno}: bad term {piece!r}")
                 sign = -1 if t.group(1) == "-" else 1
-                coef = Fraction(t.group(2)) if t.group(2) else Fraction(1)
+                try:
+                    coef = Fraction(t.group(2)) if t.group(2) else Fraction(1)
+                except ZeroDivisionError:
+                    raise ValueError(f"line {lineno}: zero denominator in "
+                                     f"{piece!r}") from None
                 k = int(t.group(3))
                 if not 1 <= k <= dim:
                     raise ValueError(f"line {lineno}: e{k} out of range")
                 vec[k - 1] += sign * coef
         key = (i - 1, j - 1) if i < j else (j - 1, i - 1)
+        if key in first_line:
+            raise ValueError(f"line {lineno}: bracket [{i},{j}] was already "
+                             f"given on line {first_line[key]}")
+        first_line[key] = lineno
         if i > j:
             vec = [-x for x in vec]
         brackets[key] = vec

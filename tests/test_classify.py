@@ -6,7 +6,7 @@ import pytest
 
 from darbouxlie.classify import (FAMILY_FILES, GoldenDataMissing, TREE_FILES,
                                  WitnessMissing, expand_rows, load_family,
-                                 load_automorphisms, load_tree,
+                                 load_automorphisms, load_tree, loci_agree,
                                  parse_multivector, verify_automorphism_witness,
                                  verify_coboundary_classes, verify_orbit_table,
                                  verify_schouten_family, verify_tree)
@@ -85,6 +85,52 @@ def test_verify_orbit_table_passes_everywhere():
         bad = [r for r in rep.rows if not r.ok]
         assert not bad, (stem, [(r.label, r.problems) for r in bad[:3]])
         assert not rep.unmerged_components, stem
+
+
+def test_orbit_table_lifts_each_automorphism_once_per_sample(monkeypatch):
+    import darbouxlie.classify as classify
+    import darbouxlie.grassmann as grassmann
+    lifts = []
+    real = grassmann.lambda_matrix
+
+    def counting(T, m):
+        lifts.append((T, m))
+        return real(T, m)
+
+    monkeypatch.setattr(grassmann, "lambda_matrix", counting)
+    monkeypatch.setattr(classify, "lambda_matrix", counting)
+    rep = verify_orbit_table("s1")
+    assert all(r.ok for r in rep.rows) and not rep.unmerged_components
+    # s1 ships three automorphisms and has one parameter sample
+    assert rep.auts_validated == 3
+    assert len(lifts) == 3 and len({T for T, _ in lifts}) == 3
+    assert all(m == 2 for _, m in lifts)
+
+
+def test_loci_agree_same_ideal():
+    assert loci_agree([x(0), x(1)], [x(0) + x(1), x(0) - x(1)])
+    assert loci_agree([x(2) * x(3), x(2) * x(5), x(4) ** 2],
+                      [x(2) * x(3) + x(2) * x(5), x(2) * x(5), x(4)])
+
+
+def test_loci_agree_refutes_different_loci():
+    # x1*x2 lies in (x1), so only the grid tells the two loci apart
+    assert not loci_agree([x(0) * x(1)], [x(0)])
+    assert not loci_agree([x(0)], [x(0) * x(1)])
+    assert not loci_agree([x(0), x(1)], [x(0)])
+
+
+def test_loci_agree_with_the_zero_polynomial():
+    assert loci_agree([x(0), Poly.zero()], [x(0)])
+    assert loci_agree([Poly.zero()], [])
+    assert not loci_agree([x(0)], [Poly.zero()])
+
+
+def test_loci_agree_with_non_integer_coefficients():
+    assert loci_agree([x(0) / 2 - x(1) / 3], [3 * x(0) - 2 * x(1)])
+    assert not loci_agree([x(0) / 2 + x(1) / 3], [3 * x(0) - 2 * x(1)])
+    assert not loci_agree([Fraction(-1, 3) * x(3) * x(4) + x(5) / 7],
+                          [x(5)])
 
 
 def test_known_errata_are_reported():

@@ -54,6 +54,31 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert len(err) == 6 and all(e.startswith("error: ") for e in err)
 
 
+@pytest.mark.parametrize("case", ["file", "param", "orbit-dim", "rank-at"])
+def test_division_by_zero_exits_2(case, tmp_path, capsys):
+    f = tmp_path / "alg.txt"
+    f.write_text("dim 4\n[1,2] = 1/0*e3\n")
+    argv = {"file": ["validate", "--algebra", str(f)],
+            "param": ["validate", "--algebra", "s4", "--param", "alpha=1/0"],
+            "orbit-dim": ["orbit-dim", "--algebra", "s1", "e12/0"],
+            "rank-at": ["rank-at", "--algebra", "s1", "1/0,0,0,0,0,0"]}[case]
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["verify-tables", "coboundary-classes"])
+def test_catalog_only_verbs_reject_a_file(verb, tmp_path, capsys):
+    f = tmp_path / "so3.txt"
+    f.write_text("dim 3\n[1,2] = e3\n[2,3] = e1\n[3,1] = e2\n")
+    code, out = run_cli(verb, "--algebra", str(f))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {verb} needs a catalog family stem")
+    assert ".txt.txt" not in err
+
+
 def _corrupted_data(tmp_path, monkeypatch):
     """A copy of the golden data whose s1 witness T(+,-) is not an
     automorphism (its first entry is 2)."""

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darbouxlie.exactmath import (MissingVariable, Poly, RatMatrix,
+from darbouxlie.exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
                                   ideal_membership, kernel_basis, mono_key,
-                                  monomials_up_to, normalize_poly, poly_eval,
-                                  poly_rref, rank, rref, row_space_equal,
-                                  solve, span_contains)
+                                  monomials_up_to, normalize_poly, poly_rref,
+                                  rank, rref, row_space_equal, solve,
+                                  span_contains)
 
 x = Poly.var
 
@@ -90,15 +90,15 @@ def test_kernel_plane():
 
 
 def test_poly_eval_examples():
-    assert poly_eval(x(2) * x(3), {2: 1, 3: 0}) == 0
-    assert poly_eval(x(4) ** 2, {4: 3}) == 9
+    assert (x(2) * x(3)).eval({2: 1, 3: 0}) == 0
+    assert (x(4) ** 2).eval({4: 3}) == 9
     p = 2 * x(0) * x(5) + 3 * x(2) * x(3)
-    assert poly_eval(p, {0: 1, 5: 1, 2: 2, 3: 1}) == 8
+    assert p.eval({0: 1, 5: 1, 2: 2, 3: 1}) == 8
 
 
 def test_poly_eval_missing_variable():
     with pytest.raises(MissingVariable):
-        poly_eval(x(0) + x(3), {0: 1})
+        (x(0) + x(3)).eval({0: 1})
 
 
 def test_ideal_membership_trivial():
@@ -195,6 +195,16 @@ def test_normalize_poly():
     p = Fraction(2, 3) * x(0) - Fraction(4, 3) * x(1)
     n = normalize_poly(p)
     assert n == x(0) - 2 * x(1)
+
+
+def test_int_poly_clears_denominators_with_a_positive_scale():
+    q = IntPoly(x(0) / 2 - x(1) / 3)
+    assert q.scale == 6
+    assert sorted(q.terms) == [(-2, ((1, 1),)), (3, ((0, 1),))]
+    assert q.eval([2, 3]) == 0 and q.eval([1, 0]) == 3
+    assert IntPoly(-Fraction(3, 4) * x(2) ** 2).eval([0, 0, 2]) == -12
+    zero = IntPoly(Poly.zero())
+    assert (zero.scale, zero.terms, zero.eval([1, 2])) == (1, (), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +391,39 @@ def test_poly_rref_rank_and_span_match_sympy(sp, seed):
             assert len(poly_rref(a, reverse)) == sa.rank()
             assert len(poly_rref(b, reverse)) == sb.rank()
             assert (poly_rref(a, reverse) == poly_rref(b, reverse)) == want
+
+
+def sympy_expr(sp, p, syms):
+    return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*(syms[v] ** e for v, e in m))
+                    for m, c in p.terms.items()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_int_poly_matches_eval_and_sympy(sp, seed):
+    """Same vanishing as ``Poly.eval`` (and sympy), and the same sign, on
+    integer points with random zero patterns."""
+    rng = random.Random(seed)
+    syms = sp.symbols("x1:5")
+    polys = random_polys(seed, 5, nvars=4, degree=3)
+    # a linear factor through integer points makes zeros off the axes too
+    polys += [p * (x(0) + x(1) - 1) for p in polys[:3]]
+    polys += [-p for p in polys] + [Poly.zero(), Poly.const(Fraction(-2, 3))]
+    assert any(p.leading()[1] < 0 for p in polys)
+    signs = set()
+    for p in polys:
+        q = IntPoly(p)
+        assert q.scale > 0
+        expr = sympy_expr(sp, p, syms)
+        for _ in range(30):
+            pt = [0] * 4
+            for i in rng.sample(range(4), rng.randint(0, 4)):
+                pt[i] = rng.randint(-3, 3)
+            exact = p.eval(pt)
+            want = to_fraction(expr.subs(dict(zip(syms, pt))))
+            assert exact == want
+            got = q.eval(pt)
+            assert got == q.scale * exact
+            assert (got > 0) - (got < 0) == (want > 0) - (want < 0)
+            signs.add((got > 0) - (got < 0))
+    assert signs == {-1, 0, 1}

@@ -52,3 +52,9 @@ def test_parse_condition():
 def test_nested_arithmetic():
     v = parse_expr("2*(1-(1/2))^3", {})
     assert v == Fraction(1, 4)
+
+
+def test_division_by_zero_is_an_expr_error():
+    for text in ("1/0", "x1/0", "x1/(1-1)", "e12/0", "(1-1)^(0-1)"):
+        with pytest.raises(ExprError, match="division by zero"):
+            parse_expr(text, {**poly_env(6), "e12": Poly.var(0)})

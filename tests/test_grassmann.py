@@ -7,7 +7,7 @@ import pytest
 
 from darbouxlie.grassmann import (MultiVector, SymMultiVector, ad_action,
                                   blades, generic_bivector, invariants,
-                                  schouten, schouten_sym, wedge)
+                                  schouten, wedge)
 from darbouxlie.exactmath import Poly
 from darbouxlie.liealg import DimensionMismatch, abelian, bracket, catalog
 
@@ -139,17 +139,17 @@ def test_invariants_annihilated():
 def test_schouten_sym_matches_displayed_expansion():
     x = Poly.var
     s1 = catalog("s1")
-    rr = schouten_sym(s1, generic_bivector(s1), generic_bivector(s1))
+    rr = schouten(s1, generic_bivector(s1), generic_bivector(s1))
     assert rr.terms[0b0111] == 2 * (-x(1) * x(4) + x(2) * x(3) - x(3) * x(4))
     assert rr.terms[0b1011] == -2 * x(4) ** 2
     assert rr.terms[0b1101] == 2 * (x(2) - x(4)) * x(5)
     assert rr.terms[0b1110] == 2 * x(4) * x(5)
     s6 = catalog("s6")
-    rr6 = schouten_sym(s6, generic_bivector(s6), generic_bivector(s6))
+    rr6 = schouten(s6, generic_bivector(s6), generic_bivector(s6))
     assert rr6.terms[0b0111] == 2 * (x(0) * x(5) + x(1) * x(4) + x(3) ** 2)
     assert rr6.terms[0b1110] == -4 * x(4) * x(5)
     zero = SymMultiVector(4, 2)
-    assert schouten_sym(s6, zero, zero).is_zero()
+    assert schouten(s6, zero, zero).is_zero()
 
 
 def test_abelian_everything_invariant():

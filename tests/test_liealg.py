@@ -174,6 +174,15 @@ def test_parse_algebra_rationals_and_errors():
         parse_algebra("[1,2] = e1\n")
     with pytest.raises(ValueError):
         parse_algebra("dim 2\n[1,2] = e1 + bogus\n")
+    with pytest.raises(ValueError, match="line 2: zero denominator"):
+        parse_algebra("dim 4\n[1,2] = 1/0*e3\n")
+
+
+def test_parse_algebra_rejects_repeated_brackets():
+    for second in ("[2,1] = e2", "[1,2] = e3"):
+        with pytest.raises(ValueError, match=r"^line 3: bracket \[\d,\d\] "
+                           r"was already given on line 2$"):
+            parse_algebra(f"dim 3\n[1,2] = e3\n{second}\n")
 
 
 def test_catalog_id_roundtrip():
