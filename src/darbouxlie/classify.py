@@ -17,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -311,15 +312,24 @@ TREE_FILES = ["s1", "s2", "s3", "s311", "s4", "s5", "s6", "s7", "s8",
 
 @dataclass
 class OrbitRecord:
+    """One orbit-table row at fixed parameters.  Its sample points are
+    built on first use of ``samples``: only the orbit-table check reads
+    them."""
+
     label: str
     algebra: LieAlgebra
     rep: MultiVector
     dim: int
     branch: TreeBranch
     star: bool
-    samples: list
+    row: OrbitRow = field(repr=False)
+    env: dict = field(repr=False)
     paperdim: Optional[int] = None
     papernote: str = ""
+
+    @cached_property
+    def samples(self) -> list[tuple[Fraction, ...]]:
+        return _row_samples(self.row, self.branch, self.rep, self.env)
 
 
 def _row_branch(row: OrbitRow, env_params: dict) -> TreeBranch:
@@ -443,7 +453,7 @@ def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
                 star = parse_condition(row.star.split("if:", 1)[1], env)
             records.append(OrbitRecord(
                 label=label, algebra=g, rep=rep, dim=row.dim, branch=branch,
-                star=star, samples=_row_samples(row, branch, rep, env),
+                star=star, row=row, env=env,
                 paperdim=row.paperdim, papernote=row.papernote))
     return records
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -190,6 +191,10 @@ def cmd_orbit_dim(args):
 def cmd_rank_at(args):
     g = _load_algebra(args)
     coords = [_fraction(v) for v in args.point.split(",")]
+    need = g.dim * (g.dim - 1) // 2
+    if len(coords) != need:
+        raise InputError(f"a point of Λ²({g.name}) needs {need} coordinates, "
+                         f"got {len(coords)}")
     fields = fundamental_fields(g, 2)
     r = rank_at(fields, coords)
     _emit(args, [f"rank of the fundamental distribution at ({args.point}): {r}"],
@@ -438,7 +443,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; send what is still buffered to
+        # devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before all output was "
+              "written", file=sys.stderr)
+        return 2
     except VERIFICATION_FAILURES as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1

@@ -411,7 +411,9 @@ def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
     rank is constant across samples and equals the expected stratum
     dimension (when recorded), every sample solves the mCYBE, and the
     order-8 (FLOW_ORDER) Lie-derivative flow check of flow_invariance holds
-    at the first four samples."""
+    at the first four samples.  The chains X^k f are built once per
+    (field, generator) and evaluated point by point, so the first failing
+    sample is the one reported."""
     pts = [tuple(rat(x) for x in p) for p in samples]
     for p in pts:
         if not locus_contains(branch, p):
@@ -443,9 +445,11 @@ def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
     if not any(solves):
         raise BranchInvalid(f"{branch.label}: no mCYBE points")
     mcybe_ok = all(solves)
+    chains = [[q for f in fam.generators for q in _lie_chain(X, f)]
+              for X in fields]
     for p in pts[:4]:
-        for X in fields:
-            if not flow_invariance(fam, X, p, order=FLOW_ORDER):
+        for chain in chains:
+            if any(q.eval(p) for q in chain):
                 raise BranchInvalid(
                     f"{branch.label}: flow invariance fails at {p}")
     return BranchReport(
@@ -455,19 +459,25 @@ def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
         samples_checked=len(pts), mcybe_ok=mcybe_ok)
 
 
+def _lie_chain(X: LinearVectorField, f: Poly,
+               order: int = FLOW_ORDER) -> list[Poly]:
+    """[f, Xf, X^2 f, ...] up to X^k f with k = order - deg f, ending
+    before the first zero polynomial."""
+    chain = []
+    for k in range(order - f.degree() + 1):
+        if k:
+            f = vf_apply(X, f)
+        if f.is_zero():
+            break
+        chain.append(f)
+    return chain
+
+
 def flow_invariance(family: DarbouxFamily, X: LinearVectorField,
                     p: Sequence, order: int = FLOW_ORDER) -> bool:
     """Finite-order flow check by Lie derivatives: the t^k coefficient of
     f(exp(tA) p) is (X^k f)(p) / k!, so every generator must satisfy
-    (X^k f)(p) = 0 for k <= order - deg f.  The loop stops once X^k f is
-    the zero polynomial."""
-    for f in family.generators:
-        xf = f
-        for k in range(order - f.degree() + 1):
-            if k:
-                xf = vf_apply(X, xf)
-            if xf.is_zero():
-                break
-            if xf.eval(p):
-                return False
-    return True
+    (X^k f)(p) = 0 for k <= order - deg f.  The chain X^k f stops at the
+    first zero polynomial (see _lie_chain)."""
+    return not any(q.eval(p) for f in family.generators
+                   for q in _lie_chain(X, f, order))

@@ -106,16 +106,26 @@ def orbit_dim(g: LieAlgebra, w: MultiVector,
 
 
 def vf_apply(X: LinearVectorField, f: Poly) -> Poly:
-    """Directional derivative (Xf)(p) = sum_a (A p)_a df/dx_a."""
-    out = Poly.zero()
-    A = X.matrix
-    for a in range(X.nvars):
-        df = f.derivative(a)
-        if df.is_zero():
-            continue
-        coef = Poly({((b, 1),): A[a, b] for b in range(X.nvars) if A[a, b]})
-        out = out + coef * df
-    return out
+    """Directional derivative (Xf)(p) = sum_a (A p)_a df/dx_a.
+
+    Term by term: c*m with x_a^e in m contributes c*e*A[a, b] to the
+    monomial m*x_b/x_a for every nonzero A[a, b]."""
+    rows = X.matrix._nonzero_rows()
+    out: dict = {}
+    for m, c in f.terms.items():
+        for a, e in m:
+            ce = c * e
+            rest = dict(m)
+            if e == 1:
+                del rest[a]
+            else:
+                rest[a] = e - 1
+            for b, x in rows[a]:
+                exps = dict(rest)
+                exps[b] = exps.get(b, 0) + 1
+                key = tuple(sorted(exps.items()))
+                out[key] = out.get(key, 0) + ce * x
+    return Poly(out)
 
 
 def field_matrix_at(fields: Sequence[LinearVectorField],

@@ -104,6 +104,8 @@ class _Parser:
             e = self.atom()
             if not isinstance(e, (int, Fraction)) or Fraction(e).denominator != 1:
                 raise ExprError("exponents must be integers")
+            if not isinstance(v, (int, Fraction, Poly)):
+                raise ExprError("powers only of numbers and polynomials")
             if e < 0 and isinstance(v, (int, Fraction)) and not v:
                 raise ExprError("division by zero")
             return v ** int(Fraction(e))

@@ -68,6 +68,37 @@ def test_division_by_zero_exits_2(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["orbit-dim", "--algebra", "s1", "e12^2"], "powers"),
+    (["rank-at", "--algebra", "s1", "1,2"], "needs 6 coordinates, got 2"),
+    (["rank-at", "--algebra", "s1", "1,2,3,4,5,6,7"],
+     "needs 6 coordinates, got 7")],
+    ids=["bivector-power", "short-point", "long-point"])
+def test_malformed_point_or_bivector_exits_2(argv, message, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the reader has gone before the first write, as with `| head -0`
+    import os
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "darbouxlie.cli", "derivations",
+             "--algebra", "s1"], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("verb", ["verify-tables", "coboundary-classes"])
 def test_catalog_only_verbs_reject_a_file(verb, tmp_path, capsys):
     f = tmp_path / "so3.txt"

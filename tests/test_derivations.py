@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
-from darbouxlie.derivations import (derivation_basis, field_matrix_at,
-                                    fundamental_fields, lift, orbit_dim,
-                                    rank_at, vf_apply)
+import pytest
+
+from darbouxlie.derivations import (LinearVectorField, derivation_basis,
+                                    field_matrix_at, fundamental_fields, lift,
+                                    orbit_dim, rank_at, vf_apply)
 from darbouxlie.exactmath import Poly, RatMatrix, rank, span_contains
 from darbouxlie.grassmann import MultiVector, blades, wedge
 from darbouxlie.liealg import FAMILIES, abelian, catalog
@@ -155,6 +157,50 @@ def test_vf_apply():
     assert euler.matrix == RatMatrix.identity(6).scale(2)
     f = 3 * x(0) * x(5) - x(2) * x(3)
     assert vf_apply(euler, f) == 4 * f  # Euler scales deg 2 by 2, doubled
+
+
+def _random_poly(rng, n):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        vs = rng.sample(range(n), rng.randint(0, min(n, 3)))
+        mono = tuple(sorted((v, rng.randint(1, 3)) for v in vs))
+        terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Poly(terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vf_apply_matches_sympy(seed):
+    # oracle: sum_a (A x)_a df/dx_a expanded by sympy
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        xs = sp.symbols(f"y0:{n}")
+
+        def to_sympy(p):
+            return sum((sp.Rational(c.numerator, c.denominator)
+                        * sp.Mul(*(xs[v] ** e for v, e in m))
+                        for m, c in p.terms.items()), sp.Integer(0))
+
+        A = RatMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        if rng.random() < 0.3 else 0 for _ in range(n)]
+                       for _ in range(n)])
+        X = LinearVectorField(A)
+        Ax = [sum((sp.Rational(A[a, b].numerator, A[a, b].denominator)
+                   * xs[b] for b in range(n)), sp.Integer(0))
+              for a in range(n)]
+        for f in [Poly.zero(), Poly.const(Fraction(-7, 3))] + [
+                _random_poly(rng, n) for _ in range(4)]:
+            got = vf_apply(X, f)
+            want = sum((Ax[a] * sp.diff(to_sympy(f), xs[a])
+                        for a in range(n)), sp.Integer(0))
+            assert sp.expand(to_sympy(got) - want) == 0
+            # canonical form: no stored zeros, sorted positive exponents
+            assert all(got.terms.values())
+            assert all(m == tuple(sorted(m)) and all(e > 0 for _, e in m)
+                       for m in got.terms)
+    # terms that cancel are dropped: a rotation fixes x1^2 + x2^2
+    rot = LinearVectorField(RatMatrix([[0, -1], [1, 0]]))
+    assert vf_apply(rot, x(0) ** 2 + x(1) ** 2).terms == {}
 
 
 def test_rank_at_matches_field_matrix():

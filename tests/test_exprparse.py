@@ -58,3 +58,12 @@ def test_division_by_zero_is_an_expr_error():
     for text in ("1/0", "x1/0", "x1/(1-1)", "e12/0", "(1-1)^(0-1)"):
         with pytest.raises(ExprError, match="division by zero"):
             parse_expr(text, {**poly_env(6), "e12": Poly.var(0)})
+
+
+def test_power_of_a_non_scalar_is_an_expr_error():
+    from darbouxlie.grassmann import MultiVector
+    env = {"e12": MultiVector.blade(4, [0, 1])}
+    with pytest.raises(ExprError, match="powers"):
+        parse_expr("e12^2", env)
+    assert parse_expr("(2*e12)^1*3", {"e12": Fraction(1)}) == 6
+    assert parse_poly("(x1+x2)^2", 2) == (x(0) + x(1)) ** 2
