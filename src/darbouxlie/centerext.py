@@ -60,15 +60,13 @@ def _center_injective(alphas, center_basis) -> bool:
     return rank(RatMatrix(scaled)) == len(center_basis)
 
 
-def solve_grading(g: LieAlgebra, box: Optional[int] = None
-                  ) -> Optional[GradingSolution]:
+def solve_grading(g: LieAlgebra) -> Optional[GradingSolution]:
     """Deterministic grading vector alpha, or None when the constraints are
     infeasible.  Scans integer points of the alpha solution space with free
     coordinates ordered 0, 1, -1, 2, -2, ... and takes the first point that
-    is injective on the center within the box |alpha_i| <= box."""
+    is injective on the center within the box |alpha_i| <= dim g + 1."""
     n = g.dim
-    if box is None:
-        box = n + 1
+    box = n + 1
     basis = _alpha_kernel(g)
     zg = tuple(tuple(v) for v in center(g))
     if not basis:

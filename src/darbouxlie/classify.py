@@ -30,7 +30,7 @@ from .exactmath import (IntPoly, Poly, RatMatrix, ideal_membership,
 from .exprparse import ExprError, parse_condition, parse_expr, parse_poly
 from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
                         schouten)
-from .liealg import LieAlgebra, catalog
+from .liealg import FAMILIES, LieAlgebra, catalog
 from .yangbaxter import (AlgebraContext, NecessaryReport, generic_bivector,
                          is_automorphism, is_cybe_solution, is_mcybe_solution,
                          reduce_system)
@@ -108,7 +108,6 @@ class OrbitRow:
     forall: Optional[tuple] = None  # (name, [values])
     paperdim: Optional[int] = None
     papernote: str = ""
-    note: str = ""
 
 
 @dataclass
@@ -138,165 +137,201 @@ class FamilyData:
     skipclasses: list             # (cond, note)
 
 
-def _split_sections(text: str):
-    header: list[str] = []
-    sections: dict[str, list[str]] = {}
-    current = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            sections[current] = []
-        elif current is None:
-            header.append(line)
-        else:
-            sections[current].append(line)
-    return header, sections
+class GoldenDataError(ValueError):
+    """A golden data file that does not parse; the message names the file
+    and the line."""
 
 
-def _parse_samples(line: str) -> list[dict]:
-    body = line.split(":", 1)[1].strip()
+def _read_golden(kind: str, fname: str, parse_header,
+                 sections: dict) -> tuple[list, dict]:
+    """The one reader of the golden data.  Strips '#' comments and blank
+    lines, parses each line before the first ``[name]`` line with
+    parse_header and each line of a section with ``sections[name]``, and
+    returns (header values, {section name: values}).  An unknown or
+    repeated section, a ValueError of a parser or a zero denominator is a
+    GoldenDataError naming the file and line."""
+    path = data_dir() / kind / fname
+    if not path.exists():
+        raise GoldenDataMissing(str(path))
+    header: list = []
+    out: dict = {}
+    values, parse = header, parse_header
+    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+        text = raw.split("#", 1)[0].strip()
+        try:
+            if text.startswith("[") and text.endswith("]"):
+                name = text[1:-1]
+                if name in out or name not in sections:
+                    what = "repeated" if name in out else "unknown"
+                    raise ValueError(f"{what} section [{name}]")
+                values = out[name] = []
+                parse = sections[name]
+            elif text:
+                values.append(parse(text))
+        except (ValueError, ZeroDivisionError) as e:
+            reason = e if isinstance(e, ValueError) else "zero denominator"
+            raise GoldenDataError(f"{path}:{lineno}: {reason}") from None
+    return header, out
+
+
+def _keyed(parsers: dict):
+    """Parser of 'KEY value' lines: (KEY, parsers[KEY](value))."""
+    def parse(text: str):
+        key, _, value = text.partition(" ")
+        if key not in parsers:
+            raise ValueError(f"unknown line {key!r}, expected one of: "
+                             f"{', '.join(parsers)}" if parsers else
+                             f"line {key!r} before the first [section]")
+        return key, parsers[key](value.strip())
+    return parse
+
+
+def _colon(text: str) -> tuple[str, str]:
+    head, sep, body = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected 'HEAD : BODY', got {text!r}")
+    return head.strip(), body.strip()
+
+
+def _split_cond(head: str, word: str) -> tuple[str, str]:
+    """'head <word> cond' -> (head, cond), with cond '' when absent."""
+    head, _, cond = f" {head} ".partition(f" {word} ")
+    return head.strip(), cond.strip()
+
+
+def _cells(text: str, width: int, sep=None) -> list[str]:
+    cells = [c.strip() for c in text.split(sep)]
+    if len(cells) != width:
+        raise ValueError(f"expected {width} entries, got {len(cells)}")
+    return cells
+
+
+def _parse_samples(value: str) -> list[dict]:
+    if not value.startswith(":"):
+        raise ValueError("expected 'samples : ...'")
+    body = value[1:].strip()
     if body == "-":
         return [{}]
-    out = []
-    for chunk in body.split(";"):
-        d = {}
-        for tok in chunk.split():
-            k, v = tok.split("=", 1)
-            d[k] = Fraction(v)
-        out.append(d)
-    return out
+    return [{k: Fraction(v) for k, v in (tok.split("=", 1)
+                                          for tok in chunk.split())}
+            for chunk in body.split(";")]
+
+
+def _if(value: str) -> tuple[str, str]:
+    """'[if COND] : BODY' -> (COND, BODY)"""
+    head, body = _colon(value)
+    rest, cond = _split_cond(head, "if")
+    if rest:
+        raise ValueError(f"expected 'if COND', got {head!r}")
+    return cond, body
+
+
+def _system(value: str) -> tuple[str, list[str]]:
+    cond, body = _if(value)
+    return cond, [p.strip() for p in body.split("|") if p.strip()]
+
+
+def _automorphism(text: str):
+    name, body = _colon(text)
+    return name, [_cells(r, 4) for r in _cells(body, 4, ";")]
+
+
+_SIGN_OPS = {"ineq": "!=", "pos": ">", "neg": "<"}
+#: coordinate roles in orbit rows: sign constraints and sample grids
+_ROLE_OPS = {"*": "!=", "+": ">", "-": "<"}
+_ROLE_GRID = {".": (0, 1, -2), "*": (1, -1, 2), "+": (1, 2), "-": (-1, -2)}
+_COORDS = {f"x{i}" for i in range(1, NVARS + 1)}
+
+
+def _orbit(value: str) -> OrbitRow:
+    label, body = _colon(value)
+    row = OrbitRow(label=label, dim=-1, rep_expr="0", star="no")
+    for tok in body.split():
+        key, val = tok.split("=", 1)
+        if key in ("dim", "paperdim"):
+            setattr(row, key, int(val))
+        elif key == "rep":
+            row.rep_expr = val
+        elif key == "cond":
+            row.cond = val
+        elif key == "star":
+            if val not in ("yes", "no") and not val.startswith("if:"):
+                raise ValueError(f"star must be yes, no or if:COND, "
+                                 f"got {val!r}")
+            row.star = val
+        elif key in ("paperrep", "papernote"):
+            note = "printed-rep=" + val if key == "paperrep" else val
+            row.papernote = (row.papernote + " " + note).strip()
+        elif key == "forall":
+            name, vals = val.split(":")
+            row.forall = (name, [Fraction(v) for v in vals.split(",")])
+        elif key == "eq":
+            row.extra_eqs.append(val)
+        elif key in _SIGN_OPS:
+            row.extra_ineqs.append((val, _SIGN_OPS[key]))
+        elif key == "sample":
+            row.samples.append(val)
+        elif key in _COORDS:
+            row.coords[key] = val
+        elif key != "note":
+            raise ValueError(f"unknown orbit token {tok!r}")
+    return row
+
+
+def _class(value: str) -> ClassLine:
+    head, body = _colon(value)
+    name, cond = _split_cond(head, "when")
+    members = body.split()
+    return ClassLine(name=name, members=[m for m in members
+                                         if m != "unwitnessed"],
+                     cond=cond, unwitnessed="unwitnessed" in members)
+
+
+def _skipclasses(value: str) -> tuple[str, str]:
+    head, note = _colon(value)
+    rest, cond = _split_cond(head, "when")
+    if rest or not cond:
+        raise ValueError(f"expected 'when COND', got {head!r}")
+    return cond, note
+
+
+_FAMILY_HEADER = _keyed({"family": str, "algebra": str, "when": str,
+                         "samples": _parse_samples})
+_FAMILY_SECTIONS = {
+    "invariants": _keyed({"deg2": _if, "deg3": _if}),
+    "derivations": lambda t: _cells(t, 4),
+    "fields": lambda t: _cells(t, NVARS, "|"),
+    "bricks": str.split,
+    "rr": lambda t: _cells(t, 4, "|"),
+    "mcybe": _keyed({"mcybe": _system}),
+    "cybe": _keyed({"cybe": _system}),
+    "automorphisms": _automorphism,
+    "orbits": _keyed({"orbit": _orbit}),
+    "classes": _keyed({"class": _class, "skipclasses": _skipclasses}),
+}
 
 
 def load_family(stem: str) -> FamilyData:
-    path = data_dir() / "families" / f"{stem}.txt"
-    if not path.exists():
-        raise GoldenDataMissing(str(path))
-    header, sections = _split_sections(path.read_text())
-    name = algebra = ""
-    when = ""
-    samples = [{}]
-    for line in header:
-        if line.startswith("family"):
-            name = line.split(None, 1)[1].strip()
-        elif line.startswith("algebra"):
-            algebra = line.split(None, 1)[1].strip()
-        elif line.startswith("when"):
-            when = line.split(None, 1)[1].strip()
-        elif line.startswith("samples"):
-            samples = _parse_samples(line)
+    header, sec = _read_golden("families", f"{stem}.txt", _FAMILY_HEADER,
+                               _FAMILY_SECTIONS)
+    header = dict(header)
 
-    invs: dict[int, list] = {2: [], 3: []}
-    for line in sections.get("invariants", []):
-        head, expr = line.split(":", 1)
-        head = head.strip()
-        cond = ""
-        if " if " in f" {head} ":
-            head, cond = head.split("if", 1)
-        deg = int(head.strip().replace("deg", ""))
-        invs[deg].append((cond.strip(), expr.strip()))
-
-    der_form = [line.split() for line in sections.get("derivations", [])]
-    fields = [[p.strip() for p in line.split("|")]
-              for line in sections.get("fields", [])]
-    # a missing [bricks] section means "no golden claim here"; an empty one
-    # asserts that the family has no bricks
-    bricks = (" ".join(sections["bricks"]).split()
-              if "bricks" in sections else None)
-
-    rr = []
-    for line in sections.get("rr", []):
-        rr = [p.strip() for p in line.split("|")]
-
-    def parse_system(lines):
-        out = []
-        for line in lines:
-            head, body = line.split(":", 1)
-            head = head.strip()
-            cond = ""
-            if " if " in f" {head} ":
-                cond = head.split("if", 1)[1].strip()
-            out.append((cond, [p.strip() for p in body.split("|") if p.strip()]))
-        return out
-
-    mcybe = parse_system(sections.get("mcybe", []))
-    cybe = parse_system(sections.get("cybe", []))
-
-    auts = []
-    for line in sections.get("automorphisms", []):
-        nme, body = line.split(":", 1)
-        rows = [r.split() for r in body.split(";")]
-        auts.append((nme.strip(), rows))
-
-    orbits = []
-    for line in sections.get("orbits", []):
-        head, body = line.split(":", 1)
-        label = head.split(None, 1)[1].strip()
-        row = OrbitRow(label=label, dim=-1, rep_expr="0", star="no")
-        for tok in body.split():
-            key, val = tok.split("=", 1)
-            if key == "dim":
-                row.dim = int(val)
-            elif key == "rep":
-                row.rep_expr = val
-            elif key == "paperrep":
-                row.papernote = (row.papernote + " printed-rep=" + val).strip()
-            elif key == "star":
-                row.star = val
-            elif key == "cond":
-                row.cond = val
-            elif key == "paperdim":
-                row.paperdim = int(val)
-            elif key == "papernote":
-                row.papernote = (row.papernote + " " + val).strip()
-            elif key == "note":
-                row.note = val
-            elif key == "forall":
-                nme, vals = val.split(":")
-                row.forall = (nme, [Fraction(v) for v in vals.split(",")])
-            elif key == "eq":
-                row.extra_eqs.append(val)
-            elif key == "ineq":
-                row.extra_ineqs.append((val, "!="))
-            elif key == "pos":
-                row.extra_ineqs.append((val, ">"))
-            elif key == "neg":
-                row.extra_ineqs.append((val, "<"))
-            elif key == "sample":
-                row.samples.append(val)
-            elif key in {f"x{i}" for i in range(1, 7)}:
-                row.coords[key] = val
-            else:
-                raise ValueError(f"unknown orbit token {tok!r} in {stem}")
-        orbits.append(row)
-
-    classes = []
-    skipclasses = []
-    for line in sections.get("classes", []):
-        if line.strip().startswith("skipclasses"):
-            head, note = line.split(":", 1)
-            cond = head.split("when", 1)[1].strip()
-            skipclasses.append((cond, note.strip()))
-            continue
-        head, body = line.split(":", 1)
-        head = head.strip()
-        cond = ""
-        if " when " in f" {head} ":
-            head, cond = head.split("when", 1)
-        cname = head.replace("class", "", 1).strip()
-        members = body.split()
-        unwitnessed = "unwitnessed" in members
-        members = [m for m in members if m != "unwitnessed"]
-        classes.append(ClassLine(name=cname, members=members,
-                                 cond=cond.strip(), unwitnessed=unwitnessed))
-
-    return FamilyData(name=name, algebra=algebra, when=when, samples=samples,
-                      invariants=invs, der_form=der_form, fields=fields,
-                      bricks=bricks, rr=rr, mcybe=mcybe, cybe=cybe,
-                      automorphisms=auts, orbits=orbits, classes=classes,
-                      skipclasses=skipclasses)
+    def keyed(section: str, key: str) -> list:
+        return [v for k, v in sec.get(section, []) if k == key]
+    return FamilyData(
+        name=header.get("family", ""), algebra=header.get("algebra", ""),
+        when=header.get("when", ""), samples=header.get("samples", [{}]),
+        invariants={2: keyed("invariants", "deg2"),
+                    3: keyed("invariants", "deg3")},
+        der_form=sec.get("derivations", []), fields=sec.get("fields", []),
+        # a missing [bricks] section means "no golden claim here"; an
+        # empty one asserts that the family has no bricks
+        bricks=sum(sec["bricks"], []) if "bricks" in sec else None,
+        rr=sec["rr"][-1] if sec.get("rr") else [],
+        mcybe=keyed("mcybe", "mcybe"), cybe=keyed("cybe", "cybe"),
+        automorphisms=sec.get("automorphisms", []),
+        orbits=keyed("orbits", "orbit"), classes=keyed("classes", "class"),
+        skipclasses=keyed("classes", "skipclasses"))
 
 
 FAMILY_FILES = ["s1", "s2", "s3", "s3aa", "s3a1", "s311", "s4", "s41",
@@ -317,15 +352,12 @@ class OrbitRecord:
     them."""
 
     label: str
-    algebra: LieAlgebra
     rep: MultiVector
     dim: int
     branch: TreeBranch
     star: bool
     row: OrbitRow = field(repr=False)
     env: dict = field(repr=False)
-    paperdim: Optional[int] = None
-    papernote: str = ""
 
     @cached_property
     def samples(self) -> list[tuple[Fraction, ...]]:
@@ -335,22 +367,14 @@ class OrbitRecord:
 def _row_branch(row: OrbitRow, env_params: dict) -> TreeBranch:
     eqs: list[Poly] = []
     ineqs: list = []
-    dep_vars = []
     for key, val in row.coords.items():
         i = int(key[1:]) - 1
-        if val == ".":
-            continue
-        if val == "dep":
-            dep_vars.append(i)
+        if val in (".", "dep"):
             continue
         if val == "0":
             eqs.append(Poly.var(i))
-        elif val == "*":
-            ineqs.append((Poly.var(i), "!="))
-        elif val == "+":
-            ineqs.append((Poly.var(i), ">"))
-        elif val == "-":
-            ineqs.append((Poly.var(i), "<"))
+        elif val in _ROLE_OPS:
+            ineqs.append((Poly.var(i), _ROLE_OPS[val]))
         else:
             expr = parse_poly(val, NVARS, env_params)
             eqs.append(Poly.var(i) - expr)
@@ -375,21 +399,9 @@ def _row_samples(row: OrbitRow, branch: TreeBranch, rep: MultiVector,
         vals = [parse_expr(v, dict(env_params)) for v in s.split(",")]
         push([Fraction(v) for v in vals])
 
-    roles = {}
-    for key, val in row.coords.items():
-        i = int(key[1:]) - 1
-        roles[i] = val
-    grid_axes = []
-    for i in range(NVARS):
-        val = roles.get(i, ".")
-        if val == ".":
-            grid_axes.append((i, [Fraction(0), Fraction(1), Fraction(-2)]))
-        elif val == "*":
-            grid_axes.append((i, [Fraction(1), Fraction(-1), Fraction(2)]))
-        elif val == "+":
-            grid_axes.append((i, [Fraction(1), Fraction(2)]))
-        elif val == "-":
-            grid_axes.append((i, [Fraction(-1), Fraction(-2)]))
+    roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
+    grid_axes = [(i, [Fraction(v) for v in _ROLE_GRID[val]])
+                 for i, val in enumerate(roles) if val in _ROLE_GRID]
     dep = [int(k[1:]) - 1 for k, v in row.coords.items() if v == "dep"]
     expr_coords = {int(k[1:]) - 1: parse_poly(v, NVARS, env_params)
                    for k, v in row.coords.items()
@@ -411,7 +423,7 @@ def _row_samples(row: OrbitRow, branch: TreeBranch, rep: MultiVector,
         for d in dep:
             for e in eq_polys:
                 de = e.derivative(d)
-                if _mentions(de, d) or not _mentions(e, d):
+                if d in de.variables() or d not in e.variables():
                     continue  # not linear in x_d, or independent of it
                 coef = de.eval(pt)
                 if coef:
@@ -421,13 +433,8 @@ def _row_samples(row: OrbitRow, branch: TreeBranch, rep: MultiVector,
     return out
 
 
-def _mentions(p: Poly, v: int) -> bool:
-    return v in p.variables()
-
-
 def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
     """Concrete orbit records for one parameter assignment (long names)."""
-    g = catalog(fam.algebra, **params)
     sp = _short_params(params)
     records = []
     for row in fam.orbits:
@@ -452,9 +459,8 @@ def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
             else:
                 star = parse_condition(row.star.split("if:", 1)[1], env)
             records.append(OrbitRecord(
-                label=label, algebra=g, rep=rep, dim=row.dim, branch=branch,
-                star=star, row=row, env=env,
-                paperdim=row.paperdim, papernote=row.papernote))
+                label=label, rep=rep, dim=row.dim, branch=branch,
+                star=star, row=row, env=env))
     return records
 
 
@@ -481,7 +487,7 @@ class TableReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
+        return all(r.ok for r in self.rows) and not self.unmerged_components
 
 
 def load_automorphisms(fam: FamilyData, params: dict,
@@ -497,17 +503,16 @@ def load_automorphisms(fam: FamilyData, params: dict,
     return out
 
 
-def verify_orbit_table(stem: str, params: Optional[dict] = None,
-                       check_components: bool = True) -> TableReport:
+def verify_orbit_table(stem: str) -> TableReport:
     """Check every qualifying golden row of one family file: representative
     in its locus, orbit dimension, rank constancy across the sample grid,
-    mCYBE membership, and star consistency."""
+    mCYBE membership, star consistency, and that the shipped automorphisms
+    join the sign components of each row's locus."""
     fam = load_family(stem)
-    param_sets = [params] if params is not None else fam.samples
     rows: list[RowResult] = []
     unmerged = []
     auts_count = 0
-    for ps in param_sets:
+    for ps in fam.samples:
         sp = _short_params(ps)
         if fam.when and not parse_condition(fam.when, sp):
             continue
@@ -519,15 +524,16 @@ def verify_orbit_table(stem: str, params: Optional[dict] = None,
         for rec in expand_rows(fam, ps):
             problems = []
             errata = []
-            if rec.papernote:
-                errata.append(rec.papernote)
+            if rec.row.papernote:
+                errata.append(rec.row.papernote)
             if not locus_contains(rec.branch, rec.rep.coords()):
                 problems.append("representative violates its own constraints")
             d = ctx.orbit_dim(rec.rep)
             if d != rec.dim:
                 problems.append(f"orbit dim {d} != expected {rec.dim}")
-            if rec.paperdim is not None and rec.paperdim != rec.dim:
-                errata.append(f"printed dim {rec.paperdim}, verified {rec.dim}")
+            if rec.row.paperdim not in (None, rec.dim):
+                errata.append(f"printed dim {rec.row.paperdim}, "
+                              f"verified {rec.dim}")
             if not rec.samples:
                 problems.append("no usable sample points")
             for p in rec.samples:
@@ -544,7 +550,7 @@ def verify_orbit_table(stem: str, params: Optional[dict] = None,
             rows.append(RowResult(label=rec.label, params=dict(ps),
                                   ok=not problems, problems=problems,
                                   errata=errata, dims_checked=len(rec.samples)))
-            if check_components and not problems:
+            if not problems:
                 miss = _component_merge_gaps(lifted, rec)
                 if miss:
                     unmerged.append((rec.label, dict(ps), miss))
@@ -760,26 +766,6 @@ def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
 # Schouten golden tables
 # ---------------------------------------------------------------------------
 
-def _load_schouten_table(fname: str) -> dict:
-    path = data_dir() / "schouten" / fname
-    if not path.exists():
-        raise GoldenDataMissing(str(path))
-    table: dict[str, list] = {}
-    current = None
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            table[current] = []
-        else:
-            left, body = line.split(":", 1)
-            table[current].append(
-                (left.strip(), [e.strip() for e in body.split("|")]))
-    return table
-
-
 SCHOUTEN_TABLES = (
     ("table_g_l2.txt", 1, 2),
     ("table_l2_l2.txt", 2, 2),
@@ -796,30 +782,44 @@ SCHOUTEN_PARAMS = {
 }
 
 
-def _blade_from_name(name: str) -> MultiVector:
-    idxs = [int(c) - 1 for c in name[1:]]
-    return MultiVector.blade(4, idxs)
+def _blades(degree: int) -> dict[str, MultiVector]:
+    return {"e" + "".join(str(i + 1) for i in idxs):
+            MultiVector.blade(4, list(idxs))
+            for idxs in itertools.combinations(range(4), degree)}
 
 
-def verify_schouten_family(family: str, params: Optional[dict] = None
-                           ) -> tuple[list[str], list[str]]:
+def load_schouten_table(fname: str, degl: int, degr: int) -> dict:
+    """One bracket table: family -> [(left blade, column entries)], the
+    left blades of degree degl and one column per blade of degree degr."""
+    lefts, ncols = _blades(degl), len(_blades(degr))
+
+    def row(text: str):
+        left, body = _colon(text)
+        if left not in lefts:
+            raise ValueError(f"{left!r} is not a blade of degree {degl}")
+        return left, _cells(body, ncols, "|")
+    return _read_golden("schouten", fname, _keyed({}),
+                        dict.fromkeys(FAMILIES, row))[1]
+
+
+def verify_schouten_family(family: str) -> tuple[list[str], list[str]]:
     """Compare every golden entry of the three bracket tables for one
-    family against the engine.  Returns (mismatches, errata): entries
-    recorded as `printed=>verified` must match the verified value and are
-    reported in the errata list with their printed value."""
-    if params is None:
-        params = SCHOUTEN_PARAMS.get(family, {})
+    family, at its SCHOUTEN_PARAMS sample, against the engine.  Returns
+    (mismatches, errata): entries recorded as `printed=>verified` must
+    match the verified value and are reported in the errata list with
+    their printed value."""
+    params = SCHOUTEN_PARAMS.get(family, {})
     g = catalog(family, **params)
     sp = _short_params(params)
     bad: list[str] = []
     errata: list[str] = []
     for fname, degl, degr in SCHOUTEN_TABLES:
-        table = _load_schouten_table(fname)
-        cols = [("e" + "".join(str(i + 1) for i in idxs))
-                for idxs in itertools.combinations(range(4), degr)]
+        table = load_schouten_table(fname, degl, degr)
+        if family not in table:
+            raise GoldenDataError(f"schouten/{fname}: no section [{family}]")
+        lefts, cols = _blades(degl), _blades(degr)
         for left, entries in table[family]:
-            lv = _blade_from_name(left)
-            for cname, entry in zip(cols, entries):
+            for (cname, right), entry in zip(cols.items(), entries):
                 if entry == ".":
                     continue
                 if "=>" in entry:
@@ -828,7 +828,7 @@ def verify_schouten_family(family: str, params: Optional[dict] = None
                                   f"{printed}, verified {entry}")
                 want = parse_multivector(entry, sp) if entry != "0" else \
                     MultiVector.zero(4, degl + degr - 1)
-                got = schouten(g, lv, _blade_from_name(cname))
+                got = schouten(g, lefts[left], right)
                 if got != want:
                     bad.append(f"{family}: [{left}, {cname}] = {got.text()}"
                                f" but table says {entry}")
@@ -847,53 +847,48 @@ class TreeData:
     branches: list      # (kind, label, eq strs, ineq strs, meta dict)
 
 
+def _tree_meta(text: str) -> dict:
+    meta: dict = {"when": "", "dim": None, "k": None, "samples": []}
+    toks = iter(text.split())
+    for tok in toks:
+        key, eq, val = tok.partition("=")
+        if tok == "when":
+            meta["when"] = next(toks, "")
+            if not meta["when"]:
+                raise ValueError("'when' needs a condition")
+        elif key == "dim" and eq:
+            meta["dim"] = int(val)
+        elif key == "k" and eq:
+            meta["k"] = [Fraction(v) for v in val.split(",")]
+        elif key == "sample" and eq:
+            meta["samples"].append(val)
+        else:
+            raise ValueError(f"unknown tree token {tok!r}")
+    return meta
+
+
+def _branch(value: str):
+    """'LABEL : f1, f2 | g1 ; dim=N k=... sample=... when COND'"""
+    label, body = _colon(value)
+    body, _, meta = body.partition(";")
+    eq_part, _, ineq_part = body.partition("|")
+    eqs = [e.strip() for e in eq_part.split(",") if e.strip()]
+    ineqs = [e.strip() for e in ineq_part.split(",") if e.strip()]
+    return label, eqs, ineqs, _tree_meta(meta)
+
+
+_TREE_LINE = _keyed({"tree": str, "samples": _parse_samples,
+                     "branch": _branch, "nosol": _branch})
+
+
 def load_tree(stem: str) -> TreeData:
-    path = data_dir() / "trees" / f"{stem}.txt"
-    if not path.exists():
-        raise GoldenDataMissing(str(path))
-    name = stem
-    samples = [{}]
-    branches = []
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("tree"):
-            name = line.split(None, 1)[1].strip()
-            continue
-        if line.startswith("samples"):
-            samples = _parse_samples(line)
-            continue
-        kind, rest = line.split(None, 1)
-        label, body = rest.split(":", 1)
-        meta: dict = {"when": "", "dim": None, "k": None, "samples": []}
-        if ";" in body:
-            body, metastr = body.split(";", 1)
-            toks = metastr.split()
-            i = 0
-            while i < len(toks):
-                tok = toks[i]
-                if tok == "when":
-                    i += 1
-                    meta["when"] = toks[i]
-                elif tok.startswith("when"):
-                    meta["when"] = tok.split("=", 1)[-1]
-                elif tok.startswith("dim="):
-                    meta["dim"] = int(tok.split("=", 1)[1])
-                elif tok.startswith("k="):
-                    meta["k"] = [Fraction(v)
-                                 for v in tok.split("=", 1)[1].split(",")]
-                elif tok.startswith("sample="):
-                    meta["samples"].append(tok.split("=", 1)[1])
-                elif tok.startswith("skip="):
-                    meta["skip"] = tok.split("=", 1)[1]
-                i += 1
-        eq_part, _, ineq_part = body.partition("|")
-        eqs = [e.strip() for e in eq_part.split(",") if e.strip()]
-        ineqs = [e.strip() for e in ineq_part.split(",") if e.strip()]
-        branches.append((kind, label.strip(), eqs, ineqs, meta))
-    return TreeData(name=name, family_stem=name, samples=samples,
-                    branches=branches)
+    lines = _read_golden("trees", f"{stem}.txt", _TREE_LINE, {})[0]
+    header = dict(lines)
+    name = header.get("tree", stem)
+    return TreeData(name=name, family_stem=name,
+                    samples=header.get("samples", [{}]),
+                    branches=[(kind, *b) for kind, b in lines
+                              if kind in ("branch", "nosol")])
 
 
 @dataclass
@@ -925,8 +920,6 @@ def verify_tree(stem: str) -> TreeReport:
                              if fam.der_form else None)
         msys = [p for p in ctx.yb_system.mcybe if not p.is_zero()]
         for kind, label, eqs, ineqs, meta in tree.branches:
-            if meta.get("skip"):
-                continue
             kvals = meta.get("k") or [None]
             for kv in kvals:
                 env = dict(sp)

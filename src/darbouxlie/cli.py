@@ -268,6 +268,13 @@ def _verify_one_family(stem: str):
             lines.extend(f"      {p}" for p in r.problems)
         for e in r.errata:
             errata.append(f"{stem} {r.label} {_pstr(r.params)}: {e}")
+    for label, ps, missed in table.unmerged_components:
+        ok = False
+        signs = ", ".join("(" + ",".join("+" if x > 0 else "-" for x in s)
+                          + ")" for s in missed)
+        lines.append(f"  row {label:12s} {_pstr(ps):24s} GAP: sign "
+                     f"components {signs} not reached by the shipped "
+                     f"automorphisms")
     for b in verify_family_bundle(stem):
         mark = "ok" if b.ok else "FAIL"
         ok = ok and b.ok

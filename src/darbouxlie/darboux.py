@@ -25,7 +25,8 @@ from .yangbaxter import is_mcybe_solution
 from .liealg import LieAlgebra
 
 #: verify_branch checks closure with cofactors up to this degree and the
-#: flow invariance of each branch family up to this order
+#: flow invariance of each branch family up to this order;
+#: certify_no_solutions searches consequences up to this degree
 COFACTOR_DEGREE_BOUND = 2
 FLOW_ORDER = 8
 
@@ -68,10 +69,7 @@ class TreeBranch:
     label: str
     equalities: list[Poly]
     inequalities: list[tuple[Poly, str]] = field(default_factory=list)
-    no_solutions: bool = False
-    condition: str = ""           # parameter condition, already resolved
     expected_dim: Optional[int] = None
-    note: str = ""
 
 
 def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
@@ -99,19 +97,18 @@ def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
 
 
 def verify_family_auto(fields: Sequence[LinearVectorField],
-                       gens: Sequence[Poly],
-                       max_bound: int = 2) -> Optional[DarbouxFamily]:
-    """verify_family with the cofactor degree bound escalated on demand
-    (constant cofactors suffice for most families, so try those first)."""
-    for bound in range(max_bound + 1):
+                       gens: Sequence[Poly]) -> Optional[DarbouxFamily]:
+    """verify_family with the cofactor degree bound escalated on demand up
+    to COFACTOR_DEGREE_BOUND (constant cofactors suffice for most
+    families, so try those first)."""
+    for bound in range(COFACTOR_DEGREE_BOUND + 1):
         fam = verify_family(fields, gens, bound)
         if fam is not None:
             return fam
     return None
 
 
-def family_sum(a: DarbouxFamily, b: DarbouxFamily,
-               cofactor_degree_bound: int = 2) -> DarbouxFamily:
+def family_sum(a: DarbouxFamily, b: DarbouxFamily) -> DarbouxFamily:
     """Sum of two verified families over the same fields (independent union
     of generators, re-verified)."""
     if a.fields != b.fields:
@@ -120,7 +117,7 @@ def family_sum(a: DarbouxFamily, b: DarbouxFamily,
     for p in b.generators:
         if len(poly_rref(gens + [p])) > len(gens):
             gens.append(p)
-    out = verify_family(a.fields, gens, cofactor_degree_bound)
+    out = verify_family(a.fields, gens, COFACTOR_DEGREE_BOUND)
     if out is None:
         raise IncompatibleFields("sum of Darboux families failed to verify")
     return out
@@ -291,23 +288,24 @@ def branch_samples(branch: TreeBranch, nvars: int,
 
 
 def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
-                         nvars: int, max_degree: int = 2) -> Optional[str]:
+                         nvars: int) -> Optional[str]:
     """Certificate that the branch meets no point of the system's locus.
 
-    Searches the degree-<=2 consequences Z of {equalities, system} for
-    either (a) a product of powers of inequality polynomials, or (b) a
-    positive-semidefinite quadratic form dominating the square of an
-    inequality polynomial.  Returns a human-readable certificate or None
-    (reported as "unconfirmed", never asserted).
+    Searches the degree-<=2 (COFACTOR_DEGREE_BOUND) consequences Z of
+    {equalities, system} for either (a) a product of powers of inequality
+    polynomials, or (b) a positive-semidefinite quadratic form dominating
+    the square of an inequality polynomial.  Returns a human-readable
+    certificate or None (reported as "unconfirmed", never asserted).
     """
     consequences: list[Poly] = list(system)
     for f in branch.equalities:
-        bound = max_degree - f.degree()
+        bound = COFACTOR_DEGREE_BOUND - f.degree()
         if bound < 0:
             continue
         for mu in monomials_up_to(nvars, bound):
             consequences.append(f * Poly({mu: 1}))
-    basis = poly_rref(p for p in consequences if p.degree() <= max_degree)
+    basis = poly_rref(p for p in consequences
+                      if p.degree() <= COFACTOR_DEGREE_BOUND)
     if not basis:
         return None
 
@@ -323,7 +321,7 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
             candidates.append((f * f, f"ineq{i + 1}^2"))
         for j in range(i + 1, len(ineqs)):
             g = ineqs[j]
-            if f.degree() + g.degree() <= max_degree:
+            if f.degree() + g.degree() <= COFACTOR_DEGREE_BOUND:
                 candidates.append((f * g, f"ineq{i + 1}*ineq{j + 1}"))
     for p, tag in candidates:
         if in_z(p):
@@ -427,8 +425,7 @@ def verify_branch(g: LieAlgebra, fields: Sequence[LinearVectorField],
                    tuple(branch.equalities))
         fam = family_cache.get(key) if key is not None else None
         if fam is None:
-            fam = verify_family_auto(fields, branch.equalities,
-                                     COFACTOR_DEGREE_BOUND)
+            fam = verify_family_auto(fields, branch.equalities)
             if key is not None and fam is not None:
                 family_cache[key] = fam
     else:

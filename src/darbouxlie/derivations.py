@@ -88,21 +88,16 @@ def lift(d: Derivation, m: int) -> LinearVectorField:
     return LinearVectorField(RatMatrix(list(zip(*cols))))
 
 
-def fundamental_fields(g: LieAlgebra, m: int = 2,
-                       ders: Sequence[Derivation] | None = None
-                       ) -> list[LinearVectorField]:
+def fundamental_fields(g: LieAlgebra, m: int = 2) -> list[LinearVectorField]:
     """Lifts of the derivation basis: a basis of the fundamental vector
     fields of the automorphism action on Λ^m g."""
-    if ders is None:
-        ders = derivation_basis(g)
-    return [lift(d, m) for d in ders]
+    return [lift(d, m) for d in derivation_basis(g)]
 
 
-def orbit_dim(g: LieAlgebra, w: MultiVector,
-              ders: Sequence[Derivation] | None = None) -> int:
+def orbit_dim(g: LieAlgebra, w: MultiVector) -> int:
     """Dimension of the automorphism orbit through w: the rank of
     d -> (Λ^m d)(w) over the derivation basis."""
-    return rank_at(fundamental_fields(g, w.degree, ders), w.coords())
+    return rank_at(fundamental_fields(g, w.degree), w.coords())
 
 
 def vf_apply(X: LinearVectorField, f: Poly) -> Poly:

@@ -160,7 +160,7 @@ def test_criterion_4_orbit_dimensions_and_5_star_consistency():
     errata = []
     nrows = 0
     for stem in FAMILY_FILES:
-        table = verify_orbit_table(stem, check_components=True)
+        table = verify_orbit_table(stem)
         for row in table.rows:
             nrows += 1
             for p in row.problems:

@@ -1,0 +1,196 @@
+"""The golden-data reader: the shipped parse, malformed files as input
+errors that name the file and line, and generated one-line mutations."""
+
+import contextlib
+import shutil
+from io import StringIO
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from darbouxlie import classify
+from darbouxlie.classify import (FAMILY_FILES, SCHOUTEN_TABLES, TREE_FILES,
+                                 load_family, load_schouten_table,
+                                 load_tree, verify_orbit_table)
+from darbouxlie.cli import main
+
+
+def run_cli(*args):
+    buf = StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(args))
+    return code, buf.getvalue()
+
+
+def test_shipped_golden_data_parse():
+    fams = [load_family(s) for s in FAMILY_FILES]
+    assert len(fams) == 18
+    assert sum(len(f.orbits) for f in fams) == 161
+    assert sum(len(f.classes) for f in fams) == 48
+    assert sum(len(f.skipclasses) for f in fams) == 1
+    assert sum(len(f.automorphisms) for f in fams) == 58
+    trees = [load_tree(s) for s in TREE_FILES]
+    assert len(trees) == 14
+    kinds = [b[0] for t in trees for b in t.branches]
+    assert (kinds.count("branch"), kinds.count("nosol")) == (117, 63)
+    tables = [load_schouten_table(*spec) for spec in SCHOUTEN_TABLES]
+    assert [len(t) for t in tables] == [13, 13, 13]
+    assert [sum(map(len, t.values())) for t in tables] == [52, 78, 52]
+
+
+SHIPPED = Path(classify.__file__).parent / "data"
+
+
+def _edited_copy(tmp_path, monkeypatch, rel, *edits):
+    """A copy of the golden data in which, for each (old, new) edit, the
+    line ``old`` of file ``rel`` is replaced by ``new`` (which may span
+    lines); returns the edited file and the number of the line that the
+    first edit changed."""
+    alt = tmp_path / "data"
+    shutil.copytree(SHIPPED, alt)
+    path = alt / rel
+    lines = path.read_text().splitlines()
+    first = lines.index(edits[0][0]) + 1
+    for old, new in edits:
+        n = lines.index(old)
+        lines[n:n + 1] = new.splitlines()
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("DARBOUXLIE_DATA", str(alt))
+    return path, first
+
+
+S1_ROW = ("orbit VIII- : dim=4 star=no rep=-e12+e34 x1=- x2=. x3=0 x4=. "
+          "x5=0 x6=*")
+TREE_I = "branch I    : x5, x6, x3, x4, x2 | x1 ; dim=1"
+
+# (file, line, replacement, loader, CLI arguments, message); the error
+# names the first line that changed
+MALFORMED = {
+    "misspelled-section": (
+        "families/s1.txt", "[orbits]", "[orbit]", lambda: load_family("s1"),
+        ("verify-tables", "--algebra", "s1"), "unknown section [orbit]"),
+    "repeated-section": (
+        "families/s1.txt", S1_ROW, "[orbits]\n" + S1_ROW,
+        lambda: load_family("s1"), ("verify-tables", "--algebra", "s1"),
+        "repeated section [orbits]"),
+    "degree-4-invariant": (
+        "families/s1.txt", "deg2 : e12", "deg4 : e12",
+        lambda: load_family("s1"), ("verify-tables", "--algebra", "s1"),
+        "unknown line 'deg4', expected one of: deg2, deg3"),
+    "tree-dim-colon": (
+        "trees/s1.txt", TREE_I, TREE_I.replace("dim=1", "dim:1"),
+        lambda: load_tree("s1"), ("darboux-verify", "--tree", "s1"),
+        "unknown tree token 'dim:1'"),
+    "tree-line-kind": (
+        "trees/s1.txt", TREE_I, TREE_I.replace("branch", "brnach"),
+        lambda: load_tree("s1"), ("darboux-verify", "--tree", "s1"),
+        "unknown line 'brnach', expected one of: tree, samples, branch, "
+        "nosol"),
+    "zero-denominator": (
+        "families/s8.txt", "samples : alpha=1/2 ; alpha=3/4 ; alpha=-1/2",
+        "samples : alpha=1/0", lambda: load_family("s8"),
+        ("verify-tables", "--algebra", "s8"), "zero denominator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_golden_file_is_an_input_error(case, tmp_path,
+                                                 monkeypatch, capsys):
+    rel, old, new, load, argv, message = MALFORMED[case]
+    path, n = _edited_copy(tmp_path, monkeypatch, rel, (old, new))
+    where = f"{path}:{n}: "
+    with pytest.raises(ValueError) as info:
+        load()
+    assert str(info.value) == where + message
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: {where}{message}\n"
+
+
+def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
+                                                      capsys):
+    # without T(+,-) and T(-,-) nothing maps x6 > 0 to x6 < 0 on the rows
+    # VII, VIII+ and VIII-, whose representatives all have x6 = 1
+    _edited_copy(tmp_path, monkeypatch, "families/s1.txt",
+                 ("T(+,-) : 1 0 0 0 ; 0 1 0 0 ; 0 0 -1 0 ; 0 0 0 1", ""),
+                 ("T(-,-) : -1 0 0 0 ; 0 -1 0 0 ; 0 0 -1 0 ; 0 0 0 1", ""))
+    table = verify_orbit_table("s1")
+    assert all(r.ok for r in table.rows)
+    assert [label for label, _, _ in table.unmerged_components] == [
+        "VII", "VIII+", "VIII-"]
+    assert not table.passed
+    code, out = run_cli("verify-tables", "--algebra", "s1")
+    assert code == 1
+    gaps = [line for line in out.splitlines() if "GAP" in line]
+    assert [g.split()[1] for g in gaps] == ["VII", "VIII+", "VIII-"]
+    assert all(g.endswith("GAP: sign components (-) not reached by the "
+                          "shipped automorphisms") for g in gaps)
+    assert out.splitlines()[0] == "family file s1: FAIL"
+    assert out.endswith("verify-tables: FAILURES\n")
+
+
+# ---------------------------------------------------------------------------
+# generated one-line mutations of the shipped files
+# ---------------------------------------------------------------------------
+
+GOLDEN = ([("families", s, lambda s=s: load_family(s)) for s in FAMILY_FILES]
+          + [("trees", s, lambda s=s: load_tree(s)) for s in TREE_FILES]
+          + [("schouten", spec[0].removesuffix(".txt"),
+              lambda spec=spec: load_schouten_table(*spec))
+             for spec in SCHOUTEN_TABLES])
+
+#: names that a changed key or section name may take
+NAMES = ["orbit", "orbits", "class", "classes", "skipclasses", "deg2",
+         "deg3", "deg4", "mcybe", "cybe", "bricks", "rr", "family",
+         "algebra", "when", "samples", "tree", "branch", "nosol", "dim", "k",
+         "sample", "rep", "star", "forall", "note", "x1", "x7", "e1", "e12",
+         "s1", "n1", "if", "alpha"]
+
+
+def _lines(kind, stem):
+    text = (SHIPPED / kind / f"{stem}.txt").read_text().splitlines()
+    return [i for i, line in enumerate(text)
+            if line.split("#", 1)[0].strip()], text
+
+
+def _mutate(line, how, pick, name):
+    if how == "section" or (line.startswith("[") and line.endswith("]")):
+        return f"[{name}]" if line.startswith("[") else f"{name} {line}"
+    toks = line.split()
+    i = pick % len(toks)
+    key, eq, val = toks[i].partition("=")
+    if how == "delete":
+        del toks[i]
+    elif how == "key":
+        toks[i] = f"{name}={val}" if eq else name
+    else:  # a zero denominator
+        toks[i] = f"{key}=1/0" if eq else "1/0"
+    return " ".join(toks)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(GOLDEN), line_pick=st.integers(0, 10**6),
+       how=st.sampled_from(["delete", "key", "section", "zero"]),
+       pick=st.integers(0, 50), name=st.sampled_from(NAMES))
+def test_mutated_golden_file_loads_or_is_an_input_error(
+        which, line_pick, how, pick, name, tmp_path, monkeypatch):
+    kind, stem, load = which
+    usable, text = _lines(kind, stem)
+    i = usable[line_pick % len(usable)]
+    text = list(text)
+    text[i] = _mutate(text[i], how, pick, name)
+    (tmp_path / kind).mkdir(exist_ok=True)
+    (tmp_path / kind / f"{stem}.txt").write_text("\n".join(text) + "\n")
+    monkeypatch.setenv("DARBOUXLIE_DATA", str(tmp_path))
+    try:
+        load()
+    except classify.GoldenDataError as e:
+        assert str(e).startswith(f"{tmp_path / kind / stem}.txt:")
+    except ValueError:
+        pass
+    finally:
+        monkeypatch.delenv("DARBOUXLIE_DATA")
