@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
-                      locus_contains, verify_branch)
+                      locus_contains, solve_linear, verify_branch)
 from .derivations import rank_at
 from .exactmath import (IntPoly, Poly, RatMatrix, ideal_membership,
                         normalize_poly, poly_rref, rat, row_space_equal)
@@ -108,6 +108,14 @@ class OrbitRow:
     forall: Optional[tuple] = None  # (name, [values])
     paperdim: Optional[int] = None
     papernote: str = ""
+
+    def variants(self) -> list[tuple[str, dict]]:
+        """(label, forall binding) of each concrete row: the row itself,
+        or one LABEL[name=value] per value of its forall."""
+        if not self.forall:
+            return [(self.label, {})]
+        name, vals = self.forall
+        return [(f"{self.label}[{name}={v}]", {name: v}) for v in vals]
 
 
 @dataclass
@@ -318,7 +326,7 @@ def load_family(stem: str) -> FamilyData:
 
     def keyed(section: str, key: str) -> list:
         return [v for k, v in sec.get(section, []) if k == key]
-    return FamilyData(
+    fam = FamilyData(
         name=header.get("family", ""), algebra=header.get("algebra", ""),
         when=header.get("when", ""), samples=header.get("samples", [{}]),
         invariants={2: keyed("invariants", "deg2"),
@@ -332,6 +340,14 @@ def load_family(stem: str) -> FamilyData:
         automorphisms=sec.get("automorphisms", []),
         orbits=keyed("orbits", "orbit"), classes=keyed("classes", "class"),
         skipclasses=keyed("classes", "skipclasses"))
+    labels = {label for row in fam.orbits for label, _ in row.variants()}
+    for cl in fam.classes:
+        for m in cl.members:
+            if m not in labels:
+                raise GoldenDataError(
+                    f"{data_dir() / 'families' / stem}.txt: class {cl.name}:"
+                    f" member {m!r} names no orbit row")
+    return fam
 
 
 FAMILY_FILES = ["s1", "s2", "s3", "s3aa", "s3a1", "s311", "s4", "s41",
@@ -422,12 +438,9 @@ def _row_samples(row: OrbitRow, branch: TreeBranch, rep: MultiVector,
             pt[i] = expr.eval(pt)
         for d in dep:
             for e in eq_polys:
-                de = e.derivative(d)
-                if d in de.variables() or d not in e.variables():
-                    continue  # not linear in x_d, or independent of it
-                coef = de.eval(pt)
-                if coef:
-                    pt[d] = -e.subs({d: Fraction(0)}).eval(pt) / coef
+                x = solve_linear(e, d, pt)
+                if x is not None:
+                    pt[d] = x
                     break
         push(pt)
     return out
@@ -438,15 +451,8 @@ def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
     sp = _short_params(params)
     records = []
     for row in fam.orbits:
-        variants = [(None, None)]
-        if row.forall:
-            variants = [(row.forall[0], v) for v in row.forall[1]]
-        for nme, val in variants:
-            env = dict(sp)
-            label = row.label
-            if nme is not None:
-                env[nme] = val
-                label = f"{row.label}[{nme}={val}]"
+        for label, binding in row.variants():
+            env = {**sp, **binding}
             if row.cond and not parse_condition(row.cond, env):
                 continue
             branch = _row_branch(row, env)
@@ -798,8 +804,16 @@ def load_schouten_table(fname: str, degl: int, degr: int) -> dict:
         if left not in lefts:
             raise ValueError(f"{left!r} is not a blade of degree {degl}")
         return left, _cells(body, ncols, "|")
-    return _read_golden("schouten", fname, _keyed({}),
-                        dict.fromkeys(FAMILIES, row))[1]
+    table = _read_golden("schouten", fname, _keyed({}),
+                         dict.fromkeys(FAMILIES, row))[1]
+    for family, rows in table.items():
+        got = [left for left, _ in rows]
+        for left in lefts:
+            if got.count(left) != 1:
+                raise GoldenDataError(
+                    f"{data_dir() / 'schouten' / fname}: section [{family}] "
+                    f"has {got.count(left)} rows for {left}, expected 1")
+    return table
 
 
 def verify_schouten_family(family: str) -> tuple[list[str], list[str]]:

@@ -238,6 +238,24 @@ def locus_contains(branch: TreeBranch, p: Sequence) -> bool:
     return True
 
 
+def solve_linear(f: Poly, v: int, point: Sequence) -> Optional[Fraction]:
+    """The value of x_v that makes f vanish at point, with f's other
+    coordinates taken from point: -b(point)/a(point) for f = a*x_v + b with
+    a and b free of x_v.  None when f does not involve x_v, is not linear
+    in x_v, or has an x_v coefficient a that is zero at point."""
+    a, b = {}, {}
+    for m, c in f.terms.items():
+        e = dict(m).get(v)
+        if e is None:
+            b[m] = c
+        elif e == 1:
+            a[tuple(t for t in m if t[0] != v)] = c
+        else:
+            return None
+    coef = Poly(a).eval(point)
+    return -Poly(b).eval(point) / coef if coef else None
+
+
 def branch_samples(branch: TreeBranch, nvars: int,
                    extra: Sequence[Sequence] = ()) -> list[tuple[Fraction, ...]]:
     """Sample grid: one point per sign pattern of the inequality
@@ -277,10 +295,9 @@ def branch_samples(branch: TreeBranch, nvars: int,
         for v, val in zip(active[:4], combo):
             base[v] = Fraction(val)
         for f, v0 in solve_for:
-            c0 = f.terms.get(((v0, 1),), Fraction(0))
-            if c0:
-                rest = f - Poly.var(v0) * c0
-                base[v0] = -rest.eval(base) / c0
+            x = solve_linear(f, v0, base)
+            if x is not None:
+                base[v0] = x
         push(base)
         if len(seen) >= 2 ** min(len(branch.inequalities), 4) + 4:
             break

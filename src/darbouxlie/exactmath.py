@@ -109,8 +109,8 @@ class Poly:
         return Poly({(): rat(c)})
 
     @staticmethod
-    def var(i: int, exp: int = 1) -> "Poly":
-        return Poly({((i, exp),): Fraction(1)})
+    def var(i: int) -> "Poly":
+        return Poly({((i, 1),): Fraction(1)})
 
     # queries ---------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -213,28 +213,7 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    # calculus / evaluation --------------------------------------------------
-    def derivative(self, v: int) -> "Poly":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(v)
-            if not e:
-                continue
-            if e == 1:
-                del exps[v]
-            else:
-                exps[v] = e - 1
-            key = tuple(sorted(exps.items()))
-            s = out.get(key, Fraction(0)) + c * e
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
-
+    # evaluation -------------------------------------------------------------
     def eval(self, point) -> Fraction:
         """Exact value at a point (a mapping var->Rational or a sequence)."""
         if not isinstance(point, dict):
@@ -248,21 +227,6 @@ class Poly:
                 v *= rat(point[var]) ** e
             total += v
         return total
-
-    def subs(self, assignment: dict[int, "Poly | Fraction | int"]) -> "Poly":
-        """Substitute polynomials/constants for some variables."""
-        out = Poly()
-        for m, c in self.terms.items():
-            term = Poly.const(c)
-            for var, e in m:
-                rep = assignment.get(var)
-                if rep is None:
-                    term = term * Poly.var(var, e)
-                else:
-                    rep = rep if isinstance(rep, Poly) else Poly.const(rep)
-                    term = term * rep ** e
-            out = out + term
-        return out
 
     # display ----------------------------------------------------------------
     def text(self, names=None) -> str:

@@ -248,6 +248,7 @@ def abelian(dim: int) -> LieAlgebra:
 # text format for user algebras
 # ---------------------------------------------------------------------------
 
+_DIM_RE = re.compile(r"^dim\s+([+-]?\d+)$")
 _BRACKET_RE = re.compile(r"^\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
 _TERM_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?e(\d+)\s*$")
@@ -268,8 +269,12 @@ def parse_algebra(text: str, name: str = "user") -> LieAlgebra:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.lower().startswith("dim"):
-            dim = int(line.split()[1])
+        head = _DIM_RE.match(line)
+        if head:
+            if dim is not None:
+                raise ValueError(f"line {lineno}: 'dim N' must be given "
+                                 f"once, before the first bracket")
+            dim = int(head.group(1))
             if dim <= 0 or dim > MAX_DIM:
                 raise DimensionMismatch(
                     f"line {lineno}: dim must be in 1..{MAX_DIM}")

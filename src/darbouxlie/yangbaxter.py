@@ -101,8 +101,10 @@ def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
                 for v in vs:
                     if v not in killed:
                         killed.append(v)
-                elim = {v: Poly.zero() for v in killed}
-                work = [normalize_poly(q.subs(elim)) for q in work]
+                # x_v = 0 for every killed v: drop the terms that contain one
+                work = [normalize_poly(Poly({
+                    m: c for m, c in q.terms.items()
+                    if not any(v in killed for v, _ in m)})) for q in work]
                 work = [q for q in work if not q.is_zero()]
                 changed = True
                 break

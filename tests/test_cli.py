@@ -82,6 +82,24 @@ def test_malformed_point_or_bivector_exits_2(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dim-4\n[1,2] = e3\n", "line 1: expected 'dim N'"),
+    ("dimx4\n[1,2] = e3\n", "line 1: expected 'dim N'"),
+    ("dim=3\n[1,2] = e3\n", "line 1: expected 'dim N'"),
+    ("dimension 4\n[1,2] = e3\n", "line 1: expected 'dim N'"),
+    ("dim 4\n[1,2] = e3\ndim 5\n", "line 3: 'dim N' must be given once"),
+    ("dim 4\ndim 4\n[1,2] = e3\n", "line 2: 'dim N' must be given once")],
+    ids=["dim-minus", "dimx", "dim-equals", "dimension", "dim-after-bracket",
+         "dim-twice"])
+def test_malformed_dim_header_exits_2(text, message, tmp_path, capsys):
+    f = tmp_path / "alg.txt"
+    f.write_text(text)
+    code, out = run_cli("validate", "--algebra", str(f))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_closed_stdout_exits_without_a_traceback():
     # the reader has gone before the first write, as with `| head -0`
     import os

@@ -10,8 +10,8 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 IncompatibleFields, TreeBranch,
                                 branch_samples, certify_no_solutions,
                                 family_sum, find_bricks, flow_invariance,
-                                locus_contains, verify_branch, verify_family,
-                                verify_family_auto)
+                                locus_contains, solve_linear, verify_branch,
+                                verify_family, verify_family_auto)
 from darbouxlie.derivations import LinearVectorField, fundamental_fields, lift
 from darbouxlie.exactmath import Poly, RatMatrix, monomials_up_to
 from darbouxlie.liealg import catalog
@@ -308,3 +308,53 @@ def test_verify_branch_no_mcybe_points(s1_fields):
     assert pts
     with pytest.raises(BranchInvalid, match="no mCYBE points"):
         verify_branch(g, s1_fields, dead, pts)
+
+
+def _random_poly(rng, nvars, skip, degree=2):
+    """A seeded polynomial of degree <= degree, free of the variable skip."""
+    return Poly({m: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for m in monomials_up_to(nvars, degree)
+                 if rng.random() < 0.4 and skip not in dict(m)})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_linear_matches_sympy(seed):
+    """f = a*x_v + b (+ a power of x_v), with a made to vanish at the point
+    in some draws: the value sympy solves for x_v, or None exactly when
+    x_v is absent, appears to a power, or has a coefficient zero there."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(25):
+        nvars = rng.randint(1, 6)
+        v = rng.randrange(nvars)
+        pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(nvars)]
+        kind = rng.choice(["linear", "power", "absent", "vanishing"])
+        a = _random_poly(rng, nvars, v)
+        if kind == "vanishing":
+            a = a - a.eval(pt)
+        b = _random_poly(rng, nvars, v)
+        f = b if kind == "absent" else a * x(v) + b
+        if kind == "power":
+            f = f + x(v) ** rng.randint(2, 3) * (a + 1)
+        syms = sp.symbols(f"x1:{nvars + 2}")[:nvars]
+        expr = sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                        * sp.Mul(*(syms[w] ** e for w, e in m))
+                        for m, c in f.terms.items()))
+        others = {syms[w]: sp.Rational(q.numerator, q.denominator)
+                  for w, q in enumerate(pt) if w != v}
+        got = solve_linear(f, v, pt)
+        deg = sp.degree(expr, syms[v])
+        if deg != 1:
+            seen.add("absent" if deg == 0 else "power")
+            assert got is None
+        elif sp.diff(expr, syms[v]).subs(others) == 0:
+            seen.add("vanishing")
+            assert got is None
+        else:
+            seen.add("value")
+            [want] = sp.solve(expr.subs(others), syms[v])
+            assert got == Fraction(int(want.p), int(want.q))
+            assert f.eval(pt[:v] + [got] + pt[v + 1:]) == 0
+    assert seen == {"value", "absent", "power", "vanishing"}

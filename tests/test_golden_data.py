@@ -110,6 +110,52 @@ def test_malformed_golden_file_is_an_input_error(case, tmp_path,
     assert err == f"error: {where}{message}\n"
 
 
+G_L2_E2 = "e2 : 0 | 0 | 0 | 0 | e12 | e13"
+
+# (file, line, replacement, loader, CLI arguments, message) for errors that
+# name the file but no line: each needs the whole section or file
+INCONSISTENT = {
+    "class-member-typo": (
+        "families/s6.txt", "class e : V Vext", "class e : Vx Vext",
+        lambda: load_family("s6"), ("coboundary-classes", "--algebra", "s6"),
+        "class e: member 'Vx' names no orbit row"),
+    "class-member-forall-value": (
+        "families/s6.txt", "class g2 : VII[k=2] VII[k=-2]",
+        "class g2 : VII[k=2] VII[k=5]", lambda: load_family("s6"),
+        ("coboundary-classes", "--algebra", "s6"),
+        "class g2: member 'VII[k=5]' names no orbit row"),
+    "class-member-forall-row": (
+        "families/s6.txt", "class g2 : VII[k=2] VII[k=-2]",
+        "class g2 : VII VII[k=-2]", lambda: load_family("s6"),
+        ("verify-tables", "--algebra", "s6"),
+        "class g2: member 'VII' names no orbit row"),
+    "schouten-missing-row": (
+        "schouten/table_g_l2.txt", G_L2_E2, "",
+        lambda: load_schouten_table(*SCHOUTEN_TABLES[0]),
+        ("verify-tables", "--algebra", "s1"),
+        "section [s1] has 0 rows for e2, expected 1"),
+    "schouten-repeated-row": (
+        "schouten/table_g_l2.txt", G_L2_E2, f"{G_L2_E2}\n{G_L2_E2}",
+        lambda: load_schouten_table(*SCHOUTEN_TABLES[0]),
+        ("verify-tables", "--algebra", "s1"),
+        "section [s1] has 2 rows for e2, expected 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_inconsistent_golden_file_is_an_input_error(case, tmp_path,
+                                                    monkeypatch, capsys):
+    rel, old, new, load, argv, message = INCONSISTENT[case]
+    path, _ = _edited_copy(tmp_path, monkeypatch, rel, (old, new))
+    with pytest.raises(classify.GoldenDataError) as info:
+        load()
+    assert str(info.value) == f"{path}: {message}"
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
                                                       capsys):
     # without T(+,-) and T(-,-) nothing maps x6 > 0 to x6 < 0 on the rows
