@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from darbouxlie.classify import load_family, loci_agree
-from darbouxlie.darboux import flow_invariance, verify_family
+from darbouxlie.darboux import find_bricks, flow_invariance, verify_family
 from darbouxlie.derivations import (derivation_basis, fundamental_fields,
                                     lift, rank_at)
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
@@ -19,7 +19,7 @@ from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
 from darbouxlie.exprparse import parse_condition, parse_poly
 from darbouxlie.grassmann import (MultiVector, blades, generic_bivector,
                                   schouten, wedge)
-from darbouxlie.liealg import catalog
+from darbouxlie.liealg import catalog, parse_algebra
 from darbouxlie.yangbaxter import necessary_checks, yb_system
 
 #: the largest ideal-membership system that the s3, s9 and n1 family-bundle
@@ -136,3 +136,30 @@ def test_loci_agree_s3_mcybe(benchmark):
                 if not p.is_zero()]
     assert loci_agree(computed, golden)
     assert benchmark(loci_agree, computed, golden)
+
+
+#: the almost-abelian algebra of dimension 6 that the query workload's
+#: generator draws from random.Random(1); its one brick is x15
+ALMOST_ABELIAN_6 = """dim 6
+[1,6] = 2*e1-2*e4
+[2,6] = 2*e1+2*e2+e3
+[3,6] = -e1-2*e2+2*e3-e4
+[4,6] = e1-e2+2*e4
+[5,6] = -2*e1+2*e3-e4
+"""
+
+
+@pytest.mark.parametrize("algebra, brick, eigenvalues", [
+    ("s5", "x3", [1, 0, 0, 0, 0, 0]),
+    ("almost_abelian_6", "x15", [0] * 8 + [1, 0])],
+    ids=["s5", "almost_abelian_6"])
+def test_find_bricks(benchmark, algebra, brick, eigenvalues):
+    g = (catalog("s5", alpha=1, beta=1) if algebra == "s5"
+         else parse_algebra(ALMOST_ABELIAN_6))
+    fields = fundamental_fields(g, 2)
+    want = [(brick, tuple(map(Fraction, eigenvalues)))]
+
+    def texts(bricks):
+        return [(b.poly.text(), b.eigenvalues) for b in bricks]
+    assert texts(find_bricks(fields)) == want
+    assert texts(benchmark(find_bricks, fields)) == want

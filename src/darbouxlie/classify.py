@@ -15,6 +15,7 @@ import itertools
 import os
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -143,11 +144,23 @@ class FamilyData:
     orbits: list                  # OrbitRow
     classes: list                 # ClassLine
     skipclasses: list             # (cond, note)
+    path: Path                    # the file it was read from
 
 
 class GoldenDataError(ValueError):
     """A golden data file that does not parse; the message names the file
     and the line."""
+
+
+@contextmanager
+def _naming(path: Path, what: str):
+    """Expressions of a golden file are parsed when a check runs, at its
+    parameter values; an ExprError there becomes a GoldenDataError naming
+    the file and the branch or row (``what``)."""
+    try:
+        yield
+    except ExprError as e:
+        raise GoldenDataError(f"{path}: {what}: {e}") from None
 
 
 def _read_golden(kind: str, fname: str, parse_header,
@@ -278,7 +291,7 @@ def _orbit(value: str) -> OrbitRow:
         elif key in _SIGN_OPS:
             row.extra_ineqs.append((val, _SIGN_OPS[key]))
         elif key == "sample":
-            row.samples.append(val)
+            row.samples.append(_cells(val, NVARS, ","))
         elif key in _COORDS:
             row.coords[key] = val
         elif key != "note":
@@ -339,14 +352,14 @@ def load_family(stem: str) -> FamilyData:
         mcybe=keyed("mcybe", "mcybe"), cybe=keyed("cybe", "cybe"),
         automorphisms=sec.get("automorphisms", []),
         orbits=keyed("orbits", "orbit"), classes=keyed("classes", "class"),
-        skipclasses=keyed("classes", "skipclasses"))
+        skipclasses=keyed("classes", "skipclasses"),
+        path=data_dir() / "families" / f"{stem}.txt")
     labels = {label for row in fam.orbits for label, _ in row.variants()}
     for cl in fam.classes:
         for m in cl.members:
             if m not in labels:
-                raise GoldenDataError(
-                    f"{data_dir() / 'families' / stem}.txt: class {cl.name}:"
-                    f" member {m!r} names no orbit row")
+                raise GoldenDataError(f"{fam.path}: class {cl.name}: "
+                                      f"member {m!r} names no orbit row")
     return fam
 
 
@@ -374,10 +387,12 @@ class OrbitRecord:
     star: bool
     row: OrbitRow = field(repr=False)
     env: dict = field(repr=False)
+    path: Path = field(repr=False)
 
     @cached_property
     def samples(self) -> list[tuple[Fraction, ...]]:
-        return _row_samples(self.row, self.branch, self.rep, self.env)
+        with _naming(self.path, f"orbit row {self.label}"):
+            return _row_samples(self.row, self.branch, self.rep, self.env)
 
 
 def _row_branch(row: OrbitRow, env_params: dict) -> TreeBranch:
@@ -412,7 +427,7 @@ def _row_samples(row: OrbitRow, branch: TreeBranch, rep: MultiVector,
 
     push(rep.coords())
     for s in row.samples:
-        vals = [parse_expr(v, dict(env_params)) for v in s.split(",")]
+        vals = [parse_expr(v, dict(env_params)) for v in s]
         push([Fraction(v) for v in vals])
 
     roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
@@ -453,20 +468,21 @@ def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
     for row in fam.orbits:
         for label, binding in row.variants():
             env = {**sp, **binding}
-            if row.cond and not parse_condition(row.cond, env):
-                continue
-            branch = _row_branch(row, env)
-            branch.label = label
-            rep = parse_multivector(row.rep_expr, env)
-            if row.star == "yes":
-                star = True
-            elif row.star == "no":
-                star = False
-            else:
-                star = parse_condition(row.star.split("if:", 1)[1], env)
+            with _naming(fam.path, f"orbit row {label}"):
+                if row.cond and not parse_condition(row.cond, env):
+                    continue
+                branch = _row_branch(row, env)
+                branch.label = label
+                rep = parse_multivector(row.rep_expr, env)
+                if row.star == "yes":
+                    star = True
+                elif row.star == "no":
+                    star = False
+                else:
+                    star = parse_condition(row.star.split("if:", 1)[1], env)
             records.append(OrbitRecord(
                 label=label, rep=rep, dim=row.dim, branch=branch,
-                star=star, row=row, env=env))
+                star=star, row=row, env=env, path=fam.path))
     return records
 
 
@@ -875,7 +891,7 @@ def _tree_meta(text: str) -> dict:
         elif key == "k" and eq:
             meta["k"] = [Fraction(v) for v in val.split(",")]
         elif key == "sample" and eq:
-            meta["samples"].append(val)
+            meta["samples"].append(_cells(val, NVARS, ","))
         else:
             raise ValueError(f"unknown tree token {tok!r}")
     return meta
@@ -924,6 +940,7 @@ def verify_tree(stem: str) -> TreeReport:
     constant rank, mCYBE membership, order-8 Lie-derivative flow check) and
     no-solution branches get an exact infeasibility certificate."""
     tree = load_tree(stem)
+    path = data_dir() / "trees" / f"{stem}.txt"
     fam = load_family(tree.family_stem)
     verified, nosol, unconfirmed, failures = [], [], [], []
     family_cache: dict = {}
@@ -941,14 +958,17 @@ def verify_tree(stem: str) -> TreeReport:
                 if kv is not None:
                     env["k"] = kv
                     blabel = f"{label}[k={kv}]"
-                if meta["when"] and not parse_condition(meta["when"], env):
-                    continue
-                branch = TreeBranch(
-                    label=blabel,
-                    equalities=[parse_poly(e, NVARS, env) for e in eqs],
-                    inequalities=[(parse_poly(e, NVARS, env), "!=")
-                                  for e in ineqs],
-                    expected_dim=meta["dim"])
+                with _naming(path, f"branch {blabel}"):
+                    if meta["when"] and not parse_condition(meta["when"], env):
+                        continue
+                    branch = TreeBranch(
+                        label=blabel,
+                        equalities=[parse_poly(e, NVARS, env) for e in eqs],
+                        inequalities=[(parse_poly(e, NVARS, env), "!=")
+                                      for e in ineqs],
+                        expected_dim=meta["dim"])
+                    extra = [[Fraction(parse_expr(v, dict(env))) for v in s]
+                             for s in meta["samples"]]
                 if kind == "nosol":
                     cert = certify_no_solutions(branch, msys, NVARS)
                     if cert is None:
@@ -956,10 +976,6 @@ def verify_tree(stem: str) -> TreeReport:
                     else:
                         nosol.append((blabel, dict(ps), cert))
                     continue
-                extra = []
-                for s in meta["samples"]:
-                    extra.append([Fraction(parse_expr(v, dict(env)))
-                                  for v in s.split(",")])
                 pts = branch_samples(branch, NVARS, extra=extra)
                 try:
                     rep = verify_branch(g, ctx.fields, branch, pts,

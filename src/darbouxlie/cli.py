@@ -57,7 +57,10 @@ def _load_algebra(args):
         if "=" not in p:
             raise InputError(f"bad --param {p!r}, expected name=value")
         k, v = p.split("=", 1)
-        params[k.strip()] = _fraction(v)
+        k = k.strip()
+        if k in params:
+            raise InputError(f"--param {k} is given twice")
+        params[k] = _fraction(v)
     src = args.algebra
     if src in FAMILIES:
         return catalog(src, **params)
@@ -302,9 +305,13 @@ def cmd_verify_tables(args):
     lines = []
     payload = {"families": {}, "schouten": {}, "errata": []}
     ok = True
-    if args.jobs > 1:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    # a fork-based pool starts all of its workers at once
+    jobs = min(args.jobs, len(stems))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_verify_one_family, stems))
     else:
         results = [_verify_one_family(stem) for stem in stems]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .derivations import LinearVectorField, rank_at, vf_apply
@@ -144,37 +144,27 @@ def _char_poly(m: RatMatrix) -> list[Fraction]:
 
 
 def _rational_eigenvalues(m: RatMatrix) -> list[Fraction]:
-    """All rational roots of the characteristic polynomial."""
-    coeffs = _char_poly(m)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    roots = {Fraction(0)} if k else set()
-    a0, an = abs(ints[k]), abs(ints[-1])
+    """All rational roots of the characteristic polynomial.
 
-    def divisors(x):
-        out = []
-        d = 1
-        while d * d <= x:
-            if x % d == 0:
-                out += [d, x // d]
-            d += 1
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    With D the lcm of the entries' denominators, D*M is an integer matrix
+    with a monic integer characteristic polynomial, so its rational roots
+    are integers mu: 0, or divisors of the lowest nonzero coefficient with
+    |mu| at most the largest absolute row sum of D*M (the spectral radius
+    is at most the infinity norm).  The roots of M are the mu/D."""
+    den = lcm(*(x.denominator for x in m.flat()))
+    dm = m.scale(den)
+    coeffs = [int(c) for c in _char_poly(dm)]
+    bound = int(max((sum(map(abs, r)) for r in dm.entries), default=0))
+    k = next(i for i, c in enumerate(coeffs) if c)
+    roots = {0} if k else set()
+    low = abs(coeffs[k])
+    for d in range(1, min(isqrt(low), bound) + 1):
+        if low % d == 0:
+            for mu in (d, -d, low // d, -(low // d)):
+                if (abs(mu) <= bound
+                        and not sum(c * mu ** i for i, c in enumerate(coeffs))):
+                    roots.add(mu)
+    return sorted(Fraction(mu, den) for mu in roots)
 
 
 def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
@@ -272,10 +262,11 @@ def branch_samples(branch: TreeBranch, nvars: int,
         push(pt)
     eq_vars = {v for f in branch.equalities for v in f.variables()}
     ineq_vars = {v for f, _ in branch.inequalities for v in f.variables()}
-    linear_eqs = [f for f in branch.equalities if f.degree() <= 1]
+    linear_eqs = [f for f in branch.equalities if f.degree() == 1]
     # each linear equality is solved for one variable, preferring one that
     # carries no sign constraint so grid values on constrained coordinates
-    # survive
+    # survive; a constant equality has no variable and is left to the
+    # locus and family checks
     solved_vars: list[int] = []
     solve_for: list[tuple[Poly, int]] = []
     for f in linear_eqs:

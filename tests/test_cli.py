@@ -82,6 +82,18 @@ def test_malformed_point_or_bivector_exits_2(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-tables", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["verify-tables", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
+    (["bricks", "--algebra", "s5", "--param", "alpha=1/2", "--param",
+      "alpha=1/3"], "--param alpha is given twice")],
+    ids=["zero-jobs", "negative-jobs", "repeated-param"])
+def test_malformed_option_exits_2(argv, message, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("dim-4\n[1,2] = e3\n", "line 1: expected 'dim N'"),
     ("dimx4\n[1,2] = e3\n", "line 1: expected 'dim N'"),
@@ -345,6 +357,30 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
 def test_verify_tables_parallel_jobs():
     code, out = run_cli("verify-tables", "--algebra", "s8", "--jobs", "2")
     assert code == 0 and "ALL PASS" in out
+
+
+class PoolStarted(Exception):
+    pass
+
+
+def test_verify_tables_starts_at_most_one_worker_per_family(monkeypatch):
+    """A fork-based pool starts all of its workers at once, so --jobs is
+    capped at the number of family files; the recording pool stops the
+    run before any work is done."""
+    import concurrent.futures
+
+    from darbouxlie.classify import FAMILY_FILES
+    started = []
+
+    def pool(max_workers):
+        started.append(max_workers)
+        raise PoolStarted
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    for argv in (["--jobs", "1000"], ["--algebra", "s8", "--jobs", "5"],
+                 ["--algebra", "s3", "--jobs", "3"]):
+        with pytest.raises(PoolStarted):
+            run_cli("verify-tables", *argv)
+    assert started == [len(FAMILY_FILES), 2, 3]
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 """Generated one-line mutations of valid algebra files, driven through
 ``cli.main``: every run ends with exit 0, 1 or 2 and no uncaught
-exception, and exit 2 prints an ``error: `` line."""
+exception, and exit 2 prints an ``error: `` line.  Also bricks of
+generated algebras above dimension 5."""
 
 import contextlib
 import random
@@ -9,9 +10,12 @@ import sys
 from io import StringIO
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from darbouxlie import (find_bricks, fundamental_fields, parse_algebra,
+                        vf_apply)
 from darbouxlie.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,7 +25,8 @@ from perfbench.query import (almost_abelian, bracket_text,  # noqa: E402
                              so3_plus_abelian)
 
 #: the per-algebra verbs, with their extra arguments for dimension n;
-#: bricks is left out: its divisor search has a cliff above dimension 5
+#: bricks is left out to keep the suite short: on dimension 6 one call
+#: takes up to about a second
 VERBS = [("validate", lambda n: []), ("derivations", lambda n: []),
          ("invariants", lambda n: []), ("ybe", lambda n: []),
          ("orbit-dim", lambda n: ["e12"]),
@@ -96,3 +101,18 @@ def test_mutated_algebra_file_exits_cleanly(family, n, seed, how, line_pick,
         if code == 2:
             assert any(line.startswith("error: ")
                        for line in err.getvalue().splitlines()), (verb, err)
+
+
+@pytest.mark.parametrize("seed, n, count", [(1, 6, 1), (0, 7, 0)])
+def test_bricks_of_almost_abelian_algebras_of_dimension_6_and_7(seed, n,
+                                                                count):
+    """find_bricks returns within seconds here, and each brick f has
+    X f = lambda_X f for every fundamental field X."""
+    g = parse_algebra(bracket_text(n, almost_abelian(random.Random(seed), n)))
+    fields = fundamental_fields(g, 2)
+    bricks = find_bricks(fields)
+    assert len(bricks) == count
+    for b in bricks:
+        assert len(b.eigenvalues) == len(fields)
+        for X, lam in zip(fields, b.eigenvalues):
+            assert vf_apply(X, b.poly) == b.poly * lam

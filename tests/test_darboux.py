@@ -8,10 +8,11 @@ import pytest
 
 from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 IncompatibleFields, TreeBranch,
-                                branch_samples, certify_no_solutions,
-                                family_sum, find_bricks, flow_invariance,
-                                locus_contains, solve_linear, verify_branch,
-                                verify_family, verify_family_auto)
+                                _rational_eigenvalues, branch_samples,
+                                certify_no_solutions, family_sum, find_bricks,
+                                flow_invariance, locus_contains, solve_linear,
+                                verify_branch, verify_family,
+                                verify_family_auto)
 from darbouxlie.derivations import LinearVectorField, fundamental_fields, lift
 from darbouxlie.exactmath import Poly, RatMatrix, monomials_up_to
 from darbouxlie.liealg import catalog
@@ -77,6 +78,48 @@ def test_bricks_are_one_dim_families():
         # recorded eigenvalues match the witnessed cofactors
         for k in range(len(fields)):
             assert fam.cofactors[0][k][0] == Poly.const(b.eigenvalues[k])
+
+
+def _planted_matrix(rng, n):
+    """c * E T E^-1 for a product E of elementary integer matrices (so
+    unimodular), a rational c with a large denominator, and T upper
+    triangular with small rational diagonal entries, except that T may
+    carry a 2x2 block [[0, 2], [1, 0]] with the irrational eigenvalues
+    +-sqrt(2) on its diagonal."""
+    t = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        t[i][i] = Fraction(rng.choice([0, 1, -1, 2, -3]), rng.choice([1, 2, 3]))
+        for j in range(i + 1, n):
+            t[i][j] = Fraction(rng.randint(-1, 1))
+    if n >= 2 and rng.random() < 0.5:
+        i = rng.randrange(n - 1)
+        t[i][i] = t[i + 1][i + 1] = Fraction(0)
+        t[i][i + 1], t[i + 1][i] = Fraction(2), Fraction(1)
+    m = RatMatrix(t, n)
+
+    def elementary(i, j, k):
+        return RatMatrix([[k if (a, b) == (i, j) else int(a == b)
+                           for b in range(n)] for a in range(n)])
+    for _ in range(n if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice([-1, 1])
+        m = elementary(i, j, k).matmul(m).matmul(elementary(i, j, -k))
+    return m.scale(Fraction(rng.choice([-7, -1, 1, 5]), rng.choice([101, 1009])))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_eigenvalues_match_sympy(seed):
+    """The distinct rational eigenvalues, sorted, are the rational keys of
+    sympy's eigenvals, for n = 0..8 with planted rational eigenvalues."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    for n in range(9):
+        m = _planted_matrix(rng, n)
+        eigs = sp.Matrix(n, n, [sp.Rational(q.numerator, q.denominator)
+                                for q in m.flat()]).eigenvals()
+        want = sorted(Fraction(int(k.p), int(k.q))
+                      for k in eigs if k.is_rational)
+        assert _rational_eigenvalues(m) == want, (seed, n)
 
 
 def test_family_sum(s1_fields):
@@ -298,6 +341,19 @@ def test_verify_branch_builds_each_chain_once(s1_fields, monkeypatch):
     calls.clear()
     verify_branch(g, s1_fields, branch, pts, family_cache=cache)
     assert len(calls) == one_pass
+
+
+def test_branch_samples_leaves_constant_equalities_to_the_locus():
+    """A constant equality has no variable to solve for: 0 leaves the
+    samples as they are, and a nonzero constant leaves none."""
+    eqs = [x(4), x(5), x(2), x(3), x(1)]
+    ineqs = [(x(0), "!=")]
+    plain = branch_samples(TreeBranch("I", eqs, ineqs), 6)
+    assert plain
+    zero = TreeBranch("I", eqs + [Poly.const(0)], ineqs)
+    assert branch_samples(zero, 6) == plain
+    one = TreeBranch("I", eqs + [Poly.const(1)], ineqs)
+    assert branch_samples(one, 6) == []
 
 
 def test_verify_branch_no_mcybe_points(s1_fields):

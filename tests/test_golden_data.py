@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from darbouxlie import classify
 from darbouxlie.classify import (FAMILY_FILES, SCHOUTEN_TABLES, TREE_FILES,
-                                 load_family, load_schouten_table,
-                                 load_tree, verify_orbit_table)
+                                 expand_rows, load_family,
+                                 load_schouten_table, load_tree,
+                                 verify_orbit_table, verify_tree)
 from darbouxlie.cli import main
 
 
@@ -63,6 +64,8 @@ def _edited_copy(tmp_path, monkeypatch, rel, *edits):
 
 S1_ROW = ("orbit VIII- : dim=4 star=no rep=-e12+e34 x1=- x2=. x3=0 x4=. "
           "x5=0 x6=*")
+S1_I_PLUS = ("orbit I+    : dim=1 star=no rep=e12 x1=+ x2=0 x3=0 x4=0 x5=0 "
+             "x6=0")
 TREE_I = "branch I    : x5, x6, x3, x4, x2 | x1 ; dim=1"
 
 # (file, line, replacement, loader, CLI arguments, message); the error
@@ -92,6 +95,14 @@ MALFORMED = {
         "families/s8.txt", "samples : alpha=1/2 ; alpha=3/4 ; alpha=-1/2",
         "samples : alpha=1/0", lambda: load_family("s8"),
         ("verify-tables", "--algebra", "s8"), "zero denominator"),
+    "orbit-sample-width": (
+        "families/s1.txt", S1_I_PLUS, S1_I_PLUS + " sample=1,2",
+        lambda: load_family("s1"), ("verify-tables", "--algebra", "s1"),
+        "expected 6 entries, got 2"),
+    "tree-sample-width": (
+        "trees/s1.txt", TREE_I, TREE_I + " sample=1,2",
+        lambda: load_tree("s1"), ("darboux-verify", "--tree", "s1"),
+        "expected 6 entries, got 2"),
 }
 
 
@@ -154,6 +165,55 @@ def test_inconsistent_golden_file_is_an_input_error(case, tmp_path,
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+# (file, line, replacement, check, CLI arguments, message) for expressions
+# that are parsed only when a check runs, at the parameter values of a
+# sample: the error names the file and the branch or orbit row
+EXPRESSIONS = {
+    "tree-branch-division": (
+        "trees/s1.txt", TREE_I, TREE_I.replace("| x1", "| 1/0*x1"),
+        lambda: verify_tree("s1"), ("darboux-verify", "--tree", "s1"),
+        "branch I: division by zero"),
+    "orbit-rep-division": (
+        "families/s1.txt", S1_I_PLUS, S1_I_PLUS.replace("rep=e12", "rep=e12/0"),
+        lambda: expand_rows(load_family("s1"), {}),
+        ("verify-tables", "--algebra", "s1"),
+        "orbit row I+: division by zero"),
+    "orbit-sample-symbol": (
+        "families/s1.txt", S1_I_PLUS, S1_I_PLUS + " sample=y,0,0,0,0,0",
+        lambda: [rec.samples for rec in expand_rows(load_family("s1"), {})],
+        ("verify-tables", "--algebra", "s1"),
+        "orbit row I+: unknown symbol 'y'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPRESSIONS))
+def test_bad_expression_names_file_and_row(case, tmp_path, monkeypatch,
+                                           capsys):
+    rel, old, new, check, argv, message = EXPRESSIONS[case]
+    path, _ = _edited_copy(tmp_path, monkeypatch, rel, (old, new))
+    with pytest.raises(classify.GoldenDataError) as info:
+        check()
+    assert str(info.value) == f"{path}: {message}"
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("constant, reason", [
+    ("0", "equalities are not a Darboux family at bound 2"),
+    ("1", "no sample points")], ids=["zero", "one"])
+def test_constant_tree_equality_fails_its_branch(constant, reason, tmp_path,
+                                                 monkeypatch, capsys):
+    _edited_copy(tmp_path, monkeypatch, "trees/s1.txt",
+                 (TREE_I, TREE_I.replace("x2 |", f"x2, {constant} |")))
+    code, out = run_cli("darboux-verify", "--tree", "s1")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "tree s1: FAIL (8 branches, 3 no-solution leaves certified, "
+        "0 unconfirmed)", f"  FAIL I : I: {reason}"]
+    assert capsys.readouterr().err == ""
 
 
 def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
