@@ -10,17 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.classify import load_family, loci_agree
+from darbouxlie.classify import expand_rows, load_family, loci_agree
 from darbouxlie.darboux import find_bricks, flow_invariance, verify_family
-from darbouxlie.derivations import (derivation_basis, fundamental_fields,
-                                    lift, rank_at)
+from darbouxlie.derivations import (derivation_basis, field_matrix_at,
+                                    fundamental_fields, lift, rank_at)
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
-                                  monomials_up_to, normalize_poly, solve)
+                                  monomials_up_to, normalize_poly, rank,
+                                  solve)
 from darbouxlie.exprparse import parse_condition, parse_poly
 from darbouxlie.grassmann import (MultiVector, blades, generic_bivector,
                                   schouten, wedge)
 from darbouxlie.liealg import catalog, parse_algebra
-from darbouxlie.yangbaxter import necessary_checks, yb_system
+from darbouxlie.yangbaxter import (AlgebraContext, is_mcybe_solution,
+                                   necessary_checks, yb_system)
 
 #: the largest ideal-membership system that the s3, s9 and n1 family-bundle
 #: checks solve: x6 against four quadrics with cofactors of degree <= 2
@@ -69,6 +71,46 @@ def fields():
 
 def test_rank_at(benchmark, fields):
     assert benchmark(rank_at, fields, [1, 2, 0, 3, 0, 1]) == 4
+
+
+@pytest.fixture(scope="module")
+def s3_orbit_points():
+    """The s3 algebra's context and its orbit-table sample points at S3,
+    with the integer forms ``is_mcybe_at`` and ``rank_at`` use already
+    built."""
+    ctx = AlgebraContext(catalog("s3", **S3))
+    points = [p for rec in expand_rows(load_family("s3"), S3)
+              for p in rec.samples]
+    ctx.is_mcybe_at(points[0]), rank_at(ctx.fields, points[0])
+    return ctx, points
+
+
+def test_field_matrix_rank_s3_orbit_points(benchmark, s3_orbit_points):
+    """The rank of the Fraction matrix M(p): the reference ``rank_at``."""
+    ctx, points = s3_orbit_points
+    want = [rank_at(ctx.fields, p) for p in points]
+    assert benchmark(lambda: [rank(field_matrix_at(ctx.fields, p))
+                              for p in points]) == want
+
+
+def test_rank_at_s3_orbit_points(benchmark, s3_orbit_points):
+    ctx, points = s3_orbit_points
+    want = [rank(field_matrix_at(ctx.fields, p)) for p in points]
+    assert benchmark(lambda: [rank_at(ctx.fields, p) for p in points]) == want
+
+
+def test_is_mcybe_solution_s3_orbit_points(benchmark, s3_orbit_points):
+    ctx, points = s3_orbit_points
+    assert all(ctx.is_mcybe_at(p) for p in points)
+    assert benchmark(lambda: [is_mcybe_solution(ctx.g, p)
+                              for p in points]) == [True] * len(points)
+
+
+def test_context_is_mcybe_at(benchmark, s3_orbit_points):
+    ctx, points = s3_orbit_points
+    assert all(is_mcybe_solution(ctx.g, p) for p in points)
+    assert benchmark(lambda: [ctx.is_mcybe_at(p)
+                              for p in points]) == [True] * len(points)
 
 
 def test_matvec_lifted_field(benchmark, fields):

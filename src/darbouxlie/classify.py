@@ -33,8 +33,7 @@ from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
                         schouten)
 from .liealg import FAMILIES, LieAlgebra, catalog
 from .yangbaxter import (AlgebraContext, NecessaryReport, generic_bivector,
-                         is_automorphism, is_cybe_solution, is_mcybe_solution,
-                         reduce_system)
+                         is_automorphism, is_cybe_solution, reduce_system)
 
 
 class GoldenDataMissing(FileNotFoundError):
@@ -156,7 +155,7 @@ class GoldenDataError(ValueError):
 def _naming(path: Path, what: str):
     """Expressions of a golden file are parsed when a check runs, at its
     parameter values; an ExprError there becomes a GoldenDataError naming
-    the file and the branch or row (``what``)."""
+    the file and the section, branch or row (``what``)."""
     try:
         yield
     except ExprError as e:
@@ -517,7 +516,8 @@ def load_automorphisms(fam: FamilyData, params: dict,
     sp = _short_params(params)
     out = []
     for nme, rows in fam.automorphisms:
-        T = RatMatrix([[parse_expr(x, dict(sp)) for x in r] for r in rows])
+        with _naming(fam.path, "[automorphisms]"):
+            T = RatMatrix([[parse_expr(x, dict(sp)) for x in r] for r in rows])
         if not is_automorphism(g, T):
             raise WitnessMissing(
                 f"{fam.name}: shipped matrix {nme} fails bracket preservation")
@@ -562,10 +562,10 @@ def verify_orbit_table(stem: str) -> TableReport:
                 if rank_at(ctx.fields, p) != rec.dim:
                     problems.append(f"rank at {p} != {rec.dim}")
                     break
-                if not is_mcybe_solution(g, p):
+                if not ctx.is_mcybe_at(p):
                     problems.append(f"sample {p} fails the mCYBE")
                     break
-            if not is_mcybe_solution(g, rec.rep):
+            if not ctx.is_mcybe_at(rec.rep):
                 problems.append("representative fails the mCYBE")
             if is_cybe_solution(g, rec.rep) != (not rec.star):
                 problems.append("star mark inconsistent with the CYBE test")
@@ -651,31 +651,33 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
         problems = []
 
         for deg, (inv, _) in ((2, ctx.inv2), (3, ctx.inv3)):
-            want = [parse_multivector(e, sp).coords()
-                    for cond, e in fam.invariants[deg]
-                    if parse_condition(cond, sp)]
+            with _naming(fam.path, "[invariants]"):
+                want = [parse_multivector(e, sp).coords()
+                        for cond, e in fam.invariants[deg]
+                        if parse_condition(cond, sp)]
             got = [v.coords() for v in inv]
             if not _same_span(want, got):
                 problems.append(f"invariants deg {deg} disagree")
 
         if fam.der_form:
-            form = _der_form_basis(fam.der_form, sp)
+            with _naming(fam.path, "[derivations]"):
+                form = _der_form_basis(fam.der_form, sp)
             if not _same_span([m.flat() for m in form],
                               [m.flat() for m in ctx.ders]):
                 problems.append("derivation form span disagrees")
 
         if fam.fields:
-            want_rows = []
-            for frow in fam.fields:
-                mat = _field_matrix(frow, sp)
-                want_rows.append(mat.flat())
+            with _naming(fam.path, "[fields]"):
+                want_rows = [_field_matrix(frow, sp).flat()
+                             for frow in fam.fields]
             comp = [X.matrix.flat() for X in ctx.fields]
             if not _same_span(want_rows, comp):
                 problems.append("fundamental field span disagrees")
 
         if fam.bricks is not None:
-            want_bricks = [normalize_poly(parse_poly(bstr, NVARS, sp))
-                           for bstr in fam.bricks]
+            with _naming(fam.path, "[bricks]"):
+                want_bricks = [normalize_poly(parse_poly(bstr, NVARS, sp))
+                               for bstr in fam.bricks]
             got_bricks = [b.poly
                           for b in find_bricks(ctx.fields)]
             if sorted(p.text() for p in want_bricks) != \
@@ -690,7 +692,8 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
             r = generic_bivector(g)
             rrv = schouten(g, r, r)
             for bl, expr in zip(blades(4, 3), fam.rr):
-                want = parse_poly(expr, NVARS, sp)
+                with _naming(fam.path, "[rr]"):
+                    want = parse_poly(expr, NVARS, sp)
                 got = rrv.terms.get(bl, Poly.zero())
                 if want != got:
                     problems.append(f"[r,r] coefficient at blade {bl} differs")
@@ -699,7 +702,8 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
                                       ("cybe", fam.cybe,
                                        reduce_system([p for p in ybs.cybe
                                                       if not p.is_zero()]))):
-            golden = _pick_system(lines, sp)
+            with _naming(fam.path, f"[{kind}]"):
+                golden = _pick_system(lines, sp)
             if golden is None:
                 continue
             gp = [normalize_poly(q) for q in golden if not q.is_zero()]
@@ -856,8 +860,9 @@ def verify_schouten_family(family: str) -> tuple[list[str], list[str]]:
                     printed, entry = entry.split("=>")
                     errata.append(f"{family}: printed [{left}, {cname}] = "
                                   f"{printed}, verified {entry}")
-                want = parse_multivector(entry, sp) if entry != "0" else \
-                    MultiVector.zero(4, degl + degr - 1)
+                with _naming(data_dir() / "schouten" / fname, f"[{family}]"):
+                    want = parse_multivector(entry, sp) if entry != "0" \
+                        else MultiVector.zero(4, degl + degr - 1)
                 got = schouten(g, lefts[left], right)
                 if got != want:
                     bad.append(f"{family}: [{left}, {cname}] = {got.text()}"
@@ -947,8 +952,9 @@ def verify_tree(stem: str) -> TreeReport:
     for ps in tree.samples:
         sp = _short_params(ps)
         g = catalog(fam.algebra, **ps)
-        ctx = AlgebraContext(g, _der_form_basis(fam.der_form, sp)
-                             if fam.der_form else None)
+        with _naming(fam.path, "[derivations]"):
+            ctx = AlgebraContext(g, _der_form_basis(fam.der_form, sp)
+                                 if fam.der_form else None)
         msys = [p for p in ctx.yb_system.mcybe if not p.is_zero()]
         for kind, label, eqs, ineqs, meta in tree.branches:
             kvals = meta.get("k") or [None]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import Poly, RatMatrix, kernel_basis, rank, rat
+from .exactmath import (Poly, RatMatrix, _echelon, clear_denominators,
+                        kernel_basis, rat)
 from .grassmann import MultiVector, blades, wedge
 from .liealg import LieAlgebra
 
@@ -130,5 +131,23 @@ def field_matrix_at(fields: Sequence[LinearVectorField],
 
 
 def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:
-    """Rank of the span of the fields at p (the stratum dimension there)."""
-    return rank(field_matrix_at(fields, [rat(x) for x in p]))
+    """Rank of the span of the fields at p (the stratum dimension there).
+
+    The rank of M(p) in ``int`` arithmetic: p is scaled by the lcm of its
+    denominators and each field's matrix by the lcm of all of its own, so
+    row i of M(p) is multiplied by a positive integer and the rank is kept.
+    (Scaling each row of a field's matrix by its own lcm would scale single
+    entries of M(p) and change the rank.)"""
+    _, q = clear_denominators(rat(x) for x in p)
+    rows = []
+    for X in fields:
+        if X.matrix.cols != len(q):
+            raise ValueError(
+                f"matvec size mismatch: {X.matrix.cols} vs {len(q)}")
+        row = {}
+        for i, r in enumerate(X.matrix._integer_rows()):
+            v = sum(x * q[j] for j, x in r)
+            if v:
+                row[i] = Fraction(v)
+        rows.append(row)
+    return len(_echelon(rows))

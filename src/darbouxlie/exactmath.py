@@ -261,8 +261,11 @@ def _as_poly(x) -> Poly:
     raise TypeError(f"cannot coerce {x!r} to Poly")
 
 
-def _denominator_lcm(p: Poly) -> int:
-    return lcm(*(c.denominator for c in p.terms.values()))
+def clear_denominators(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of xs (1 for none) and the ints d*x."""
+    xs = list(xs)
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def normalize_poly(p: Poly) -> Poly:
@@ -270,11 +273,8 @@ def normalize_poly(p: Poly) -> Poly:
     (graded-lex) coefficient.  The zero polynomial is returned unchanged."""
     if p.is_zero():
         return p
-    den = _denominator_lcm(p)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
+    den, nums = clear_denominators(p.terms.values())
+    scale = Fraction(den, gcd(*nums))
     if p.leading()[1] < 0:
         scale = -scale
     return p * scale
@@ -288,9 +288,8 @@ class IntPoly:
     __slots__ = ("scale", "terms")
 
     def __init__(self, p: Poly):
-        self.scale = _denominator_lcm(p)
-        self.terms = tuple((c.numerator * (self.scale // c.denominator), m)
-                           for m, c in p.terms.items())
+        self.scale, coeffs = clear_denominators(p.terms.values())
+        self.terms = tuple(zip(coeffs, p.terms))
 
     def eval(self, point: Sequence[int]) -> int:
         """``scale * p(point)`` at a point of ints indexed by variable."""
@@ -308,9 +307,10 @@ class IntPoly:
 
 class RatMatrix:
     """Dense matrix of Fractions.  Immutable once constructed, so the
-    nonzero pattern (``_nonzero_rows``) is computed once and cached."""
+    nonzero pattern (``_nonzero_rows``) and its integer form
+    (``_integer_rows``) are computed once and cached."""
 
-    __slots__ = ("entries", "rows", "cols", "_sparse")
+    __slots__ = ("entries", "rows", "cols", "_sparse", "_int_sparse")
 
     def __init__(self, entries: Iterable[Iterable], cols: int = 0):
         """``cols`` is the width of a matrix without rows."""
@@ -353,6 +353,19 @@ class RatMatrix:
             self._sparse = tuple(tuple((j, x) for j, x in enumerate(r) if x)
                                  for r in self.entries)
             return self._sparse
+
+    def _integer_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``_nonzero_rows`` times the lcm of all the entries' denominators:
+        the matrix scaled by one positive integer, as ints."""
+        try:
+            return self._int_sparse
+        except AttributeError:
+            rows = self._nonzero_rows()
+            _, ints = clear_denominators(x for r in rows for _, x in r)
+            it = iter(ints)
+            self._int_sparse = tuple(tuple((j, next(it)) for j, _ in r)
+                                     for r in rows)
+            return self._int_sparse
 
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = [rat(x) for x in v]

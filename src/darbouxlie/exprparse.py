@@ -79,6 +79,10 @@ class _Parser:
             op = self.take()
             w = self.unary()
             if op == "*":
+                if not (isinstance(v, (int, Fraction))
+                        or isinstance(w, (int, Fraction))
+                        or isinstance(v, Poly) and isinstance(w, Poly)):
+                    raise ExprError("multivectors multiply only by numbers")
                 v = v * w
             else:
                 if not isinstance(w, (int, Fraction)):

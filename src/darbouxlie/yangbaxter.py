@@ -18,8 +18,8 @@ from typing import Sequence, Union
 
 from .derivations import (Derivation, LinearVectorField, derivation_basis,
                           lift, rank_at)
-from .exactmath import (Poly, RatMatrix, normalize_poly, poly_rref, rank,
-                        rref, rat)
+from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
+                        normalize_poly, poly_rref, rank, rref, rat)
 from .grassmann import (MultiVector, SymMultiVector, ad_action, apply_linear,
                         blades, generic_bivector, invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra, bracket
@@ -268,7 +268,12 @@ class AlgebraContext:
     """The derived data of one concrete algebra, each piece computed at most
     once: derivations, their Λ² fields, (Λ²g)^g and (Λ³g)^g with their
     RREFs, and the Yang-Baxter system.  Build one per algebra and pass it
-    along; ``ders`` overrides the computed derivation basis."""
+    along; ``ders`` overrides the computed derivation basis.
+
+    ``is_mcybe_at`` tests a point in ``int`` arithmetic on the ``IntPoly``
+    forms of the mCYBE system, built once: the point is first scaled by the
+    lcm of its denominators, which keeps the answer because the mCYBE
+    polynomials are homogeneous quadratics."""
 
     def __init__(self, g: LieAlgebra, ders: list[Derivation] | None = None):
         self.g = g
@@ -301,6 +306,19 @@ class AlgebraContext:
         mcybe = [p for p in mcybe if not p.is_zero()] or [Poly.zero()]
         return YbSystem(cybe=[normalize_poly(p) for p in rr], mcybe=mcybe,
                         inv3=self.inv3[0], reduced=reduce_system(mcybe))
+
+    @cached_property
+    def _int_mcybe(self) -> list[IntPoly]:
+        return [IntPoly(p) for p in self.yb_system.mcybe]
+
+    def is_mcybe_at(self, r: RMatrix) -> bool:
+        """Whether r solves the mCYBE (``is_mcybe_solution``)."""
+        coords = (as_bivector(self.g, r).coords() if isinstance(r, MultiVector)
+                  else [rat(x) for x in r])
+        if len(coords) != self.g.dim * (self.g.dim - 1) // 2:
+            raise DimensionMismatch("coordinate count mismatch")
+        _, q = clear_denominators(coords)
+        return all(f.eval(q) == 0 for f in self._int_mcybe)
 
     def orbit_dim(self, w: MultiVector) -> int:
         """Dimension of the automorphism orbit through the bivector w."""

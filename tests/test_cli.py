@@ -82,6 +82,17 @@ def test_malformed_point_or_bivector_exits_2(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit-dim", "--algebra", "s1", "e12*e34"],
+    ["schouten", "--algebra", "s1", "e1*e2", "e3"]],
+    ids=["orbit-dim", "schouten"])
+def test_product_of_multivectors_exits_2(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == \
+        "error: multivectors multiply only by numbers\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-tables", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["verify-tables", "--jobs", "-3"], "--jobs must be at least 1, got -3"),

@@ -37,6 +37,21 @@ def test_parse_errors():
         parse_poly("(x1", 6)
 
 
+def test_multivectors_multiply_only_by_numbers():
+    from darbouxlie.grassmann import MultiVector
+    e12 = MultiVector.blade(4, [0, 1])
+    env = {"e12": e12, "e34": MultiVector.blade(4, [2, 3]),
+           "alpha": Fraction(3)}
+    for text, scale in (("2*e12", 2), ("e12*2", 2), ("(1/2)*e12",
+                        Fraction(1, 2)), ("alpha*e12", 3)):
+        assert parse_expr(text, env) == e12 * scale
+    for text in ("e12*e34", "e12*(e34+e12)", "2*e12*e34"):
+        with pytest.raises(ExprError, match="multivectors multiply only by "
+                                            "numbers"):
+            parse_expr(text, env)
+    assert parse_poly("x1*x2", 6) == x(0) * x(1)
+
+
 def test_parse_condition():
     env = {"a": Fraction(-3, 4), "b": Fraction(-1, 4)}
     assert parse_condition("a+b=-1", env)

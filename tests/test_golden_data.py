@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from darbouxlie import classify
 from darbouxlie.classify import (FAMILY_FILES, SCHOUTEN_TABLES, TREE_FILES,
                                  expand_rows, load_family,
-                                 load_schouten_table, load_tree,
-                                 verify_orbit_table, verify_tree)
+                                 load_automorphisms, load_schouten_table,
+                                 load_tree, verify_family_bundle,
+                                 verify_orbit_table, verify_schouten_family,
+                                 verify_tree)
 from darbouxlie.cli import main
+from darbouxlie.liealg import catalog
 
 
 def run_cli(*args):
@@ -167,10 +170,47 @@ def test_inconsistent_golden_file_is_an_input_error(case, tmp_path,
     assert err == f"error: {path}: {message}\n"
 
 
+S1_TABLES = ("verify-tables", "--algebra", "s1")
+
+
+def _s1_section(line: str, new: str, section: str, check=None,
+                argv=S1_TABLES):
+    """An EXPRESSIONS case for a line of a section of families/s1.txt."""
+    return ("families/s1.txt", line, new,
+            check or (lambda: verify_family_bundle("s1")), argv,
+            f"{section}: division by zero")
+
+
+S1_RR = "2*(-x2*x5+x3*x4-x4*x5) | -2*x5^2 | 2*(x3-x5)*x6 | 2*x5*x6"
+S1_AUT = "T(+,-) : 1 0 0 0 ; 0 1 0 0 ; 0 0 -1 0 ; 0 0 0 1"
+
 # (file, line, replacement, check, CLI arguments, message) for expressions
 # that are parsed only when a check runs, at the parameter values of a
-# sample: the error names the file and the branch or orbit row
+# sample: the error names the file and the section, branch or orbit row
 EXPRESSIONS = {
+    "invariants-division": _s1_section("deg2 : e12", "deg2 : e12/0",
+                                       "[invariants]"),
+    "derivations-division": _s1_section("0 0 m33 m34", "0 0 m33/0 m34",
+                                        "[derivations]"),
+    "tree-derivations-division": _s1_section(
+        "0 0 m33 m34", "0 0 m33/0 m34", "[derivations]",
+        lambda: verify_tree("s1"), ("darboux-verify", "--tree", "s1")),
+    "fields-division": _s1_section("0 | x4 | x5 | 0 | 0 | 0",
+                                   "0 | x4 | x5/0 | 0 | 0 | 0", "[fields]"),
+    "bricks-division": _s1_section("x5 x6", "x5/0 x6", "[bricks]"),
+    "rr-division": _s1_section(S1_RR, S1_RR + "/0", "[rr]"),
+    "mcybe-division": _s1_section("mcybe : x3*x4 | x3*x6 | x5",
+                                  "mcybe : x3*x4 | x3*x6 | x5/0", "[mcybe]"),
+    "cybe-division": _s1_section("cybe : x3*x4 | x3*x6 | x5",
+                                 "cybe : x3*x4 | x3*x6 | x5/0", "[cybe]"),
+    "automorphism-division": _s1_section(
+        S1_AUT, S1_AUT.replace(": 1 0", ": 1/0 0"), "[automorphisms]",
+        lambda: load_automorphisms(load_family("s1"), {}, catalog("s1"))),
+    "schouten-division": (
+        "schouten/table_g_l2.txt", "e2 : 0 | 0 | 0 | 0 | e12 | e13",
+        "e2 : 0 | 0 | 0 | 0 | e12/0 | e13",
+        lambda: verify_schouten_family("s1"), S1_TABLES,
+        "[s1]: division by zero"),
     "tree-branch-division": (
         "trees/s1.txt", TREE_I, TREE_I.replace("| x1", "| 1/0*x1"),
         lambda: verify_tree("s1"), ("darboux-verify", "--tree", "s1"),

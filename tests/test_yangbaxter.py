@@ -1,7 +1,9 @@
 """Yang-Baxter systems, solution predicates, cocommutators, quotients."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,8 @@ import darbouxlie.yangbaxter as yangbaxter
 from darbouxlie.derivations import derivation_basis, orbit_dim
 from darbouxlie.exactmath import Poly, rref, solve, span_contains
 from darbouxlie.grassmann import MultiVector, blades, invariants, schouten
-from darbouxlie.liealg import FAMILIES, abelian, catalog, parse_algebra
+from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, catalog,
+                               parse_algebra)
 from darbouxlie.yangbaxter import (AlgebraContext, NecessaryReport,
                                    NotAnAutomorphism, bilinear_matrix,
                                    cocommutator, cocycle_defect,
@@ -20,6 +23,13 @@ from darbouxlie.yangbaxter import (AlgebraContext, NecessaryReport,
                                    quotient_class, same_coboundary,
                                    yb_system)
 from darbouxlie.exactmath import RatMatrix
+from darbouxlie.exprparse import parse_condition
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.query import (almost_abelian, bracket_text,  # noqa: E402
+                             so3_plus_abelian)
 
 x = Poly.var
 PARAMS = {
@@ -281,3 +291,115 @@ def test_classes_compute_derivations_once_per_sample(monkeypatch):
     processed = [rep for rep in reports if not rep.skipped]
     assert processed and all(rep.separations for rep in processed)
     assert 0 < len(calls) <= len(processed)
+
+
+def _random_rational(rng):
+    """A nonzero rational of either sign whose numerator and denominator
+    run from one digit to about twelve."""
+    num = rng.randint(1, 10 ** rng.randint(0, 12))
+    den = rng.choice((1, 2, 3, 4, 7, 9, 10 ** 6, 2 ** 40 + 15))
+    return Fraction(rng.choice((-1, 1)) * num, den)
+
+
+def _rational_points(rng, m, count):
+    """The zero vector and seeded points of Λ² with random zero patterns,
+    mixed and large denominators and negative entries."""
+    pts = [(Fraction(0),) * m]
+    for _ in range(count):
+        pt = [Fraction(0)] * m
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            pt[i] = _random_rational(rng)
+        pts.append(tuple(pt))
+    return pts
+
+
+def _scaled(rng, p):
+    c = _random_rational(rng)
+    return tuple(c * v for v in p)
+
+
+def _assert_integer_checks_match_oracles(ctx, points):
+    """ctx.is_mcybe_at and the integer derivations.rank_at against
+    is_mcybe_solution and the rank of the Fraction matrix M(p); returns the
+    mCYBE answers and ranks seen."""
+    seen_mcybe, seen_ranks = set(), set()
+    for p in points:
+        ok = ctx.is_mcybe_at(p)
+        assert ok == is_mcybe_solution(ctx.g, p), p
+        k = derivations.rank_at(ctx.fields, p)
+        assert k == rank(derivations.field_matrix_at(ctx.fields, p)), p
+        seen_mcybe.add(ok)
+        seen_ranks.add(k)
+    return seen_mcybe, seen_ranks
+
+
+@pytest.mark.parametrize("stem", classify.FAMILY_FILES)
+def test_integer_point_checks_match_oracles_on_family_samples(stem):
+    fam = classify.load_family(stem)
+    rng = random.Random(stem)
+    seen_mcybe, seen_ranks = set(), set()
+    for ps in fam.samples:
+        if fam.when and not parse_condition(fam.when,
+                                            classify._short_params(ps)):
+            continue
+        ctx = AlgebraContext(catalog(fam.algebra, **ps))
+        # orbit representatives and sample points (rescaled, which changes
+        # neither answer) carry the special ranks and the mCYBE solutions
+        points = _rational_points(rng, 6, 8)
+        for rec in classify.expand_rows(fam, ps):
+            points += [_scaled(rng, p) for p in [rec.rep.coords(),
+                                                 *rec.samples[:4]]]
+        mc, ranks = _assert_integer_checks_match_oracles(ctx, points)
+        seen_mcybe |= mc
+        seen_ranks |= ranks
+    assert seen_mcybe == {True, False}
+    assert len(seen_ranks) >= 2
+
+
+@pytest.mark.parametrize("make", [almost_abelian, so3_plus_abelian])
+def test_integer_point_checks_match_oracles_on_generated_algebras(make):
+    rng = random.Random(make.__name__)
+    seen_mcybe, seen_ranks = set(), set()
+    for n in range(3, 7):
+        ctx = AlgebraContext(parse_algebra(bracket_text(n, make(rng, n))))
+        m = n * (n - 1) // 2
+        units = [tuple(Fraction(int(k == i)) for k in range(m))
+                 for i in range(m)]
+        points = _rational_points(rng, m, 12)
+        points += [_scaled(rng, u) for u in units]
+        points += [_scaled(rng, tuple(a + b for a, b in zip(u, v)))
+                   for u, v in zip(units, units[1:])]
+        mc, ranks = _assert_integer_checks_match_oracles(ctx, points)
+        seen_mcybe |= mc
+        seen_ranks |= ranks
+    assert seen_mcybe == {True, False}
+    assert len(seen_ranks) >= 2
+
+
+def test_integer_point_checks_reject_a_point_of_the_wrong_length():
+    ctx = AlgebraContext(catalog("s1"))
+    with pytest.raises(DimensionMismatch):
+        ctx.is_mcybe_at([1, 2, 3])
+    with pytest.raises(ValueError, match="size mismatch"):
+        derivations.rank_at(ctx.fields, [1, 2, 3])
+
+
+def test_orbit_table_calls_no_oracle(monkeypatch):
+    """No Schouten-bracket mCYBE test and no Fraction matrix M(p) per
+    sample point: both are answered on the integer forms."""
+    calls = []
+
+    def counting(original):
+        def wrapped(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapped
+
+    mcybe = counting(yangbaxter.is_mcybe_solution)
+    for mod in (yangbaxter, classify):
+        monkeypatch.setattr(mod, "is_mcybe_solution", mcybe, raising=False)
+    monkeypatch.setattr(derivations, "field_matrix_at",
+                        counting(derivations.field_matrix_at))
+    report = classify.verify_orbit_table("s1")
+    assert report.passed and sum(r.dims_checked for r in report.rows) > 0
+    assert calls == []
