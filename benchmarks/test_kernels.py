@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.classify import expand_rows, load_family, loci_agree
+from darbouxlie.classify import (expand_rows, load_family, loci_agree,
+                                 verify_tree)
 from darbouxlie.darboux import find_bricks, flow_invariance, verify_family
 from darbouxlie.derivations import (derivation_basis, field_matrix_at,
                                     fundamental_fields, lift, rank_at)
@@ -167,6 +168,13 @@ def test_flow_invariance_s1_mcybe(benchmark):
 
     assert every_field() == [True] * 6
     assert benchmark(every_field) == [True] * 6
+
+
+def test_verify_tree_s1(benchmark):
+    """The branch layer end to end on one tree: families, ranks and mCYBE
+    at every branch sample, and the no-solution certificates."""
+    assert verify_tree("s1").passed
+    assert benchmark(verify_tree, "s1").passed
 
 
 def test_loci_agree_s3_mcybe(benchmark):

@@ -6,9 +6,9 @@ Structure constants -> derivations -> lifted vector fields -> symbolic
 Run with:  python demos/demo_pipeline.py
 """
 
-from darbouxlie import (MultiVector, catalog, derivation_basis,
-                        fundamental_fields, generic_bivector, orbit_dim,
-                        schouten, yb_system)
+from darbouxlie import (AlgebraContext, MultiVector, catalog,
+                        derivation_basis, fundamental_fields,
+                        generic_bivector, orbit_dim, schouten, yb_system)
 from darbouxlie.darboux import TreeBranch, branch_samples, find_bricks, \
     verify_branch
 from darbouxlie.exactmath import Poly
@@ -41,7 +41,8 @@ print("bricks:", ", ".join(b.poly.text() for b in bricks))
 
 branch = TreeBranch("VIII", [x(4), x(2)], [(x(5), "!="), (x(0), "!=")],
                     expected_dim=4)
-rep = verify_branch(g, fields, branch, branch_samples(branch, 6))
+rep = verify_branch(AlgebraContext(g), fields, branch,
+                    branch_samples(branch, 6))
 print(f"\nstratum {branch.label}: x5 = x3 = 0, x6 != 0, x1 != 0")
 print(f"  Darboux family verified (constant cofactors: {rep.linear}),"
       f" rank {rep.ranks[0]} at {rep.samples_checked} sample points,"

@@ -26,8 +26,8 @@ from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
                       locus_contains, solve_linear, verify_branch)
 from .derivations import rank_at
-from .exactmath import (IntPoly, Poly, RatMatrix, ideal_membership,
-                        normalize_poly, poly_rref, rat, row_space_equal)
+from .exactmath import (IntPoly, Poly, RatMatrix, normalize_poly, poly_rref,
+                        rat, row_space_equal)
 from .exprparse import ExprError, parse_condition, parse_expr, parse_poly
 from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
                         schouten)
@@ -753,26 +753,12 @@ def _poly_span_equal(a: Sequence[Poly], b: Sequence[Poly]) -> bool:
 
 def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
                npoints: int = 800, seed: int = 7) -> bool:
-    """Variety-level agreement of two polynomial systems.
-
-    Two routes, both exact: ideal-containment certificates with cofactor
-    degree <= 2 in each direction (a found certificate proves one-way
-    containment outright; radical steps like x5 against x5^2 legitimately
-    have none), and mutual vanishing on a biased random grid whose random
-    zero patterns make the sampled points actually hit the loci (integer
-    points, tested on the ``IntPoly`` forms of both systems).  Any
-    containment certificate that fails to reproduce its target, or any
-    sampled point on one locus but not the other, refutes agreement."""
-    for target_side, other_side in ((system_a, system_b),
-                                    (system_b, system_a)):
-        for p in target_side:
-            cofs = ideal_membership(p, list(other_side), 2)
-            if cofs is not None:
-                total = Poly.zero()
-                for c, q in zip(cofs, other_side):
-                    total = total + c * q
-                if total != p:
-                    return False
+    """Variety-level agreement of two polynomial systems: mutual vanishing
+    on a biased random grid whose random zero patterns make the sampled
+    points actually hit the loci (integer points, tested exactly on the
+    ``IntPoly`` forms of both systems).  Any sampled point on one locus but
+    not the other refutes agreement.  Only the zero sets are compared, so
+    x5 agrees with x5^2 although x5 is not in the ideal of x5^2."""
     int_a = [IntPoly(p) for p in system_a]
     int_b = [IntPoly(p) for p in system_b]
     rng = random.Random(seed)
@@ -941,9 +927,10 @@ class TreeReport:
 
 def verify_tree(stem: str) -> TreeReport:
     """Check every branch of a classification tree at every qualifying
-    parameter sample: solution branches pass verify_branch (Darboux family,
-    constant rank, mCYBE membership, order-8 Lie-derivative flow check) and
-    no-solution branches get an exact infeasibility certificate."""
+    parameter sample: solution branches pass verify_branch (Darboux family
+    with exact cofactors, which makes its zero set flow-invariant; constant
+    rank; mCYBE membership) and no-solution branches get an exact
+    infeasibility certificate."""
     tree = load_tree(stem)
     path = data_dir() / "trees" / f"{stem}.txt"
     fam = load_family(tree.family_stem)
@@ -984,7 +971,7 @@ def verify_tree(stem: str) -> TreeReport:
                     continue
                 pts = branch_samples(branch, NVARS, extra=extra)
                 try:
-                    rep = verify_branch(g, ctx.fields, branch, pts,
+                    rep = verify_branch(ctx, ctx.fields, branch, pts,
                                         family_cache=family_cache)
                 except (BranchInvalid, IncompatibleFields) as e:
                     failures.append((blabel, dict(ps), str(e)))

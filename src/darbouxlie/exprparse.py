@@ -112,6 +112,9 @@ class _Parser:
                 raise ExprError("powers only of numbers and polynomials")
             if e < 0 and isinstance(v, (int, Fraction)) and not v:
                 raise ExprError("division by zero")
+            if e < 0 and isinstance(v, Poly):
+                raise ExprError("polynomial powers must be nonnegative "
+                                "integers")
             return v ** int(Fraction(e))
         return v
 

@@ -14,6 +14,7 @@ which for degree-1 arguments reduces to the Lie bracket.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Sequence, Union
 
 from .exactmath import Poly, RatMatrix, kernel_basis, rat
@@ -39,8 +40,10 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask & (1 << i))
 
 
-def blades(dim: int, m: int) -> list[int]:
-    """Degree-m basis masks in lexicographic index-tuple order."""
+@cache
+def blades(dim: int, m: int) -> tuple[int, ...]:
+    """Degree-m basis masks in lexicographic index-tuple order, built once
+    per (dim, m)."""
     out = []
 
     def rec(start: int, left: int, acc: int):
@@ -51,7 +54,7 @@ def blades(dim: int, m: int) -> list[int]:
             rec(i + 1, left - 1, acc | (1 << i))
 
     rec(0, m, 0)
-    return out
+    return tuple(out)
 
 
 def blade_name(mask: int) -> str:

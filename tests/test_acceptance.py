@@ -100,12 +100,12 @@ def test_criterion_2_yang_baxter_loci():
                     failures.append((stem, ps, pt))
                     break
                 agreements += on_a
-            # degree-<=2 containment certificates both ways plus the exact
-            # span equality of the reduced systems
+            # loci_agree's seeded integer points plus the exact span
+            # equality of the reduced systems
             from darbouxlie.classify import _poly_span_equal, loci_agree
             gold_nz = [q for q in golden if not q.is_zero()]
             if not loci_agree(computed, gold_nz, npoints=200):
-                failures.append((stem, ps, "containment"))
+                failures.append((stem, ps, "loci_agree"))
             if not _poly_span_equal([normalize_poly(q) for q in gold_nz],
                                     yb_system(g).reduced):
                 failures.append((stem, ps, "span"))
@@ -209,7 +209,7 @@ def test_criterion_6_darboux_verification():
     dt = time.time() - t0
     ok = not bad and not tree_failures and not unconfirmed and dt < 120.0
     report(6, ok, f"bricks match; {nbranches} tree branches verified with "
-                  f"order-8 flow invariance and {ncert} no-solution leaves "
+                  f"exact cofactors and {ncert} no-solution leaves "
                   f"certified exactly, 0 unconfirmed, {dt:.1f}s"
                   + (f"; problems {(bad + tree_failures)[:2]}"
                      if bad or tree_failures else ""))

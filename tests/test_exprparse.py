@@ -82,3 +82,12 @@ def test_power_of_a_non_scalar_is_an_expr_error():
         parse_expr("e12^2", env)
     assert parse_expr("(2*e12)^1*3", {"e12": Fraction(1)}) == 6
     assert parse_poly("(x1+x2)^2", 2) == (x(0) + x(1)) ** 2
+
+
+def test_negative_power_of_a_polynomial_is_an_expr_error():
+    for text in ("x5^(0-1)", "(x1+1)^(-2)", "(x1-x1+2)^(0-1)"):
+        with pytest.raises(ExprError, match="polynomial powers must be "
+                                            "nonnegative integers"):
+            parse_poly(text, 6)
+    assert parse_poly("x5^0", 6) == Poly.const(1)
+    assert parse_expr("2^(0-1)", {}) == Fraction(1, 2)

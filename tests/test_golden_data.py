@@ -174,11 +174,11 @@ S1_TABLES = ("verify-tables", "--algebra", "s1")
 
 
 def _s1_section(line: str, new: str, section: str, check=None,
-                argv=S1_TABLES):
+                argv=S1_TABLES, message="division by zero"):
     """An EXPRESSIONS case for a line of a section of families/s1.txt."""
     return ("families/s1.txt", line, new,
             check or (lambda: verify_family_bundle("s1")), argv,
-            f"{section}: division by zero")
+            f"{section}: {message}")
 
 
 S1_RR = "2*(-x2*x5+x3*x4-x4*x5) | -2*x5^2 | 2*(x3-x5)*x6 | 2*x5*x6"
@@ -198,6 +198,9 @@ EXPRESSIONS = {
     "fields-division": _s1_section("0 | x4 | x5 | 0 | 0 | 0",
                                    "0 | x4 | x5/0 | 0 | 0 | 0", "[fields]"),
     "bricks-division": _s1_section("x5 x6", "x5/0 x6", "[bricks]"),
+    "bricks-negative-power": _s1_section(
+        "x5 x6", "x5^(0-1) x6", "[bricks]",
+        message="polynomial powers must be nonnegative integers"),
     "rr-division": _s1_section(S1_RR, S1_RR + "/0", "[rr]"),
     "mcybe-division": _s1_section("mcybe : x3*x4 | x3*x6 | x5",
                                   "mcybe : x3*x4 | x3*x6 | x5/0", "[mcybe]"),

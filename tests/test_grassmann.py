@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from darbouxlie.grassmann import (MultiVector, SymMultiVector, ad_action,
-                                  blades, generic_bivector, invariants,
-                                  schouten, wedge)
+                                  blade_name, blades, generic_bivector,
+                                  invariants, schouten, wedge)
 from darbouxlie.exactmath import Poly
 from darbouxlie.liealg import DimensionMismatch, abelian, bracket, catalog
 
@@ -156,3 +156,14 @@ def test_abelian_everything_invariant():
     g = abelian(4)
     assert len(invariants(g, 2)) == 6
     assert len(invariants(g, 3)) == 4
+
+
+def test_blades_order_is_built_once_and_immutable():
+    names = ["e12", "e13", "e14", "e23", "e24", "e34"]
+    assert [blade_name(b) for b in blades(4, 2)] == names
+    assert [blade_name(b) for b in blades(4, 3)] == [
+        "e123", "e124", "e134", "e234"]
+    assert blades(4, 2) is blades(4, 2)
+    assert isinstance(blades(4, 2), tuple)
+    with pytest.raises(TypeError):
+        blades(4, 2)[0] = 0
