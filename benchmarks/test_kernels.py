@@ -10,15 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.classify import (expand_rows, load_family, loci_agree,
-                                 verify_tree)
+from darbouxlie import exprparse
+from darbouxlie.classify import (FAMILY_FILES, expand_rows, load_family,
+                                 loci_agree, verify_tree)
 from darbouxlie.darboux import find_bricks, flow_invariance, verify_family
 from darbouxlie.derivations import (derivation_basis, field_matrix_at,
                                     fundamental_fields, lift, rank_at)
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
                                   monomials_up_to, normalize_poly, rank,
                                   solve)
-from darbouxlie.exprparse import parse_condition, parse_poly
+from darbouxlie.exprparse import parse_poly
 from darbouxlie.grassmann import (MultiVector, blades, generic_bivector,
                                   schouten, wedge)
 from darbouxlie.liealg import catalog, parse_algebra
@@ -180,8 +181,8 @@ def test_verify_tree_s1(benchmark):
 def test_loci_agree_s3_mcybe(benchmark):
     env = {"a": S3["alpha"], "b": S3["beta"]}
     golden = next(polys for cond, polys in load_family("s3").mcybe
-                  if parse_condition(cond, env))
-    golden = [normalize_poly(parse_poly(p, 6, env)) for p in golden]
+                  if cond(env))
+    golden = [normalize_poly(e.poly(env)) for e in golden]
     computed = [p for p in yb_system(catalog("s3", **S3)).mcybe
                 if not p.is_zero()]
     assert loci_agree(computed, golden)
@@ -213,3 +214,19 @@ def test_find_bricks(benchmark, algebra, brick, eigenvalues):
         return [(b.poly.text(), b.eigenvalues) for b in bricks]
     assert texts(find_bricks(fields)) == want
     assert texts(benchmark(find_bricks, fields)) == want
+
+
+def test_load_family_all(benchmark):
+    """Read and compile all family files, with the compile memo cleared
+    before each round, so that every expression is parsed again."""
+    def load_all():
+        exprparse.compile_expr.cache_clear()
+        exprparse.compile_condition.cache_clear()
+        return [load_family(s) for s in FAMILY_FILES]
+
+    fams = load_all()
+    assert len(fams) == 18
+    assert sum(len(f.orbits) for f in fams) == 161
+    assert sum(len(f.classes) for f in fams) == 48
+    assert sum(len(f.automorphisms) for f in fams) == 58
+    assert len(benchmark(load_all)) == 18

@@ -6,7 +6,9 @@ grouping.
 
 Golden files live in the package data directory (override with the
 DARBOUXLIE_DATA environment variable): one family file per table block,
-one tree file per family, and the three Schouten tables.
+one tree file per family, and the three Schouten tables.  Every
+expression and condition in them is compiled once, when its line is read
+(a ``GoldenExpr``), and evaluated at each parameter sample.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import itertools
 import os
 import random
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
@@ -28,7 +29,8 @@ from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
 from .derivations import rank_at
 from .exactmath import (IntPoly, Poly, RatMatrix, normalize_poly, poly_rref,
                         rat, row_space_equal)
-from .exprparse import ExprError, parse_condition, parse_expr, parse_poly
+from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
+                        poly_env)
 from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
                         schouten)
 from .liealg import FAMILIES, LieAlgebra, catalog
@@ -57,28 +59,30 @@ def data_dir() -> Path:
 # ---------------------------------------------------------------------------
 
 NVARS = 6
+_XS = poly_env(NVARS)
 
 
-def _bivector_env(params: dict, dim: int = 4) -> dict:
-    env: dict = {}
-    for m in range(1, dim + 1):
-        for mask_indices in itertools.combinations(range(dim), m):
-            name = "e" + "".join(str(i + 1) for i in mask_indices)
-            env[name] = MultiVector.blade(dim, list(mask_indices))
-    env.update({k: Fraction(v) for k, v in params.items()})
-    return env
+@cache
+def _blade_env(dim: int) -> dict:
+    return {"e" + "".join(str(i + 1) for i in idxs):
+            MultiVector.blade(dim, idxs) for m in range(1, dim + 1)
+            for idxs in itertools.combinations(range(dim), m)}
+
+
+def as_multivector(v, s: str, dim: int = 4) -> MultiVector:
+    """The value v of expression s as a multivector (0 is the zero one)."""
+    if isinstance(v, (int, Fraction)):
+        if v == 0:
+            return MultiVector.zero(dim, 2)
+        raise ExprError(f"{s.strip()!r} is not a multivector")
+    return v
 
 
 def parse_multivector(s: str, params: dict, dim: int = 4) -> MultiVector:
     """Parse a multivector over a dim-dimensional algebra, written in the
     blade names e1, e12, ... (the literal 0 is the zero bivector)."""
-    s = s.strip()
-    v = parse_expr(s, _bivector_env(params, dim))
-    if isinstance(v, (int, Fraction)):
-        if Fraction(v) == 0:
-            return MultiVector.zero(dim, 2)
-        raise ExprError(f"{s!r} is not a multivector")
-    return v
+    env = {**_blade_env(dim), **{k: Fraction(v) for k, v in params.items()}}
+    return as_multivector(compile_expr(s)(env), s, dim)
 
 
 def _short_params(params: dict) -> dict:
@@ -94,17 +98,55 @@ def _short_params(params: dict) -> dict:
 # family golden files
 # ---------------------------------------------------------------------------
 
+class GoldenDataError(ValueError):
+    """A golden data file that does not parse; the message names the file
+    and the line."""
+
+
+class GoldenExpr:
+    """An expression or condition of a golden file, compiled when its line
+    ``where`` (``<file>:<line>``) is read.  Calling it evaluates it in a
+    symbol environment; an ExprError there names the line."""
+
+    __slots__ = ("text", "where", "fn")
+
+    def __init__(self, text: str, where: str, compiler=compile_expr):
+        self.text, self.where, self.fn = text, where, compiler(text)
+
+    def __call__(self, env: dict, convert=None):
+        try:
+            v = self.fn(env)
+            return convert(v, self.text) if convert else v
+        except ExprError as e:
+            raise GoldenDataError(f"{self.where}: {e}") from None
+
+    def poly(self, params: dict) -> Poly:
+        return self({**_XS, **params}, as_poly)
+
+    def mv(self, params: dict) -> MultiVector:
+        return self({**_blade_env(4), **params}, as_multivector)
+
+
+def _cond(text: str, where: str) -> GoldenExpr:
+    return GoldenExpr(text, where, compile_condition) if text else _ALWAYS
+
+
+#: defaults that cannot fail, so they name no line
+_ALWAYS = GoldenExpr("", "", compile_condition)
+_ZERO = GoldenExpr("0", "")
+
+
 @dataclass
 class OrbitRow:
     label: str
     dim: int
-    rep_expr: str
-    star: str                      # "yes" | "no" | "if:<cond>"
-    cond: str = ""
-    coords: dict = field(default_factory=dict)   # token -> value string
-    extra_eqs: list = field(default_factory=list)
-    extra_ineqs: list = field(default_factory=list)   # (expr, op)
-    samples: list = field(default_factory=list)
+    rep: GoldenExpr                # multivector
+    star: bool | GoldenExpr        # yes, no, or the condition of if:COND
+    cond: GoldenExpr               # when the row exists
+    coords: dict = field(default_factory=dict)   # x1.. -> role or poly expr
+    extra_eqs: list = field(default_factory=list)     # poly exprs
+    extra_ineqs: list = field(default_factory=list)   # (poly expr, op)
+    samples: list = field(default_factory=list)   # NVARS number exprs each
     forall: Optional[tuple] = None  # (name, [values])
     paperdim: Optional[int] = None
     papernote: str = ""
@@ -122,7 +164,7 @@ class OrbitRow:
 class ClassLine:
     name: str
     members: list
-    cond: str = ""
+    cond: GoldenExpr
     unwitnessed: bool = False
 
 
@@ -130,46 +172,31 @@ class ClassLine:
 class FamilyData:
     name: str
     algebra: str
-    when: str
+    when: GoldenExpr              # condition on the parameters
     samples: list                 # list of param dicts (long names)
     invariants: dict              # degree -> list of (cond, blade expr)
-    der_form: list                # rows of entry strings, or []
-    fields: list                  # rows of pipe-separated polys, or []
-    bricks: list                  # poly strings
-    rr: list                      # 4 poly strings or []
-    mcybe: list                   # list of (cond, [poly strings])
+    der_form: list                # rows of 4 number exprs in m11.., or []
+    fields: list                  # rows of NVARS linear poly exprs, or []
+    bricks: Optional[list]        # poly exprs; None without [bricks]
+    rr: list                      # 4 poly exprs or []
+    mcybe: list                   # list of (cond, [poly exprs])
     cybe: list
-    automorphisms: list           # (name, 4x4 entry strings)
+    automorphisms: list           # (name, 4x4 number exprs)
     orbits: list                  # OrbitRow
     classes: list                 # ClassLine
     skipclasses: list             # (cond, note)
     path: Path                    # the file it was read from
 
 
-class GoldenDataError(ValueError):
-    """A golden data file that does not parse; the message names the file
-    and the line."""
-
-
-@contextmanager
-def _naming(path: Path, what: str):
-    """Expressions of a golden file are parsed when a check runs, at its
-    parameter values; an ExprError there becomes a GoldenDataError naming
-    the file and the section, branch or row (``what``)."""
-    try:
-        yield
-    except ExprError as e:
-        raise GoldenDataError(f"{path}: {what}: {e}") from None
-
-
 def _read_golden(kind: str, fname: str, parse_header,
                  sections: dict) -> tuple[list, dict]:
     """The one reader of the golden data.  Strips '#' comments and blank
     lines, parses each line before the first ``[name]`` line with
-    parse_header and each line of a section with ``sections[name]``, and
-    returns (header values, {section name: values}).  An unknown or
-    repeated section, a ValueError of a parser or a zero denominator is a
-    GoldenDataError naming the file and line."""
+    parse_header and each line of a section with ``sections[name]``, given
+    the text and its ``<file>:<line>``, and returns (header values,
+    {section name: values}).  An unknown or repeated section, a ValueError
+    of a parser (such as an expression that does not compile) or a zero
+    denominator is a GoldenDataError naming the file and line."""
     path = data_dir() / kind / fname
     if not path.exists():
         raise GoldenDataMissing(str(path))
@@ -187,7 +214,7 @@ def _read_golden(kind: str, fname: str, parse_header,
                 values = out[name] = []
                 parse = sections[name]
             elif text:
-                values.append(parse(text))
+                values.append(parse(text, f"{path}:{lineno}"))
         except (ValueError, ZeroDivisionError) as e:
             reason = e if isinstance(e, ValueError) else "zero denominator"
             raise GoldenDataError(f"{path}:{lineno}: {reason}") from None
@@ -195,14 +222,14 @@ def _read_golden(kind: str, fname: str, parse_header,
 
 
 def _keyed(parsers: dict):
-    """Parser of 'KEY value' lines: (KEY, parsers[KEY](value))."""
-    def parse(text: str):
+    """Parser of 'KEY value' lines: (KEY, parsers[KEY](value, where))."""
+    def parse(text: str, where: str):
         key, _, value = text.partition(" ")
         if key not in parsers:
             raise ValueError(f"unknown line {key!r}, expected one of: "
                              f"{', '.join(parsers)}" if parsers else
                              f"line {key!r} before the first [section]")
-        return key, parsers[key](value.strip())
+        return key, parsers[key](value.strip(), where)
     return parse
 
 
@@ -211,6 +238,13 @@ def _colon(text: str) -> tuple[str, str]:
     if not sep:
         raise ValueError(f"expected 'HEAD : BODY', got {text!r}")
     return head.strip(), body.strip()
+
+
+def _key_value(tok: str) -> tuple[str, str]:
+    key, eq, val = tok.partition("=")
+    if not eq:
+        raise ValueError(f"expected KEY=VALUE, got {tok!r}")
+    return key, val
 
 
 def _split_cond(head: str, word: str) -> tuple[str, str]:
@@ -226,103 +260,115 @@ def _cells(text: str, width: int, sep=None) -> list[str]:
     return cells
 
 
-def _parse_samples(value: str) -> list[dict]:
+def _exprs(cells: Sequence[str], where: str) -> list[GoldenExpr]:
+    return [GoldenExpr(c, where) for c in cells]
+
+
+def _text(value: str, where: str) -> str:
+    return value
+
+
+def _parse_samples(value: str, where: str) -> list[dict]:
     if not value.startswith(":"):
         raise ValueError("expected 'samples : ...'")
     body = value[1:].strip()
     if body == "-":
         return [{}]
-    return [{k: Fraction(v) for k, v in (tok.split("=", 1)
-                                          for tok in chunk.split())}
+    return [{k: Fraction(v) for k, v in map(_key_value, chunk.split())}
             for chunk in body.split(";")]
 
 
-def _if(value: str) -> tuple[str, str]:
-    """'[if COND] : BODY' -> (COND, BODY)"""
-    head, body = _colon(value)
-    rest, cond = _split_cond(head, "if")
-    if rest:
-        raise ValueError(f"expected 'if COND', got {head!r}")
-    return cond, body
+def _if(parse_body):
+    """Parser of '[if COND] : BODY' values: (COND, parse_body(BODY))."""
+    def parse(value: str, where: str):
+        head, body = _colon(value)
+        rest, cond = _split_cond(head, "if")
+        if rest:
+            raise ValueError(f"expected 'if COND', got {head!r}")
+        return _cond(cond, where), parse_body(body, where)
+    return parse
 
 
-def _system(value: str) -> tuple[str, list[str]]:
-    cond, body = _if(value)
-    return cond, [p.strip() for p in body.split("|") if p.strip()]
+_system = _if(lambda body, where: _exprs(
+    [p.strip() for p in body.split("|") if p.strip()], where))
 
 
-def _automorphism(text: str):
+def _automorphism(text: str, where: str):
     name, body = _colon(text)
-    return name, [_cells(r, 4) for r in _cells(body, 4, ";")]
+    return name, [_exprs(_cells(r, 4), where) for r in _cells(body, 4, ";")]
 
 
 _SIGN_OPS = {"ineq": "!=", "pos": ">", "neg": "<"}
 #: coordinate roles in orbit rows: sign constraints and sample grids
 _ROLE_OPS = {"*": "!=", "+": ">", "-": "<"}
 _ROLE_GRID = {".": (0, 1, -2), "*": (1, -1, 2), "+": (1, 2), "-": (-1, -2)}
+_ROLES = {*_ROLE_GRID, "0", "dep"}
 _COORDS = {f"x{i}" for i in range(1, NVARS + 1)}
 
 
-def _orbit(value: str) -> OrbitRow:
+def _orbit(value: str, where: str) -> OrbitRow:
     label, body = _colon(value)
-    row = OrbitRow(label=label, dim=-1, rep_expr="0", star="no")
+    row = OrbitRow(label=label, dim=-1, rep=_ZERO, star=False, cond=_ALWAYS)
     for tok in body.split():
-        key, val = tok.split("=", 1)
+        key, val = _key_value(tok)
         if key in ("dim", "paperdim"):
             setattr(row, key, int(val))
         elif key == "rep":
-            row.rep_expr = val
+            row.rep = GoldenExpr(val, where)
         elif key == "cond":
-            row.cond = val
+            row.cond = _cond(val, where)
         elif key == "star":
             if val not in ("yes", "no") and not val.startswith("if:"):
                 raise ValueError(f"star must be yes, no or if:COND, "
                                  f"got {val!r}")
-            row.star = val
+            row.star = (val == "yes" if val in ("yes", "no")
+                        else _cond(val[3:], where))
         elif key in ("paperrep", "papernote"):
             note = "printed-rep=" + val if key == "paperrep" else val
             row.papernote = (row.papernote + " " + note).strip()
         elif key == "forall":
-            name, vals = val.split(":")
+            name, colon, vals = val.partition(":")
+            if not colon:
+                raise ValueError(f"expected forall=NAME:VALUES, got {tok!r}")
             row.forall = (name, [Fraction(v) for v in vals.split(",")])
         elif key == "eq":
-            row.extra_eqs.append(val)
+            row.extra_eqs.append(GoldenExpr(val, where))
         elif key in _SIGN_OPS:
-            row.extra_ineqs.append((val, _SIGN_OPS[key]))
+            row.extra_ineqs.append((GoldenExpr(val, where), _SIGN_OPS[key]))
         elif key == "sample":
-            row.samples.append(_cells(val, NVARS, ","))
+            row.samples.append(_exprs(_cells(val, NVARS, ","), where))
         elif key in _COORDS:
-            row.coords[key] = val
+            row.coords[key] = val if val in _ROLES else GoldenExpr(val, where)
         elif key != "note":
             raise ValueError(f"unknown orbit token {tok!r}")
     return row
 
 
-def _class(value: str) -> ClassLine:
+def _class(value: str, where: str) -> ClassLine:
     head, body = _colon(value)
     name, cond = _split_cond(head, "when")
     members = body.split()
-    return ClassLine(name=name, members=[m for m in members
-                                         if m != "unwitnessed"],
-                     cond=cond, unwitnessed="unwitnessed" in members)
+    return ClassLine(name=name, cond=_cond(cond, where),
+                     members=[m for m in members if m != "unwitnessed"],
+                     unwitnessed="unwitnessed" in members)
 
 
-def _skipclasses(value: str) -> tuple[str, str]:
+def _skipclasses(value: str, where: str) -> tuple[GoldenExpr, str]:
     head, note = _colon(value)
     rest, cond = _split_cond(head, "when")
     if rest or not cond:
         raise ValueError(f"expected 'when COND', got {head!r}")
-    return cond, note
+    return _cond(cond, where), note
 
 
-_FAMILY_HEADER = _keyed({"family": str, "algebra": str, "when": str,
+_FAMILY_HEADER = _keyed({"family": _text, "algebra": _text, "when": _cond,
                          "samples": _parse_samples})
 _FAMILY_SECTIONS = {
-    "invariants": _keyed({"deg2": _if, "deg3": _if}),
-    "derivations": lambda t: _cells(t, 4),
-    "fields": lambda t: _cells(t, NVARS, "|"),
-    "bricks": str.split,
-    "rr": lambda t: _cells(t, 4, "|"),
+    "invariants": _keyed({"deg2": _if(GoldenExpr), "deg3": _if(GoldenExpr)}),
+    "derivations": lambda t, w: _exprs(_cells(t, 4), w),
+    "fields": lambda t, w: _exprs(_cells(t, NVARS, "|"), w),
+    "bricks": lambda t, w: _exprs(t.split(), w),
+    "rr": lambda t, w: _exprs(_cells(t, 4, "|"), w),
     "mcybe": _keyed({"mcybe": _system}),
     "cybe": _keyed({"cybe": _system}),
     "automorphisms": _automorphism,
@@ -332,6 +378,7 @@ _FAMILY_SECTIONS = {
 
 
 def load_family(stem: str) -> FamilyData:
+    path = data_dir() / "families" / f"{stem}.txt"
     header, sec = _read_golden("families", f"{stem}.txt", _FAMILY_HEADER,
                                _FAMILY_SECTIONS)
     header = dict(header)
@@ -340,7 +387,8 @@ def load_family(stem: str) -> FamilyData:
         return [v for k, v in sec.get(section, []) if k == key]
     fam = FamilyData(
         name=header.get("family", ""), algebra=header.get("algebra", ""),
-        when=header.get("when", ""), samples=header.get("samples", [{}]),
+        when=header.get("when", _ALWAYS),
+        samples=header.get("samples", [{}]),
         invariants={2: keyed("invariants", "deg2"),
                     3: keyed("invariants", "deg3")},
         der_form=sec.get("derivations", []), fields=sec.get("fields", []),
@@ -351,8 +399,7 @@ def load_family(stem: str) -> FamilyData:
         mcybe=keyed("mcybe", "mcybe"), cybe=keyed("cybe", "cybe"),
         automorphisms=sec.get("automorphisms", []),
         orbits=keyed("orbits", "orbit"), classes=keyed("classes", "class"),
-        skipclasses=keyed("classes", "skipclasses"),
-        path=data_dir() / "families" / f"{stem}.txt")
+        skipclasses=keyed("classes", "skipclasses"), path=path)
     labels = {label for row in fam.orbits for label, _ in row.variants()}
     for cl in fam.classes:
         for m in cl.members:
@@ -360,6 +407,16 @@ def load_family(stem: str) -> FamilyData:
                 raise GoldenDataError(f"{fam.path}: class {cl.name}: "
                                       f"member {m!r} names no orbit row")
     return fam
+
+
+def qualifying_samples(fam: FamilyData, samples: Optional[list] = None
+                       ) -> Iterator[tuple[dict, dict, LieAlgebra]]:
+    """(params, short params, algebra) at each parameter sample (those
+    given, or the family's own) where the family's ``when`` holds."""
+    for ps in fam.samples if samples is None else samples:
+        sp = _short_params(ps)
+        if fam.when(sp):
+            yield ps, sp, catalog(fam.algebra, **ps)
 
 
 FAMILY_FILES = ["s1", "s2", "s3", "s3aa", "s3a1", "s311", "s4", "s41",
@@ -386,78 +443,66 @@ class OrbitRecord:
     star: bool
     row: OrbitRow = field(repr=False)
     env: dict = field(repr=False)
-    path: Path = field(repr=False)
 
     @cached_property
     def samples(self) -> list[tuple[Fraction, ...]]:
-        with _naming(self.path, f"orbit row {self.label}"):
-            return _row_samples(self.row, self.branch, self.rep, self.env)
+        row, branch, env = self.row, self.branch, self.env
+        out: list[tuple[Fraction, ...]] = []
+
+        def push(pt):
+            pt = tuple(rat(x) for x in pt)
+            if locus_contains(branch, pt) and pt not in out:
+                out.append(pt)
+
+        push(self.rep.coords())
+        for s in row.samples:
+            push([Fraction(e(env)) for e in s])
+
+        roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
+        grid_axes = [(i, [Fraction(v) for v in _ROLE_GRID[val]])
+                     for i, val in enumerate(roles) if val in _ROLE_GRID]
+        dep = [int(k[1:]) - 1 for k, v in row.coords.items() if v == "dep"]
+        expr_coords = {int(k[1:]) - 1: v.poly(env)
+                       for k, v in row.coords.items()
+                       if isinstance(v, GoldenExpr)}
+        eq_polys = [e.poly(env) for e in row.extra_eqs]
+
+        axes = [vals for _, vals in grid_axes]
+        idxs = [i for i, _ in grid_axes]
+        count = 0
+        for combo in itertools.product(*axes) if axes else [()]:
+            if count > 400 or len(out) > 24:
+                break
+            count += 1
+            pt = [Fraction(0)] * NVARS
+            for i, v in zip(idxs, combo):
+                pt[i] = v
+            for i, expr in expr_coords.items():
+                pt[i] = expr.eval(pt)
+            for d in dep:
+                for e in eq_polys:
+                    x = solve_linear(e, d, pt)
+                    if x is not None:
+                        pt[d] = x
+                        break
+            push(pt)
+        return out
 
 
-def _row_branch(row: OrbitRow, env_params: dict) -> TreeBranch:
+def _row_branch(label: str, row: OrbitRow, env: dict) -> TreeBranch:
     eqs: list[Poly] = []
     ineqs: list = []
     for key, val in row.coords.items():
         i = int(key[1:]) - 1
-        if val in (".", "dep"):
-            continue
         if val == "0":
             eqs.append(Poly.var(i))
         elif val in _ROLE_OPS:
             ineqs.append((Poly.var(i), _ROLE_OPS[val]))
-        else:
-            expr = parse_poly(val, NVARS, env_params)
-            eqs.append(Poly.var(i) - expr)
-    for e in row.extra_eqs:
-        eqs.append(parse_poly(e, NVARS, env_params))
-    for e, op in row.extra_ineqs:
-        ineqs.append((parse_poly(e, NVARS, env_params), op))
-    return TreeBranch(label=row.label, equalities=eqs, inequalities=ineqs)
-
-
-def _row_samples(row: OrbitRow, branch: TreeBranch, rep: MultiVector,
-                 env_params: dict) -> list[tuple[Fraction, ...]]:
-    out: list[tuple[Fraction, ...]] = []
-
-    def push(pt):
-        pt = tuple(rat(x) for x in pt)
-        if locus_contains(branch, pt) and pt not in out:
-            out.append(pt)
-
-    push(rep.coords())
-    for s in row.samples:
-        vals = [parse_expr(v, dict(env_params)) for v in s]
-        push([Fraction(v) for v in vals])
-
-    roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
-    grid_axes = [(i, [Fraction(v) for v in _ROLE_GRID[val]])
-                 for i, val in enumerate(roles) if val in _ROLE_GRID]
-    dep = [int(k[1:]) - 1 for k, v in row.coords.items() if v == "dep"]
-    expr_coords = {int(k[1:]) - 1: parse_poly(v, NVARS, env_params)
-                   for k, v in row.coords.items()
-                   if v not in {".", "*", "+", "-", "0", "dep"}}
-    eq_polys = [parse_poly(e, NVARS, env_params) for e in row.extra_eqs]
-
-    axes = [vals for _, vals in grid_axes]
-    idxs = [i for i, _ in grid_axes]
-    count = 0
-    for combo in itertools.product(*axes) if axes else [()]:
-        if count > 400 or len(out) > 24:
-            break
-        count += 1
-        pt = [Fraction(0)] * NVARS
-        for i, v in zip(idxs, combo):
-            pt[i] = v
-        for i, expr in expr_coords.items():
-            pt[i] = expr.eval(pt)
-        for d in dep:
-            for e in eq_polys:
-                x = solve_linear(e, d, pt)
-                if x is not None:
-                    pt[d] = x
-                    break
-        push(pt)
-    return out
+        elif isinstance(val, GoldenExpr):
+            eqs.append(Poly.var(i) - val.poly(env))
+    eqs += [e.poly(env) for e in row.extra_eqs]
+    ineqs += [(e.poly(env), op) for e, op in row.extra_ineqs]
+    return TreeBranch(label=label, equalities=eqs, inequalities=ineqs)
 
 
 def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
@@ -467,21 +512,13 @@ def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
     for row in fam.orbits:
         for label, binding in row.variants():
             env = {**sp, **binding}
-            with _naming(fam.path, f"orbit row {label}"):
-                if row.cond and not parse_condition(row.cond, env):
-                    continue
-                branch = _row_branch(row, env)
-                branch.label = label
-                rep = parse_multivector(row.rep_expr, env)
-                if row.star == "yes":
-                    star = True
-                elif row.star == "no":
-                    star = False
-                else:
-                    star = parse_condition(row.star.split("if:", 1)[1], env)
+            if not row.cond(env):
+                continue
+            branch = _row_branch(label, row, env)
+            star = row.star if isinstance(row.star, bool) else row.star(env)
             records.append(OrbitRecord(
-                label=label, rep=rep, dim=row.dim, branch=branch,
-                star=star, row=row, env=env, path=fam.path))
+                label=label, rep=row.rep.mv(env), dim=row.dim, branch=branch,
+                star=star, row=row, env=env))
     return records
 
 
@@ -516,8 +553,7 @@ def load_automorphisms(fam: FamilyData, params: dict,
     sp = _short_params(params)
     out = []
     for nme, rows in fam.automorphisms:
-        with _naming(fam.path, "[automorphisms]"):
-            T = RatMatrix([[parse_expr(x, dict(sp)) for x in r] for r in rows])
+        T = RatMatrix([[e(sp) for e in r] for r in rows])
         if not is_automorphism(g, T):
             raise WitnessMissing(
                 f"{fam.name}: shipped matrix {nme} fails bracket preservation")
@@ -534,11 +570,7 @@ def verify_orbit_table(stem: str) -> TableReport:
     rows: list[RowResult] = []
     unmerged = []
     auts_count = 0
-    for ps in fam.samples:
-        sp = _short_params(ps)
-        if fam.when and not parse_condition(fam.when, sp):
-            continue
-        g = catalog(fam.algebra, **ps)
+    for ps, sp, g in qualifying_samples(fam):
         auts = load_automorphisms(fam, ps, g)
         auts_count += len(auts)
         lifted = [lambda_matrix(T, 2) for _, T in auts]
@@ -626,13 +658,11 @@ class BundleResult:
 
 def _der_form_basis(form_rows, params: dict) -> list[RatMatrix]:
     syms = sorted({tok for row in form_rows for e in row
-                   for tok in re.findall(r"m\d+", e)})
+                   for tok in re.findall(r"m\d+", e.text)})
     out = []
     for s in syms:
-        env = {t: Fraction(1 if t == s else 0) for t in syms}
-        env.update({k: Fraction(v) for k, v in params.items()})
-        out.append(RatMatrix([[parse_expr(e, env) for e in row]
-                              for row in form_rows]))
+        env = {**{t: Fraction(t == s) for t in syms}, **params}
+        out.append(RatMatrix([[e(env) for e in row] for row in form_rows]))
     return out
 
 
@@ -642,44 +672,34 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
     span/locus agreement of the Yang-Baxter systems."""
     fam = load_family(stem)
     results = []
-    for ps in fam.samples:
-        sp = _short_params(ps)
-        if fam.when and not parse_condition(fam.when, sp):
-            continue
-        g = catalog(fam.algebra, **ps)
+    for ps, sp, g in qualifying_samples(fam):
         ctx = AlgebraContext(g)
         problems = []
 
         for deg, (inv, _) in ((2, ctx.inv2), (3, ctx.inv3)):
-            with _naming(fam.path, "[invariants]"):
-                want = [parse_multivector(e, sp).coords()
-                        for cond, e in fam.invariants[deg]
-                        if parse_condition(cond, sp)]
+            want = [e.mv(sp).coords() for cond, e in fam.invariants[deg]
+                    if cond(sp)]
             got = [v.coords() for v in inv]
             if not _same_span(want, got):
                 problems.append(f"invariants deg {deg} disagree")
 
         if fam.der_form:
-            with _naming(fam.path, "[derivations]"):
-                form = _der_form_basis(fam.der_form, sp)
+            form = _der_form_basis(fam.der_form, sp)
             if not _same_span([m.flat() for m in form],
                               [m.flat() for m in ctx.ders]):
                 problems.append("derivation form span disagrees")
 
         if fam.fields:
-            with _naming(fam.path, "[fields]"):
-                want_rows = [_field_matrix(frow, sp).flat()
-                             for frow in fam.fields]
+            env = {**_XS, **sp}
+            want_rows = [[c for e in frow for c in e(env, _linear_row)]
+                         for frow in fam.fields]
             comp = [X.matrix.flat() for X in ctx.fields]
             if not _same_span(want_rows, comp):
                 problems.append("fundamental field span disagrees")
 
         if fam.bricks is not None:
-            with _naming(fam.path, "[bricks]"):
-                want_bricks = [normalize_poly(parse_poly(bstr, NVARS, sp))
-                               for bstr in fam.bricks]
-            got_bricks = [b.poly
-                          for b in find_bricks(ctx.fields)]
+            want_bricks = [normalize_poly(b.poly(sp)) for b in fam.bricks]
+            got_bricks = [b.poly for b in find_bricks(ctx.fields)]
             if sorted(p.text() for p in want_bricks) != \
                     sorted(p.text() for p in got_bricks):
                 problems.append(
@@ -692,21 +712,18 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
             r = generic_bivector(g)
             rrv = schouten(g, r, r)
             for bl, expr in zip(blades(4, 3), fam.rr):
-                with _naming(fam.path, "[rr]"):
-                    want = parse_poly(expr, NVARS, sp)
-                got = rrv.terms.get(bl, Poly.zero())
-                if want != got:
+                if expr.poly(sp) != rrv.terms.get(bl, Poly.zero()):
                     problems.append(f"[r,r] coefficient at blade {bl} differs")
 
         for kind, lines, computed in (("mcybe", fam.mcybe, ybs.reduced),
                                       ("cybe", fam.cybe,
                                        reduce_system([p for p in ybs.cybe
                                                       if not p.is_zero()]))):
-            with _naming(fam.path, f"[{kind}]"):
-                golden = _pick_system(lines, sp)
+            golden = next((polys for cond, polys in lines if cond(sp)), None)
             if golden is None:
                 continue
-            gp = [normalize_poly(q) for q in golden if not q.is_zero()]
+            gp = [normalize_poly(q) for q in (e.poly(sp) for e in golden)
+                  if not q.is_zero()]
             if not _poly_span_equal(gp, computed):
                 problems.append(f"{kind} system span disagrees")
             if kind == "mcybe" and not loci_agree(
@@ -718,24 +735,13 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
     return results
 
 
-def _field_matrix(entries: Sequence[str], params: dict) -> RatMatrix:
-    rows = []
-    for e in entries:
-        pe = parse_poly(e, NVARS, params)
-        row = [Fraction(0)] * NVARS
-        for mono, c in pe.terms.items():
-            if len(mono) != 1 or mono[0][1] != 1:
-                raise ExprError(f"field entry {e!r} is not linear")
-            row[mono[0][0]] = c
-        rows.append(row)
-    return RatMatrix(rows)
-
-
-def _pick_system(lines, sp) -> Optional[list[Poly]]:
-    for cond, polys in lines:
-        if parse_condition(cond, sp):
-            return [parse_poly(p, NVARS, sp) for p in polys]
-    return None
+def _linear_row(v, text: str) -> list[Fraction]:
+    row = [Fraction(0)] * NVARS
+    for mono, c in as_poly(v, text).terms.items():
+        if len(mono) != 1 or mono[0][1] != 1:
+            raise ExprError(f"field entry {text!r} is not linear")
+        row[mono[0][0]] = c
+    return row
 
 
 def _same_span(a, b) -> bool:
@@ -795,21 +801,31 @@ SCHOUTEN_PARAMS = {
 
 
 def _blades(degree: int) -> dict[str, MultiVector]:
-    return {"e" + "".join(str(i + 1) for i in idxs):
-            MultiVector.blade(4, list(idxs))
-            for idxs in itertools.combinations(range(4), degree)}
+    return {k: v for k, v in _blade_env(4).items() if v.degree == degree}
+
+
+def _schouten_entry(cell: str, where: str):
+    """'.' -> None, '[PRINTED=>]VERIFIED' -> (PRINTED or None, VERIFIED)"""
+    if cell == ".":
+        return None
+    printed, arrow, verified = cell.partition("=>")
+    if not arrow:
+        printed, verified = None, cell
+    return printed, GoldenExpr(verified, where)
 
 
 def load_schouten_table(fname: str, degl: int, degr: int) -> dict:
     """One bracket table: family -> [(left blade, column entries)], the
-    left blades of degree degl and one column per blade of degree degr."""
+    left blades of degree degl and one column per blade of degree degr,
+    each entry as ``_schouten_entry`` reads it."""
     lefts, ncols = _blades(degl), len(_blades(degr))
 
-    def row(text: str):
+    def row(text: str, where: str):
         left, body = _colon(text)
         if left not in lefts:
             raise ValueError(f"{left!r} is not a blade of degree {degl}")
-        return left, _cells(body, ncols, "|")
+        return left, [_schouten_entry(c, where)
+                      for c in _cells(body, ncols, "|")]
     table = _read_golden("schouten", fname, _keyed({}),
                          dict.fromkeys(FAMILIES, row))[1]
     for family, rows in table.items():
@@ -840,19 +856,17 @@ def verify_schouten_family(family: str) -> tuple[list[str], list[str]]:
         lefts, cols = _blades(degl), _blades(degr)
         for left, entries in table[family]:
             for (cname, right), entry in zip(cols.items(), entries):
-                if entry == ".":
+                if entry is None:
                     continue
-                if "=>" in entry:
-                    printed, entry = entry.split("=>")
+                printed, want = entry
+                if printed is not None:
                     errata.append(f"{family}: printed [{left}, {cname}] = "
-                                  f"{printed}, verified {entry}")
-                with _naming(data_dir() / "schouten" / fname, f"[{family}]"):
-                    want = parse_multivector(entry, sp) if entry != "0" \
-                        else MultiVector.zero(4, degl + degr - 1)
+                                  f"{printed}, verified {want.text}")
+                # a zero multivector equals the zero of any degree
                 got = schouten(g, lefts[left], right)
-                if got != want:
+                if got != want.mv(sp):
                     bad.append(f"{family}: [{left}, {cname}] = {got.text()}"
-                               f" but table says {entry}")
+                               f" but table says {want.text}")
     return bad, errata
 
 
@@ -865,40 +879,41 @@ class TreeData:
     name: str
     family_stem: str
     samples: list
-    branches: list      # (kind, label, eq strs, ineq strs, meta dict)
+    branches: list      # (kind, label, eq exprs, ineq exprs, meta dict)
 
 
-def _tree_meta(text: str) -> dict:
-    meta: dict = {"when": "", "dim": None, "k": None, "samples": []}
+def _tree_meta(text: str, where: str) -> dict:
+    meta: dict = {"when": _ALWAYS, "dim": None, "k": None, "samples": []}
     toks = iter(text.split())
     for tok in toks:
         key, eq, val = tok.partition("=")
         if tok == "when":
-            meta["when"] = next(toks, "")
-            if not meta["when"]:
+            meta["when"] = _cond(next(toks, ""), where)
+            if meta["when"] is _ALWAYS:
                 raise ValueError("'when' needs a condition")
         elif key == "dim" and eq:
             meta["dim"] = int(val)
         elif key == "k" and eq:
             meta["k"] = [Fraction(v) for v in val.split(",")]
         elif key == "sample" and eq:
-            meta["samples"].append(_cells(val, NVARS, ","))
+            meta["samples"].append(_exprs(_cells(val, NVARS, ","), where))
         else:
             raise ValueError(f"unknown tree token {tok!r}")
     return meta
 
 
-def _branch(value: str):
+def _branch(value: str, where: str):
     """'LABEL : f1, f2 | g1 ; dim=N k=... sample=... when COND'"""
     label, body = _colon(value)
     body, _, meta = body.partition(";")
     eq_part, _, ineq_part = body.partition("|")
     eqs = [e.strip() for e in eq_part.split(",") if e.strip()]
     ineqs = [e.strip() for e in ineq_part.split(",") if e.strip()]
-    return label, eqs, ineqs, _tree_meta(meta)
+    return (label, _exprs(eqs, where), _exprs(ineqs, where),
+            _tree_meta(meta, where))
 
 
-_TREE_LINE = _keyed({"tree": str, "samples": _parse_samples,
+_TREE_LINE = _keyed({"tree": _text, "samples": _parse_samples,
                      "branch": _branch, "nosol": _branch})
 
 
@@ -932,36 +947,27 @@ def verify_tree(stem: str) -> TreeReport:
     rank; mCYBE membership) and no-solution branches get an exact
     infeasibility certificate."""
     tree = load_tree(stem)
-    path = data_dir() / "trees" / f"{stem}.txt"
     fam = load_family(tree.family_stem)
     verified, nosol, unconfirmed, failures = [], [], [], []
     family_cache: dict = {}
     for ps in tree.samples:
         sp = _short_params(ps)
         g = catalog(fam.algebra, **ps)
-        with _naming(fam.path, "[derivations]"):
-            ctx = AlgebraContext(g, _der_form_basis(fam.der_form, sp)
-                                 if fam.der_form else None)
+        ctx = AlgebraContext(g, _der_form_basis(fam.der_form, sp)
+                             if fam.der_form else None)
         msys = [p for p in ctx.yb_system.mcybe if not p.is_zero()]
         for kind, label, eqs, ineqs, meta in tree.branches:
-            kvals = meta.get("k") or [None]
-            for kv in kvals:
-                env = dict(sp)
-                blabel = label
-                if kv is not None:
-                    env["k"] = kv
-                    blabel = f"{label}[k={kv}]"
-                with _naming(path, f"branch {blabel}"):
-                    if meta["when"] and not parse_condition(meta["when"], env):
-                        continue
-                    branch = TreeBranch(
-                        label=blabel,
-                        equalities=[parse_poly(e, NVARS, env) for e in eqs],
-                        inequalities=[(parse_poly(e, NVARS, env), "!=")
-                                      for e in ineqs],
-                        expected_dim=meta["dim"])
-                    extra = [[Fraction(parse_expr(v, dict(env))) for v in s]
-                             for s in meta["samples"]]
+            for kv in meta["k"] or [None]:
+                env = dict(sp) if kv is None else {**sp, "k": kv}
+                blabel = label if kv is None else f"{label}[k={kv}]"
+                if not meta["when"](env):
+                    continue
+                branch = TreeBranch(
+                    label=blabel, equalities=[e.poly(env) for e in eqs],
+                    inequalities=[(e.poly(env), "!=") for e in ineqs],
+                    expected_dim=meta["dim"])
+                extra = [[Fraction(e(env)) for e in s]
+                         for s in meta["samples"]]
                 if kind == "nosol":
                     cert = certify_no_solutions(branch, msys, NVARS)
                     if cert is None:
@@ -1024,17 +1030,11 @@ def verify_coboundary_classes(stem: str,
     never fabricated.  Cross-class separation certificates are recorded
     where the necessary conditions distinguish representatives."""
     fam = load_family(stem)
-    param_sets = [params] if params is not None else fam.samples
     reports = []
-    for ps in param_sets:
-        sp = _short_params(ps)
-        if fam.when and not parse_condition(fam.when, sp):
-            continue
-        g = catalog(fam.algebra, **ps)
-        skip = None
-        for cond, note in fam.skipclasses:
-            if parse_condition(cond, sp):
-                skip = note
+    for ps, sp, g in qualifying_samples(
+            fam, None if params is None else [params]):
+        skip = next((note for cond, note in reversed(fam.skipclasses)
+                     if cond(sp)), None)
         if skip:
             reports.append(ClassReport(family=fam.name, params=dict(ps),
                                        witnessed=[], unwitnessed=[],
@@ -1043,13 +1043,9 @@ def verify_coboundary_classes(stem: str,
         ctx = AlgebraContext(g)
         records = {r.label: r for r in expand_rows(fam, ps)}
         auts = [("id", RatMatrix.identity(4))] + load_automorphisms(fam, ps, g)
-        applied: list[tuple[str, list[str]]] = []
-        for cl in fam.classes:
-            if cl.cond and not parse_condition(cl.cond, sp):
-                continue
-            members = [m for m in cl.members if m in records]
-            if len(members) >= 1:
-                applied.append((cl.name, members))
+        applied = [(cl.name, [m for m in cl.members if m in records])
+                   for cl in fam.classes if cl.cond(sp)]
+        applied = [(name, ms) for name, ms in applied if ms]
         covered = {m for _, ms in applied for m in ms}
         for label in records:
             if label not in covered:

@@ -18,12 +18,11 @@ from darbouxlie.classify import (FAMILY_FILES, TREE_FILES, expand_rows,
                                  load_family, verify_coboundary_classes,
                                  verify_family_bundle, verify_orbit_table,
                                  verify_schouten_family, verify_tree,
-                                 _pick_system, _short_params)
+                                 qualifying_samples)
 from darbouxlie.centerext import build_rep, solve_grading
 from darbouxlie.darboux import find_bricks
 from darbouxlie.derivations import derivation_basis, fundamental_fields
 from darbouxlie.exactmath import RatMatrix, Poly, normalize_poly, span_contains
-from darbouxlie.exprparse import parse_condition, parse_poly
 from darbouxlie.grassmann import (MultiVector, ad_action, blades,
                                   invariants, schouten, wedge)
 from darbouxlie.liealg import FAMILIES, bracket, catalog, center, from_brackets
@@ -78,14 +77,11 @@ def test_criterion_2_yang_baxter_loci():
     failures = []
     for stem in FAMILY_FILES:
         fam = load_family(stem)
-        for ps in fam.samples:
-            sp = _short_params(ps)
-            if fam.when and not parse_condition(fam.when, sp):
-                continue
-            golden = _pick_system(fam.mcybe, sp)
+        for ps, sp, g in qualifying_samples(fam):
+            golden = next(([e.poly(sp) for e in polys]
+                           for cond, polys in fam.mcybe if cond(sp)), None)
             if golden is None:
                 continue
-            g = catalog(fam.algebra, **ps)
             computed = [p for p in yb_system(g).mcybe if not p.is_zero()]
             A = _int_polys(computed)
             B = _int_polys([q for q in golden if not q.is_zero()])
@@ -357,11 +353,7 @@ def test_criterion_9_property_suites():
     # cocycle identity for every table representative
     for stem in FAMILY_FILES:
         fam = load_family(stem)
-        for ps in fam.samples:
-            sp = _short_params(ps)
-            if fam.when and not parse_condition(fam.when, sp):
-                continue
-            g = catalog(fam.algebra, **ps)
+        for ps, _, g in qualifying_samples(fam):
             for rec in expand_rows(fam, ps):
                 if not is_mcybe_solution(g, rec.rep):
                     failures.append(("mcybe-rep", rec.label))

@@ -7,7 +7,8 @@ import pytest
 from darbouxlie.classify import (FAMILY_FILES, GoldenDataMissing, TREE_FILES,
                                  WitnessMissing, expand_rows, load_family,
                                  load_automorphisms, load_tree, loci_agree,
-                                 parse_multivector, verify_automorphism_witness,
+                                 parse_multivector, qualifying_samples,
+                                 verify_automorphism_witness,
                                  verify_coboundary_classes, verify_orbit_table,
                                  verify_schouten_family, verify_tree)
 from darbouxlie.darboux import TreeBranch
@@ -23,7 +24,7 @@ def test_load_family_s1():
     fam = load_family("s1")
     assert fam.algebra == "s1"
     assert len(fam.orbits) == 13
-    assert fam.bricks == ["x5", "x6"]
+    assert [b.text for b in fam.bricks] == ["x5", "x6"]
     assert len(fam.automorphisms) == 3
     assert [c.name for c in fam.classes] == list("abcde")
 
@@ -69,12 +70,7 @@ def test_forall_expansion():
 def test_shipped_automorphisms_validate():
     for stem in FAMILY_FILES:
         fam = load_family(stem)
-        for ps in fam.samples:
-            from darbouxlie.exprparse import parse_condition
-            from darbouxlie.classify import _short_params
-            if fam.when and not parse_condition(fam.when, _short_params(ps)):
-                continue
-            g = catalog(fam.algebra, **ps)
+        for ps, _, g in qualifying_samples(fam):
             auts = load_automorphisms(fam, ps, g)
             assert all(T.rows == 4 for _, T in auts)
 

@@ -82,6 +82,24 @@ def test_malformed_point_or_bivector_exits_2(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("bivector, message", [
+    ("(" * 250 + "e12" + ")" * 250, "too many nested parentheses"),
+    ("0+" + "-" * 3000 + "e12", "nested too deeply")],
+    ids=["250-parentheses", "3000-signs"])
+def test_deeply_nested_bivector_exits_2(bivector, message, capsys):
+    code, out = run_cli("orbit-dim", "--algebra", "s1", bivector)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_long_sum_bivector_answers():
+    code, out = run_cli("orbit-dim", "--algebra", "s1",
+                        "+".join(["e12"] * 1000))
+    assert code == 0 and out.endswith("under Aut(s1): 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit-dim", "--algebra", "s1", "e12*e34"],
     ["schouten", "--algebra", "s1", "e1*e2", "e3"]],
@@ -359,10 +377,10 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
     fam.write_text(fam.read_text().replace("x5 x6", "x5"))
     monkeypatch.setenv("DARBOUXLIE_DATA", str(alt))
     from darbouxlie.classify import load_family, verify_family_bundle
-    assert load_family("s1").bricks == ["x5"]
+    assert [b.text for b in load_family("s1").bricks] == ["x5"]
     assert not verify_family_bundle("s1")[0].ok
     monkeypatch.delenv("DARBOUXLIE_DATA")
-    assert load_family("s1").bricks == ["x5", "x6"]
+    assert [b.text for b in load_family("s1").bricks] == ["x5", "x6"]
 
 
 def test_verify_tables_parallel_jobs():

@@ -2,6 +2,8 @@
 errors that name the file and line, and generated one-line mutations."""
 
 import contextlib
+import dataclasses
+import functools
 import shutil
 from io import StringIO
 from pathlib import Path
@@ -18,7 +20,7 @@ from darbouxlie.classify import (FAMILY_FILES, SCHOUTEN_TABLES, TREE_FILES,
                                  verify_orbit_table, verify_schouten_family,
                                  verify_tree)
 from darbouxlie.cli import main
-from darbouxlie.liealg import catalog
+from darbouxlie.liealg import FAMILIES, catalog
 
 
 def run_cli(*args):
@@ -70,6 +72,8 @@ S1_ROW = ("orbit VIII- : dim=4 star=no rep=-e12+e34 x1=- x2=. x3=0 x4=. "
 S1_I_PLUS = ("orbit I+    : dim=1 star=no rep=e12 x1=+ x2=0 x3=0 x4=0 x5=0 "
              "x6=0")
 TREE_I = "branch I    : x5, x6, x3, x4, x2 | x1 ; dim=1"
+S6_VII = ("orbit VII    : dim=3 star=yes forall=k:2,-2,3,-3 rep=k*e14+e23 "
+          "x1=. x2=. x3=k*x4 x4=* x5=0 x6=0")
 
 # (file, line, replacement, loader, CLI arguments, message); the error
 # names the first line that changed
@@ -106,6 +110,34 @@ MALFORMED = {
         "trees/s1.txt", TREE_I, TREE_I + " sample=1,2",
         lambda: load_tree("s1"), ("darboux-verify", "--tree", "s1"),
         "expected 6 entries, got 2"),
+    "orbit-token-without-value": (
+        "families/s1.txt", S1_I_PLUS, S1_I_PLUS + " foo",
+        lambda: load_family("s1"), ("verify-tables", "--algebra", "s1"),
+        "expected KEY=VALUE, got 'foo'"),
+    "sample-without-value": (
+        "families/s8.txt", "samples : alpha=1/2 ; alpha=3/4 ; alpha=-1/2",
+        "samples : alpha", lambda: load_family("s8"),
+        ("verify-tables", "--algebra", "s8"),
+        "expected KEY=VALUE, got 'alpha'"),
+    "forall-without-values": (
+        "families/s6.txt", S6_VII, S6_VII.replace("forall=k:2,-2,3,-3",
+                                                  "forall=k"),
+        lambda: load_family("s6"), ("verify-tables", "--algebra", "s6"),
+        "expected forall=NAME:VALUES, got 'forall=k'"),
+    # a condition that holds at no shipped sample: its line is read anyway
+    "syntax-in-unused-invariant": (
+        "families/s3.txt", "deg2 if b=-1 : e13", "deg2 if b=-1 : e13+",
+        lambda: load_family("s3"), ("verify-tables", "--algebra", "s3"),
+        "cannot parse 'e13+': invalid syntax"),
+    "syntax-in-tree-condition": (
+        "trees/s1.txt", TREE_I, TREE_I + " when a=(1",
+        lambda: load_tree("s1"), ("darboux-verify", "--tree", "s1"),
+        "cannot parse '(1': '(' was never closed"),
+    "call-in-schouten-entry": (
+        "schouten/table_g_l2.txt", "e2 : 0 | 0 | 0 | 0 | e12 | e13",
+        "e2 : 0 | 0 | 0 | 0 | e12 | f(e13)",
+        lambda: load_schouten_table(*SCHOUTEN_TABLES[0]),
+        ("verify-tables", "--algebra", "s1"), "unsupported call 'f(e13)'"),
 }
 
 
@@ -173,61 +205,56 @@ def test_inconsistent_golden_file_is_an_input_error(case, tmp_path,
 S1_TABLES = ("verify-tables", "--algebra", "s1")
 
 
-def _s1_section(line: str, new: str, section: str, check=None,
-                argv=S1_TABLES, message="division by zero"):
+def _s1_section(line: str, new: str, check=None, argv=S1_TABLES,
+                message="division by zero"):
     """An EXPRESSIONS case for a line of a section of families/s1.txt."""
     return ("families/s1.txt", line, new,
-            check or (lambda: verify_family_bundle("s1")), argv,
-            f"{section}: {message}")
+            check or (lambda: verify_family_bundle("s1")), argv, message)
 
 
 S1_RR = "2*(-x2*x5+x3*x4-x4*x5) | -2*x5^2 | 2*(x3-x5)*x6 | 2*x5*x6"
 S1_AUT = "T(+,-) : 1 0 0 0 ; 0 1 0 0 ; 0 0 -1 0 ; 0 0 0 1"
 
 # (file, line, replacement, check, CLI arguments, message) for expressions
-# that are parsed only when a check runs, at the parameter values of a
-# sample: the error names the file and the section, branch or orbit row
+# that compile but fail when a check evaluates them at the parameter values
+# of a sample: the error names the file and the line
 EXPRESSIONS = {
-    "invariants-division": _s1_section("deg2 : e12", "deg2 : e12/0",
-                                       "[invariants]"),
-    "derivations-division": _s1_section("0 0 m33 m34", "0 0 m33/0 m34",
-                                        "[derivations]"),
+    "invariants-division": _s1_section("deg2 : e12", "deg2 : e12/0"),
+    "derivations-division": _s1_section("0 0 m33 m34", "0 0 m33/0 m34"),
     "tree-derivations-division": _s1_section(
-        "0 0 m33 m34", "0 0 m33/0 m34", "[derivations]",
-        lambda: verify_tree("s1"), ("darboux-verify", "--tree", "s1")),
+        "0 0 m33 m34", "0 0 m33/0 m34", lambda: verify_tree("s1"),
+        ("darboux-verify", "--tree", "s1")),
     "fields-division": _s1_section("0 | x4 | x5 | 0 | 0 | 0",
-                                   "0 | x4 | x5/0 | 0 | 0 | 0", "[fields]"),
-    "bricks-division": _s1_section("x5 x6", "x5/0 x6", "[bricks]"),
+                                   "0 | x4 | x5/0 | 0 | 0 | 0"),
+    "bricks-division": _s1_section("x5 x6", "x5/0 x6"),
     "bricks-negative-power": _s1_section(
-        "x5 x6", "x5^(0-1) x6", "[bricks]",
+        "x5 x6", "x5^(0-1) x6",
         message="polynomial powers must be nonnegative integers"),
-    "rr-division": _s1_section(S1_RR, S1_RR + "/0", "[rr]"),
+    "rr-division": _s1_section(S1_RR, S1_RR + "/0"),
     "mcybe-division": _s1_section("mcybe : x3*x4 | x3*x6 | x5",
-                                  "mcybe : x3*x4 | x3*x6 | x5/0", "[mcybe]"),
+                                  "mcybe : x3*x4 | x3*x6 | x5/0"),
     "cybe-division": _s1_section("cybe : x3*x4 | x3*x6 | x5",
-                                 "cybe : x3*x4 | x3*x6 | x5/0", "[cybe]"),
+                                 "cybe : x3*x4 | x3*x6 | x5/0"),
     "automorphism-division": _s1_section(
-        S1_AUT, S1_AUT.replace(": 1 0", ": 1/0 0"), "[automorphisms]",
+        S1_AUT, S1_AUT.replace(": 1 0", ": 1/0 0"),
         lambda: load_automorphisms(load_family("s1"), {}, catalog("s1"))),
     "schouten-division": (
         "schouten/table_g_l2.txt", "e2 : 0 | 0 | 0 | 0 | e12 | e13",
         "e2 : 0 | 0 | 0 | 0 | e12/0 | e13",
         lambda: verify_schouten_family("s1"), S1_TABLES,
-        "[s1]: division by zero"),
+        "division by zero"),
     "tree-branch-division": (
         "trees/s1.txt", TREE_I, TREE_I.replace("| x1", "| 1/0*x1"),
         lambda: verify_tree("s1"), ("darboux-verify", "--tree", "s1"),
-        "branch I: division by zero"),
+        "division by zero"),
     "orbit-rep-division": (
         "families/s1.txt", S1_I_PLUS, S1_I_PLUS.replace("rep=e12", "rep=e12/0"),
         lambda: expand_rows(load_family("s1"), {}),
-        ("verify-tables", "--algebra", "s1"),
-        "orbit row I+: division by zero"),
+        ("verify-tables", "--algebra", "s1"), "division by zero"),
     "orbit-sample-symbol": (
         "families/s1.txt", S1_I_PLUS, S1_I_PLUS + " sample=y,0,0,0,0,0",
         lambda: [rec.samples for rec in expand_rows(load_family("s1"), {})],
-        ("verify-tables", "--algebra", "s1"),
-        "orbit row I+: unknown symbol 'y'"),
+        ("verify-tables", "--algebra", "s1"), "unknown symbol 'y'"),
 }
 
 
@@ -235,13 +262,14 @@ EXPRESSIONS = {
 def test_bad_expression_names_file_and_row(case, tmp_path, monkeypatch,
                                            capsys):
     rel, old, new, check, argv, message = EXPRESSIONS[case]
-    path, _ = _edited_copy(tmp_path, monkeypatch, rel, (old, new))
+    path, n = _edited_copy(tmp_path, monkeypatch, rel, (old, new))
+    where = f"{path}:{n}: "
     with pytest.raises(classify.GoldenDataError) as info:
         check()
-    assert str(info.value) == f"{path}: {message}"
+    assert str(info.value) == where + message
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
 @pytest.mark.parametrize("constant, reason", [
@@ -343,3 +371,93 @@ def test_mutated_golden_file_loads_or_is_an_input_error(
         pass
     finally:
         monkeypatch.delenv("DARBOUXLIE_DATA")
+
+
+# ---------------------------------------------------------------------------
+# expression-syntax mutations: every expression is compiled at load
+# ---------------------------------------------------------------------------
+
+def _golden_exprs(obj):
+    """Every GoldenExpr read from a line of a loaded golden file."""
+    if isinstance(obj, classify.GoldenExpr):
+        if obj.where:
+            yield obj
+    elif isinstance(obj, (list, tuple)):
+        for o in obj:
+            yield from _golden_exprs(o)
+    elif isinstance(obj, dict):
+        for o in obj.values():
+            yield from _golden_exprs(o)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _golden_exprs(getattr(obj, f.name))
+
+
+@functools.cache
+def _shipped_exprs(kind, stem, load):
+    """(line number, text) of each expression of a shipped file."""
+    return sorted({(int(e.where.rsplit(":", 1)[1]), e.text)
+                   for e in _golden_exprs(load())})
+
+
+def _load_with_syntax_error(kind, stem, load, lineno, text, junk, tmp_path,
+                            monkeypatch):
+    """Append ``junk`` to every occurrence of ``text`` on line ``lineno``
+    of a copy of the shipped file, and check that the load names it."""
+    lines = (SHIPPED / kind / f"{stem}.txt").read_text().splitlines()
+    lines[lineno - 1] = lines[lineno - 1].replace(text, text + junk)
+    (tmp_path / kind).mkdir(exist_ok=True)
+    path = tmp_path / kind / f"{stem}.txt"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("DARBOUXLIE_DATA", str(tmp_path))
+    try:
+        with pytest.raises(classify.GoldenDataError) as info:
+            load()
+    finally:
+        monkeypatch.delenv("DARBOUXLIE_DATA")
+    assert str(info.value).startswith(f"{path}:{lineno}: ")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(GOLDEN), pick=st.integers(0, 10**6),
+       junk=st.sampled_from(["+", "(", "*", "/)"]))
+def test_expression_syntax_error_fails_the_load_at_its_line(
+        which, pick, junk, tmp_path, monkeypatch):
+    exprs = _shipped_exprs(*which)
+    lineno, text = exprs[pick % len(exprs)]
+    _load_with_syntax_error(*which, lineno, text, junk, tmp_path,
+                            monkeypatch)
+
+
+def _section(lines, lineno):
+    for line in reversed(lines[:lineno]):
+        text = line.split("#", 1)[0].strip()
+        if text.startswith("[") and text.endswith("]"):
+            return text
+    return "header"
+
+
+FAMILY_SECTIONS = ["header", "[invariants]", "[derivations]", "[fields]",
+                   "[bricks]", "[rr]", "[mcybe]", "[cybe]", "[automorphisms]",
+                   "[orbits]", "[classes]"]
+
+
+@pytest.mark.parametrize("which, sections", [
+    (GOLDEN[FAMILY_FILES.index("s3")], FAMILY_SECTIONS),
+    (GOLDEN[len(FAMILY_FILES) + TREE_FILES.index("s3")], ["header"]),
+    *[(GOLDEN[len(FAMILY_FILES) + len(TREE_FILES) + i],
+       [f"[{f}]" for f in FAMILIES]) for i in range(len(SCHOUTEN_TABLES))]],
+    ids=["families-s3", "trees-s3", *(spec[0] for spec in SCHOUTEN_TABLES)])
+def test_expression_syntax_error_in_every_section(which, sections, tmp_path,
+                                                  monkeypatch):
+    kind, stem, _ = which
+    lines = (SHIPPED / kind / f"{stem}.txt").read_text().splitlines()
+    first = {}
+    for lineno, text in _shipped_exprs(*which):
+        first.setdefault(_section(lines, lineno), (lineno, text))
+    assert sorted(first) == sorted(sections)
+    for lineno, text in first.values():
+        for junk in ("+", "("):
+            _load_with_syntax_error(*which, lineno, text, junk, tmp_path,
+                                    monkeypatch)

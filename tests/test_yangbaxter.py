@@ -23,7 +23,6 @@ from darbouxlie.yangbaxter import (AlgebraContext, NecessaryReport,
                                    quotient_class, same_coboundary,
                                    yb_system)
 from darbouxlie.exactmath import RatMatrix
-from darbouxlie.exprparse import parse_condition
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -338,11 +337,8 @@ def test_integer_point_checks_match_oracles_on_family_samples(stem):
     fam = classify.load_family(stem)
     rng = random.Random(stem)
     seen_mcybe, seen_ranks = set(), set()
-    for ps in fam.samples:
-        if fam.when and not parse_condition(fam.when,
-                                            classify._short_params(ps)):
-            continue
-        ctx = AlgebraContext(catalog(fam.algebra, **ps))
+    for ps, _, g in classify.qualifying_samples(fam):
+        ctx = AlgebraContext(g)
         # orbit representatives and sample points (rescaled, which changes
         # neither answer) carry the special ranks and the mCYBE solutions
         points = _rational_points(rng, 6, 8)
