@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie import exprparse
-from darbouxlie.classify import (FAMILY_FILES, expand_rows, load_family,
-                                 loci_agree, verify_tree)
+from darbouxlie import darboux, exprparse
+from darbouxlie.classify import (FAMILY_FILES, TREE_FILES, expand_rows,
+                                 load_family, loci_agree, verify_tree)
 from darbouxlie.darboux import find_bricks, flow_invariance, verify_family
 from darbouxlie.derivations import (derivation_basis, field_matrix_at,
-                                    fundamental_fields, lift, rank_at)
+                                    fundamental_fields, lift, rank_at,
+                                    vf_apply)
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
                                   monomials_up_to, normalize_poly, rank,
                                   solve)
@@ -169,6 +170,35 @@ def test_flow_invariance_s1_mcybe(benchmark):
 
     assert every_field() == [True] * 6
     assert benchmark(every_field) == [True] * 6
+
+
+@pytest.fixture(scope="module")
+def largest_tree_family():
+    """The branch family with the most generators times fields among those
+    that the shipped trees check: (fields, generators, bound)."""
+    calls = []
+    real = darboux.verify_family
+
+    def recorded(fields, gens, bound=0):
+        calls.append((fields, list(gens), bound))
+        return real(fields, gens, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(darboux, "verify_family", recorded)
+        for stem in TREE_FILES:
+            verify_tree(stem)
+    return max(calls, key=lambda c: len(c[0]) * len(c[1]))
+
+
+def test_verify_family_tree_branch(benchmark, largest_tree_family):
+    """Branch 0 of the s311 tree: seven generators under twelve fields, 84
+    targets X f with constant cofactors."""
+    fields, gens, bound = largest_tree_family
+    assert (len(fields), len(gens), bound) == (12, 7, 0)
+    want = [[ideal_membership(vf_apply(X, f), gens, bound) for X in fields]
+            for f in gens]
+    assert verify_family(fields, gens, bound).cofactors == want
+    fam = benchmark(verify_family, fields, gens, bound)
+    assert fam.cofactors == want and fam.linear
 
 
 def test_verify_tree_s1(benchmark):

@@ -9,7 +9,8 @@ indecomposable Lie algebras.  All arithmetic is exact over Q.
 """
 
 from .exactmath import (Poly, RatMatrix, Rational, ideal_membership,
-                        kernel_basis, poly_rref, rank, rat, rref, solve)
+                        ideal_memberships, kernel_basis, poly_rref, rank,
+                        rat, rref, solve)
 from .liealg import (CatalogId, LieAlgebra, abelian, bracket, catalog,
                      center, from_brackets, parse_algebra, validate)
 from .grassmann import (MultiVector, SymMultiVector, ad_action, blades,

@@ -838,19 +838,29 @@ def load_schouten_table(fname: str, degl: int, degr: int) -> dict:
     return table
 
 
-def verify_schouten_family(family: str) -> tuple[list[str], list[str]]:
+def load_schouten_tables() -> list[dict]:
+    """The SCHOUTEN_TABLES, in order, each read by ``load_schouten_table``."""
+    return [load_schouten_table(*spec) for spec in SCHOUTEN_TABLES]
+
+
+def verify_schouten_family(family: str,
+                           tables: Optional[Sequence[dict]] = None
+                           ) -> tuple[list[str], list[str]]:
     """Compare every golden entry of the three bracket tables for one
     family, at its SCHOUTEN_PARAMS sample, against the engine.  Returns
     (mismatches, errata): entries recorded as `printed=>verified` must
     match the verified value and are reported in the errata list with
-    their printed value."""
+    their printed value.  ``tables`` are the ``load_schouten_tables``
+    result, read here when not given; a check of several families reads
+    them once and passes them to each."""
     params = SCHOUTEN_PARAMS.get(family, {})
     g = catalog(family, **params)
     sp = _short_params(params)
     bad: list[str] = []
     errata: list[str] = []
-    for fname, degl, degr in SCHOUTEN_TABLES:
-        table = load_schouten_table(fname, degl, degr)
+    if tables is None:
+        tables = load_schouten_tables()
+    for (fname, degl, degr), table in zip(SCHOUTEN_TABLES, tables):
         if family not in table:
             raise GoldenDataError(f"schouten/{fname}: no section [{family}]")
         lefts, cols = _blades(degl), _blades(degr)

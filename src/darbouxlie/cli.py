@@ -323,8 +323,9 @@ def cmd_verify_tables(args):
         payload["errata"].extend(errata)
     schouten_families = sorted({classify.load_family(s).algebra
                                 for s in stems})
+    tables = classify.load_schouten_tables()
     for famname in schouten_families:
-        bad, errata = verify_schouten_family(famname)
+        bad, errata = verify_schouten_family(famname, tables)
         mark = "PASS" if not bad else "FAIL"
         ok = ok and not bad
         lines.append(f"schouten tables {famname}: {mark}")

@@ -4,13 +4,13 @@ branch loci, and verification of classification-tree branches.
 
 A family <f_1..f_s> is Darboux for fields X_1..X_q when every X f_j is an
 exact polynomial combination sum_i h^i f_i; the witness table h is produced
-by one exact linear solve per (field, generator) pair.  Branches carry
-equalities (the family), sign/nonzero constraints on the open set, and are
-checked against sample points: family closure, constant field rank, and
-mCYBE membership.  Closure makes the ideal of the family invariant under
-every field, so its zero set is invariant under their flows;
-flow_invariance is the finite-order check of that by Lie derivatives at one
-point, kept as an independent test of the statement.
+by one exact linear solve with one right-hand side per (generator, field)
+pair.  Branches carry equalities (the family), sign/nonzero constraints on
+the open set, and are checked against sample points: family closure,
+constant field rank, and mCYBE membership.  Closure makes the ideal of the
+family invariant under every field, so its zero set is invariant under
+their flows; flow_invariance is the finite-order check of that by Lie
+derivatives at one point, kept as an independent test of the statement.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .derivations import LinearVectorField, rank_at, vf_apply
-from .exactmath import (Poly, RatMatrix, ideal_membership, kernel_basis,
-                        monomials_up_to, normalize_poly, poly_rref, rat, rref)
+from .exactmath import (Poly, RatMatrix, ideal_memberships, kernel_basis,
+                        monomials_up_to, normalize_poly, poly_rref,
+                        poly_rref_contains, rat, rref)
 from .yangbaxter import AlgebraContext
 
 #: verify_branch checks closure with cofactors up to this degree, and
@@ -77,25 +78,22 @@ class TreeBranch:
 def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
                   cofactor_degree_bound: int = 0) -> Optional[DarbouxFamily]:
     """Check the closure X f_j in <f_1..f_s> for every field, returning the
-    witnessed family or None when some membership fails within the bound."""
-    gens = list(gens)
+    witnessed family or None when the generators are dependent or some
+    membership fails within the bound.  All the targets X_k f_j share one
+    elimination (``ideal_memberships``); each cofactor list is the one that
+    the target alone would get."""
+    gens, fields = list(gens), tuple(fields)
     if not gens or len(poly_rref(gens)) != len(gens):
         return None
-    table: list[list[list[Poly]]] = []
-    linear = True
-    for f in gens:
-        per_field = []
-        for X in fields:
-            xf = vf_apply(X, f)
-            cofs = ideal_membership(xf, gens, cofactor_degree_bound)
-            if cofs is None:
-                return None
-            if any(c.degree() > 0 for c in cofs):
-                linear = False
-            per_field.append(cofs)
-        table.append(per_field)
+    cofs = ideal_memberships([vf_apply(X, f) for f in gens for X in fields],
+                             gens, cofactor_degree_bound)
+    if None in cofs:
+        return None
+    q = len(fields)
+    table = [cofs[j * q:(j + 1) * q] for j in range(len(gens))]
+    linear = all(c.degree() == 0 for hs in cofs for c in hs)
     return DarbouxFamily(generators=gens, cofactors=table, linear=linear,
-                         fields=tuple(fields))
+                         fields=fields)
 
 
 def verify_family_auto(fields: Sequence[LinearVectorField],
@@ -319,9 +317,6 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
     if not basis:
         return None
 
-    def in_z(p: Poly) -> bool:
-        return len(poly_rref(basis + [p])) == len(basis)
-
     ineqs = [f for f, _ in branch.inequalities]
     # (a) products of inequality polynomials up to total degree 2
     candidates: list[tuple[Poly, str]] = []
@@ -334,7 +329,7 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
             if f.degree() + g.degree() <= COFACTOR_DEGREE_BOUND:
                 candidates.append((f * g, f"ineq{i + 1}*ineq{j + 1}"))
     for p, tag in candidates:
-        if in_z(p):
+        if poly_rref_contains(basis, p):
             return f"forced zero: {tag} = {p.text()}"
     # (b) PSD form z with z - c*q^2 still PSD for a linear inequality q
     for z in basis:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -307,10 +307,11 @@ class IntPoly:
 
 class RatMatrix:
     """Dense matrix of Fractions.  Immutable once constructed, so the
-    nonzero pattern (``_nonzero_rows``) and its integer form
-    (``_integer_rows``) are computed once and cached."""
+    nonzero pattern (``_nonzero_rows``), its integer form
+    (``_integer_rows``) and the hash are computed once and cached."""
 
-    __slots__ = ("entries", "rows", "cols", "_sparse", "_int_sparse")
+    __slots__ = ("entries", "rows", "cols", "_sparse", "_int_sparse",
+                 "_hash")
 
     def __init__(self, entries: Iterable[Iterable], cols: int = 0):
         """``cols`` is the width of a matrix without rows."""
@@ -423,7 +424,11 @@ class RatMatrix:
                 and self.entries == other.entries)
 
     def __hash__(self):
-        return hash(self.entries)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.entries)
+            return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
@@ -438,12 +443,16 @@ class RatMatrix:
 SparseRow = dict
 
 
-def _echelon(rows: Iterable) -> dict[int, SparseRow]:
+def _echelon(rows: Iterable, ncols: float = inf,
+             spilled: Optional[set] = None) -> dict[int, SparseRow]:
     """Forward elimination: pivot column -> row scaled to leading entry 1.
 
     Each row (a SparseRow or its ``(column, entry)`` pairs) is reduced
     against the pivot rows at its smallest column until it either vanishes
-    or leads with a new pivot column.  The input rows are not modified."""
+    or leads with a new pivot column.  Pivots are taken only in columns
+    < ncols: a row reduced to entries in columns >= ncols alone is no
+    pivot, and its columns are added to ``spilled``.  The input rows are
+    not modified."""
     pivots: dict[int, SparseRow] = {}
     for row in rows:
         row = dict(row)
@@ -451,6 +460,9 @@ def _echelon(rows: Iterable) -> dict[int, SparseRow]:
             c = min(row)
             p = pivots.get(c)
             if p is None:
+                if c >= ncols:
+                    spilled.update(row)
+                    break
                 inv = 1 / row[c]
                 pivots[c] = (row if inv == 1
                              else {j: x * inv for j, x in row.items()})
@@ -473,11 +485,14 @@ def _axpy(row: SparseRow, f: Fraction, p: SparseRow) -> None:
                 del row[j]
 
 
-def _gauss_jordan(rows: Iterable) -> tuple[list[SparseRow], list[int]]:
-    """Sparse reduced row-echelon form: the nonzero rows in pivot order and
-    their pivot columns.  Back substitution runs from the last pivot up, so
-    each row is cleared against rows that are already fully reduced."""
-    pivots = _echelon(rows)
+def _gauss_jordan(rows: Iterable, ncols: float = inf,
+                  spilled: Optional[set] = None
+                  ) -> tuple[list[SparseRow], list[int]]:
+    """Sparse reduced row-echelon form: the pivot rows in pivot order and
+    their pivot columns, pivots only in columns < ncols (see ``_echelon``).
+    Back substitution runs from the last pivot up, so each row is cleared
+    against rows that are already fully reduced."""
+    pivots = _echelon(rows, ncols, spilled)
     cols = sorted(pivots)
     for c in reversed(cols):
         row = pivots[c]
@@ -486,15 +501,21 @@ def _gauss_jordan(rows: Iterable) -> tuple[list[SparseRow], list[int]]:
     return [pivots[c] for c in cols], cols
 
 
-def _solve_rows(rows: Iterable, ncols: int
-                ) -> Optional[dict[int, Fraction]]:
-    """Solution of the augmented system whose column ``ncols`` holds the
-    right-hand side, as {column: nonzero value} with free variables 0; None
-    if inconsistent."""
-    red, pivots = _gauss_jordan(rows)
-    if pivots and pivots[-1] == ncols:
-        return None
-    return {c: r[ncols] for r, c in zip(red, pivots) if ncols in r}
+def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
+                ) -> list[Optional[dict[int, Fraction]]]:
+    """Solutions of the augmented systems that share the unknowns in
+    columns < ncols and hold their right-hand sides in the nrhs columns
+    after them: per right-hand side, {column: nonzero value} with free
+    variables 0, or None if inconsistent.
+
+    A row whose unknown part vanishes makes every right-hand side it is
+    nonzero in inconsistent.  It is never a pivot, since back substitution
+    against it would mix one right-hand side's values into another's."""
+    bad: set[int] = set()
+    red, pivots = _gauss_jordan(rows, ncols, bad)
+    return [None if b in bad
+            else {c: r[b] for r, c in zip(red, pivots) if b in r}
+            for b in range(ncols, ncols + nrhs)]
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
@@ -536,8 +557,8 @@ def solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     b = [rat(x) for x in b]
     if len(b) != m.rows:
         raise ValueError(f"solve size mismatch: {m.rows} vs {len(b)}")
-    sol = _solve_rows([r + ((m.cols, bi),) if bi else r
-                       for r, bi in zip(m._nonzero_rows(), b)], m.cols)
+    sol, = _solve_rows([r + ((m.cols, bi),) if bi else r
+                        for r, bi in zip(m._nonzero_rows(), b)], m.cols)
     if sol is None:
         return None
     zero = Fraction(0)
@@ -567,6 +588,19 @@ def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:
     return [Poly({support[j]: c for j, c in r.items()}) for r in red]
 
 
+def poly_rref_contains(basis: Sequence[Poly], p: Poly) -> bool:
+    """Whether p lies in the span of ``basis``, a ``poly_rref`` basis in
+    the default order.  Each basis polynomial is the only one that is
+    nonzero at its pivot monomial (its lowest by ``mono_key``), so p,
+    reduced once against each at its pivot, leaves 0 exactly then."""
+    rest = dict(p.terms)
+    for b in basis:
+        c = rest.get(min(b.terms, key=mono_key))
+        if c:
+            _axpy(rest, c, b.terms)
+    return not rest
+
+
 def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
     """Whether vector v lies in the span of the given row vectors."""
     rows = [{j: x for j, x in enumerate(map(rat, r)) if x}
@@ -578,33 +612,42 @@ def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
 # ideal membership by exact linear solve
 # ---------------------------------------------------------------------------
 
-def ideal_membership(target: Poly, generators: Sequence[Poly],
-                     cofactor_degree_bound: int) -> Optional[list[Poly]]:
-    """Write target = sum_i h_i * g_i with deg(h_i) <= bound, if possible.
+def ideal_memberships(targets: Sequence[Poly], generators: Sequence[Poly],
+                      cofactor_degree_bound: int
+                      ) -> list[Optional[list[Poly]]]:
+    """Per target, cofactors h_i with target = sum_i h_i * g_i and
+    deg(h_i) <= bound, or None when no representation exists within the
+    bound (not an error).
 
     One exact linear solve over the coefficient space of all candidate
-    cofactor monomials.  Returns the cofactors, or None when no
-    representation exists within the bound (not an error).
+    cofactor monomials, with one right-hand side per target.  The monomials
+    are those in all variables of the generators and targets.  A variable
+    that is in no generator and not in a given target only adds unknowns
+    that solve to 0 for that target, so each answer is the one that the
+    target alone would get.
     """
     if cofactor_degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    gens = list(generators)
-    nvars = max([v + 1 for g in gens + [target] for v in g.variables()] or [0])
+    targets, gens = list(targets), list(generators)
+    nvars = max([v + 1 for p in gens + targets for v in p.variables()] or [0])
     monos = monomials_up_to(nvars, cofactor_degree_bound)
     # unknown j <-> (generator gi, cofactor monomial mu): columns of the system
-    columns: list[Poly] = []
-    for g in gens:
-        for mu in monos:
-            columns.append(g * Poly({mu: 1}))
-    # one sparse row per monomial of the support; column len(columns) is
-    # the right-hand side
+    columns = [g * Poly({mu: 1}) for g in gens for mu in monos]
+    # one sparse row per monomial of the support; the columns from
+    # len(columns) on are the right-hand sides
     rows: dict[Monomial, SparseRow] = {}
-    for j, p in enumerate(columns + [target]):
+    for j, p in enumerate(columns + targets):
         for m, c in p.terms.items():
             rows.setdefault(m, {})[j] = c
-    sol = _solve_rows(rows.values(), len(columns))
-    if sol is None:
-        return None
     k = len(monos)
-    return [Poly({mu: sol[i * k + t] for t, mu in enumerate(monos)
-                  if i * k + t in sol}) for i in range(len(gens))]
+    return [None if sol is None
+            else [Poly({mu: sol[i * k + t] for t, mu in enumerate(monos)
+                        if i * k + t in sol}) for i in range(len(gens))]
+            for sol in _solve_rows(rows.values(), len(columns), len(targets))]
+
+
+def ideal_membership(target: Poly, generators: Sequence[Poly],
+                     cofactor_degree_bound: int) -> Optional[list[Poly]]:
+    """Write target = sum_i h_i * g_i with deg(h_i) <= bound, if possible:
+    ``ideal_memberships`` with one target."""
+    return ideal_memberships([target], generators, cofactor_degree_bound)[0]

@@ -148,6 +148,8 @@ class MultiVector:
     def __add__(self, other):
         if other == 0:
             return self
+        if not isinstance(other, MultiVector):
+            raise DimensionMismatch(f"cannot add {other} to a multivector")
         if self.dim != other.dim or self.degree != other.degree:
             raise DimensionMismatch("mismatched multivectors")
         out = dict(self.terms)
@@ -166,6 +168,9 @@ class MultiVector:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, scalar):
         if _iszero(scalar if isinstance(scalar, Poly) else rat(scalar)):

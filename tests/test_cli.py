@@ -111,6 +111,15 @@ def test_product_of_multivectors_exits_2(argv, capsys):
         "error: multivectors multiply only by numbers\n"
 
 
+@pytest.mark.parametrize("bivector, number", [
+    ("e12+1", "1"), ("e12-1", "-1"), ("1+e12", "1"), ("1-e12", "1")])
+def test_number_added_to_a_multivector_exits_2(bivector, number, capsys):
+    code, out = run_cli("orbit-dim", "--algebra", "s1", bivector)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == \
+        f"error: cannot add {number} to a multivector\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-tables", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["verify-tables", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
@@ -410,6 +419,26 @@ def test_verify_tables_starts_at_most_one_worker_per_family(monkeypatch):
         with pytest.raises(PoolStarted):
             run_cli("verify-tables", *argv)
     assert started == [len(FAMILY_FILES), 2, 3]
+
+
+def test_verify_tables_reads_each_schouten_table_once(monkeypatch):
+    """``--algebra all`` checks 13 algebras against the three bracket
+    tables and reads each table once; the family-file stage is stubbed
+    out, since it reads no bracket table."""
+    from darbouxlie import classify, cli
+    loads = []
+    real = classify.load_schouten_table
+
+    def load(*spec):
+        loads.append(spec[0])
+        return real(*spec)
+    monkeypatch.setattr(classify, "load_schouten_table", load)
+    monkeypatch.setattr(cli, "_verify_one_family",
+                        lambda stem: (True, [], []))
+    code, out = run_cli("verify-tables", "--algebra", "all")
+    assert code == 0 and out.count("schouten tables ") == 13
+    assert "FAIL" not in out
+    assert sorted(loads) == sorted(f for f, _, _ in classify.SCHOUTEN_TABLES)
 
 
 @pytest.mark.slow

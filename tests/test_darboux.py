@@ -12,8 +12,11 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 flow_invariance, locus_contains, solve_linear,
                                 verify_branch, verify_family,
                                 verify_family_auto)
-from darbouxlie.derivations import fundamental_fields
-from darbouxlie.exactmath import Poly, RatMatrix, monomials_up_to
+from darbouxlie import darboux
+from darbouxlie.classify import TREE_FILES, verify_tree
+from darbouxlie.derivations import fundamental_fields, vf_apply
+from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
+                                  monomials_up_to, poly_rref)
 from darbouxlie.liealg import catalog
 from darbouxlie.yangbaxter import AlgebraContext, yb_system
 
@@ -53,6 +56,49 @@ def test_verify_family_rejects(s1_fields):
 def test_full_coordinate_family(s1_fields):
     fam = verify_family(s1_fields, [x(i) for i in range(6)], 0)
     assert fam is not None and fam.linear
+
+
+def test_verify_family_without_fields():
+    fam = verify_family((), [x(0), x(1) ** 2], 0)
+    assert fam.cofactors == [[], []] and fam.linear and fam.fields == ()
+    assert verify_family((), [x(0), 2 * x(0)], 0) is None
+    assert verify_family((), [], 0) is None
+
+
+def _one_target_at_a_time(fields, gens, bound):
+    """The closure check with one ideal_membership solve per target X f:
+    (cofactor table, linear) or None."""
+    if not gens or len(poly_rref(gens)) != len(gens):
+        return None
+    table = [[ideal_membership(vf_apply(X, f), gens, bound) for X in fields]
+             for f in gens]
+    if any(cofs is None for row in table for cofs in row):
+        return None
+    return table, all(c.degree() == 0 for row in table for cofs in row
+                      for c in cofs)
+
+
+def test_verify_family_matches_one_target_at_a_time_on_tree_families(
+        monkeypatch):
+    """Every family that the shipped trees check, at every bound tried,
+    gets the cofactor table and the linear flag of one solve per target."""
+    calls = []
+    real = darboux.verify_family
+
+    def recorded(fields, gens, bound=0):
+        fam = real(fields, gens, bound)
+        calls.append((fields, list(gens), bound, fam))
+        return fam
+    monkeypatch.setattr(darboux, "verify_family", recorded)
+    for stem in TREE_FILES:
+        assert verify_tree(stem).passed, stem
+    assert len(calls) == 179
+    assert sum(fam is None for *_, fam in calls) == 22
+    assert {fam.linear for *_, fam in calls if fam} == {True, False}
+    for fields, gens, bound, fam in calls:
+        want = _one_target_at_a_time(fields, gens, bound)
+        got = None if fam is None else (fam.cofactors, fam.linear)
+        assert got == want, [g.text() for g in gens]
 
 
 def test_bricks_catalog_statements():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darbouxlie import exactmath
 from darbouxlie.exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
-                                  ideal_membership, kernel_basis, mono_key,
-                                  monomials_up_to, normalize_poly, poly_rref,
-                                  rank, rref, row_space_equal, solve,
-                                  span_contains)
+                                  ideal_membership, ideal_memberships,
+                                  kernel_basis, mono_key, monomials_up_to,
+                                  normalize_poly, poly_rref,
+                                  poly_rref_contains, rank, rref,
+                                  row_space_equal, solve, span_contains)
 
 x = Poly.var
 
@@ -122,6 +124,40 @@ def test_ideal_membership_nonconstant_cofactor():
     assert ideal_membership(x(4) ** 2, [x(4)], 0) is None
     cofs = ideal_membership(x(4) ** 2, [x(4)], 1)
     assert cofs is not None and cofs[0] == x(4)
+
+
+def test_ideal_memberships_edge_cases():
+    gens = [x(0) * x(1), x(2)]
+    assert ideal_memberships([], gens, 1) == []
+    # without generators only the zero polynomial is a member
+    assert ideal_memberships([Poly.zero(), x(0), Poly.const(2)], [], 2) == \
+        [[], None, None]
+    # x6 is in no generator: x6 * x3 needs the cofactor x6, x6 has none
+    assert ideal_memberships([x(5) * x(2), x(5)], gens, 1) == \
+        [[Poly.zero(), x(5)], None]
+    for bound in (-1, -3):
+        with pytest.raises(ValueError):
+            ideal_memberships([x(0)], gens, bound)
+        with pytest.raises(ValueError):
+            ideal_membership(x(0), gens, bound)
+
+
+def test_ideal_memberships_inconsistent_rows_stay_apart():
+    """The row of x2 has no unknown, and is nonzero for the first two
+    targets only: both are refuted, and the third keeps its own value
+    (back substitution against that row would give x2 the cofactor -2)."""
+    targets = [2 * x(0) + x(1), x(1), x(0)]
+    assert ideal_memberships(targets, [x(0)], 0) == \
+        [None, None, [Poly.const(1)]]
+
+
+def test_ratmatrix_hash_is_equal_for_equal_matrices():
+    a = RatMatrix([[1, Fraction(1, 2)], [0, 3]])
+    b = RatMatrix([["1", "1/2"], [0, Fraction(6, 2)]])
+    assert a == b and hash(a) == hash(b) == hash(a.entries)
+    assert hash(a) == hash(a) and {a: 1}[b] == 1
+    assert hash(RatMatrix.zero(0, 3)) == hash(RatMatrix.zero(0, 3))
+    assert {(a, b): 2}[(b, RatMatrix(a.entries))] == 2
 
 
 small_rats = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
@@ -391,6 +427,73 @@ def test_poly_rref_rank_and_span_match_sympy(sp, seed):
             assert len(poly_rref(a, reverse)) == sa.rank()
             assert len(poly_rref(b, reverse)) == sb.rank()
             assert (poly_rref(a, reverse) == poly_rref(b, reverse)) == want
+
+
+def membership_system(seed):
+    """Seeded generators in x1..x3 and targets: combinations of them (in
+    the ideal at some bound), random cubics (mostly outside it), targets in
+    x4 and x5, which no generator holds, and the zero polynomial."""
+    rng = random.Random(seed)
+    gens = [g for g in random_polys(seed, 2 + seed % 3, density=0.5)
+            if not g.is_zero()]
+    monos = [Poly({m: 1}) for m in monomials_up_to(3, 1)]
+    inside = [sum((g * rng.choice(monos) * rng.randint(-3, 3) for g in gens),
+                  Poly.zero()) for _ in range(2)]
+    inside.append(sum((g * rng.randint(1, 3) for g in gens), Poly.zero()))
+    outside = random_polys(seed + 100, 3, degree=3, density=0.3)
+    extra = [gens[0] * x(3), x(4) * gens[-1] + inside[0], x(3),
+             outside[0] + x(4) ** 2]
+    targets = inside + outside + extra + [Poly.zero()]
+    rng.shuffle(targets)
+    return targets, gens
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_ideal_memberships_match_one_target_at_a_time(seed, bound):
+    targets, gens = membership_system(seed)
+    got = ideal_memberships(targets, gens, bound)
+    assert got == [ideal_membership(t, gens, bound) for t in targets]
+    assert None in got
+    for t, cofs in zip(targets, got):
+        if cofs is None:
+            continue
+        assert len(cofs) == len(gens)
+        assert all(c.degree() <= bound for c in cofs)
+        assert sum((c * g for c, g in zip(cofs, gens)), Poly.zero()) == t
+    assert sum(c is not None for c in got) > 1 + bound
+
+
+def test_ideal_memberships_make_one_solve(monkeypatch):
+    sizes = []
+    real = exactmath._solve_rows
+
+    def counted(rows, ncols, nrhs=1):
+        sizes.append(nrhs)
+        return real(rows, ncols, nrhs)
+    monkeypatch.setattr(exactmath, "_solve_rows", counted)
+    targets, gens = membership_system(1)
+    ideal_memberships(targets, gens, 1)
+    assert sizes == [len(targets)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_poly_rref_contains_matches_the_rank(seed):
+    polys = random_polys(seed, 1 + seed % 4, density=0.3)
+    basis = poly_rref(polys)
+    rng = random.Random(seed + 500)
+    combos = [sum((p * rng.randint(-3, 3) for p in polys), Poly.zero())
+              for _ in range(3)]
+    candidates = (combos + [c + x(rng.randrange(3)) ** 2 for c in combos]
+                  + random_polys(seed + 50, 3) + [Poly.zero(), x(0) ** 3])
+    verdicts = []
+    for p in candidates:
+        want = len(poly_rref(polys + [p])) == len(basis)
+        assert poly_rref_contains(basis, p) == want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+    assert poly_rref_contains([], Poly.zero())
+    assert not poly_rref_contains([], x(0))
 
 
 def sympy_expr(sp, p, syms):

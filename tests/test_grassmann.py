@@ -30,6 +30,18 @@ def test_wedge_dimension_mismatch():
         wedge(B(4, [0]), B(5, [0]))
 
 
+def test_only_zero_adds_to_a_multivector():
+    e12 = B(4, [0, 1])
+    assert e12 + 0 is e12 and 0 + e12 is e12 and e12 - 0 is e12
+    assert 0 - e12 == -e12 and e12 + MultiVector.zero(5, 3) is e12
+    for number in (1, Fraction(-1, 2)):
+        for add in (lambda: e12 + number, lambda: number + e12,
+                    lambda: e12 - number, lambda: number - e12):
+            with pytest.raises(DimensionMismatch,
+                               match="to a multivector"):
+                add()
+
+
 def test_schouten_table_entries_s1():
     g = catalog("s1")
     assert schouten(g, B(4, [1]), B(4, [1, 3])) == B(4, [0, 1])     # e12
