@@ -10,16 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie import darboux, exprparse
+from darbouxlie import classify, darboux, exprparse
 from darbouxlie.classify import (FAMILY_FILES, TREE_FILES, expand_rows,
                                  load_family, loci_agree, verify_tree)
-from darbouxlie.darboux import find_bricks, flow_invariance, verify_family
+from darbouxlie.darboux import (find_bricks, flow_invariance, locus_contains,
+                                verify_family)
 from darbouxlie.derivations import (derivation_basis, field_matrix_at,
                                     fundamental_fields, lift, rank_at,
                                     vf_apply)
-from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
-                                  monomials_up_to, normalize_poly, rank,
-                                  solve)
+from darbouxlie.exactmath import (Poly, RatMatrix, clear_denominators,
+                                  ideal_membership, monomials_up_to,
+                                  normalize_poly, rank, solve)
 from darbouxlie.exprparse import parse_poly
 from darbouxlie.grassmann import (MultiVector, blades, generic_bivector,
                                   schouten, wedge)
@@ -114,6 +115,92 @@ def test_context_is_mcybe_at(benchmark, s3_orbit_points):
     assert all(is_mcybe_solution(ctx.g, p) for p in points)
     assert benchmark(lambda: [ctx.is_mcybe_at(p)
                               for p in points]) == [True] * len(points)
+
+
+@pytest.fixture(scope="module")
+def s3_char_poly_rows(fields):
+    """The integer rows D·Mᵀ that ``_rational_eigenvalues`` forms for each
+    s3 lifted field matrix M (D the lcm of its denominators), with each
+    matrix's characteristic polynomial from the Fraction recursion."""
+    out = []
+    for X in fields:
+        mt = X.matrix.transpose()
+        den, ints = clear_denominators(mt.flat())
+        n = mt.cols
+        out.append(([ints[i * n:(i + 1) * n] for i in range(n)],
+                    _fraction_char_poly(mt.scale(den))))
+    return out
+
+
+def _fraction_char_poly(m: RatMatrix) -> list[Fraction]:
+    """Faddeev-LeVerrier on a RatMatrix, in Fraction arithmetic."""
+    n = m.rows
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = RatMatrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m.matmul(mk)
+        c = -sum((mk[i, i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = c
+        mk = mk + RatMatrix.identity(n).scale(c)
+    return coeffs
+
+
+def test_fraction_char_poly_s3_fields(benchmark, s3_char_poly_rows):
+    """The recursion on RatMatrix: the reference ``_char_poly``."""
+    mats = [RatMatrix(rows) for rows, _ in s3_char_poly_rows]
+    want = [c for _, c in s3_char_poly_rows]
+    assert benchmark(lambda: [_fraction_char_poly(m) for m in mats]) == want
+
+
+def test_char_poly_s3_fields(benchmark, s3_char_poly_rows):
+    want = [c for _, c in s3_char_poly_rows]
+    rows = [r for r, _ in s3_char_poly_rows]
+    assert [darboux._char_poly(r) for r in rows] == want
+    assert benchmark(lambda: [darboux._char_poly(r) for r in rows]) == want
+
+
+@pytest.fixture(scope="module")
+def s3_locus_candidates():
+    """Every (branch, point) that the s3 orbit-row samplers test at S3,
+    candidates off the locus included, each with the answer of
+    ``Poly.eval`` at the point; the branches' integer forms are built."""
+    calls = []
+    real = classify.locus_contains
+
+    def recorded(branch, p):
+        calls.append((branch, tuple(p)))
+        return real(branch, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "locus_contains", recorded)
+        for rec in expand_rows(load_family("s3"), S3):
+            rec.samples
+    return [(b, p, _poly_eval_locus(b, p)) for b, p in calls]
+
+
+def _poly_eval_locus(branch, p):
+    """``locus_contains`` by ``Poly.eval`` at the rational point."""
+    if any(f.eval(p) for f in branch.equalities):
+        return False
+    for f, op in branch.inequalities:
+        v = f.eval(p)
+        if {"!=": v == 0, ">": v <= 0, "<": v >= 0}[op]:
+            return False
+    return True
+
+
+def test_poly_eval_locus_s3_sample_candidates(benchmark, s3_locus_candidates):
+    """The sign tests by ``Poly.eval``: the reference ``locus_contains``."""
+    want = [w for _, _, w in s3_locus_candidates]
+    assert benchmark(lambda: [_poly_eval_locus(b, p) for b, p, _
+                              in s3_locus_candidates]) == want
+
+
+def test_locus_contains_s3_sample_candidates(benchmark, s3_locus_candidates):
+    want = [w for _, _, w in s3_locus_candidates]
+    assert True in want and False in want
+    assert [locus_contains(b, p) for b, p, _ in s3_locus_candidates] == want
+    assert benchmark(lambda: [locus_contains(b, p) for b, p, _
+                              in s3_locus_candidates]) == want
 
 
 def test_matvec_lifted_field(benchmark, fields):

@@ -27,8 +27,8 @@ from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
                       locus_contains, solve_linear, verify_branch)
 from .derivations import rank_at
-from .exactmath import (IntPoly, Poly, RatMatrix, normalize_poly, poly_rref,
-                        rat, row_space_equal)
+from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
+                        normalize_poly, poly_rref, rat, row_space_equal)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
                         poly_env)
 from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
@@ -617,13 +617,14 @@ def _component_merge_gaps(lifted: Sequence[RatMatrix],
     """Sign components of the row locus not reachable from the
     representative's component via the shipped automorphisms, given as
     their lifts Λ²T."""
-    strict = [f for f, op in rec.branch.inequalities if op == "!="
-              and f.degree() == 1]
+    strict = [f for f, op in rec.branch.int_forms[1] if op == "!="
+              and f.degree == 1]
     if not strict:
         return []
 
     def signature(p):
-        return tuple(1 if f.eval(p) > 0 else -1 for f in strict)
+        den, q = clear_denominators(p)
+        return tuple(1 if f.eval(q, den) > 0 else -1 for f in strict)
 
     comps = {}
     for p in rec.samples:

@@ -16,15 +16,18 @@ derivatives at one point, kept as an independent test of the statement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from .derivations import LinearVectorField, rank_at, vf_apply
-from .exactmath import (Poly, RatMatrix, ideal_memberships, kernel_basis,
-                        monomials_up_to, normalize_poly, poly_rref,
-                        poly_rref_contains, rat, rref)
+from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
+                        ideal_memberships, kernel_basis, monomials_up_to,
+                        normalize_poly, poly_rref, poly_rref_contains, rat,
+                        rref)
 from .yangbaxter import AlgebraContext
 
 #: verify_branch checks closure with cofactors up to this degree, and
@@ -67,12 +70,27 @@ class Brick:
 @dataclass
 class TreeBranch:
     """One branch of a classification tree: equalities cut the locus,
-    inequalities restrict the open set.  Inequality ops: '!=', '>', '<'."""
+    inequalities restrict the open set.  Inequality ops: '!=', '>', '<'.
+    Both are stored as tuples, so they change only by assignment."""
 
     label: str
-    equalities: list[Poly]
-    inequalities: list[tuple[Poly, str]] = field(default_factory=list)
+    equalities: tuple[Poly, ...]
+    inequalities: tuple[tuple[Poly, str], ...] = ()
     expected_dim: Optional[int] = None
+
+    def __setattr__(self, name, value):
+        if name in ("equalities", "inequalities"):
+            value = tuple(value)
+            self.__dict__.pop("int_forms", None)
+        object.__setattr__(self, name, value)
+
+    @cached_property
+    def int_forms(self) -> tuple[list[IntPoly], list[tuple[IntPoly, str]]]:
+        """The equalities and the inequalities with their ops as
+        ``IntPoly`` forms, built on first use (by ``locus_contains``) and
+        dropped when either is assigned."""
+        return ([IntPoly(f) for f in self.equalities],
+                [(IntPoly(f), op) for f, op in self.inequalities])
 
 
 def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
@@ -127,19 +145,24 @@ def family_sum(a: DarbouxFamily, b: DarbouxFamily) -> DarbouxFamily:
 # bricks
 # ---------------------------------------------------------------------------
 
-def _char_poly(m: RatMatrix) -> list[Fraction]:
-    """Characteristic polynomial coefficients [c_0..c_n] of det(tI - M),
-    by the Faddeev-LeVerrier recursion (exact)."""
-    n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RatMatrix.identity(n)
+def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Characteristic polynomial coefficients [c_0..c_n] of det(tI - M) for
+    the integer matrix M with the given rows, by the Faddeev-LeVerrier
+    recursion in ``int`` arithmetic: from M_0 = I, step k forms
+    A_k = M·M_{k-1}, c_{n-k} = -tr(A_k)/k and M_k = A_k + c_{n-k}·I.  Each
+    M_k is an integer polynomial in M, and c_{n-k} is a coefficient of the
+    monic integer polynomial det(tI - M), so every division by k is
+    exact."""
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = m.matmul(mk)
-        trace = sum((mk[i, i] for i in range(n)), Fraction(0))
-        c = -trace / k
+        cols = list(zip(*mk))
+        mk = [[sum(map(mul, r, col)) for col in cols] for r in rows]
+        c = -sum(mk[i][i] for i in range(n)) // k
         coeffs[n - k] = c
-        mk = mk + RatMatrix.identity(n).scale(c)
+        for i in range(n):
+            mk[i][i] += c
     return coeffs
 
 
@@ -147,14 +170,16 @@ def _rational_eigenvalues(m: RatMatrix) -> list[Fraction]:
     """All rational roots of the characteristic polynomial.
 
     With D the lcm of the entries' denominators, D*M is an integer matrix
-    with a monic integer characteristic polynomial, so its rational roots
-    are integers mu: 0, or divisors of the lowest nonzero coefficient with
-    |mu| at most the largest absolute row sum of D*M (the spectral radius
-    is at most the infinity norm).  The roots of M are the mu/D."""
-    den = lcm(*(x.denominator for x in m.flat()))
-    dm = m.scale(den)
-    coeffs = [int(c) for c in _char_poly(dm)]
-    bound = int(max((sum(map(abs, r)) for r in dm.entries), default=0))
+    (formed once, as rows of ints) with a monic integer characteristic
+    polynomial (``_char_poly``), so its rational roots are integers mu: 0,
+    or divisors of the lowest nonzero coefficient with |mu| at most the
+    largest absolute row sum of D*M (the spectral radius is at most the
+    infinity norm).  The roots of M are the mu/D."""
+    den, ints = clear_denominators(m.flat())
+    n = m.cols
+    rows = [ints[i * n:(i + 1) * n] for i in range(m.rows)]
+    coeffs = _char_poly(rows)
+    bound = max((sum(map(abs, r)) for r in rows), default=0)
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {0} if k else set()
     low = abs(coeffs[k])
@@ -212,13 +237,19 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
 # ---------------------------------------------------------------------------
 
 def locus_contains(branch: TreeBranch, p: Sequence) -> bool:
-    """All equalities vanish at p and all sign constraints hold at p."""
-    point = [rat(x) for x in p]
-    for f in branch.equalities:
-        if f.eval(point):
+    """All equalities vanish at p and all sign constraints hold at p.
+
+    Tested in ``int`` arithmetic on the branch's ``int_forms``: p is q/den
+    for the ints q and the lcm den > 0 of its denominators, and each form's
+    ``eval(q, den)`` is a positive multiple of the polynomial's value at p.
+    A point too short for a polynomial raises ``MissingVariable``."""
+    den, q = clear_denominators(rat(x) for x in p)
+    eqs, ineqs = branch.int_forms
+    for f in eqs:
+        if f.eval(q, den):
             return False
-    for f, op in branch.inequalities:
-        v = f.eval(point)
+    for f, op in ineqs:
+        v = f.eval(q, den)
         if op == "!=" and v == 0:
             return False
         if op == ">" and v <= 0:
@@ -366,20 +397,24 @@ def _gram(p: Poly, nvars: int) -> Optional[RatMatrix]:
 
 
 def _psd(m: RatMatrix) -> bool:
-    """Exact positive-semidefiniteness via recursive pivoting."""
+    """Exact positive-semidefiniteness of a symmetric matrix by symmetric
+    elimination: a positive pivot a_kk is replaced by its Schur complement
+    on the rows and columns after k, a_ij -= a_ik a_kj / a_kk for
+    j >= i > k (mirrored to a_ji).  A negative pivot, or a zero pivot with
+    a nonzero entry after it in its row, makes the matrix indefinite."""
     a = [list(r) for r in m.entries]
     n = m.rows
     for k in range(n):
-        if a[k][k] < 0:
+        piv = a[k][k]
+        if piv < 0:
             return False
-        if a[k][k] == 0:
-            if any(a[k][j] for j in range(n)):
+        if piv == 0:
+            if any(a[k][j] for j in range(k + 1, n)):
                 return False
             continue
-        piv = a[k][k]
         for i in range(k + 1, n):
-            f = a[i][k] / piv
-            for j in range(k, n):
+            f = a[k][i] / piv
+            for j in range(i, n):
                 a[i][j] -= f * a[k][j]
                 a[j][i] = a[i][j]
     return True
@@ -428,8 +463,7 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     if branch.equalities:
         key = None
         if family_cache is not None:
-            key = (tuple(X.matrix for X in fields),
-                   tuple(branch.equalities))
+            key = (tuple(X.matrix for X in fields), branch.equalities)
         fam = family_cache.get(key) if key is not None else None
         if fam is None:
             fam = verify_family_auto(fields, branch.equalities)

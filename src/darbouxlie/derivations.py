@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (Poly, RatMatrix, _echelon, clear_denominators,
+from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
                         kernel_basis, rat)
 from .grassmann import MultiVector, blades, wedge
 from .liealg import LieAlgebra
@@ -137,7 +137,8 @@ def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:
     denominators and each field's matrix by the lcm of all of its own, so
     row i of M(p) is multiplied by a positive integer and the rank is kept.
     (Scaling each row of a field's matrix by its own lcm would scale single
-    entries of M(p) and change the rank.)"""
+    entries of M(p) and change the rank.)  The pivots of the integer rows
+    are counted by fraction-free elimination (``int_echelon``)."""
     _, q = clear_denominators(rat(x) for x in p)
     rows = []
     for X in fields:
@@ -148,6 +149,6 @@ def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:
         for i, r in enumerate(X.matrix._integer_rows()):
             v = sum(x * q[j] for j, x in r)
             if v:
-                row[i] = Fraction(v)
+                row[i] = v
         rows.append(row)
-    return len(_echelon(rows))
+    return len(int_echelon(rows))

@@ -283,21 +283,36 @@ def normalize_poly(p: Poly) -> Poly:
 class IntPoly:
     """``scale * p`` with integer coefficients, for a positive integer
     ``scale`` that clears the denominators of ``p``: the same zeros and
-    signs as ``p``, evaluated at integer points in ``int`` arithmetic."""
+    signs as ``p``, evaluated in ``int`` arithmetic.
 
-    __slots__ = ("scale", "terms")
+    A rational point is passed as ints ``q`` and their common denominator
+    ``den > 0`` (``clear_denominators``), and ``eval(q, den)`` is the value
+    of the homogenization, ``scale * den^d * p(q/den)`` for ``d = deg p``:
+    a positive multiple of ``p(q/den)``, so it has the same zero and sign."""
+
+    __slots__ = ("scale", "degree", "terms")
 
     def __init__(self, p: Poly):
         self.scale, coeffs = clear_denominators(p.terms.values())
-        self.terms = tuple(zip(coeffs, p.terms))
+        self.degree = d = p.degree()
+        # each term with d - deg(m), its power of den in the homogenization
+        self.terms = tuple((c, m, d - sum(e for _, e in m))
+                           for c, m in zip(coeffs, p.terms))
 
-    def eval(self, point: Sequence[int]) -> int:
-        """``scale * p(point)`` at a point of ints indexed by variable."""
+    def eval(self, point: Sequence[int], den: int = 1) -> int:
+        """``scale * den^d * p(point/den)`` at a point of ints indexed by
+        variable.  A point too short for ``p`` raises ``MissingVariable``
+        for the same variable as ``Poly.eval``."""
         total = 0
-        for c, m in self.terms:
-            for v, e in m:
-                c *= point[v] ** e
-            total += c
+        try:
+            for c, m, k in self.terms:
+                for v, e in m:
+                    c *= point[v] ** e
+                total += c * den ** k if k else c
+        except IndexError:
+            v = next(v for _, m, _ in self.terms for v, _ in m
+                     if v >= len(point))
+            raise MissingVariable(f"x{v + 1}") from None
         return total
 
 
@@ -529,6 +544,41 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
 
 def rank(m: RatMatrix) -> int:
     return len(_echelon(m._nonzero_rows()))
+
+
+def int_echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Forward elimination of integer rows (SparseRows of ints) without
+    fractions: pivot column -> pivot row, primitive (content 1).
+
+    A row is reduced against the pivot row at its smallest column as
+    ``a*row - b*pivot``, with a/b the pivot's entry over the row's in
+    lowest terms, until it vanishes or leads with a new pivot column.
+    Every row is divided by its content (the gcd of its entries) before
+    each step, so the entries stay small.  The pivot rows span the same
+    rational row space as the input, and there are rank-many of them.
+    The input rows are not modified."""
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        while row:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                break
+            g = gcd(p[c], row[c])
+            a, b = p[c] // g, row[c] // g
+            new = {j: a * x for j, x in row.items()}
+            for j, y in p.items():
+                x = new.get(j, 0) - b * y
+                if x:
+                    new[j] = x
+                else:
+                    new.pop(j, None)
+            row = new
+    return pivots
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:

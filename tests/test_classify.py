@@ -262,7 +262,7 @@ def test_tree_branch_cofactors_reproduce_every_field_image(stem, monkeypatch):
             continue
         matrices = tuple(X.matrix for X in fields)
         [fam] = [f for f in cache.values()
-                 if f.generators == branch.equalities
+                 if tuple(f.generators) == branch.equalities
                  and tuple(X.matrix for X in f.fields) == matrices]
         if id(fam) in checked:
             continue

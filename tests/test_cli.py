@@ -1,8 +1,10 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -447,3 +449,16 @@ def test_verify_tables_all_aggregate():
     assert code == 0
     assert "ALL PASS" in out
     assert "errata" in out  # the recorded printed-table errata are surfaced
+
+
+@pytest.mark.parametrize("workload", ["tables", "trees", "classes"])
+def test_batch_json_output_matches_the_recorded_digest(workload, monkeypatch):
+    """``verify-tables --algebra all``, ``darboux-verify --tree all`` and
+    ``coboundary-classes`` with ``--format json`` print exactly the bytes
+    whose sha256 the benchmark records for them (``perfbench/batch.py``)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.batch import VERBS
+    argv, digest, _ = VERBS[workload]
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -15,8 +15,9 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
 from darbouxlie import darboux
 from darbouxlie.classify import TREE_FILES, verify_tree
 from darbouxlie.derivations import fundamental_fields, vf_apply
-from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
-                                  monomials_up_to, poly_rref)
+from darbouxlie.exactmath import (MissingVariable, Poly, RatMatrix,
+                                  ideal_membership, monomials_up_to,
+                                  poly_rref)
 from darbouxlie.liealg import catalog
 from darbouxlie.yangbaxter import AlgebraContext, yb_system
 
@@ -407,3 +408,169 @@ def test_solve_linear_matches_sympy(seed):
             assert got == Fraction(int(want.p), int(want.q))
             assert f.eval(pt[:v] + [got] + pt[v + 1:]) == 0
     assert seen == {"value", "absent", "power", "vanishing"}
+
+
+def test_psd_rejects_an_indefinite_matrix():
+    """[[1, 2], [2, 1]] has the eigenvalues 3 and -1: its Schur complement
+    at the first pivot is 1 - 2^2/1 = -3."""
+    assert not darboux._psd(RatMatrix([[1, 2], [2, 1]]))
+    assert darboux._psd(RatMatrix([[1, 1], [1, 1]]))
+    assert darboux._psd(RatMatrix([[4, 2], [2, 1]]))
+    # a zero pivot with a nonzero entry after it: [[0, 1], [1, c]] has
+    # determinant -1
+    assert not darboux._psd(RatMatrix([[0, 1], [1, 5]]))
+    assert darboux._psd(RatMatrix([[0, 0], [0, 5]]))
+
+
+def test_certify_no_solutions_no_psd_certificate_for_an_indefinite_form():
+    """x1^2 + 4*x1*x2 + x2^2 = 0 has real points with x1 != 0 (x2 =
+    (-2 +- sqrt 3) x1), so nothing forces x1 = 0."""
+    form = x(0) ** 2 + 4 * x(0) * x(1) + x(1) ** 2
+    assert certify_no_solutions(TreeBranch("t", [form], [(x(0), "!=")]),
+                                [], 3) is None
+    # x1^2 + 2*x1*x2 + 2*x2^2 = (x1 + x2)^2 + x2^2 is positive definite,
+    # so it does force x1 = 0
+    definite = x(0) ** 2 + 2 * x(0) * x(1) + 2 * x(1) ** 2
+    cert = certify_no_solutions(TreeBranch("t", [definite], [(x(0), "!=")]),
+                                [], 3)
+    assert cert is not None and cert.startswith("PSD domination")
+
+
+def _random_symmetric(rng, n):
+    """A seeded symmetric rational matrix: B Bᵀ for a random B of rank at
+    most n (positive semidefinite, often singular), minus c·v vᵀ for a
+    random v in some draws (often indefinite), with zero rows and columns
+    planted in some draws."""
+    k = rng.randint(0, n)
+    b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+         for _ in range(n)]
+    m = [[sum((b[i][t] * b[j][t] for t in range(k)), Fraction(0))
+          for j in range(n)] for i in range(n)]
+    if rng.random() < 0.5:
+        v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        c = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        m = [[m[i][j] - c * v[i] * v[j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if rng.random() < 0.2:
+            for j in range(n):
+                m[i][j] = m[j][i] = Fraction(0)
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_psd_matches_sympy(seed):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = _random_symmetric(rng, n)
+        want = sp.Matrix([[sp.Rational(q.numerator, q.denominator) for q in r]
+                          for r in m]).is_positive_semidefinite
+        assert darboux._psd(RatMatrix(m)) == want, m
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_char_poly_matches_sympy(seed):
+    """The integer Faddeev-LeVerrier coefficients [c_0..c_n] against
+    sympy's charpoly on seeded integer matrices, n = 0..8, some of them
+    singular."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    for n in range(9):
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-10**6,
+                                                                  10**6)])
+                 for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.5:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        want = ([1] if n == 0 else
+                [int(c) for c in reversed(sp.Matrix(rows).charpoly().all_coeffs())])
+        assert darboux._char_poly(rows) == want, (seed, n)
+        assert all(type(c) is int for c in darboux._char_poly(rows))
+
+
+def _locus_reference(branch, p):
+    """``locus_contains`` as ``Poly.eval`` at the rational point."""
+    for f in branch.equalities:
+        if f.eval(p):
+            return False
+    for f, op in branch.inequalities:
+        v = f.eval(p)
+        if {"!=": v == 0, ">": v <= 0, "<": v >= 0}[op]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_locus_contains_matches_poly_eval(seed):
+    """Branches with constant terms, non-homogeneous polynomials and all of
+    '!=', '>', '<', at seeded rational points with mixed denominators.
+    Polynomials shifted by their own value at a point vanish there, so
+    equalities hold and inequality values of exactly 0 occur."""
+    rng = random.Random(seed)
+    seen = set()
+    ops = set()
+    for _ in range(60):
+        nvars = rng.randint(1, 6)
+        pts = [[Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 7]))
+                for _ in range(nvars)] for _ in range(4)]
+        eqs = [_random_poly(rng, nvars, None, 3) for _ in range(rng.randint(0, 2))]
+        eqs = [f - f.eval(pts[0]) if rng.random() < 0.7 else f for f in eqs]
+        ineqs = []
+        for _ in range(rng.randint(0, 3)):
+            f = _random_poly(rng, nvars, None, 2)
+            if rng.random() < 0.3:
+                f = f - f.eval(rng.choice(pts))
+            op = rng.choice(["!=", ">", "<"])
+            ineqs.append((f, op))
+        branch = TreeBranch("b", eqs, ineqs)
+        for p in pts:
+            got = locus_contains(branch, p)
+            assert got == _locus_reference(branch, p), (eqs, ineqs, p)
+            seen.add(got)
+            ops |= {(op, f.eval(p) == 0) for f, op in ineqs}
+    assert seen == {True, False}
+    assert {("!=", True), (">", True), ("<", True)} <= ops
+
+
+def test_locus_contains_short_point_raises_missing_variable():
+    """A point too short for a branch polynomial raises at the same
+    polynomial and for the same variable as ``Poly.eval``; a polynomial
+    that already fails before it returns False."""
+    branch = TreeBranch("b", [x(0), x(3) * x(1) + x(4)],
+                        [(x(1) + x(6), ">")])
+    with pytest.raises(MissingVariable, match="x4"):
+        locus_contains(branch, [0, 1])
+    with pytest.raises(MissingVariable) as want:
+        (x(3) * x(1) + x(4)).eval([0, 1])
+    assert str(want.value) == "'x4'"
+    assert not locus_contains(branch, [1, 1])
+    with pytest.raises(MissingVariable, match="x7"):
+        locus_contains(branch, [0, 1, 0, 0, 0])
+    assert not locus_contains(TreeBranch("c", [], [(x(0), "<"), (x(5), ">")]),
+                              [Fraction(1, 2)])
+
+
+def test_tree_branch_int_forms_follow_its_polynomials():
+    """A branch stores its polynomial lists as tuples, so changing the lists
+    it was built from does not change it, and assigning new ones drops the
+    cached ``int_forms``: ``locus_contains`` always tests the branch's
+    current polynomials."""
+    eqs, ineqs = [x(0)], [(x(1), ">")]
+    branch = TreeBranch("b", eqs, ineqs)
+    assert branch.equalities == (x(0),)
+    assert branch.inequalities == ((x(1), ">"),)
+    assert locus_contains(branch, [0, 1])
+    eqs.append(x(1) - 1)
+    ineqs[0] = (x(1), "<")
+    assert locus_contains(branch, [0, 1])
+    branch.equalities = [x(0), x(1) - 2]
+    assert branch.equalities == (x(0), x(1) - 2)
+    assert not locus_contains(branch, [0, 1])
+    assert locus_contains(branch, [0, 2])
+    branch.inequalities = [(x(1), "<")]
+    assert not locus_contains(branch, [0, 2])
+    assert locus_contains(TreeBranch("c", [x(1) - 2], [(x(0), "<")]),
+                          [-1, 2])

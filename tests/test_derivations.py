@@ -224,3 +224,27 @@ def test_fundamental_fields_abelian_full_gl_image():
     from darbouxlie.exactmath import row_space_equal
     assert row_space_equal(RatMatrix(elementary), RatMatrix(got))
     assert rank(RatMatrix(got)) == 16
+
+
+@pytest.mark.parametrize("fam", sorted(EXPECTED_DER_DIM))
+def test_rank_at_matches_field_matrix_at_mixed_denominators(fam):
+    """The integer ``rank_at`` against the rank of the Fraction matrix M(p)
+    at seeded points whose coordinates carry different denominators (and
+    random zero patterns, where the rank drops), for every catalog algebra
+    and the enlarged s3 and s8 members."""
+    rng = random.Random(fam)
+    algebras = [catalog(fam, **PARAMS.get(fam, {}))]
+    if fam in ("s3", "s8"):
+        algebras.append(catalog(fam, **{k: 1 for k in PARAMS[fam]}))
+    seen = set()
+    for g in algebras:
+        fields = fundamental_fields(g, 2)
+        for _ in range(40):
+            p = [Fraction(0)] * 6
+            for i in rng.sample(range(6), rng.randint(0, 6)):
+                p[i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
+                                rng.choice([1, 2, 3, 4, 7, 9]))
+            k = rank_at(fields, p)
+            assert k == rank(field_matrix_at(fields, p)), (fam, p)
+            seen.add(k)
+    assert len(seen) >= 2

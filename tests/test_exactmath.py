@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -236,7 +237,7 @@ def test_normalize_poly():
 def test_int_poly_clears_denominators_with_a_positive_scale():
     q = IntPoly(x(0) / 2 - x(1) / 3)
     assert q.scale == 6
-    assert sorted(q.terms) == [(-2, ((1, 1),)), (3, ((0, 1),))]
+    assert sorted(q.terms) == [(-2, ((1, 1),), 0), (3, ((0, 1),), 0)]
     assert q.eval([2, 3]) == 0 and q.eval([1, 0]) == 3
     assert IntPoly(-Fraction(3, 4) * x(2) ** 2).eval([0, 0, 2]) == -12
     zero = IntPoly(Poly.zero())
@@ -530,3 +531,59 @@ def test_int_poly_matches_eval_and_sympy(sp, seed):
             assert (got > 0) - (got < 0) == (want > 0) - (want < 0)
             signs.add((got > 0) - (got < 0))
     assert signs == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_int_poly_homogenized_eval_matches_eval(seed):
+    """``IntPoly(p).eval(q, den) == scale * den^d * p(q/den)`` for d = deg p
+    on non-homogeneous polynomials with constant terms, constants and 0,
+    at integer points q with denominators den from 1 to 12."""
+    rng = random.Random(seed)
+    polys = random_polys(seed, 6, nvars=4, degree=3, density=0.5)
+    polys += [Poly.zero(), Poly.const(Fraction(-5, 3)), x(3) / 7 + 2]
+    for p in polys:
+        q = IntPoly(p)
+        assert q.degree == p.degree()
+        for _ in range(20):
+            den = rng.randint(1, 12)
+            pt = [rng.randint(-9, 9) for _ in range(4)]
+            want = q.scale * den ** p.degree() * p.eval(
+                [Fraction(v, den) for v in pt])
+            assert q.eval(pt, den) == want, (p, pt, den)
+            if den == 1:
+                assert q.eval(pt) == want
+
+
+def test_int_poly_short_point_raises_missing_variable_like_eval():
+    for p in (x(0) + x(5) * x(2), x(2) ** 2 - 1, x(1) * x(4) + x(3)):
+        with pytest.raises(MissingVariable) as want:
+            p.eval([1, 2])
+        for den in (1, 3):
+            with pytest.raises(MissingVariable) as got:
+                IntPoly(p).eval([1, 2], den)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,density", cases())
+def test_int_echelon_matches_rank(sp, seed, nrows, ncols, density):
+    """``int_echelon`` on the integer rows of the seeded matrices (each row
+    scaled by its own positive multiple, which keeps the rank) has
+    rank-many pivot rows (sympy's rank too), each primitive and leading at
+    its pivot column, spanning the input's row space; the input rows are
+    left as they were."""
+    rows = random_rows(seed, nrows, ncols, density)
+    want = rank(mat(rows, ncols))
+    assert want == sym(sp, rows, ncols).rank()
+    ints = []
+    for k, r in enumerate(rows):
+        d = lcm(*(v.denominator for v in r)) * (k % 3 + 1)
+        ints.append({j: int(v * d) for j, v in enumerate(r) if v})
+    before = [dict(r) for r in ints]
+    pivots = exactmath.int_echelon(ints)
+    assert ints == before
+    assert len(pivots) == want
+    for c, r in pivots.items():
+        assert min(r) == c and gcd(*r.values()) == 1
+        assert all(type(v) is int for v in r.values())
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in pivots.values()]
+    assert rank(mat(dense + rows, ncols)) == want
