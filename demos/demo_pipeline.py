@@ -7,11 +7,12 @@ Run with:  python demos/demo_pipeline.py
 """
 
 from darbouxlie import (AlgebraContext, MultiVector, catalog,
-                        derivation_basis, fundamental_fields,
-                        generic_bivector, orbit_dim, schouten, yb_system)
+                        derivation_basis, fundamental_fields, generic_rr,
+                        orbit_dim, yb_system)
 from darbouxlie.darboux import TreeBranch, branch_samples, find_bricks, \
     verify_branch
 from darbouxlie.exactmath import Poly
+from darbouxlie.grassmann import blade_name, blades
 
 x = Poly.var
 
@@ -28,9 +29,10 @@ print("\nlifted vector fields on the bivector coordinates x1..x6:")
 for i, X in enumerate(fields, 1):
     print(f"  X{i} = {X.text()}")
 
-r = generic_bivector(g)
-rr = schouten(g, r, r)
-print(f"\n[r, r] = {rr.text()}")
+rr = " + ".join(f"({p.text()})*{blade_name(b)}"
+               for b, p in zip(blades(g.dim, 3), generic_rr(g))
+               if not p.is_zero())
+print(f"\n[r, r] = {rr or 0}")
 
 ybs = yb_system(g)
 print("mCYBE system (reduced):",

@@ -13,8 +13,8 @@ from .exactmath import (Poly, RatMatrix, Rational, ideal_membership,
                         rat, rref, solve)
 from .liealg import (CatalogId, LieAlgebra, abelian, bracket, catalog,
                      center, from_brackets, parse_algebra, validate)
-from .grassmann import (MultiVector, SymMultiVector, ad_action, blades,
-                        generic_bivector, invariants, schouten, wedge)
+from .grassmann import (MultiVector, ad_action, blades, generic_rr,
+                        invariants, schouten, wedge)
 from .derivations import (LinearVectorField, derivation_basis,
                           fundamental_fields, lift, orbit_dim, rank_at,
                           vf_apply)

@@ -25,17 +25,18 @@ from typing import Iterator, Optional, Sequence
 
 from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
-                      locus_contains, solve_linear, verify_branch)
+                      locus_contains, locus_sampler, solve_linear,
+                      verify_branch)
 from .derivations import rank_at
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
-                        normalize_poly, poly_rref, rat, row_space_equal)
+                        normalize_poly, poly_rref, row_space_equal)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
                         poly_env)
 from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
                         schouten)
 from .liealg import FAMILIES, LieAlgebra, catalog
-from .yangbaxter import (AlgebraContext, NecessaryReport, generic_bivector,
-                         is_automorphism, is_cybe_solution, reduce_system)
+from .yangbaxter import (AlgebraContext, NecessaryReport, is_automorphism,
+                         is_cybe_solution, reduce_system)
 
 
 class GoldenDataMissing(FileNotFoundError):
@@ -446,14 +447,8 @@ class OrbitRecord:
 
     @cached_property
     def samples(self) -> list[tuple[Fraction, ...]]:
-        row, branch, env = self.row, self.branch, self.env
-        out: list[tuple[Fraction, ...]] = []
-
-        def push(pt):
-            pt = tuple(rat(x) for x in pt)
-            if locus_contains(branch, pt) and pt not in out:
-                out.append(pt)
-
+        row, env = self.row, self.env
+        out, push = locus_sampler(self.branch)
         push(self.rep.coords())
         for s in row.samples:
             push([Fraction(e(env)) for e in s])
@@ -710,10 +705,8 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
 
         ybs = ctx.yb_system
         if fam.rr:
-            r = generic_bivector(g)
-            rrv = schouten(g, r, r)
-            for bl, expr in zip(blades(4, 3), fam.rr):
-                if expr.poly(sp) != rrv.terms.get(bl, Poly.zero()):
+            for bl, expr, got in zip(blades(4, 3), fam.rr, ctx.rr):
+                if expr.poly(sp) != got:
                     problems.append(f"[r,r] coefficient at blade {bl} differs")
 
         for kind, lines, computed in (("mcybe", fam.mcybe, ybs.reduced),

@@ -121,6 +121,8 @@ def cmd_derivations(args):
 
 
 def cmd_invariants(args):
+    if args.degree < 0:
+        raise InputError(f"--degree must be at least 0, got {args.degree}")
     g = _load_algebra(args)
     inv = invariants(g, args.degree)
     lines = [f"({chr(0x39b)}^{args.degree} g)^g of {g.name}: dimension {len(inv)}"]

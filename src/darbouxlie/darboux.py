@@ -259,6 +259,22 @@ def locus_contains(branch: TreeBranch, p: Sequence) -> bool:
     return True
 
 
+def locus_sampler(branch: TreeBranch):
+    """An empty list of sample points and the function that appends a point
+    (made exact) when it is new and lies on the branch's locus; a set beside
+    the list tests newness first, so a repeat skips the locus test."""
+    out: list[tuple[Fraction, ...]] = []
+    seen: set[tuple[Fraction, ...]] = set()
+
+    def push(pt: Sequence) -> None:
+        pt = tuple(rat(x) for x in pt)
+        if pt not in seen and locus_contains(branch, pt):
+            seen.add(pt)
+            out.append(pt)
+
+    return out, push
+
+
 def solve_linear(f: Poly, v: int, point: Sequence) -> Optional[Fraction]:
     """The value of x_v that makes f vanish at point, with f's other
     coordinates taken from point: -b(point)/a(point) for f = a*x_v + b with
@@ -282,13 +298,7 @@ def branch_samples(branch: TreeBranch, nvars: int,
     """Sample grid: one point per sign pattern of the inequality
     polynomials, coordinates drawn from {-2,-1,1,2} on constrained
     coordinates and {0,1} on free ones, filtered through the locus."""
-    seen: list[tuple[Fraction, ...]] = []
-
-    def push(pt):
-        pt = tuple(rat(x) for x in pt)
-        if locus_contains(branch, pt) and pt not in seen:
-            seen.append(pt)
-
+    out, push = locus_sampler(branch)
     for pt in extra:
         push(pt)
     eq_vars = {v for f in branch.equalities for v in f.variables()}
@@ -321,9 +331,9 @@ def branch_samples(branch: TreeBranch, nvars: int,
             if x is not None:
                 base[v0] = x
         push(base)
-        if len(seen) >= 2 ** min(len(branch.inequalities), 4) + 4:
+        if len(out) >= 2 ** min(len(branch.inequalities), 4) + 4:
             break
-    return seen
+    return out
 
 
 def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],

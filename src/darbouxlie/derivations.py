@@ -2,9 +2,10 @@
 vector fields on Λ^2 g, and orbit dimensions via rank computations.
 
 A derivation is stored as its matrix d with column action d(e_j) = sum_i
-d[i][j] e_i.  Lifting d to Λ^m by the Leibniz rule gives a linear vector
-field on the blade coordinates: X(p) = A p, whose coefficient of
-``d/dx_a`` at p is the a-th component of A p.
+d[i][j] e_i.  Its Leibniz lift to Λ^m (index arithmetic in
+``grassmann.leibniz_matrix``) is a linear vector field on the blade
+coordinates: X(p) = A p, whose coefficient of ``d/dx_a`` at p is the a-th
+component of A p.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
                         kernel_basis, rat)
-from .grassmann import MultiVector, blades, wedge
+from .grassmann import MultiVector, leibniz_matrix
 from .liealg import LieAlgebra
 
 Derivation = RatMatrix
@@ -72,21 +73,8 @@ def derivation_basis(g: LieAlgebra) -> list[Derivation]:
 
 def lift(d: Derivation, m: int) -> LinearVectorField:
     """Λ^m d, the Leibniz extension of d to degree-m multivectors."""
-    n = d.rows
-    bl = blades(n, m)
-    cols = []
-    for mask in bl:
-        img = MultiVector(n, m)
-        idxs = [i for i in range(n) if mask & (1 << i)]
-        for pos, i in enumerate(idxs):
-            factors = MultiVector(n, 0, {0: Fraction(1)})
-            for q, j in enumerate(idxs):
-                factors = wedge(factors,
-                                MultiVector.vector(n, d.col(j)) if q == pos
-                                else MultiVector.blade(n, [j]))
-            img = img + factors
-        cols.append([img.terms.get(b, Fraction(0)) for b in bl])
-    return LinearVectorField(RatMatrix(list(zip(*cols))))
+    return LinearVectorField(leibniz_matrix(
+        [d.col(j) for j in range(d.cols)], m))
 
 
 def fundamental_fields(g: LieAlgebra, m: int = 2) -> list[LinearVectorField]:

@@ -8,19 +8,19 @@ functions x1..x6.  The bracket follows the hat-omission expansion
 
     [X1^..^Xs, Y1^..^Yl] = sum_{i,j} (-1)^{i+j} [Xi,Yj] ^ X\\i ^ Y\\j,
 
-which for degree-1 arguments reduces to the Lie bracket.
+which for degree-1 arguments reduces to the Lie bracket.  The matrices of
+maps on Λ^m g and [r, r] of the generic bivector are built by index
+arithmetic on the blade masks and basis brackets, with no multivector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exactmath import Poly, RatMatrix, kernel_basis, rat
 from .liealg import DimensionMismatch, LieAlgebra
-
-Coeff = Union[Fraction, Poly]
 
 
 def _popcount(x: int) -> int:
@@ -72,19 +72,11 @@ def wedge_sign(a: int, b: int) -> int:
     return sign
 
 
-def _iszero(c) -> bool:
-    return c.is_zero() if isinstance(c, Poly) else not c
-
-
 class MultiVector:
-    """Element of Λ^m g: sparse map from basis masks to coefficients.
-
-    Coefficients are Fractions; :class:`SymMultiVector` carries Poly
-    coefficients with the same blade discipline.
-    """
+    """Element of Λ^m g: sparse map from basis masks to nonzero Fraction
+    coefficients."""
 
     __slots__ = ("dim", "degree", "terms")
-    _coeff_zero = Fraction(0)
 
     def __init__(self, dim: int, degree: int, terms=None):
         if dim > 8:
@@ -98,16 +90,16 @@ class MultiVector:
                     raise ValueError(f"mask {mask:b} has wrong degree")
                 if mask >> dim:
                     raise DimensionMismatch("blade index beyond dimension")
-                if not _iszero(c):
-                    clean[mask] = clean.get(mask, self._coeff_zero) + c
-                    if _iszero(clean[mask]):
+                if c:
+                    clean[mask] = clean.get(mask, Fraction(0)) + c
+                    if not clean[mask]:
                         del clean[mask]
         self.terms = clean
 
     # constructors -----------------------------------------------------------
-    @classmethod
-    def zero(cls, dim: int, degree: int):
-        return cls(dim, degree, None)
+    @staticmethod
+    def zero(dim: int, degree: int) -> "MultiVector":
+        return MultiVector(dim, degree)
 
     @staticmethod
     def blade(dim: int, indices: Sequence[int], coeff=1) -> "MultiVector":
@@ -126,24 +118,19 @@ class MultiVector:
         return not self.terms
 
     def coefficient(self, indices: Sequence[int]):
-        return self.terms.get(mask_of(indices), self._coeff_zero)
+        return self.terms.get(mask_of(indices), Fraction(0))
 
     def coords(self) -> tuple:
         """Coefficients in the canonical blade order of this degree."""
-        return tuple(self.terms.get(b, self._coeff_zero)
+        return tuple(self.terms.get(b, Fraction(0))
                      for b in blades(self.dim, self.degree))
 
-    @classmethod
-    def from_coords(cls, dim: int, degree: int, coords: Sequence):
+    @staticmethod
+    def from_coords(dim: int, degree: int, coords: Sequence) -> "MultiVector":
         bl = blades(dim, degree)
         if len(coords) != len(bl):
             raise DimensionMismatch("coordinate count mismatch")
-        if cls is MultiVector:
-            coords = [rat(x) for x in coords]
-        return cls(dim, degree, dict(zip(bl, coords)))
-
-    def _like(self, degree: int, terms) -> "MultiVector":
-        return type(self)(self.dim, degree, terms)
+        return MultiVector(dim, degree, dict(zip(bl, map(rat, coords))))
 
     def __add__(self, other):
         if other == 0:
@@ -154,17 +141,18 @@ class MultiVector:
             raise DimensionMismatch("mismatched multivectors")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, self._coeff_zero) + c
-            if _iszero(s):
-                out.pop(m, None)
-            else:
+            s = out.get(m, Fraction(0)) + c
+            if s:
                 out[m] = s
-        return self._like(self.degree, out)
+            else:
+                out.pop(m, None)
+        return MultiVector(self.dim, self.degree, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like(self.degree, {m: -c for m, c in self.terms.items()})
+        return MultiVector(self.dim, self.degree,
+                           {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -173,10 +161,10 @@ class MultiVector:
         return -self + other
 
     def __mul__(self, scalar):
-        if _iszero(scalar if isinstance(scalar, Poly) else rat(scalar)):
-            return self._like(self.degree, None)
-        return self._like(self.degree,
-                          {m: c * scalar for m, c in self.terms.items()})
+        if not rat(scalar):
+            return MultiVector(self.dim, self.degree)
+        return MultiVector(self.dim, self.degree,
+                           {m: c * scalar for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -196,9 +184,7 @@ class MultiVector:
         for mask in sorted(self.terms, key=indices_of):
             c = self.terms[mask]
             name = blade_name(mask)
-            if isinstance(c, Poly):
-                frag = f"({c.text()})*{name}"
-            elif c == 1:
+            if c == 1:
                 frag = name
             elif c == -1:
                 frag = f"-{name}"
@@ -214,36 +200,46 @@ class MultiVector:
         return f"<{type(self).__name__} {self.text()}>"
 
 
-class SymMultiVector(MultiVector):
-    """Multivector whose coefficients are polynomials in x1..xN."""
-
-    __slots__ = ()
-    _coeff_zero = Poly.zero()
-
-
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     """Exterior product; graded anticommutative and bilinear."""
     if a.dim != b.dim:
         raise DimensionMismatch("wedge of multivectors over different algebras")
-    cls = SymMultiVector if isinstance(a, SymMultiVector) or \
-        isinstance(b, SymMultiVector) else MultiVector
-    out: dict[int, Coeff] = {}
+    out: dict[int, Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             s = wedge_sign(ma, mb)
             if not s:
                 continue
             m = ma | mb
-            c = out.get(m, cls._coeff_zero) + s * ca * cb
-            if _iszero(c):
-                out.pop(m, None)
-            else:
+            c = out.get(m, Fraction(0)) + s * ca * cb
+            if c:
                 out[m] = c
-    return cls(a.dim, a.degree + b.degree, out)
+            else:
+                out.pop(m, None)
+    return MultiVector(a.dim, a.degree + b.degree, out)
+
+
+def leibniz_matrix(images: Sequence[Sequence], m: int) -> RatMatrix:
+    """Matrix on Λ^m g, in blade order, of the derivation extending
+    e_i -> sum_k images[i][k] e_k.  On a blade e_I each e_i is replaced by
+    e_k: the image blade is I - {i} + {k}, with sign (-1)^(the number of
+    elements of I - {i} strictly between i and k), or 0 if k is in I - {i}."""
+    n = len(images)
+    bl = blades(n, m)
+    pos = {b: p for p, b in enumerate(bl)}
+    out = [[Fraction(0)] * len(bl) for _ in bl]
+    for c, mask in enumerate(bl):
+        for i in indices_of(mask):
+            rest = mask ^ 1 << i
+            for k, x in enumerate(images[i]):
+                if x and not rest >> k & 1:
+                    odd = _popcount((rest >> (i + 1)) ^ (rest >> (k + 1))) & 1
+                    out[pos[rest | 1 << k]][c] += -x if odd else x
+    return RatMatrix(out)
 
 
 def _schouten_blades(g: LieAlgebra, ma: int, mb: int):
-    """[e_A, e_B] for basis blades, as a list of (mask, Fraction) pairs."""
+    """[e_A, e_B] for basis blades, as a dict from mask to Fraction."""
     ia = indices_of(ma)
     ib = indices_of(mb)
     out: dict[int, Fraction] = {}
@@ -277,21 +273,19 @@ def schouten(g: LieAlgebra, a: MultiVector, b: MultiVector) -> MultiVector:
     """Algebraic Schouten bracket on Λg; degree s + l - 1."""
     if a.dim != g.dim or b.dim != g.dim:
         raise DimensionMismatch("multivector dimension does not match algebra")
-    cls = SymMultiVector if isinstance(a, SymMultiVector) or \
-        isinstance(b, SymMultiVector) else MultiVector
     deg = a.degree + b.degree - 1
     if a.degree == 0 or b.degree == 0:
-        return cls(g.dim, max(deg, 0))
-    out: dict[int, Coeff] = {}
+        return MultiVector(g.dim, max(deg, 0))
+    out: dict[int, Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             for m, c in _schouten_blades(g, ma, mb).items():
-                val = out.get(m, cls._coeff_zero) + ca * cb * c
-                if _iszero(val):
-                    out.pop(m, None)
-                else:
+                val = out.get(m, Fraction(0)) + ca * cb * c
+                if val:
                     out[m] = val
-    return cls(g.dim, deg, out)
+                else:
+                    out.pop(m, None)
+    return MultiVector(g.dim, deg, out)
 
 
 def ad_action(g: LieAlgebra, v: Sequence, w: MultiVector) -> MultiVector:
@@ -300,14 +294,9 @@ def ad_action(g: LieAlgebra, v: Sequence, w: MultiVector) -> MultiVector:
 
 
 def ad_matrix(g: LieAlgebra, i: int, m: int) -> RatMatrix:
-    """Matrix of ad_{e_i} on Λ^m g in the canonical blade order."""
-    bl = blades(g.dim, m)
-    cols = []
-    for mask in bl:
-        img = ad_action(g, [1 if k == i else 0 for k in range(g.dim)],
-                        MultiVector(g.dim, m, {mask: Fraction(1)}))
-        cols.append([img.terms.get(b, Fraction(0)) for b in bl])
-    return RatMatrix(list(zip(*cols)))
+    """Matrix of ad_{e_i} on Λ^m g in the canonical blade order: the
+    Leibniz extension of e_j -> [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    return leibniz_matrix(g.c[i], m)
 
 
 def invariants(g: LieAlgebra, m: int) -> list[MultiVector]:
@@ -323,23 +312,40 @@ def invariants(g: LieAlgebra, m: int) -> list[MultiVector]:
             for v in kernel_basis(RatMatrix(rows))]
 
 
-def generic_bivector(g: LieAlgebra) -> SymMultiVector:
-    """r = sum_a x_a e_{B(a)} over the canonical degree-2 blades."""
-    return SymMultiVector(g.dim, 2, {b: Poly.var(a)
-                                     for a, b in enumerate(blades(g.dim, 2))})
-
-
 def lambda_matrix(T: RatMatrix, m: int) -> RatMatrix:
-    """Λ^m T for an invertible map T (wedge of images on each blade)."""
-    dim = T.rows
-    bl = blades(dim, m)
+    """Λ^m T, the m-th compound matrix of T: the column of e_J is
+    T e_j1 ^ .. ^ T e_jm, wedged on dicts from blade mask to coefficient."""
+    bl = blades(T.rows, m)
     cols = []
     for mask in bl:
-        img = MultiVector(dim, 0, {0: Fraction(1)})
-        for i in indices_of(mask):
-            img = wedge(img, MultiVector.vector(dim, T.col(i)))
-        cols.append([img.terms.get(b, Fraction(0)) for b in bl])
+        img = {0: Fraction(1)}
+        for j in indices_of(mask):
+            col = T.col(j)
+            nxt: dict[int, Fraction] = {}
+            for mk, y in img.items():
+                for k, x in enumerate(col):
+                    if x and not mk >> k & 1:
+                        v = -x * y if _popcount(mk >> (k + 1)) & 1 else x * y
+                        nxt[mk | 1 << k] = nxt.get(mk | 1 << k, 0) + v
+            img = nxt
+        cols.append([img.get(b, Fraction(0)) for b in bl])
     return RatMatrix(list(zip(*cols)))
+
+
+def generic_rr(g: LieAlgebra) -> list[Poly]:
+    """[r, r] of the generic bivector r = sum_a x_a e_B(a), one Poly per
+    degree-3 blade in ``blades`` order.  The bracket is symmetric on
+    bivectors, so [r, r] = sum_{a <= b} w x_a x_b [e_B(a), e_B(b)] with
+    w = 1 if a = b and w = 2 otherwise."""
+    b2 = blades(g.dim, 2)
+    pos = {b: p for p, b in enumerate(blades(g.dim, 3))}
+    terms: list[dict] = [{} for _ in pos]
+    for a, ma in enumerate(b2):
+        for b in range(a, len(b2)):
+            mono, w = (((a, 2),), 1) if a == b else (((a, 1), (b, 1)), 2)
+            for m, c in _schouten_blades(g, ma, b2[b]).items():
+                terms[pos[m]][mono] = w * c
+    return [Poly(t) for t in terms]
 
 
 def apply_linear(T: RatMatrix, w: MultiVector) -> MultiVector:

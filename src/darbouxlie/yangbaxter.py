@@ -20,8 +20,8 @@ from .derivations import (Derivation, LinearVectorField, derivation_basis,
                           lift, rank_at)
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
                         normalize_poly, poly_rref, rank, rref, rat)
-from .grassmann import (MultiVector, SymMultiVector, ad_action, apply_linear,
-                        blades, generic_bivector, invariants, schouten)
+from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
+                        invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra, bracket
 
 #: an r-matrix: coordinates on Λ²g in blade order, or the bivector itself
@@ -56,10 +56,6 @@ class YbSystem:
     mcybe: list[Poly]
     inv3: list[MultiVector]
     reduced: list[Poly] = field(default_factory=list)
-
-
-def _coefficients(w: SymMultiVector) -> list[Poly]:
-    return [w.terms.get(b, Poly.zero()) for b in blades(w.dim, w.degree)]
 
 
 def _span_rref(vs: list[MultiVector]) -> tuple[RatMatrix, list[int]]:
@@ -267,8 +263,8 @@ def necessary_checks(g: LieAlgebra, r1: RMatrix, r2: RMatrix) -> NecessaryReport
 class AlgebraContext:
     """The derived data of one concrete algebra, each piece computed at most
     once: derivations, their Λ² fields, (Λ²g)^g and (Λ³g)^g with their
-    RREFs, and the Yang-Baxter system.  Build one per algebra and pass it
-    along; ``ders`` overrides the computed derivation basis.
+    RREFs, the symbolic [r, r] and the Yang-Baxter system.  Build one per
+    algebra and pass it along; ``ders`` overrides the derivation basis.
 
     ``is_mcybe_at`` tests a point in ``int`` arithmetic on the ``IntPoly``
     forms of the mCYBE system, built once: the point is first scaled by the
@@ -299,9 +295,13 @@ class AlgebraContext:
         return inv, _span_rref(inv)
 
     @cached_property
+    def rr(self) -> list[Poly]:
+        """[r, r] of the generic bivector, one Poly per degree-3 blade."""
+        return generic_rr(self.g)
+
+    @cached_property
     def yb_system(self) -> YbSystem:
-        r = generic_bivector(self.g)
-        rr = _coefficients(schouten(self.g, r, r))
+        rr = self.rr
         mcybe = [normalize_poly(p) for p in _project_out(rr, self.inv3[1])]
         mcybe = [p for p in mcybe if not p.is_zero()] or [Poly.zero()]
         return YbSystem(cybe=[normalize_poly(p) for p in rr], mcybe=mcybe,

@@ -292,3 +292,56 @@ def test_context_mcybe_matches_oracle_at_tree_branch_samples(stem,
                 assert ctx.is_mcybe_at(q) == want, (q, want)
                 seen.add(want)
     assert seen == {True, False}
+
+
+def _list_sampler(branch):
+    """The sample-list rule with membership tested on the list itself,
+    after the locus test (the reference for ``locus_sampler``)."""
+    from darbouxlie.darboux import locus_contains
+    from darbouxlie.exactmath import rat
+    out = []
+
+    def push(pt):
+        pt = tuple(rat(x) for x in pt)
+        if locus_contains(branch, pt) and pt not in out:
+            out.append(pt)
+
+    return out, push
+
+
+def test_sample_lists_match_the_list_based_rule(monkeypatch):
+    """branch_samples on every branch of every shipped tree, and the sample
+    points of every orbit row of s3, are the same lists, in the same order,
+    under the set-based rule of locus_sampler and the list-based rule."""
+    import darbouxlie.classify as classify
+    import darbouxlie.darboux as darboux
+    from darbouxlie.darboux import BranchInvalid, branch_samples
+
+    calls = []
+
+    def recording(branch, nvars, extra=()):
+        calls.append((branch, nvars, extra))
+        return []
+
+    def skip(*args, **kwargs):
+        raise BranchInvalid("not verified here")
+
+    monkeypatch.setattr(classify, "branch_samples", recording)
+    monkeypatch.setattr(classify, "verify_branch", skip)
+    monkeypatch.setattr(classify, "certify_no_solutions", lambda *a: None)
+    for stem in TREE_FILES:
+        verify_tree(stem)
+    assert len(calls) > 100
+
+    fam = load_family("s3")
+
+    def row_samples():
+        return [rec.samples for ps, _, _ in qualifying_samples(fam)
+                for rec in expand_rows(fam, ps)]
+
+    got = ([branch_samples(*c) for c in calls], row_samples())
+    monkeypatch.setattr(darboux, "locus_sampler", _list_sampler)
+    monkeypatch.setattr(classify, "locus_sampler", _list_sampler)
+    want = ([branch_samples(*c) for c in calls], row_samples())
+    assert got == want
+    assert sum(map(len, got[0])) > 500 and sum(map(len, got[1])) > 500

@@ -126,8 +126,10 @@ def test_number_added_to_a_multivector_exits_2(bivector, number, capsys):
     (["verify-tables", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["verify-tables", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
     (["bricks", "--algebra", "s5", "--param", "alpha=1/2", "--param",
-      "alpha=1/3"], "--param alpha is given twice")],
-    ids=["zero-jobs", "negative-jobs", "repeated-param"])
+      "alpha=1/3"], "--param alpha is given twice"),
+    (["invariants", "--algebra", "s1", "--degree", "-1"],
+     "--degree must be at least 0, got -1")],
+    ids=["zero-jobs", "negative-jobs", "repeated-param", "negative-degree"])
 def test_malformed_option_exits_2(argv, message, capsys):
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
@@ -306,6 +308,9 @@ def test_invariants_verb():
                         "--format", "json")
     data = json.loads(out)
     assert data["dimension"] == 2
+    # a degree above the dimension is valid: Λ^5 g = 0 for dim g = 4
+    code, out = run_cli("invariants", "--algebra", "n1", "--degree", "5")
+    assert code == 0 and out == "(Λ^5 g)^g of n1: dimension 0\n"
 
 
 def test_orbit_dim_and_rank_at():

@@ -1,15 +1,26 @@
-"""Exterior algebra, Schouten bracket, invariants; graded identities."""
+"""Exterior algebra, Schouten bracket, invariants; graded identities; the
+maps on Λ^m g and the symbolic [r, r] against MultiVector oracles."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from darbouxlie.grassmann import (MultiVector, SymMultiVector, ad_action,
-                                  blade_name, blades, generic_bivector,
-                                  invariants, schouten, wedge)
-from darbouxlie.exactmath import Poly
-from darbouxlie.liealg import DimensionMismatch, abelian, bracket, catalog
+from darbouxlie.derivations import derivation_basis, lift
+from darbouxlie.grassmann import (MultiVector, ad_action, ad_matrix,
+                                  blade_name, blades, generic_rr,
+                                  indices_of, invariants, lambda_matrix,
+                                  schouten, wedge)
+from darbouxlie.exactmath import Poly, RatMatrix
+from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, bracket,
+                               catalog, from_brackets)
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.query import almost_abelian, so3_plus_abelian  # noqa: E402
 
 B = MultiVector.blade
 
@@ -150,18 +161,17 @@ def test_invariants_annihilated():
 
 def test_schouten_sym_matches_displayed_expansion():
     x = Poly.var
-    s1 = catalog("s1")
-    rr = schouten(s1, generic_bivector(s1), generic_bivector(s1))
-    assert rr.terms[0b0111] == 2 * (-x(1) * x(4) + x(2) * x(3) - x(3) * x(4))
-    assert rr.terms[0b1011] == -2 * x(4) ** 2
-    assert rr.terms[0b1101] == 2 * (x(2) - x(4)) * x(5)
-    assert rr.terms[0b1110] == 2 * x(4) * x(5)
-    s6 = catalog("s6")
-    rr6 = schouten(s6, generic_bivector(s6), generic_bivector(s6))
-    assert rr6.terms[0b0111] == 2 * (x(0) * x(5) + x(1) * x(4) + x(3) ** 2)
-    assert rr6.terms[0b1110] == -4 * x(4) * x(5)
-    zero = SymMultiVector(4, 2)
-    assert schouten(s6, zero, zero).is_zero()
+    # generic_rr lists the blades e123, e124, e134, e234 in this order
+    assert blades(4, 3) == (0b0111, 0b1011, 0b1101, 0b1110)
+    rr = generic_rr(catalog("s1"))
+    assert rr[0] == 2 * (-x(1) * x(4) + x(2) * x(3) - x(3) * x(4))
+    assert rr[1] == -2 * x(4) ** 2
+    assert rr[2] == 2 * (x(2) - x(4)) * x(5)
+    assert rr[3] == 2 * x(4) * x(5)
+    rr6 = generic_rr(catalog("s6"))
+    assert rr6[0] == 2 * (x(0) * x(5) + x(1) * x(4) + x(3) ** 2)
+    assert rr6[3] == -4 * x(4) * x(5)
+    assert generic_rr(abelian(4)) == [Poly.zero()] * 4
 
 
 def test_abelian_everything_invariant():
@@ -179,3 +189,135 @@ def test_blades_order_is_built_once_and_immutable():
     assert isinstance(blades(4, 2), tuple)
     with pytest.raises(TypeError):
         blades(4, 2)[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# maps on Λ^m g and [r, r] against the MultiVector constructions
+# ---------------------------------------------------------------------------
+
+PARAMS = {
+    "s3": dict(alpha=Fraction(1, 2), beta=Fraction(1, 3)),
+    "s4": dict(alpha=Fraction(3)),
+    "s5": dict(alpha=Fraction(1), beta=Fraction(-1, 2)),
+    "s8": dict(alpha=Fraction(1, 2)),
+    "s9": dict(alpha=Fraction(2)),
+}
+CATALOG = [catalog(f, **PARAMS.get(f, {})) for f in FAMILIES]
+
+
+def _random_algebras():
+    """Seeded almost-abelian algebras of dimension 1..8, and so(3) + R^k of
+    dimension 3..8 in a random unimodular basis (dense brackets)."""
+    out = [from_brackets(n, almost_abelian(random.Random(n), n),
+                         name=f"aa{n}") for n in range(1, 9)]
+    out += [from_brackets(n, so3_plus_abelian(random.Random(n), n),
+                          name=f"so3+{n - 3}") for n in range(3, 9)]
+    return out
+
+
+RANDOM_ALGEBRAS = _random_algebras()
+
+
+def _random_matrix(rng, n):
+    return RatMatrix([[Fraction(rng.choice((-2, -1, 0, 0, 0, 0, 1, 3)),
+                                rng.choice((1, 1, 2)))
+                       for _ in range(n)] for _ in range(n)])
+
+
+def _by_columns(n, m, image):
+    """The matrix on Λ^m whose column of the blade b is image(b)."""
+    bl = blades(n, m)
+    cols = [image(b).coords() for b in bl]
+    return RatMatrix([[col[a] for col in cols] for a in range(len(bl))])
+
+
+def _oracle_lift(d, m):
+    """Λ^m d: on e_i1^..^e_im, the sum over positions p of the wedge with
+    d e_ip in place p."""
+    n = d.rows
+
+    def image(mask):
+        idxs = indices_of(mask)
+        img = MultiVector(n, m)
+        for pos in range(m):
+            factors = MultiVector(n, 0, {0: Fraction(1)})
+            for q, j in enumerate(idxs):
+                factors = wedge(factors,
+                                MultiVector.vector(n, d.col(j)) if q == pos
+                                else B(n, [j]))
+            img = img + factors
+        return img
+    return _by_columns(n, m, image)
+
+
+def _oracle_ad_matrix(g, i, m):
+    """ad_{e_i} on Λ^m g through the Schouten bracket."""
+    e_i = [int(k == i) for k in range(g.dim)]
+    return _by_columns(g.dim, m, lambda mask: ad_action(
+        g, e_i, MultiVector(g.dim, m, {mask: Fraction(1)})))
+
+
+def _oracle_lambda(T, m):
+    """Λ^m T: on e_j1^..^e_jm, the wedge of the columns T e_j1, .., T e_jm."""
+    n = T.rows
+
+    def image(mask):
+        img = MultiVector(n, 0, {0: Fraction(1)})
+        for j in indices_of(mask):
+            img = wedge(img, MultiVector.vector(n, T.col(j)))
+        return img
+    return _by_columns(n, m, image)
+
+
+@pytest.mark.parametrize("g", CATALOG, ids=lambda g: g.name)
+def test_lift_and_ad_matrix_match_oracle_on_catalog(g):
+    for m in range(g.dim + 1):
+        for d in derivation_basis(g):
+            assert lift(d, m).matrix == _oracle_lift(d, m), (m, d)
+        for i in range(g.dim):
+            assert ad_matrix(g, i, m) == _oracle_ad_matrix(g, i, m), (m, i)
+
+
+@pytest.mark.parametrize("g", RANDOM_ALGEBRAS, ids=lambda g: g.name)
+def test_ad_matrix_matches_oracle_on_random_algebras(g):
+    for m in range(g.dim + 1):
+        for i in range(g.dim):
+            assert ad_matrix(g, i, m) == _oracle_ad_matrix(g, i, m), (m, i)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lift_and_lambda_matrix_match_oracle_on_random_matrices(n):
+    rng = random.Random(40 + n)
+    T, S = _random_matrix(rng, n), _random_matrix(rng, n)
+    for m in range(n + 1):
+        assert lift(T, m).matrix == _oracle_lift(T, m), m
+        assert lambda_matrix(T, m) == _oracle_lambda(T, m), m
+        # Λ^m is multiplicative (Cauchy-Binet); checked where Λ^m has at
+        # most 28 blades, which keeps the Fraction products small
+        if len(blades(n, m)) <= 28:
+            assert lambda_matrix(T.matmul(S), m) == \
+                lambda_matrix(T, m).matmul(lambda_matrix(S, m)), m
+    # the 1x1 maps on Λ^0 g = Q: a derivation kills 1, a linear map fixes it
+    assert lift(T, 0).matrix == RatMatrix([[0]])
+    assert lambda_matrix(T, 0) == RatMatrix([[1]])
+    assert ad_matrix(RANDOM_ALGEBRAS[n - 1], 0, 0) == RatMatrix([[0]])
+
+
+@pytest.mark.parametrize("g", CATALOG + RANDOM_ALGEBRAS,
+                         ids=lambda g: g.name)
+def test_generic_rr_by_polarization(g):
+    """The x_a^2 coefficient of [r, r] is [e_B(a), e_B(a)], and the x_a x_b
+    coefficient is [u, u] - [e_B(a), e_B(a)] - [e_B(b), e_B(b)] for
+    u = e_B(a) + e_B(b); each bracket taken by the Fraction ``schouten``."""
+    b2 = blades(g.dim, 2)
+    basis = [MultiVector(g.dim, 2, {b: Fraction(1)}) for b in b2]
+    square = [schouten(g, w, w).coords() for w in basis]
+    want: list[dict] = [{} for _ in blades(g.dim, 3)]
+    for a in range(len(b2)):
+        for k, c in enumerate(square[a]):
+            want[k][((a, 2),)] = c
+        for b in range(a + 1, len(b2)):
+            u = basis[a] + basis[b]
+            for k, c in enumerate(schouten(g, u, u).coords()):
+                want[k][((a, 1), (b, 1))] = c - square[a][k] - square[b][k]
+    assert generic_rr(g) == [Poly(t) for t in want]
