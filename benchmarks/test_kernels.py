@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie import classify, darboux, exprparse
+from darbouxlie import darboux, derivations, exprparse
 from darbouxlie.classify import (FAMILY_FILES, TREE_FILES, expand_rows,
                                  load_family, loci_agree, verify_tree)
 from darbouxlie.darboux import (find_bricks, flow_invariance, locus_contains,
@@ -19,11 +19,11 @@ from darbouxlie.derivations import (derivation_basis, field_matrix_at,
                                     fundamental_fields, lift, rank_at,
                                     vf_apply)
 from darbouxlie.exactmath import (Poly, RatMatrix, clear_denominators,
-                                  ideal_membership, monomials_up_to,
-                                  normalize_poly, rank, solve)
+                                  ideal_membership, kernel_basis,
+                                  monomials_up_to, normalize_poly, rank, solve)
 from darbouxlie.exprparse import parse_poly
 from darbouxlie.grassmann import MultiVector, blades, generic_rr, wedge
-from darbouxlie.liealg import catalog, parse_algebra
+from darbouxlie.liealg import bracket, catalog, parse_algebra
 from darbouxlie.yangbaxter import (AlgebraContext, is_mcybe_solution,
                                    necessary_checks, yb_system)
 
@@ -89,7 +89,8 @@ def s3_orbit_points():
 
 
 def test_field_matrix_rank_s3_orbit_points(benchmark, s3_orbit_points):
-    """The rank of the Fraction matrix M(p): the reference ``rank_at``."""
+    """``rank`` of the matrix M(p), built from the field matrices with
+    ``matvec``: the reference ``rank_at``."""
     ctx, points = s3_orbit_points
     want = [rank_at(ctx.fields, p) for p in points]
     assert benchmark(lambda: [rank(field_matrix_at(ctx.fields, p))
@@ -164,16 +165,19 @@ def s3_locus_candidates():
     candidates off the locus included, each with the answer of
     ``Poly.eval`` at the point; the branches' integer forms are built."""
     calls = []
-    real = classify.locus_contains
+    real = darboux.locus_contains
 
     def recorded(branch, p):
         calls.append((branch, tuple(p)))
         return real(branch, p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "locus_contains", recorded)
+        # the name that the samplers' push (darboux.locus_sampler) calls
+        mp.setattr(darboux, "locus_contains", recorded)
         for rec in expand_rows(load_family("s3"), S3):
             rec.samples
-    return [(b, p, _poly_eval_locus(b, p)) for b, p in calls]
+    out = [(b, p, _poly_eval_locus(b, p)) for b, p in calls]
+    assert {w for _, _, w in out} == {True, False}
+    return out
 
 
 def _poly_eval_locus(branch, p):
@@ -312,6 +316,79 @@ ALMOST_ABELIAN_6 = """dim 6
 [4,6] = e1-e2+2*e4
 [5,6] = -2*e1+2*e3-e4
 """
+
+
+#: the almost-abelian algebras of dimension 7 and 8 that the query
+#: workload's generator (``perfbench.query.almost_abelian``) draws from
+#: random.Random(0)
+ALMOST_ABELIAN_7 = """dim 7
+[1,7] = -e2+2*e3-e4+2*e5
+[2,7] = -e5-2*e6
+[3,7] = -e1+2*e2-2*e4+2*e5-2*e6
+[4,7] = 2*e1-2*e2+e3+2*e5
+[5,7] = -e1-e3+2*e5-e6
+[6,7] = -2*e2-e4-e5
+"""
+ALMOST_ABELIAN_8 = """dim 8
+[1,8] = e4+2*e6-e7
+[2,8] = 2*e2-e4+2*e5
+[3,8] = 2*e1+2*e2-e3-2*e5-e6-e7
+[4,8] = e1+e2-2*e3-e4-e5-e7
+[5,8] = -e1-2*e3-2*e4-e5-e6-2*e7
+[6,8] = e3-2*e4
+[7,8] = 2*e1-2*e2+e6
+"""
+
+
+def test_kernel_basis_derivation_system_dim8(benchmark):
+    """The 224x64 Leibniz system that ``derivation_basis`` solves for the
+    dimension-8 almost-abelian algebra: 14 independent kernel vectors, the
+    first three checked to be derivations on every bracket."""
+    g = parse_algebra(ALMOST_ABELIAN_8)
+    systems = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derivations, "kernel_basis",
+                   lambda m: systems.append(m) or kernel_basis(m))
+        derivation_basis(g)
+    m, = systems
+    assert (m.rows, m.cols) == (224, 64)
+    basis = kernel_basis(m)
+    assert len(basis) == 14
+    # independent: each vector is 1 at a column where the others are 0
+    assert all(any(v[u] == 1 and not any(w[u] for w in basis if w is not v)
+                   for u in range(64)) for v in basis)
+    assert all(not any(m.matvec(v)) for v in basis)
+    e = [[int(k == i) for k in range(8)] for i in range(8)]
+    for v in basis[:3]:
+        d = RatMatrix([v[r * 8:(r + 1) * 8] for r in range(8)])
+        for i in range(8):
+            for j in range(i + 1, 8):
+                lhs = d.matvec(bracket(g, e[i], e[j]))
+                rhs = [a + b for a, b in zip(bracket(g, d.col(i), e[j]),
+                                             bracket(g, e[i], d.col(j)))]
+                assert list(lhs) == rhs
+    assert benchmark(kernel_basis, m) == basis
+
+
+def test_yb_system_dim7(benchmark):
+    """``yb_system`` of the dimension-7 almost-abelian algebra (derivations,
+    invariants, [r, r] and the reduced system, from a new context each
+    call): 35 mCYBE polynomials, which vanish exactly at the points where
+    ``is_mcybe_solution`` holds on the 3-vector."""
+    g = parse_algebra(ALMOST_ABELIAN_7)
+    ys = yb_system(g)
+    assert (len(ys.cybe), len(ys.mcybe), len(ys.inv3)) == (35, 35, 0)
+    # bivectors inside the abelian ideal spanned by e1..e6 solve the CYBE
+    inside = [1 if 7 - 1 not in pair else 0 for pair in
+              ((i, j) for i in range(7) for j in range(i + 1, 7))]
+    points = [inside, [1] * 21, [k % 3 - 1 for k in range(21)],
+              [int(k in (5, 6)) for k in range(21)]]
+    verdicts = [all(not f.eval(p) for f in ys.mcybe) for p in points]
+    assert verdicts == [is_mcybe_solution(g, p) for p in points]
+    assert True in verdicts and False in verdicts
+    got = benchmark(yb_system, g)
+    assert (got.cybe, got.mcybe, got.reduced) == (ys.cybe, ys.mcybe,
+                                                  ys.reduced)
 
 
 @pytest.mark.parametrize("algebra, brick, eigenvalues", [

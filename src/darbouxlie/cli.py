@@ -51,7 +51,9 @@ def _fraction(text: str) -> Fraction:
         raise InputError(f"zero denominator in {text.strip()!r}") from None
 
 
-def _load_algebra(args):
+def _load_algebra(args, check: bool = True):
+    """The algebra that ``--algebra`` names.  With ``check``, a file whose
+    brackets fail the Jacobi identity is an input error."""
     params = {}
     for p in args.param or []:
         if "=" not in p:
@@ -68,7 +70,11 @@ def _load_algebra(args):
         text = open(src).read()
     except OSError as e:
         raise InputError(f"cannot read algebra source {src!r}: {e}") from e
-    return parse_algebra(text, name=src)
+    g = parse_algebra(text, name=src)
+    bad = validate(g) if check else []
+    if bad:
+        raise InputError(f"{src} is not a Lie algebra: {bad[0]}")
+    return g
 
 
 def _mv_json(w: MultiVector) -> dict:
@@ -101,7 +107,7 @@ def _emit(args, text_lines, json_obj) -> None:
 
 
 def cmd_validate(args):
-    g = _load_algebra(args)
+    g = _load_algebra(args, check=False)
     bad = validate(g)
     _emit(args, [f"algebra {g.name}: " + ("valid" if not bad else "INVALID")]
           + bad, {"algebra": g.name, "valid": not bad, "violations": bad})

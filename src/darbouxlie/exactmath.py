@@ -2,9 +2,11 @@
 linear algebra (RREF, rank, kernel, solve) by sparse exact elimination.
 
 Everything here is over Q via :class:`fractions.Fraction`; no floats, no
-rounding anywhere.  Monomials are canonically encoded as sorted tuples of
-``(variable_index, exponent)`` pairs with positive exponents, and variables
-are displayed 1-based ("x1", "x2", ...).
+rounding anywhere.  Every elimination runs on one fraction-free kernel,
+``int_echelon``; Fractions are made only for the reduced rows returned.
+Monomials are canonically encoded as sorted tuples of ``(variable_index,
+exponent)`` pairs with positive exponents, and variables are displayed
+1-based ("x1", "x2", ...).
 """
 
 from __future__ import annotations
@@ -458,62 +460,80 @@ class RatMatrix:
 SparseRow = dict
 
 
-def _echelon(rows: Iterable, ncols: float = inf,
-             spilled: Optional[set] = None) -> dict[int, SparseRow]:
-    """Forward elimination: pivot column -> row scaled to leading entry 1.
+def _int_row(row: SparseRow) -> SparseRow:
+    """A SparseRow of rationals times the lcm of its denominators, as ints."""
+    d = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
 
-    Each row (a SparseRow or its ``(column, entry)`` pairs) is reduced
-    against the pivot rows at its smallest column until it either vanishes
-    or leads with a new pivot column.  Pivots are taken only in columns
-    < ncols: a row reduced to entries in columns >= ncols alone is no
-    pivot, and its columns are added to ``spilled``.  The input rows are
-    not modified."""
+
+def _primitive(row: SparseRow) -> SparseRow:
+    """The integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return row if g < 2 else {j: x // g for j, x in row.items()}
+
+
+def _cancel(row: SparseRow, p: SparseRow, c: int) -> SparseRow:
+    """``a*row - b*p``, with a/b = p[c]/row[c] in lowest terms, divided by
+    its content: the integer row that clears column c of ``row`` against
+    ``p``, with the entries that cancel dropped."""
+    g = gcd(p[c], row[c])
+    a, b = p[c] // g, row[c] // g
+    new = {j: a * x for j, x in row.items()}
+    for j, y in p.items():
+        x = new.get(j, 0) - b * y
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    return _primitive(new)
+
+
+def int_echelon(rows: Iterable, ncols: float = inf,
+                spilled: Optional[set] = None) -> dict[int, SparseRow]:
+    """Forward elimination of integer rows (SparseRows of ints) without
+    fractions: pivot column -> pivot row, primitive (content 1).
+
+    Each row is reduced against the pivot row at its smallest column
+    (``_cancel``) until it vanishes or leads with a new pivot column.
+    Pivots are taken only in columns < ncols: a row reduced to entries in
+    columns >= ncols alone is no pivot, and its columns are added to
+    ``spilled``.  Without spills, the pivot rows span the input's rational
+    row space and there are rank-many of them.  The input rows are not
+    modified; a pivot row may be one of them."""
     pivots: dict[int, SparseRow] = {}
     for row in rows:
-        row = dict(row)
+        row = _primitive(row)
         while row:
             c = min(row)
             p = pivots.get(c)
             if p is None:
                 if c >= ncols:
                     spilled.update(row)
-                    break
-                inv = 1 / row[c]
-                pivots[c] = (row if inv == 1
-                             else {j: x * inv for j, x in row.items()})
+                else:
+                    pivots[c] = row
                 break
-            _axpy(row, row[c], p)
+            row = _cancel(row, p, c)
     return pivots
-
-
-def _axpy(row: SparseRow, f: Fraction, p: SparseRow) -> None:
-    """row -= f * p in place, dropping entries that cancel."""
-    for j, x in p.items():
-        y = row.get(j)
-        if y is None:
-            row[j] = -f * x
-        else:
-            y -= f * x
-            if y:
-                row[j] = y
-            else:
-                del row[j]
 
 
 def _gauss_jordan(rows: Iterable, ncols: float = inf,
                   spilled: Optional[set] = None
                   ) -> tuple[list[SparseRow], list[int]]:
-    """Sparse reduced row-echelon form: the pivot rows in pivot order and
-    their pivot columns, pivots only in columns < ncols (see ``_echelon``).
-    Back substitution runs from the last pivot up, so each row is cleared
-    against rows that are already fully reduced."""
-    pivots = _echelon(rows, ncols, spilled)
+    """Sparse reduced row-echelon form of integer rows: the pivot rows in
+    pivot order, as Fractions with leading entry 1, and their pivot
+    columns, pivots only in columns < ncols (see ``int_echelon``).  Back
+    substitution runs from the last pivot up in ``int`` arithmetic, so
+    each row is cleared against rows that are already fully reduced, and
+    only the rows returned are divided by their leading entries."""
+    pivots = int_echelon(rows, ncols, spilled)
     cols = sorted(pivots)
     for c in reversed(cols):
         row = pivots[c]
         for j in [j for j in row if j != c and j in pivots]:
-            _axpy(row, row[j], pivots[j])
-    return [pivots[c] for c in cols], cols
+            row = _cancel(row, pivots[j], j)
+        pivots[c] = row
+    return [{j: Fraction(x, pivots[c][c]) for j, x in pivots[c].items()}
+            for c in cols], cols
 
 
 def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
@@ -527,7 +547,7 @@ def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
     nonzero in inconsistent.  It is never a pivot, since back substitution
     against it would mix one right-hand side's values into another's."""
     bad: set[int] = set()
-    red, pivots = _gauss_jordan(rows, ncols, bad)
+    red, pivots = _gauss_jordan(map(_int_row, rows), ncols, bad)
     return [None if b in bad
             else {c: r[b] for r, c in zip(red, pivots) if b in r}
             for b in range(ncols, ncols + nrhs)]
@@ -535,7 +555,7 @@ def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row-echelon form and its pivot columns (row space preserved)."""
-    red, pivots = _gauss_jordan(m._nonzero_rows())
+    red, pivots = _gauss_jordan(map(dict, m._integer_rows()))
     zero = Fraction(0)
     dense = [[r.get(j, zero) for j in range(m.cols)] for r in red]
     dense += [[zero] * m.cols] * (m.rows - len(red))
@@ -543,48 +563,13 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_echelon(m._nonzero_rows()))
-
-
-def int_echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Forward elimination of integer rows (SparseRows of ints) without
-    fractions: pivot column -> pivot row, primitive (content 1).
-
-    A row is reduced against the pivot row at its smallest column as
-    ``a*row - b*pivot``, with a/b the pivot's entry over the row's in
-    lowest terms, until it vanishes or leads with a new pivot column.
-    Every row is divided by its content (the gcd of its entries) before
-    each step, so the entries stay small.  The pivot rows span the same
-    rational row space as the input, and there are rank-many of them.
-    The input rows are not modified."""
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        while row:
-            g = gcd(*row.values())
-            if g > 1:
-                row = {j: x // g for j, x in row.items()}
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = row
-                break
-            g = gcd(p[c], row[c])
-            a, b = p[c] // g, row[c] // g
-            new = {j: a * x for j, x in row.items()}
-            for j, y in p.items():
-                x = new.get(j, 0) - b * y
-                if x:
-                    new[j] = x
-                else:
-                    new.pop(j, None)
-            row = new
-    return pivots
+    return len(int_echelon(map(dict, m._integer_rows())))
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space.  Each basis vector has one free
     coordinate set to 1 (free coordinates taken in increasing column order)."""
-    red, pivots = _gauss_jordan(m._nonzero_rows())
+    red, pivots = _gauss_jordan(map(dict, m._integer_rows()))
     pivot_set = set(pivots)
     zero, one = Fraction(0), Fraction(1)
     basis = []
@@ -607,7 +592,7 @@ def solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     b = [rat(x) for x in b]
     if len(b) != m.rows:
         raise ValueError(f"solve size mismatch: {m.rows} vs {len(b)}")
-    sol, = _solve_rows([r + ((m.cols, bi),) if bi else r
+    sol, = _solve_rows([dict(r + ((m.cols, bi),) if bi else r)
                         for r, bi in zip(m._nonzero_rows(), b)], m.cols)
     if sol is None:
         return None
@@ -619,8 +604,8 @@ def row_space_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """Whether two matrices span the same row space."""
     if a.cols != b.cols:
         return False
-    return (_gauss_jordan(a._nonzero_rows())
-            == _gauss_jordan(b._nonzero_rows()))
+    return (_gauss_jordan(map(dict, a._integer_rows()))
+            == _gauss_jordan(map(dict, b._integer_rows())))
 
 
 def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:
@@ -633,7 +618,7 @@ def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:
     support = sorted({m for p in polys for m in p.terms}, key=mono_key,
                      reverse=reverse)
     col = {m: j for j, m in enumerate(support)}
-    red, _ = _gauss_jordan({col[m]: c for m, c in p.terms.items()}
+    red, _ = _gauss_jordan(_int_row({col[m]: c for m, c in p.terms.items()})
                            for p in polys)
     return [Poly({support[j]: c for j, c in r.items()}) for r in red]
 
@@ -645,17 +630,22 @@ def poly_rref_contains(basis: Sequence[Poly], p: Poly) -> bool:
     reduced once against each at its pivot, leaves 0 exactly then."""
     rest = dict(p.terms)
     for b in basis:
-        c = rest.get(min(b.terms, key=mono_key))
-        if c:
-            _axpy(rest, c, b.terms)
+        f = rest.get(min(b.terms, key=mono_key))
+        if f:
+            for m, x in b.terms.items():
+                y = rest.get(m, 0) - f * x
+                if y:
+                    rest[m] = y
+                else:
+                    del rest[m]
     return not rest
 
 
 def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
     """Whether vector v lies in the span of the given row vectors."""
-    rows = [{j: x for j, x in enumerate(map(rat, r)) if x}
+    rows = [_int_row({j: x for j, x in enumerate(map(rat, r)) if x})
             for r in [*basis, v]]
-    return len(_echelon(rows)) == len(_echelon(rows[:-1]))
+    return len(int_echelon(rows)) == len(int_echelon(rows[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ only.
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -92,24 +93,21 @@ def bracket(g: LieAlgebra, v: Sequence, w: Sequence) -> tuple[Fraction, ...]:
 
 def validate(g: LieAlgebra) -> list[str]:
     """Empty list iff antisymmetry and the Jacobi identity hold exactly."""
-    bad = []
     n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if g.c[i][j][k] != -g.c[j][i][k]:
-                    bad.append(f"antisymmetry fails at c[{i+1}][{j+1}][{k+1}]")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    s = sum((g.c[i][j][m] * g.c[m][k][l]
-                             + g.c[j][k][m] * g.c[m][i][l]
-                             + g.c[k][i][m] * g.c[m][j][l]
-                             for m in range(n)), Fraction(0))
-                    if s:
-                        bad.append(
-                            f"Jacobi fails on (e{i+1},e{j+1},e{k+1}) in e{l+1}: {s}")
+    bad = [f"antisymmetry fails at c[{i+1}][{j+1}][{k+1}]"
+           for i, j, k in itertools.product(range(n), repeat=3)
+           if g.c[i][j][k] != -g.c[j][i][k]]
+    # Jacobi: c[i][j][m]*c[m][k][l] + cyclic, summed over nonzero factors
+    nz = [[[(m, x) for m, x in enumerate(r) if x] for r in plane]
+          for plane in g.c]
+    for i, j, k in itertools.combinations(range(n), 3):
+        s = [Fraction(0)] * n
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in nz[a][b]:
+                for l, y in nz[m][d]:
+                    s[l] += x * y
+        bad += [f"Jacobi fails on (e{i+1},e{j+1},e{k+1}) in e{l+1}: {v}"
+                for l, v in enumerate(s) if v]
     return bad
 
 

@@ -2,10 +2,11 @@
 systems, solution tests, cocommutators, the quotient by invariant bivectors,
 and the necessary-condition checks for equivalence of r-matrices.
 
-Membership in the mCYBE is always decided on the evaluated 3-vector
-([r, r] annihilated by every ad_{e_i}), independently of the polynomial
-system route; the two routes agreeing is a tested invariant, not an
-assumption.
+Membership in the mCYBE is decided two ways: ``is_mcybe_solution`` on the
+evaluated 3-vector ([r, r] annihilated by every ad_{e_i}), and
+``AlgebraContext.is_mcybe_at`` on the integer forms of the mCYBE
+polynomials, which the batch checks use.  The two agreeing is a tested
+invariant, not an assumption.
 """
 
 from __future__ import annotations

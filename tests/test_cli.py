@@ -56,6 +56,29 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert len(err) == 6 and all(e.startswith("error: ") for e in err)
 
 
+#: [e1, e2] = e2 and [e2, e3] = e1 fail the Jacobi identity on (e1, e2, e3)
+NOT_LIE = "dim 3\n[1,2] = e2\n[2,3] = e1\n"
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("derivations", []), ("invariants", []), ("schouten", ["e1", "e2"]),
+    ("ybe", []), ("bricks", []), ("orbit-dim", ["e12"]),
+    ("rank-at", ["1,0,0"]), ("center-ext", [])])
+def test_file_that_fails_jacobi_exits_2(verb, extra, tmp_path, capsys):
+    """Every verb but validate refuses the file with one error line that
+    names the first violation; validate still reports it with exit 1."""
+    f = tmp_path / "not_lie.txt"
+    f.write_text(NOT_LIE)
+    code, out = run_cli(verb, "--algebra", str(f), *extra)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: {f} is not a Lie algebra: "
+        "Jacobi fails on (e1,e2,e3) in e1: 1\n")
+    code, out = run_cli("validate", "--algebra", str(f))
+    assert code == 1
+    assert out.splitlines()[1:] == ["Jacobi fails on (e1,e2,e3) in e1: 1"]
+
+
 @pytest.mark.parametrize("case", ["file", "param", "orbit-dim", "rank-at"])
 def test_division_by_zero_exits_2(case, tmp_path, capsys):
     f = tmp_path / "alg.txt"

@@ -346,6 +346,82 @@ def test_spans_and_matvec_match_sympy(sp, seed, nrows, ncols, density):
                                 for x in s * sp.Matrix(ncols, 1, v))
 
 
+def tall_sparse_rows(seed, nrows=224, ncols=64, density=0.04):
+    """The shape of the derivation system of an 8-dimensional algebra: a
+    seeded sparse matrix whose columns from ncols - 8 on are combinations
+    of two earlier ones, so its kernel has dimension at least 8."""
+    rng = random.Random(seed)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+             if rng.random() < density else Fraction(0)
+             for _ in range(ncols - 8)] for _ in range(nrows)]
+    pairs = [rng.sample(range(ncols - 8), 2) for _ in range(8)]
+    return [r + [r[a] - 2 * r[b] for a, b in pairs] for r in rows]
+
+
+def huge_denominator_rows(seed, nrows=9, ncols=7):
+    """Seeded dense rows with denominators up to 10^7, rank-deficient."""
+    rng = random.Random(seed)
+    rows = [[Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 7))
+             for _ in range(ncols)] for _ in range(nrows - 3)]
+    for k in range(3):
+        c = Fraction(rng.randint(1, 10 ** 7), rng.randint(1, 10 ** 7))
+        rows.append([x - c * y for x, y in zip(rows[k], rows[k + 1])])
+    return rows
+
+
+@pytest.mark.parametrize("make, seed", [
+    (tall_sparse_rows, 0), (tall_sparse_rows, 1),
+    (huge_denominator_rows, 0), (huge_denominator_rows, 1)],
+    ids=["tall-sparse-s0", "tall-sparse-s1", "huge-denominators-s0",
+         "huge-denominators-s1"])
+def test_elimination_matches_sympy_on_large_inputs(sp, make, seed):
+    """rref, rank, kernel_basis and row_space_equal against sympy on the
+    shapes and entry sizes the kernel meets beyond the small cases."""
+    rows = make(seed)
+    ncols = len(rows[0])
+    m, s = mat(rows, ncols), sym(sp, rows, ncols)
+    red, pivots = rref(m)
+    sred, spivots = s.rref()
+    assert pivots == list(spivots) and len(pivots) < ncols
+    assert [list(r) for r in red.entries] == [
+        [to_fraction(x) for x in r] for r in sred.tolist()]
+    assert rank(m) == len(spivots)
+    assert kernel_basis(m) == [tuple(to_fraction(x) for x in v)
+                               for v in s.nullspace()]
+    assert row_space_equal(m, red)
+    assert not row_space_equal(m, RatMatrix(red.entries[1:]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_rows_with_several_right_hand_sides_matches_sympy(sp, seed):
+    """``_solve_rows`` on one system with four right-hand sides, one of
+    them inconsistent: each answer equals sympy's solution of that
+    right-hand side alone, free variables 0 (None when sympy finds no
+    solution)."""
+    rng = random.Random(seed)
+    nrows, ncols = 8, 6
+    rows = random_rows(2 * seed + 1, nrows, ncols, 0.5)   # rank-deficient
+    m = mat(rows, ncols)
+    rhs = [list(m.matvec([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(ncols)])) for _ in range(3)]
+    rhs.insert(rng.randrange(4), [Fraction(rng.randint(1, 4), 3)] * nrows)
+    aug = [{j: v for j, v in enumerate(r + [b[i] for b in rhs]) if v}
+           for i, r in enumerate(rows)]
+    got = exactmath._solve_rows(aug, ncols, len(rhs))
+    s = sym(sp, rows, ncols)
+    inconsistent = 0
+    for b, sol in zip(rhs, got):
+        try:
+            ssol, params = s.gauss_jordan_solve(sp.Matrix(nrows, 1, b))
+        except ValueError:
+            assert sol is None
+            inconsistent += 1
+            continue
+        want = [to_fraction(v) for v in ssol.subs({t: 0 for t in params})]
+        assert sol == {j: v for j, v in enumerate(want) if v}
+    assert inconsistent == 1
+
+
 # ---------------------------------------------------------------------------
 # poly_rref: the RREF basis of a span of polynomials
 # ---------------------------------------------------------------------------
@@ -567,13 +643,13 @@ def test_int_poly_short_point_raises_missing_variable_like_eval():
 @pytest.mark.parametrize("seed,nrows,ncols,density", cases())
 def test_int_echelon_matches_rank(sp, seed, nrows, ncols, density):
     """``int_echelon`` on the integer rows of the seeded matrices (each row
-    scaled by its own positive multiple, which keeps the rank) has
-    rank-many pivot rows (sympy's rank too), each primitive and leading at
-    its pivot column, spanning the input's row space; the input rows are
-    left as they were."""
+    scaled by its own positive multiple, which keeps the rank) has as many
+    pivot rows as sympy's rank (and ``rank``, which runs on it), each
+    primitive and leading at its pivot column, spanning the input's row
+    space by sympy's rank; the input rows are left as they were."""
     rows = random_rows(seed, nrows, ncols, density)
-    want = rank(mat(rows, ncols))
-    assert want == sym(sp, rows, ncols).rank()
+    want = sym(sp, rows, ncols).rank()
+    assert rank(mat(rows, ncols)) == want
     ints = []
     for k, r in enumerate(rows):
         d = lcm(*(v.denominator for v in r)) * (k % 3 + 1)
@@ -586,4 +662,4 @@ def test_int_echelon_matches_rank(sp, seed, nrows, ncols, density):
         assert min(r) == c and gcd(*r.values()) == 1
         assert all(type(v) is int for v in r.values())
     dense = [[r.get(j, 0) for j in range(ncols)] for r in pivots.values()]
-    assert rank(mat(dense + rows, ncols)) == want
+    assert sym(sp, dense + rows, ncols).rank() == want

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.liealg import (DimensionMismatch, FAMILIES, ParamOutOfRange,
-                               abelian, bracket, catalog, center,
-                               from_brackets, parse_algebra, validate)
+from darbouxlie.liealg import (DimensionMismatch, FAMILIES, LieAlgebra,
+                               ParamOutOfRange, abelian, bracket, catalog,
+                               center, from_brackets, parse_algebra, validate)
 
 E = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 
@@ -61,6 +61,52 @@ def test_validate_catalog_and_abelian():
 def test_validate_detects_jacobi_failure():
     g = from_brackets(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
     assert validate(g) != []
+
+
+def _dense_validate(g):
+    """The violation list by the dense formula: every product
+    c[i][j][m]*c[m][k][l], zeros included."""
+    n, c = g.dim, g.c
+    bad = [f"antisymmetry fails at c[{i+1}][{j+1}][{k+1}]"
+           for i in range(n) for j in range(n) for k in range(n)
+           if c[i][j][k] != -c[j][i][k]]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    s = sum((c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l]
+                             + c[k][i][m] * c[m][j][l] for m in range(n)),
+                            Fraction(0))
+                    if s:
+                        bad.append(f"Jacobi fails on (e{i+1},e{j+1},e{k+1}) "
+                                   f"in e{l+1}: {s}")
+    return bad
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_validate_matches_the_dense_formula(seed):
+    """The full violation list, messages and order, equals the dense
+    formula's on random bracket tables of dimension 4..8 (each fails
+    Jacobi several times), on such a table made not antisymmetric, and on
+    valid catalog algebras."""
+    rng = random.Random(seed)
+    n = 4 + seed
+    brackets = {(i, j): [Fraction(rng.choice([0, 0, 0, 1, -2]),
+                                  rng.randint(1, 3)) for _ in range(n)]
+                for i in range(n) for j in range(i + 1, n)
+                if rng.random() < 0.8}
+    g = from_brackets(n, brackets)
+    want = _dense_validate(g)
+    assert validate(g) == want
+    assert len(want) >= 2
+    c = [[list(r) for r in plane] for plane in g.c]
+    c[0][1][2] += 1                     # no longer antisymmetric
+    skew = LieAlgebra(n, tuple(tuple(map(tuple, p)) for p in c))
+    want = _dense_validate(skew)
+    assert validate(skew) == want and want[0].startswith("antisymmetry")
+    fam = FAMILIES[seed]
+    good = catalog(fam, **sample_params(fam))
+    assert validate(good) == _dense_validate(good) == []
 
 
 def test_validate_random_parameters():

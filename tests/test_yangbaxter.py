@@ -319,14 +319,19 @@ def _scaled(rng, p):
 
 def _assert_integer_checks_match_oracles(ctx, points):
     """ctx.is_mcybe_at and the integer derivations.rank_at against
-    is_mcybe_solution and the rank of the Fraction matrix M(p); returns the
-    mCYBE answers and ranks seen."""
+    is_mcybe_solution and sympy's rank of the matrix M(p) (and ``rank``,
+    which runs the same elimination kernel as ``rank_at``); returns the
+    mCYBE answers and ranks seen.  Skipped when sympy is absent."""
+    sp = pytest.importorskip("sympy")
     seen_mcybe, seen_ranks = set(), set()
     for p in points:
         ok = ctx.is_mcybe_at(p)
         assert ok == is_mcybe_solution(ctx.g, p), p
         k = derivations.rank_at(ctx.fields, p)
-        assert k == rank(derivations.field_matrix_at(ctx.fields, p)), p
+        m = derivations.field_matrix_at(ctx.fields, p)
+        assert k == rank(m) == sp.Matrix(
+            m.rows, m.cols, [sp.Rational(x.numerator, x.denominator)
+                             for x in m.flat()]).rank(), p
         seen_mcybe.add(ok)
         seen_ranks.add(k)
     return seen_mcybe, seen_ranks
