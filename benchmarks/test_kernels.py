@@ -11,18 +11,21 @@ from fractions import Fraction
 import pytest
 
 from darbouxlie import darboux, derivations, exprparse
-from darbouxlie.classify import (FAMILY_FILES, TREE_FILES, expand_rows,
-                                 load_family, loci_agree, verify_tree)
+from darbouxlie.classify import (FAMILY_FILES, TREE_FILES,
+                                 _component_merge_gaps, expand_rows,
+                                 load_automorphisms, load_family, loci_agree,
+                                 verify_tree)
 from darbouxlie.darboux import (find_bricks, flow_invariance, locus_contains,
                                 verify_family)
 from darbouxlie.derivations import (derivation_basis, field_matrix_at,
-                                    fundamental_fields, lift, rank_at,
-                                    vf_apply)
+                                    _rank_at_ints, fundamental_fields, lift,
+                                    rank_at, vf_apply)
 from darbouxlie.exactmath import (Poly, RatMatrix, clear_denominators,
                                   ideal_membership, kernel_basis,
                                   monomials_up_to, normalize_poly, rank, solve)
 from darbouxlie.exprparse import parse_poly
-from darbouxlie.grassmann import MultiVector, blades, generic_rr, wedge
+from darbouxlie.grassmann import (MultiVector, blades, generic_rr,
+                                  lambda_matrix, wedge)
 from darbouxlie.liealg import bracket, catalog, parse_algebra
 from darbouxlie.yangbaxter import (AlgebraContext, is_mcybe_solution,
                                    necessary_checks, yb_system)
@@ -117,6 +120,74 @@ def test_context_is_mcybe_at(benchmark, s3_orbit_points):
                               for p in points]) == [True] * len(points)
 
 
+def test_rank_and_mcybe_s3_orbit_points(benchmark, s3_orbit_points):
+    """The orbit-table check of each sample point: the point cleared to
+    ints once, then the rank count and the mCYBE test on the ints."""
+    ctx, points = s3_orbit_points
+    want = [(rank_at(ctx.fields, p), ctx.is_mcybe_at(p)) for p in points]
+    assert all(ok for _, ok in want) and len({k for k, _ in want}) > 1
+
+    def per_point():
+        return [(_rank_at_ints(ctx.fields, q), ctx._is_mcybe_ints(q))
+                for _, q in map(clear_denominators, points)]
+    assert per_point() == want
+    assert benchmark(per_point) == want
+
+
+@pytest.fixture(scope="module")
+def s3_merge_rows():
+    """The s3 orbit records at S3, with their samples and integer forms
+    built, and the lifts Λ²T of the shipped automorphisms."""
+    fam = load_family("s3")
+    lifted = [lambda_matrix(T, 2) for _, T in
+              load_automorphisms(fam, S3, catalog("s3", **S3))]
+    records = expand_rows(fam, S3)
+    for rec in records:
+        rec.cleared
+    for L in lifted:
+        L._integer_form()
+    return lifted, records
+
+
+def _fraction_merge_gaps(lifted, rec):
+    """The merge walk on Fraction points with ``matvec`` and ``Poly.eval``:
+    the reference ``_component_merge_gaps``."""
+    strict = [f for f, op in rec.branch.inequalities
+              if op == "!=" and f.degree() == 1]
+
+    def signature(p):
+        return tuple(1 if f.eval(p) > 0 else -1 for f in strict)
+    comps = dict.fromkeys(map(signature, rec.samples))
+    if not strict or len(comps) <= 1:
+        return []
+    start = rec.rep.coords()
+    reached, frontier = {signature(start)}, [start]
+    while frontier:
+        p = frontier.pop()
+        for L in lifted:
+            q = L.matvec(p)
+            if _poly_eval_locus(rec.branch, q) and signature(q) not in reached:
+                reached.add(signature(q))
+                frontier.append(q)
+    return [s for s in comps if s not in reached]
+
+
+def test_merge_walk_s3_rows(benchmark, s3_merge_rows):
+    """The walk on integer points over every s3 row at S3: all the sign
+    components are joined, and without the lifts the rows of several
+    components miss the same ones as the reference."""
+    lifted, records = s3_merge_rows
+
+    def walk(lifts):
+        return [_component_merge_gaps(lifts, rec) for rec in records]
+    bare = walk([])
+    assert bare == [_fraction_merge_gaps([], rec) for rec in records]
+    assert sum(map(bool, bare)) >= 10
+    want = [_fraction_merge_gaps(lifted, rec) for rec in records]
+    assert walk(lifted) == want == [[]] * len(records)
+    assert benchmark(walk, lifted) == want
+
+
 @pytest.fixture(scope="module")
 def s3_char_poly_rows(fields):
     """The integer rows D·Mᵀ that ``_rational_eigenvalues`` forms for each
@@ -165,14 +236,14 @@ def s3_locus_candidates():
     candidates off the locus included, each with the answer of
     ``Poly.eval`` at the point; the branches' integer forms are built."""
     calls = []
-    real = darboux.locus_contains
+    real = darboux.locus_contains_ints
 
-    def recorded(branch, p):
-        calls.append((branch, tuple(p)))
-        return real(branch, p)
+    def recorded(branch, q, den):
+        calls.append((branch, tuple(Fraction(v, den) for v in q)))
+        return real(branch, q, den)
     with pytest.MonkeyPatch.context() as mp:
         # the name that the samplers' push (darboux.locus_sampler) calls
-        mp.setattr(darboux, "locus_contains", recorded)
+        mp.setattr(darboux, "locus_contains_ints", recorded)
         for rec in expand_rows(load_family("s3"), S3):
             rec.samples
     out = [(b, p, _poly_eval_locus(b, p)) for b, p in calls]

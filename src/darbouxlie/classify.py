@@ -19,15 +19,16 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
-                      locus_contains, locus_sampler, solve_linear,
-                      verify_branch)
-from .derivations import rank_at
+                      locus_contains, locus_contains_ints, locus_sampler,
+                      solve_linear, verify_branch)
+# rank_at stays importable from here: perfbench's tracer wraps it by name
+from .derivations import _rank_at_ints, rank_at  # noqa: F401
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
                         normalize_poly, poly_rref, row_space_equal)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
@@ -420,6 +421,16 @@ def qualifying_samples(fam: FamilyData, samples: Optional[list] = None
             yield ps, sp, catalog(fam.algebra, **ps)
 
 
+@lru_cache(maxsize=8)
+def _sample_context(g: LieAlgebra) -> AlgebraContext:
+    """The context of one parameter sample's algebra, shared by the
+    orbit-table and bundle checks of a family file.  The cache holds more
+    contexts than any family file has samples, so the bundle check finds
+    every one that the orbit-table check built, and it stays bounded over
+    a run of all the files."""
+    return AlgebraContext(g)
+
+
 FAMILY_FILES = ["s1", "s2", "s3", "s3aa", "s3a1", "s311", "s4", "s41",
                 "s5", "s6", "s7", "s8", "s81", "s9", "s10", "s11",
                 "s12", "n1"]
@@ -482,6 +493,12 @@ class OrbitRecord:
                         break
             push(pt)
         return out
+
+    @cached_property
+    def cleared(self) -> list[tuple[int, list[int]]]:
+        """Each sample point p as ``clear_denominators`` gives it: the lcm
+        den of its denominators and the ints q = den * p."""
+        return [clear_denominators(p) for p in self.samples]
 
 
 def _row_branch(label: str, row: OrbitRow, env: dict) -> TreeBranch:
@@ -569,7 +586,7 @@ def verify_orbit_table(stem: str) -> TableReport:
         auts = load_automorphisms(fam, ps, g)
         auts_count += len(auts)
         lifted = [lambda_matrix(T, 2) for _, T in auts]
-        ctx = AlgebraContext(g)
+        ctx = _sample_context(g)
         for rec in expand_rows(fam, ps):
             problems = []
             errata = []
@@ -585,11 +602,11 @@ def verify_orbit_table(stem: str) -> TableReport:
                               f"verified {rec.dim}")
             if not rec.samples:
                 problems.append("no usable sample points")
-            for p in rec.samples:
-                if rank_at(ctx.fields, p) != rec.dim:
+            for p, (_, q) in zip(rec.samples, rec.cleared):
+                if _rank_at_ints(ctx.fields, q) != rec.dim:
                     problems.append(f"rank at {p} != {rec.dim}")
                     break
-                if not ctx.is_mcybe_at(p):
+                if not ctx._is_mcybe_ints(q):
                     problems.append(f"sample {p} fails the mCYBE")
                     break
             if not ctx.is_mcybe_at(rec.rep):
@@ -611,32 +628,37 @@ def _component_merge_gaps(lifted: Sequence[RatMatrix],
                           rec: OrbitRecord) -> list:
     """Sign components of the row locus not reachable from the
     representative's component via the shipped automorphisms, given as
-    their lifts Λ²T."""
+    their lifts Λ²T.
+
+    The walk runs on integer points (den, q) for q/den: with L = D·Λ²T the
+    integer form of a lift, the image of q/den is (den·D, L·q).  The locus
+    and the signs are read by ``eval(q, den)`` with the denominator kept,
+    since the forms may have constant terms."""
     strict = [f for f, op in rec.branch.int_forms[1] if op == "!="
               and f.degree == 1]
     if not strict:
         return []
 
-    def signature(p):
-        den, q = clear_denominators(p)
+    def signature(den, q):
         return tuple(1 if f.eval(q, den) > 0 else -1 for f in strict)
 
-    comps = {}
-    for p in rec.samples:
-        comps.setdefault(signature(p), p)
+    comps = dict.fromkeys(signature(den, q) for den, q in rec.cleared)
     if len(comps) <= 1:
         return []
-    reached = {signature(rec.rep.coords())}
-    frontier = [rec.rep.coords()]
+    start = clear_denominators(rec.rep.coords())
+    reached = {signature(*start)}
+    frontier = [start]
+    forms = [L._integer_form() for L in lifted]
     while frontier:
-        p = frontier.pop()
-        for L in lifted:
-            q = L.matvec(p)
-            if locus_contains(rec.branch, q):
-                s = signature(q)
+        den, q = frontier.pop()
+        for scale, rows in forms:
+            d, image = den * scale, [sum(x * q[j] for j, x in r)
+                                     for r in rows]
+            if locus_contains_ints(rec.branch, image, d):
+                s = signature(d, image)
                 if s not in reached:
                     reached.add(s)
-                    frontier.append(q)
+                    frontier.append((d, image))
     return [s for s in comps if s not in reached]
 
 
@@ -669,7 +691,7 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
     fam = load_family(stem)
     results = []
     for ps, sp, g in qualifying_samples(fam):
-        ctx = AlgebraContext(g)
+        ctx = _sample_context(g)
         problems = []
 
         for deg, (inv, _) in ((2, ctx.inv2), (3, ctx.inv3)):
@@ -761,17 +783,28 @@ def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
     x5 agrees with x5^2 although x5 is not in the ideal of x5^2."""
     int_a = [IntPoly(p) for p in system_a]
     int_b = [IntPoly(p) for p in system_b]
-    rng = random.Random(seed)
-    for _ in range(npoints):
-        pt = [0] * NVARS
-        nz = rng.randint(0, NVARS)
-        for i in rng.sample(range(NVARS), nz):
-            pt[i] = rng.randint(-3, 3)
+    for pt in _loci_points(npoints, seed):
         on_a = all(p.eval(pt) == 0 for p in int_a)
         on_b = all(p.eval(pt) == 0 for p in int_b)
         if on_a != on_b:
             return False
     return True
+
+
+@cache
+def _loci_points(npoints: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The sample points of ``loci_agree``, drawn once per process from
+    ``random.Random(seed)``: per point a count of nonzero coordinates, their
+    positions, and values in -3..3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(npoints):
+        pt = [0] * NVARS
+        nz = rng.randint(0, NVARS)
+        for i in rng.sample(range(NVARS), nz):
+            pt[i] = rng.randint(-3, 3)
+        out.append(tuple(pt))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,12 @@ def locus_contains(branch: TreeBranch, p: Sequence) -> bool:
     ``eval(q, den)`` is a positive multiple of the polynomial's value at p.
     A point too short for a polynomial raises ``MissingVariable``."""
     den, q = clear_denominators(rat(x) for x in p)
+    return locus_contains_ints(branch, q, den)
+
+
+def locus_contains_ints(branch: TreeBranch, q: Sequence[int],
+                        den: int) -> bool:
+    """``locus_contains`` at the point q/den, given as ints q and den > 0."""
     eqs, ineqs = branch.int_forms
     for f in eqs:
         if f.eval(q, den):
@@ -261,15 +267,19 @@ def locus_contains(branch: TreeBranch, p: Sequence) -> bool:
 
 def locus_sampler(branch: TreeBranch):
     """An empty list of sample points and the function that appends a point
-    (made exact) when it is new and lies on the branch's locus; a set beside
-    the list tests newness first, so a repeat skips the locus test."""
+    (made exact) when it is new and lies on the branch's locus.  A set
+    beside the list tests newness first, so a repeat skips the locus test;
+    it holds each point as ``clear_denominators`` gives it, (den, *q), which
+    is canonical because den is the lcm of the reduced denominators."""
     out: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
 
     def push(pt: Sequence) -> None:
         pt = tuple(rat(x) for x in pt)
-        if pt not in seen and locus_contains(branch, pt):
-            seen.add(pt)
+        den, q = clear_denominators(pt)
+        key = (den, *q)
+        if key not in seen and locus_contains_ints(branch, q, den):
+            seen.add(key)
             out.append(pt)
 
     return out, push

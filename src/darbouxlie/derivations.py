@@ -128,6 +128,13 @@ def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:
     entries of M(p) and change the rank.)  The pivots of the integer rows
     are counted by fraction-free elimination (``int_echelon``)."""
     _, q = clear_denominators(rat(x) for x in p)
+    return _rank_at_ints(fields, q)
+
+
+def _rank_at_ints(fields: Sequence[LinearVectorField],
+                  q: Sequence[int]) -> int:
+    """``rank_at`` at the point q/den, given as the ints q for any den > 0
+    (``clear_denominators``): scaling p does not change the rank."""
     rows = []
     for X in fields:
         if X.matrix.cols != len(q):

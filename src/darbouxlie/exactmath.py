@@ -325,10 +325,11 @@ class IntPoly:
 class RatMatrix:
     """Dense matrix of Fractions.  Immutable once constructed, so the
     nonzero pattern (``_nonzero_rows``), its integer form
-    (``_integer_rows``) and the hash are computed once and cached."""
+    (``_integer_rows``, with its scale in ``_integer_form``) and the hash
+    are computed once and cached."""
 
     __slots__ = ("entries", "rows", "cols", "_sparse", "_int_sparse",
-                 "_hash")
+                 "_int_den", "_hash")
 
     def __init__(self, entries: Iterable[Iterable], cols: int = 0):
         """``cols`` is the width of a matrix without rows."""
@@ -379,11 +380,19 @@ class RatMatrix:
             return self._int_sparse
         except AttributeError:
             rows = self._nonzero_rows()
-            _, ints = clear_denominators(x for r in rows for _, x in r)
+            self._int_den, ints = clear_denominators(
+                x for r in rows for _, x in r)
             it = iter(ints)
             self._int_sparse = tuple(tuple((j, next(it)) for j, _ in r)
                                      for r in rows)
             return self._int_sparse
+
+    def _integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...],
+                                                ...]]:
+        """The positive integer D and ``_integer_rows``, the rows of D
+        times the matrix."""
+        rows = self._integer_rows()
+        return self._int_den, rows
 
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = [rat(x) for x in v]

@@ -276,15 +276,24 @@ def schouten(g: LieAlgebra, a: MultiVector, b: MultiVector) -> MultiVector:
     deg = a.degree + b.degree - 1
     if a.degree == 0 or b.degree == 0:
         return MultiVector(g.dim, max(deg, 0))
+    if a.degree == 2 and a == b:
+        # [e_A, e_B] = [e_B, e_A] on bivectors: each unordered pair of terms
+        # once, the off-diagonal ones doubled (as in ``generic_rr``)
+        items = list(a.terms.items())
+        pairs = ((ma, mb, ca * cb * (2 if j > i else 1))
+                 for i, (ma, ca) in enumerate(items)
+                 for j, (mb, cb) in enumerate(items[i:], i))
+    else:
+        pairs = ((ma, mb, ca * cb) for ma, ca in a.terms.items()
+                 for mb, cb in b.terms.items())
     out: dict[int, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            for m, c in _schouten_blades(g, ma, mb).items():
-                val = out.get(m, Fraction(0)) + ca * cb * c
-                if val:
-                    out[m] = val
-                else:
-                    out.pop(m, None)
+    for ma, mb, w in pairs:
+        for m, c in _schouten_blades(g, ma, mb).items():
+            val = out.get(m, Fraction(0)) + w * c
+            if val:
+                out[m] = val
+            else:
+                out.pop(m, None)
     return MultiVector(g.dim, deg, out)
 
 

@@ -270,10 +270,12 @@ class AlgebraContext:
     ``is_mcybe_at`` tests a point in ``int`` arithmetic on the ``IntPoly``
     forms of the mCYBE system, built once: the point is first scaled by the
     lcm of its denominators, which keeps the answer because the mCYBE
-    polynomials are homogeneous quadratics."""
+    polynomials are homogeneous quadratics.  ``same_coboundary`` checks
+    each matrix T once and remembers the ones that preserve brackets."""
 
     def __init__(self, g: LieAlgebra, ders: list[Derivation] | None = None):
         self.g = g
+        self._automorphisms: set[RatMatrix] = set()
         if ders is not None:
             self.ders = ders
 
@@ -319,6 +321,11 @@ class AlgebraContext:
         if len(coords) != self.g.dim * (self.g.dim - 1) // 2:
             raise DimensionMismatch("coordinate count mismatch")
         _, q = clear_denominators(coords)
+        return self._is_mcybe_ints(q)
+
+    def _is_mcybe_ints(self, q: Sequence[int]) -> bool:
+        """``is_mcybe_at`` at the point q/den, given as the ints q for any
+        den > 0 (``clear_denominators``)."""
         return all(f.eval(q) == 0 for f in self._int_mcybe)
 
     def orbit_dim(self, w: MultiVector) -> int:
@@ -330,8 +337,10 @@ class AlgebraContext:
                                   self.inv2[1]))
 
     def same_coboundary(self, r1: RMatrix, r2: RMatrix, T: RatMatrix) -> bool:
-        if not is_automorphism(self.g, T):
-            raise NotAnAutomorphism("T does not preserve the Lie bracket")
+        if T not in self._automorphisms:
+            if not is_automorphism(self.g, T):
+                raise NotAnAutomorphism("T does not preserve the Lie bracket")
+            self._automorphisms.add(T)
         moved = apply_linear(T, as_bivector(self.g, r1))
         return self.quotient_class(moved) == self.quotient_class(r2)
 

@@ -1,5 +1,6 @@
 """Golden-data loading and the classification verification harness."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from darbouxlie.classify import (FAMILY_FILES, GoldenDataMissing, TREE_FILES,
                                  load_automorphisms, load_tree, loci_agree,
                                  parse_multivector, qualifying_samples,
                                  verify_automorphism_witness,
-                                 verify_coboundary_classes, verify_orbit_table,
+                                 verify_coboundary_classes,
+                                 verify_family_bundle, verify_orbit_table,
                                  verify_schouten_family, verify_tree)
 from darbouxlie.darboux import TreeBranch
 from darbouxlie.exactmath import Poly, RatMatrix
@@ -120,6 +122,71 @@ def test_loci_agree_with_the_zero_polynomial():
     assert loci_agree([x(0), Poly.zero()], [x(0)])
     assert loci_agree([Poly.zero()], [])
     assert not loci_agree([x(0)], [Poly.zero()])
+
+
+def _drawn_points(npoints, seed):
+    """The draws of ``loci_agree``: per point a count of nonzero
+    coordinates, their positions and values in -3..3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(npoints):
+        pt = [0] * 6
+        for i in rng.sample(range(6), rng.randint(0, 6)):
+            pt[i] = rng.randint(-3, 3)
+        out.append(tuple(pt))
+    return out
+
+
+def test_loci_agree_draws_its_points_once(monkeypatch):
+    """The points are the ``random.Random(7)`` draws, in order, made on
+    the first call; a second call draws nothing."""
+    import darbouxlie.classify as classify
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    classify._loci_points.cache_clear()
+    monkeypatch.setattr(classify.random, "Random", Counting)
+    for _ in range(2):
+        assert loci_agree([x(0), x(1)], [x(0) + x(1), x(0) - x(1)])
+        assert not loci_agree([x(0) * x(1)], [x(0)])
+    assert made == [7]
+    monkeypatch.undo()
+    points = classify._loci_points(800, 7)
+    assert points[:4] == ((0, 2, 0, -3, 0, 0), (0, 0, 0, 0, 0, 0),
+                          (-3, -2, 0, 0, -3, -3), (0, 0, 0, 0, 0, 0))
+    assert list(points) == _drawn_points(800, 7)
+    assert list(classify._loci_points(200, 7)) == _drawn_points(200, 7)
+
+
+def test_orbit_table_and_bundle_share_one_context_per_sample(monkeypatch):
+    """On one family file the two checks compute the derivations and the
+    Yang-Baxter system once per parameter sample."""
+    import darbouxlie.classify as classify
+    import darbouxlie.yangbaxter as yangbaxter
+    calls = []
+
+    def counting(name):
+        original = getattr(yangbaxter, name)
+
+        def wrapped(g):
+            calls.append((name, g))
+            return original(g)
+        return wrapped
+
+    classify._sample_context.cache_clear()
+    for name in ("derivation_basis", "generic_rr"):
+        monkeypatch.setattr(yangbaxter, name, counting(name))
+    fam = load_family("s3")
+    algebras = [g for _, _, g in qualifying_samples(fam)]
+    assert len(algebras) == 5
+    assert verify_orbit_table("s3").passed
+    assert all(b.ok for b in verify_family_bundle("s3"))
+    for name in ("derivation_basis", "generic_rr"):
+        assert [g for n, g in calls if n == name] == algebras, name
 
 
 def test_loci_agree_with_non_integer_coefficients():

@@ -479,14 +479,21 @@ def test_verify_tables_all_aggregate():
     assert "errata" in out  # the recorded printed-table errata are surfaced
 
 
-@pytest.mark.parametrize("workload", ["tables", "trees", "classes"])
-def test_batch_json_output_matches_the_recorded_digest(workload, monkeypatch):
+@pytest.mark.parametrize("workload, extra", [
+    pytest.param("tables", (), id="tables"),
+    pytest.param("tables", ("--jobs", "2"), id="tables-jobs-2"),
+    pytest.param("trees", (), id="trees"),
+    pytest.param("classes", (), id="classes")])
+def test_batch_json_output_matches_the_recorded_digest(workload, extra,
+                                                        monkeypatch):
     """``verify-tables --algebra all``, ``darboux-verify --tree all`` and
     ``coboundary-classes`` with ``--format json`` print exactly the bytes
-    whose sha256 the benchmark records for them (``perfbench/batch.py``)."""
+    whose sha256 the benchmark records for them (``perfbench/batch.py``).
+    With ``--jobs 2`` the family files run in forked workers, each with
+    its own cached contexts and points, and the bytes are the same."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.batch import VERBS
     argv, digest, _ = VERBS[workload]
-    code, out = run_cli(*argv, "--format", "json")
+    code, out = run_cli(*argv, *extra, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

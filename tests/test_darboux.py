@@ -9,7 +9,8 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 IncompatibleFields, TreeBranch,
                                 _rational_eigenvalues, branch_samples,
                                 certify_no_solutions, family_sum, find_bricks,
-                                flow_invariance, locus_contains, solve_linear,
+                                flow_invariance, locus_contains,
+                                locus_sampler, solve_linear,
                                 verify_branch, verify_family,
                                 verify_family_auto)
 from darbouxlie import darboux
@@ -193,6 +194,22 @@ def test_locus_contains():
     assert not locus_contains(branch, [0, 0, 0, 0, 0, 0])
     assert not locus_contains(branch, [-1, 0, 0, 0, 0, 1])
     assert not locus_contains(branch, [1, 0, 1, 0, 0, 1])
+
+
+def test_locus_sampler_tells_points_apart_by_their_denominator():
+    """Points whose cleared numerators agree but whose denominators differ
+    are different points; a repeat, in any exact spelling, is skipped, and
+    a point off the locus is dropped."""
+    out, push = locus_sampler(TreeBranch("c", [x(4)], [(x(0), ">")]))
+    third = Fraction(1, 3)
+    for pt in ([1, 2, 0, 0, 0, 0], [third, 2 * third, 0, 0, 0, 0],
+               ["1", Fraction(4, 2), 0, 0, 0, 0], [-1, 2, 0, 0, 0, 0],
+               [Fraction(2, 6), Fraction(2, 3), 0, 0, 0, 0],
+               [1, 2, 0, 0, 1, 0], [1, 2, 0, 0, 0, 3]):
+        push(pt)
+    assert out == [(1, 2, 0, 0, 0, 0), (third, 2 * third, 0, 0, 0, 0),
+                   (1, 2, 0, 0, 0, 3)]
+    assert all(isinstance(v, Fraction) for pt in out for v in pt)
 
 
 def test_verify_branch_s1(s1_fields):

@@ -161,6 +161,16 @@ def test_ratmatrix_hash_is_equal_for_equal_matrices():
     assert {(a, b): 2}[(b, RatMatrix(a.entries))] == 2
 
 
+def test_integer_form_is_the_matrix_times_one_positive_integer():
+    m = RatMatrix([[Fraction(1, 2), 0, Fraction(-2, 3)], [0, 0, 0],
+                   [4, Fraction(5, 6), 0]])
+    den, rows = m._integer_form()
+    assert den == 6
+    assert rows == (((0, 3), (2, -4)), (), ((0, 24), (1, 5)))
+    assert rows is m._integer_rows()
+    assert RatMatrix.zero(2, 2)._integer_form() == (1, ((), ()))
+
+
 small_rats = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
 
 

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import functools
 import shutil
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from darbouxlie.classify import (FAMILY_FILES, SCHOUTEN_TABLES, TREE_FILES,
                                  verify_orbit_table, verify_schouten_family,
                                  verify_tree)
 from darbouxlie.cli import main
+from darbouxlie.darboux import TreeBranch
+from darbouxlie.exactmath import Poly, RatMatrix
+from darbouxlie.grassmann import MultiVector, lambda_matrix
 from darbouxlie.liealg import FAMILIES, catalog
 
 
@@ -307,6 +311,89 @@ def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
                           "shipped automorphisms") for g in gaps)
     assert out.splitlines()[0] == "family file s1: FAIL"
     assert out.endswith("verify-tables: FAILURES\n")
+
+
+def _fraction_merge_gaps(lifted, rec):
+    """The merge walk in Fraction arithmetic, the reference for
+    ``classify._component_merge_gaps``: each lift applied with ``matvec``,
+    the locus and the signs read with ``Poly.eval``.  Returns the missed
+    sign components and the number of components the samples show."""
+    branch = rec.branch
+    strict = [f for f, op in branch.inequalities
+              if op == "!=" and f.degree() == 1]
+
+    def signature(p):
+        return tuple(1 if f.eval(p) > 0 else -1 for f in strict)
+
+    def on_locus(p):
+        values = [(f.eval(p), op) for f, op in branch.inequalities]
+        return (not any(f.eval(p) for f in branch.equalities)
+                and all({"!=": v != 0, ">": v > 0, "<": v < 0}[op]
+                        for v, op in values))
+
+    comps = dict.fromkeys(signature(p) for p in rec.samples)
+    if not strict or len(comps) <= 1:
+        return [], len(comps)
+    start = rec.rep.coords()
+    reached, frontier = {signature(start)}, [start]
+    while frontier:
+        p = frontier.pop()
+        for L in lifted:
+            image = L.matvec(p)
+            if on_locus(image) and signature(image) not in reached:
+                reached.add(signature(image))
+                frontier.append(image)
+    return [s for s in comps if s not in reached], len(comps)
+
+
+def _merge_walks(stem):
+    """(label, integer walk, Fraction walk, components) for every orbit
+    record of every parameter sample of a family file."""
+    fam = load_family(stem)
+    out = []
+    for ps, _, g in classify.qualifying_samples(fam):
+        lifted = [lambda_matrix(T, 2)
+                  for _, T in load_automorphisms(fam, ps, g)]
+        for rec in expand_rows(fam, ps):
+            want, ncomps = _fraction_merge_gaps(lifted, rec)
+            out.append((rec.label, classify._component_merge_gaps(
+                lifted, rec), want, ncomps))
+    return out
+
+
+def test_integer_merge_walk_matches_the_fraction_walk(tmp_path, monkeypatch):
+    """On every shipped row, and on the s1 copy without T(+,-) and T(-,-),
+    the walk on integer points misses the sign components that the walk
+    on Fraction points misses."""
+    walks = [w for stem in FAMILY_FILES for w in _merge_walks(stem)]
+    assert [w[1] for w in walks] == [w[2] for w in walks]
+    assert sum(ncomps > 1 for *_, ncomps in walks) >= 20
+    assert not any(got for _, got, _, _ in walks)
+    _edited_copy(tmp_path, monkeypatch, "families/s1.txt",
+                 ("T(+,-) : 1 0 0 0 ; 0 1 0 0 ; 0 0 -1 0 ; 0 0 0 1", ""),
+                 ("T(-,-) : -1 0 0 0 ; 0 -1 0 0 ; 0 0 -1 0 ; 0 0 0 1", ""))
+    edited = _merge_walks("s1")
+    assert [w[1] for w in edited] == [w[2] for w in edited]
+    assert [(label, got) for label, got, _, _ in edited if got] == [
+        ("VII", [(-1,)]), ("VIII+", [(-1,)]), ("VIII-", [(-1,)])]
+
+
+def test_merge_walk_keeps_the_denominators():
+    """A strict form with a constant term, x6 != 1, and a lift that scales
+    x6 by 1/4: the sign of x6 - 1 at an image, and whether the image is on
+    the locus, depend on the denominators of the point and of the lift,
+    and the integer walk keeps both.  From x6 = 2 the lift reaches x6 < 1;
+    from x6 = 4 it lands on x6 = 1, off the locus."""
+    quarter = RatMatrix([[Fraction(int(i == j), 4 if i == 5 else 1)
+                          for j in range(6)] for i in range(6)])
+    for rep, lifted, want in ((2, [], [(-1,)]), (2, [quarter], []),
+                              (4, [quarter], [(-1,)])):
+        rec = expand_rows(load_family("s1"), {})[0]
+        rec.branch = TreeBranch("c", [], [(Poly.var(5) - 1, "!=")])
+        rec.rep = MultiVector.from_coords(4, 2, [0, 0, 0, 0, 0, rep])
+        rec.samples = [(0,) * 5 + (Fraction(v),) for v in (2, "1/2", 3)]
+        assert classify._component_merge_gaps(lifted, rec) == want
+        assert _fraction_merge_gaps(lifted, rec) == (want, 2)
 
 
 # ---------------------------------------------------------------------------

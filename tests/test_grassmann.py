@@ -321,3 +321,46 @@ def test_generic_rr_by_polarization(g):
             for k, c in enumerate(schouten(g, u, u).coords()):
                 want[k][((a, 1), (b, 1))] = c - square[a][k] - square[b][k]
     assert generic_rr(g) == [Poly(t) for t in want]
+
+
+def _ordered_pair_schouten(g, a, b):
+    """[a, b] summed over every ordered pair of terms, one basis-blade
+    bracket each."""
+    out: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            for m, c in schouten(g, MultiVector(g.dim, a.degree, {ma: ca}),
+                                 MultiVector(g.dim, b.degree, {mb: cb})
+                                 ).terms.items():
+                out[m] = out.get(m, 0) + c
+    return MultiVector(g.dim, a.degree + b.degree - 1,
+                       {m: c for m, c in out.items() if c})
+
+
+def _random_multivector(rng, n, m, most=28):
+    """A degree-m multivector with 1..most random terms (some may be 0)."""
+    bl = blades(n, m)
+    k = rng.randint(1, min(most, len(bl)))
+    return MultiVector(n, m, {b: Fraction(rng.randint(-4, 4),
+                                          rng.choice((1, 2, 3)))
+                              for b in rng.sample(bl, k)})
+
+
+@pytest.mark.parametrize("g", [a for a in CATALOG + RANDOM_ALGEBRAS
+                               if a.dim >= 3], ids=lambda g: g.name)
+def test_schouten_of_a_bivector_with_itself_matches_ordered_pairs(g):
+    """[w, w] of a bivector sums each unordered pair of terms once; it
+    equals the sum over ordered pairs, also when w is passed as two equal
+    objects.  Vectors and trivectors, where [w, w] = 0, and two different
+    bivectors keep the ordered sum."""
+    rng = random.Random(g.name)
+    for _ in range(4):
+        w = _random_multivector(rng, g.dim, 2)
+        want = _ordered_pair_schouten(g, w, w)
+        assert schouten(g, w, w) == want
+        assert schouten(g, w, MultiVector(g.dim, 2, dict(w.terms))) == want
+        v = _random_multivector(rng, g.dim, 2)
+        assert schouten(g, w, v) == _ordered_pair_schouten(g, w, v)
+        for m in (1, 3):
+            u = _random_multivector(rng, g.dim, m, most=8)
+            assert schouten(g, u, u) == _ordered_pair_schouten(g, u, u) == 0

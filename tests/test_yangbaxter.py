@@ -151,6 +151,32 @@ def test_same_coboundary_and_automorphisms():
         same_coboundary(g, bv(1, 0, 0, 0, 0, 0), bv(1, 0, 0, 0, 0, 0), bad)
 
 
+def test_context_checks_each_automorphism_once(monkeypatch):
+    """A context checks a matrix that passed only once; a matrix that
+    fails raises on every call, also after a valid one."""
+    calls = []
+    original = yangbaxter.is_automorphism
+
+    def counting(g, T):
+        calls.append(T)
+        return original(g, T)
+
+    monkeypatch.setattr(yangbaxter, "is_automorphism", counting)
+    ctx = AlgebraContext(catalog("s1"))
+    T = RatMatrix([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    bad = RatMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    r1, r2 = bv(1, 0, 0, 0, 0, 0), bv(0, 1, 0, 0, 0, 0)
+    for _ in range(2):
+        with pytest.raises(NotAnAutomorphism):
+            ctx.same_coboundary(r1, r2, bad)
+    answers = [ctx.same_coboundary(r1, r2, T),
+               ctx.same_coboundary(r1, r1, RatMatrix(T.entries))]
+    assert answers == [False, True]
+    with pytest.raises(NotAnAutomorphism):
+        ctx.same_coboundary(r1, r2, bad)
+    assert calls == [bad, bad, T, bad]
+
+
 def test_necessary_checks():
     s7 = catalog("s7")
     rep = necessary_checks(s7, bv(1, 0, 0, 0, 0, 0), bv(0, 0, 1, 1, 0, 0))
