@@ -360,6 +360,64 @@ def test_verify_family_tree_branch(benchmark, largest_tree_family):
     assert fam.cofactors == want and fam.linear
 
 
+@pytest.fixture(scope="module")
+def s3_tree_branches():
+    """The solution branches of the s3 tree at its first parameter sample:
+    the ``branch_samples`` arguments and the ``verify_branch`` arguments
+    (context, fields, branch, points, family cache) of each, recorded from
+    a passing ``verify_tree`` run, so the cache holds every branch family
+    and each branch's equalities have their integer forms."""
+    import darbouxlie.classify as classify
+    sampled, checked = [], []
+    real_samples, real_verify = classify.branch_samples, classify.verify_branch
+
+    def sampling(branch, nvars, extra=()):
+        sampled.append((branch, nvars, extra))
+        return real_samples(branch, nvars, extra)
+
+    def verifying(ctx, fields, branch, pts, family_cache=None):
+        checked.append((ctx, fields, branch, pts, family_cache))
+        return real_verify(ctx, fields, branch, pts, family_cache=family_cache)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "branch_samples", sampling)
+        mp.setattr(classify, "verify_branch", verifying)
+        assert verify_tree("s3").passed
+    first = [c for c in checked if c[0] is checked[0][0]]
+    return sampled[:len(first)], first
+
+
+def test_branch_samples_s3_tree(benchmark, s3_tree_branches):
+    """The sample grids of the s3 tree's branches at one parameter sample,
+    each linear equality split once per branch."""
+    sampled, checked = s3_tree_branches
+    want = [pts for _, _, _, pts, _ in checked]
+    assert (len(want), sum(map(len, want))) == (11, 67)
+    assert all(locus_contains(b, p) for (b, _, _), pts in zip(sampled, want)
+               for p in pts)
+
+    def every_branch():
+        return [darboux.branch_samples(*c) for c in sampled]
+    assert every_branch() == want
+    assert benchmark(every_branch) == want
+
+
+def test_verify_branch_s3_tree(benchmark, s3_tree_branches):
+    """The branch checks of the s3 tree at one parameter sample, with every
+    family in the cache: each point cleared once, then the locus test, the
+    rank and the mCYBE test on its ints."""
+    _, checked = s3_tree_branches
+    want = [[rank_at(fields, p) for p in pts]
+            for _, fields, _, pts, _ in checked]
+    assert all(is_mcybe_solution(ctx.g, p)
+               for ctx, _, _, pts, _ in checked for p in pts)
+
+    def every_branch():
+        return [darboux.verify_branch(*c[:4], family_cache=c[4]).ranks
+                for c in checked]
+    assert every_branch() == want
+    assert benchmark(every_branch) == want
+
+
 def test_verify_tree_s1(benchmark):
     """The branch layer end to end on one tree: families, ranks and mCYBE
     at every branch sample, and the no-solution certificates."""

@@ -25,8 +25,8 @@ from typing import Iterator, Optional, Sequence
 
 from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
-                      locus_contains, locus_contains_ints, locus_sampler,
-                      solve_linear, verify_branch)
+                      linear_solver, locus_contains, locus_contains_ints,
+                      locus_sampler, verify_branch)
 # rank_at stays importable from here: perfbench's tracer wraps it by name
 from .derivations import _rank_at_ints, rank_at  # noqa: F401
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
@@ -467,11 +467,16 @@ class OrbitRecord:
         roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
         grid_axes = [(i, [Fraction(v) for v in _ROLE_GRID[val]])
                      for i, val in enumerate(roles) if val in _ROLE_GRID]
-        dep = [int(k[1:]) - 1 for k, v in row.coords.items() if v == "dep"]
         expr_coords = {int(k[1:]) - 1: v.poly(env)
                        for k, v in row.coords.items()
                        if isinstance(v, GoldenExpr)}
         eq_polys = [e.poly(env) for e in row.extra_eqs]
+        # each dependent coordinate takes the value of the first equality
+        # solvable for it at the point; each equality is split once
+        dep = [(d, [s for s in (linear_solver(e, d) for e in eq_polys)
+                    if s is not None])
+               for d in (int(k[1:]) - 1 for k, v in row.coords.items()
+                         if v == "dep")]
 
         axes = [vals for _, vals in grid_axes]
         idxs = [i for i, _ in grid_axes]
@@ -485,9 +490,9 @@ class OrbitRecord:
                 pt[i] = v
             for i, expr in expr_coords.items():
                 pt[i] = expr.eval(pt)
-            for d in dep:
-                for e in eq_polys:
-                    x = solve_linear(e, d, pt)
+            for d, solvers in dep:
+                for solve in solvers:
+                    x = solve(pt)
                     if x is not None:
                         pt[d] = x
                         break
@@ -560,13 +565,18 @@ class TableReport:
         return all(r.ok for r in self.rows) and not self.unmerged_components
 
 
-def load_automorphisms(fam: FamilyData, params: dict,
-                       g: LieAlgebra) -> list[tuple[str, RatMatrix]]:
+def load_automorphisms(fam: FamilyData, params: dict, g: LieAlgebra,
+                       ctx: Optional[AlgebraContext] = None
+                       ) -> list[tuple[str, RatMatrix]]:
+    """The shipped matrices at one parameter sample, each validated by
+    ``is_automorphism`` through ``ctx``, the context of g when given, which
+    then does not check them again."""
     sp = _short_params(params)
+    ctx = ctx or AlgebraContext(g)
     out = []
     for nme, rows in fam.automorphisms:
         T = RatMatrix([[e(sp) for e in r] for r in rows])
-        if not is_automorphism(g, T):
+        if not ctx._is_automorphism(T):
             raise WitnessMissing(
                 f"{fam.name}: shipped matrix {nme} fails bracket preservation")
         out.append((nme, T))
@@ -992,7 +1002,7 @@ def verify_tree(stem: str) -> TreeReport:
         g = catalog(fam.algebra, **ps)
         ctx = AlgebraContext(g, _der_form_basis(fam.der_form, sp)
                              if fam.der_form else None)
-        msys = [p for p in ctx.yb_system.mcybe if not p.is_zero()]
+        msys = [p for p in ctx.mcybe if not p.is_zero()]
         for kind, label, eqs, ineqs, meta in tree.branches:
             for kv in meta["k"] or [None]:
                 env = dict(sp) if kv is None else {**sp, "k": kv}
@@ -1079,7 +1089,8 @@ def verify_coboundary_classes(stem: str,
             continue
         ctx = AlgebraContext(g)
         records = {r.label: r for r in expand_rows(fam, ps)}
-        auts = [("id", RatMatrix.identity(4))] + load_automorphisms(fam, ps, g)
+        auts = ([("id", RatMatrix.identity(4))]
+                + load_automorphisms(fam, ps, g, ctx))
         applied = [(cl.name, [m for m in cl.members if m in records])
                    for cl in fam.classes if cl.cond(sp)]
         applied = [(name, ms) for name, ms in applied if ms]

@@ -21,13 +21,13 @@ from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .derivations import LinearVectorField, rank_at, vf_apply
-from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
-                        ideal_memberships, kernel_basis, monomials_up_to,
-                        normalize_poly, poly_rref, poly_rref_contains, rat,
-                        rref)
+from .derivations import LinearVectorField, _rank_at_ints, vf_apply
+from .exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
+                        clear_denominators, ideal_memberships, kernel_basis,
+                        monomials_up_to, normalize_poly, poly_rref,
+                        poly_rref_contains, rat, rref)
 from .yangbaxter import AlgebraContext
 
 #: verify_branch checks closure with cofactors up to this degree, and
@@ -285,11 +285,13 @@ def locus_sampler(branch: TreeBranch):
     return out, push
 
 
-def solve_linear(f: Poly, v: int, point: Sequence) -> Optional[Fraction]:
-    """The value of x_v that makes f vanish at point, with f's other
-    coordinates taken from point: -b(point)/a(point) for f = a*x_v + b with
-    a and b free of x_v.  None when f does not involve x_v, is not linear
-    in x_v, or has an x_v coefficient a that is zero at point."""
+def linear_solver(f: Poly, v: int
+                  ) -> Optional[Callable[[Sequence], Optional[Fraction]]]:
+    """f split once as a*x_v + b with a and b free of x_v: the function
+    that gives -b(p)/a(p) at a point p, or None where a(p) = 0.  None in
+    place of the function when f does not involve x_v or is not linear in
+    it.  When f has degree 1, a is a nonzero constant and the function is
+    a constant plus a dot product with p's other coordinates."""
     a, b = {}, {}
     for m, c in f.terms.items():
         e = dict(m).get(v)
@@ -299,8 +301,37 @@ def solve_linear(f: Poly, v: int, point: Sequence) -> Optional[Fraction]:
             a[tuple(t for t in m if t[0] != v)] = c
         else:
             return None
-    coef = Poly(a).eval(point)
-    return -Poly(b).eval(point) / coef if coef else None
+    if not a:
+        return None
+    if f.degree() == 1:
+        coef = a[()]
+        const = -b.pop((), 0) / coef
+        terms = [(m[0][0], -c / coef) for m, c in b.items()]
+
+        def solve(p: Sequence) -> Fraction:
+            x = const
+            for u, c in terms:
+                try:
+                    x += c * rat(p[u])
+                except (IndexError, KeyError):
+                    raise MissingVariable(f"x{u + 1}") from None
+            return x
+        return solve
+    pa, pb = Poly(a), Poly(b)
+
+    def solve(p: Sequence) -> Optional[Fraction]:
+        coef = pa.eval(p)
+        return -pb.eval(p) / coef if coef else None
+    return solve
+
+
+def solve_linear(f: Poly, v: int, point: Sequence) -> Optional[Fraction]:
+    """The value of x_v that makes f vanish at point, with f's other
+    coordinates taken from point: -b(point)/a(point) for f = a*x_v + b with
+    a and b free of x_v.  None when f does not involve x_v, is not linear
+    in x_v, or has an x_v coefficient a that is zero at point."""
+    solve = linear_solver(f, v)
+    return None if solve is None else solve(point)
 
 
 def branch_samples(branch: TreeBranch, nvars: int,
@@ -319,7 +350,7 @@ def branch_samples(branch: TreeBranch, nvars: int,
     # survive; a constant equality has no variable and is left to the
     # locus and family checks
     solved_vars: list[int] = []
-    solve_for: list[tuple[Poly, int]] = []
+    solve_for: list[tuple[int, Callable]] = []
     for f in linear_eqs:
         vs = sorted(f.variables(), reverse=True)
         pick = next((v for v in vs
@@ -327,7 +358,9 @@ def branch_samples(branch: TreeBranch, nvars: int,
         if pick is None:
             pick = next((v for v in vs if v not in solved_vars), vs[0])
         solved_vars.append(pick)
-        solve_for.append((f, pick))
+        solve = linear_solver(f, pick)
+        if solve is not None:
+            solve_for.append((pick, solve))
     free = (set(range(nvars)) - eq_vars) - ineq_vars
     active = (sorted(v for v in ineq_vars if v not in solved_vars)
               + sorted(v for v in free if v not in solved_vars))
@@ -336,8 +369,8 @@ def branch_samples(branch: TreeBranch, nvars: int,
         base = [Fraction(0)] * nvars
         for v, val in zip(active[:4], combo):
             base[v] = Fraction(val)
-        for f, v0 in solve_for:
-            x = solve_linear(f, v0, base)
+        for v0, solve in solve_for:
+            x = solve(base)
             if x is not None:
                 base[v0] = x
         push(base)
@@ -468,22 +501,25 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     of degree <= COFACTOR_DEGREE_BOUND) on the branch's open set, the field
     rank is constant across samples and equals the expected stratum
     dimension (when recorded), and every sample solves the mCYBE
-    (``ctx.is_mcybe_at``).
+    (``ctx.is_mcybe_at``).  Each sample is cleared once, to ints q and
+    their denominator den, and the three point checks read those ints; a
+    ``family_cache`` lookup compares ints only (``_family_key``).
 
     The cofactors make the ideal of the equalities invariant under every
     field, so every X^k f_j lies in it and vanishes at each sample, which
     lies on the zero set: the flow check of flow_invariance cannot fail
     there, and is not repeated."""
     pts = [tuple(rat(x) for x in p) for p in samples]
-    for p in pts:
-        if not locus_contains(branch, p):
+    cleared = [clear_denominators(p) for p in pts]
+    for p, (den, q) in zip(pts, cleared):
+        if not locus_contains_ints(branch, q, den):
             raise BranchInvalid(f"{branch.label}: sample {p} not in locus")
     if not pts:
         raise BranchInvalid(f"{branch.label}: no sample points")
     if branch.equalities:
         key = None
         if family_cache is not None:
-            key = (tuple(X.matrix for X in fields), branch.equalities)
+            key = _family_key(fields, branch)
         fam = family_cache.get(key) if key is not None else None
         if fam is None:
             fam = verify_family_auto(fields, branch.equalities)
@@ -494,12 +530,12 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     if fam is None:
         raise BranchInvalid(f"{branch.label}: equalities are not a Darboux "
                             f"family at bound {COFACTOR_DEGREE_BOUND}")
-    ranks = [rank_at(fields, p) for p in pts]
+    ranks = [_rank_at_ints(fields, q) for _, q in cleared]
     rank_constant = len(set(ranks)) == 1
     dim_matches = None
     if branch.expected_dim is not None:
         dim_matches = rank_constant and ranks[0] == branch.expected_dim
-    solves = [ctx.is_mcybe_at(p) for p in pts]
+    solves = [ctx._is_mcybe_ints(q) for _, q in cleared]
     if not any(solves):
         raise BranchInvalid(f"{branch.label}: no mCYBE points")
     return BranchReport(
@@ -507,6 +543,18 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
         ranks=ranks, rank_constant=rank_constant,
         expected_dim=branch.expected_dim, dim_matches=dim_matches,
         samples_checked=len(pts), mcybe_ok=all(solves))
+
+
+def _family_key(fields: Sequence[LinearVectorField],
+                branch: TreeBranch) -> tuple:
+    """The fields and the equalities of a branch in canonical integer form:
+    each field matrix as its width and ``_integer_form`` (D, the lcm of its
+    reduced denominators, and the nonzero entries of D times it), each
+    equality as the scale and the set of (monomial, coefficient) terms of
+    its ``IntPoly``."""
+    return (tuple((X.matrix.cols, X.matrix._integer_form()) for X in fields),
+            tuple((f.scale, frozenset((m, c) for c, m, _ in f.terms))
+                  for f in branch.int_forms[0]))
 
 
 def _lie_chain(X: LinearVectorField, f: Poly,

@@ -88,10 +88,10 @@ def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
     locus (matches the hand-simplified systems in the classification)."""
     work = [normalize_poly(p) for p in polys if not p.is_zero()]
     killed: list[int] = []
+    basis = _span_basis(work)
     changed = True
     while changed:
         changed = False
-        basis = _span_basis(work)
         for p in basis:
             vs = _pure_square_vars(p)
             if vs and not all(v in killed for v in vs):
@@ -103,9 +103,10 @@ def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
                     m: c for m, c in q.terms.items()
                     if not any(v in killed for v, _ in m)})) for q in work]
                 work = [q for q in work if not q.is_zero()]
+                basis = _span_basis(work)
                 changed = True
                 break
-    gens = [Poly.var(v) for v in sorted(killed)] + _span_basis(work)
+    gens = [Poly.var(v) for v in sorted(killed)] + basis
     gens = [normalize_poly(p) for p in gens if not p.is_zero()]
     return sorted(gens, key=lambda p: (p.degree(), p.text()))
 
@@ -270,8 +271,10 @@ class AlgebraContext:
     ``is_mcybe_at`` tests a point in ``int`` arithmetic on the ``IntPoly``
     forms of the mCYBE system, built once: the point is first scaled by the
     lcm of its denominators, which keeps the answer because the mCYBE
-    polynomials are homogeneous quadratics.  ``same_coboundary`` checks
-    each matrix T once and remembers the ones that preserve brackets."""
+    polynomials are homogeneous quadratics.  A matrix T that passes
+    ``_is_automorphism`` (which ``same_coboundary`` and
+    ``classify.load_automorphisms`` call) is remembered and not checked
+    again."""
 
     def __init__(self, g: LieAlgebra, ders: list[Derivation] | None = None):
         self.g = g
@@ -303,29 +306,36 @@ class AlgebraContext:
         return generic_rr(self.g)
 
     @cached_property
+    def mcybe(self) -> list[Poly]:
+        """The mCYBE components (``YbSystem.mcybe``), without the display
+        reduction that ``yb_system`` adds."""
+        mcybe = [normalize_poly(p)
+                 for p in _project_out(self.rr, self.inv3[1])]
+        return [p for p in mcybe if not p.is_zero()] or [Poly.zero()]
+
+    @cached_property
     def yb_system(self) -> YbSystem:
-        rr = self.rr
-        mcybe = [normalize_poly(p) for p in _project_out(rr, self.inv3[1])]
-        mcybe = [p for p in mcybe if not p.is_zero()] or [Poly.zero()]
-        return YbSystem(cybe=[normalize_poly(p) for p in rr], mcybe=mcybe,
-                        inv3=self.inv3[0], reduced=reduce_system(mcybe))
+        return YbSystem(cybe=[normalize_poly(p) for p in self.rr],
+                        mcybe=self.mcybe, inv3=self.inv3[0],
+                        reduced=reduce_system(self.mcybe))
 
     @cached_property
     def _int_mcybe(self) -> list[IntPoly]:
-        return [IntPoly(p) for p in self.yb_system.mcybe]
+        return [IntPoly(p) for p in self.mcybe]
 
     def is_mcybe_at(self, r: RMatrix) -> bool:
         """Whether r solves the mCYBE (``is_mcybe_solution``)."""
         coords = (as_bivector(self.g, r).coords() if isinstance(r, MultiVector)
                   else [rat(x) for x in r])
-        if len(coords) != self.g.dim * (self.g.dim - 1) // 2:
-            raise DimensionMismatch("coordinate count mismatch")
         _, q = clear_denominators(coords)
         return self._is_mcybe_ints(q)
 
     def _is_mcybe_ints(self, q: Sequence[int]) -> bool:
         """``is_mcybe_at`` at the point q/den, given as the ints q for any
-        den > 0 (``clear_denominators``)."""
+        den > 0 (``clear_denominators``).  A point whose length is not
+        dim Λ²g raises ``DimensionMismatch``."""
+        if len(q) != self.g.dim * (self.g.dim - 1) // 2:
+            raise DimensionMismatch("coordinate count mismatch")
         return all(f.eval(q) == 0 for f in self._int_mcybe)
 
     def orbit_dim(self, w: MultiVector) -> int:
@@ -336,11 +346,19 @@ class AlgebraContext:
         return tuple(_project_out(as_bivector(self.g, r).coords(),
                                   self.inv2[1]))
 
-    def same_coboundary(self, r1: RMatrix, r2: RMatrix, T: RatMatrix) -> bool:
+    def _is_automorphism(self, T: RatMatrix) -> bool:
+        """``is_automorphism`` on this algebra, remembering the matrices
+        that pass, so each is checked once; one that fails is checked on
+        every call."""
         if T not in self._automorphisms:
             if not is_automorphism(self.g, T):
-                raise NotAnAutomorphism("T does not preserve the Lie bracket")
+                return False
             self._automorphisms.add(T)
+        return True
+
+    def same_coboundary(self, r1: RMatrix, r2: RMatrix, T: RatMatrix) -> bool:
+        if not self._is_automorphism(T):
+            raise NotAnAutomorphism("T does not preserve the Lie bracket")
         moved = apply_linear(T, as_bivector(self.g, r1))
         return self.quotient_class(moved) == self.quotient_class(r2)
 

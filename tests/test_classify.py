@@ -315,6 +315,56 @@ def _recorded_branches(stem, monkeypatch):
     return calls
 
 
+def test_verify_branch_clears_each_sample_point_once(monkeypatch):
+    """The locus test, the rank and the mCYBE test of a branch all read one
+    cleared form of each sample point."""
+    from darbouxlie import darboux, derivations, exactmath, yangbaxter
+    from darbouxlie.darboux import verify_branch
+    calls = _recorded_branches("s1", monkeypatch)
+    cleared = []
+    real = exactmath.clear_denominators
+
+    def counting(xs):
+        cleared.append(1)
+        return real(xs)
+
+    for module in (darboux, derivations, exactmath, yangbaxter):
+        monkeypatch.setattr(module, "clear_denominators", counting)
+    for ctx, fields, branch, pts, cache in calls:
+        cleared.clear()
+        rep = verify_branch(ctx, fields, branch, pts, family_cache=cache)
+        assert rep.passed and rep.samples_checked == len(pts)
+        assert len(cleared) == len(pts), branch.label
+
+
+def test_verify_branch_rejects_bad_points_as_before(monkeypatch):
+    """A point off the locus is named in BranchInvalid; a point too long
+    fails the rank's size check (a plain ValueError), or without fields the
+    mCYBE's DimensionMismatch; a point too short for an equality raises
+    MissingVariable from the locus test."""
+    from darbouxlie.darboux import (BranchInvalid, locus_contains,
+                                    verify_branch)
+    from darbouxlie.exactmath import MissingVariable
+    from darbouxlie.liealg import DimensionMismatch
+    ctx, fields, branch, pts, _ = next(
+        c for c in _recorded_branches("s1", monkeypatch) if c[2].equalities)
+    p = pts[0]
+    off = next(q for i in range(len(p))
+               for q in [p[:i] + (p[i] + 1,) + p[i + 1:]]
+               if not locus_contains(branch, q))
+    with pytest.raises(BranchInvalid, match="not in locus") as info:
+        verify_branch(ctx, fields, branch, list(pts) + [off])
+    assert str(off) in str(info.value)
+    free = TreeBranch("free", [])
+    with pytest.raises(ValueError, match="size mismatch") as info:
+        verify_branch(ctx, fields, free, [p + (0,)])
+    assert info.type is ValueError
+    with pytest.raises(DimensionMismatch):
+        verify_branch(ctx, [], free, [p + (0,)])
+    with pytest.raises(MissingVariable):
+        verify_branch(ctx, fields, TreeBranch("short", [x(5)]), [p[:5]])
+
+
 @pytest.mark.parametrize("stem", TREE_FILES)
 def test_tree_branch_cofactors_reproduce_every_field_image(stem, monkeypatch):
     """Every branch family of a shipped tree, at every parameter sample, is
@@ -376,13 +426,12 @@ def _list_sampler(branch):
     return out, push
 
 
-def test_sample_lists_match_the_list_based_rule(monkeypatch):
-    """branch_samples on every branch of every shipped tree, and the sample
-    points of every orbit row of s3, are the same lists, in the same order,
-    under the set-based rule of locus_sampler and the list-based rule."""
+def _branch_sample_calls(monkeypatch):
+    """The arguments of every branch_samples call of every shipped tree,
+    recorded with the branch checks skipped, and a function that builds
+    the sample points of every orbit row of s3."""
     import darbouxlie.classify as classify
-    import darbouxlie.darboux as darboux
-    from darbouxlie.darboux import BranchInvalid, branch_samples
+    from darbouxlie.darboux import BranchInvalid
 
     calls = []
 
@@ -398,6 +447,7 @@ def test_sample_lists_match_the_list_based_rule(monkeypatch):
     monkeypatch.setattr(classify, "certify_no_solutions", lambda *a: None)
     for stem in TREE_FILES:
         verify_tree(stem)
+    monkeypatch.undo()
     assert len(calls) > 100
 
     fam = load_family("s3")
@@ -406,9 +456,104 @@ def test_sample_lists_match_the_list_based_rule(monkeypatch):
         return [rec.samples for ps, _, _ in qualifying_samples(fam)
                 for rec in expand_rows(fam, ps)]
 
+    return calls, row_samples
+
+
+def test_sample_lists_match_the_list_based_rule(monkeypatch):
+    """branch_samples on every branch of every shipped tree, and the sample
+    points of every orbit row of s3, are the same lists, in the same order,
+    under the set-based rule of locus_sampler and the list-based rule."""
+    import darbouxlie.classify as classify
+    import darbouxlie.darboux as darboux
+    from darbouxlie.darboux import branch_samples
+
+    calls, row_samples = _branch_sample_calls(monkeypatch)
     got = ([branch_samples(*c) for c in calls], row_samples())
     monkeypatch.setattr(darboux, "locus_sampler", _list_sampler)
     monkeypatch.setattr(classify, "locus_sampler", _list_sampler)
     want = ([branch_samples(*c) for c in calls], row_samples())
     assert got == want
     assert sum(map(len, got[0])) > 500 and sum(map(len, got[1])) > 500
+
+
+def _solve_linear_at(f, v, point):
+    """x_v solved from f = a*x_v + b at one point, splitting f there: the
+    per-point rule that the samplers' split-once solvers must match."""
+    a, b = {}, {}
+    for m, c in f.terms.items():
+        e = dict(m).get(v)
+        if e is None:
+            b[m] = c
+        elif e == 1:
+            a[tuple(t for t in m if t[0] != v)] = c
+        else:
+            return None
+    coef = Poly(a).eval(point)
+    return -Poly(b).eval(point) / coef if coef else None
+
+
+def test_sample_lists_match_per_point_linear_solving(monkeypatch):
+    """branch_samples on every branch of every shipped tree, and the sample
+    points of every orbit row of s3, are the same lists when each linear
+    equality is split once per branch as when it is split at every point."""
+    import functools
+
+    import darbouxlie.classify as classify
+    import darbouxlie.darboux as darboux
+    from darbouxlie.darboux import branch_samples
+
+    calls, row_samples = _branch_sample_calls(monkeypatch)
+    got = ([branch_samples(*c) for c in calls], row_samples())
+    for module in (darboux, classify):
+        monkeypatch.setattr(module, "linear_solver",
+                            lambda f, v: functools.partial(_solve_linear_at,
+                                                           f, v))
+    want = ([branch_samples(*c) for c in calls], row_samples())
+    assert got == want
+    assert sum(map(len, got[0])) > 500 and sum(map(len, got[1])) > 500
+    assert any(f.degree() == 1 for b, _, _ in calls for f in b.equalities)
+
+
+def test_tree_check_makes_no_display_reduction(monkeypatch):
+    """The tree check reads the mCYBE components, never the reduced
+    display system."""
+    import darbouxlie.yangbaxter as yangbaxter
+    calls = []
+    real = yangbaxter.reduce_system
+
+    def counting(polys):
+        calls.append(polys)
+        return real(polys)
+
+    monkeypatch.setattr(yangbaxter, "reduce_system", counting)
+    assert verify_tree("s1").passed
+    assert calls == []
+
+
+def test_coboundary_classes_check_each_shipped_matrix_once(monkeypatch):
+    """A pass over every family file checks each shipped automorphism once
+    per parameter sample whose classes are checked, and the identity at
+    most once per such sample."""
+    import darbouxlie.classify as classify
+    import darbouxlie.yangbaxter as yangbaxter
+    calls = []
+    original = yangbaxter.is_automorphism
+
+    def counting(g, T):
+        calls.append(T)
+        return original(g, T)
+
+    for module in (classify, yangbaxter):
+        monkeypatch.setattr(module, "is_automorphism", counting)
+    identity = RatMatrix.identity(4)
+    shipped = checked = 0
+    for stem in FAMILY_FILES:
+        fam = load_family(stem)
+        for _, sp, _ in qualifying_samples(fam):
+            if not any(note for cond, note in fam.skipclasses if cond(sp)):
+                checked += 1
+                shipped += len(fam.automorphisms)
+        verify_coboundary_classes(stem)
+    assert shipped > 100
+    assert len([T for T in calls if T != identity]) == shipped
+    assert len([T for T in calls if T == identity]) <= checked

@@ -430,3 +430,63 @@ def test_orbit_table_calls_no_oracle(monkeypatch):
     report = classify.verify_orbit_table("s1")
     assert report.passed and sum(r.dims_checked for r in report.rows) > 0
     assert calls == []
+
+
+def _reduce_system_by_rounds(polys):
+    """``reduce_system`` as a loop that eliminates the whole span again in
+    every round, also after its last one: the reference for the loop that
+    reuses its last basis."""
+    from darbouxlie.exactmath import normalize_poly
+    from darbouxlie.yangbaxter import _pure_square_vars, _span_basis
+    work = [normalize_poly(p) for p in polys if not p.is_zero()]
+    killed = []
+    changed = True
+    while changed:
+        changed = False
+        for p in _span_basis(work):
+            vs = _pure_square_vars(p)
+            if vs and not all(v in killed for v in vs):
+                killed += [v for v in vs if v not in killed]
+                work = [normalize_poly(Poly({
+                    m: c for m, c in q.terms.items()
+                    if not any(v in killed for v, _ in m)})) for q in work]
+                work = [q for q in work if not q.is_zero()]
+                changed = True
+                break
+    gens = [Poly.var(v) for v in sorted(killed)] + _span_basis(work)
+    gens = [normalize_poly(p) for p in gens if not p.is_zero()]
+    return sorted(gens, key=lambda p: (p.degree(), p.text()))
+
+
+def _sparse_almost_abelian(rng, n):
+    """R x_A R^(n-1) with a fifth of the entries of A nonzero: sparse
+    enough that the mCYBE span often holds sums of squares."""
+    m = n - 1
+    a = [[0] * m for _ in range(m)]
+    for cell in rng.sample(range(m * m), max(1, round(0.2 * m * m))):
+        a[cell // m][cell % m] = rng.choice((-2, -1, 1, 1, 2))
+    return {(i, n - 1): [Fraction(-a[j][i]) for j in range(m)] + [Fraction(0)]
+            for i in range(m)}
+
+
+def test_reduce_system_matches_the_elimination_by_rounds():
+    """The display reduction of every catalog family at its golden samples,
+    and of seeded sparse almost-abelian algebras of dimensions 3-7, equals
+    the one that eliminates its final span again."""
+    systems = []
+    for stem in classify.FAMILY_FILES:
+        fam = classify.load_family(stem)
+        systems += [(g.dim, AlgebraContext(g).mcybe)
+                    for _, _, g in classify.qualifying_samples(fam)]
+    rng = random.Random("reduce_system")
+    for n in range(3, 8):
+        for _ in range(4):
+            g = parse_algebra(bracket_text(n, _sparse_almost_abelian(rng, n)))
+            systems.append((n, AlgebraContext(g).mcybe))
+    killing = set()
+    for n, mcybe in systems:
+        want = _reduce_system_by_rounds(mcybe)
+        assert yangbaxter.reduce_system(mcybe) == want
+        if any(p.degree() == 1 and len(p.terms) == 1 for p in want):
+            killing.add(n)
+    assert {4, 5, 6, 7} <= killing
