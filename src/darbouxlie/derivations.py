@@ -6,6 +6,11 @@ d[i][j] e_i.  Its Leibniz lift to Λ^m (index arithmetic in
 ``grassmann.leibniz_matrix``) is a linear vector field on the blade
 coordinates: X(p) = A p, whose coefficient of ``d/dx_a`` at p is the a-th
 component of A p.
+
+The derivation system is built in ``int`` arithmetic from the algebra's
+integer table D·c (``LieAlgebra.int_table``): it is linear and homogeneous
+in c, so scaling every row by D keeps its kernel, and the fraction-free
+kernel (``exactmath.int_kernel_basis``) takes the integer rows as they are.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
-                        kernel_basis, rat)
+                        int_kernel_basis, rat)
 from .grassmann import MultiVector, leibniz_matrix
 from .liealg import LieAlgebra
 
@@ -50,25 +55,39 @@ class LinearVectorField:
 def derivation_basis(g: LieAlgebra) -> list[Derivation]:
     """Basis of der(g): solutions d of d[e_i,e_j] = [d e_i, e_j] + [e_i, d e_j].
 
-    One exact kernel computation on the stacked Leibniz system; the basis
-    order follows the free entries of the matrix read row-major, so it
-    matches the parameter order of hand-written derivation displays.
+    One exact kernel computation on the stacked Leibniz system
+    (``derivation_system``); the basis order follows the free entries of the
+    matrix read row-major, so it matches the parameter order of
+    hand-written derivation displays.
     """
     n = g.dim
+    basis = int_kernel_basis(derivation_system(g), n * n)
+    return [RatMatrix([v[r * n:(r + 1) * n] for r in range(n)]) for v in basis]
+
+
+def derivation_system(g: LieAlgebra) -> list[dict[int, int]]:
+    """The Leibniz system of der(g) on the integer table D·c: for i < j and
+    each k, the e_k-coefficient of d([e_i,e_j]) - [d e_i, e_j] - [e_i, d e_j]
+    as a sparse integer row over the unknowns d[r][s] (column r·n + s),
+    times D.  The system is linear and homogeneous in c, so D·c gives the
+    same kernel; rows that vanish are left out."""
+    n = g.dim
+    _, c = g.int_table
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                # coefficient of e_k in d([e_i,e_j]) - [d e_i, e_j] - [e_i, d e_j]
-                row = [Fraction(0)] * (n * n)
+                row: dict[int, int] = {}
                 for m in range(n):
-                    row[k * n + m] += g.c[i][j][m]      # d[k][m] c_{ij}^m
-                    row[m * n + i] -= g.c[m][j][k]      # d[m][i] c_{mj}^k
-                    row[m * n + j] -= g.c[i][m][k]      # d[m][j] c_{im}^k
-                rows.append(row)
-    basis = kernel_basis(RatMatrix(rows) if rows
-                         else RatMatrix.zero(0, n * n))
-    return [RatMatrix([v[r * n:(r + 1) * n] for r in range(n)]) for v in basis]
+                    for col, x in ((k * n + m, c[i][j][m]),    # d[k][m] c_ij^m
+                                   (m * n + i, -c[m][j][k]),   # d[m][i] c_mj^k
+                                   (m * n + j, -c[i][m][k])):  # d[m][j] c_im^k
+                        if x:
+                            row[col] = row.get(col, 0) + x
+                row = {col: x for col, x in row.items() if x}
+                if row:
+                    rows.append(row)
+    return rows
 
 
 def lift(d: Derivation, m: int) -> LinearVectorField:

@@ -576,16 +576,26 @@ def rank(m: RatMatrix) -> int:
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space.  Each basis vector has one free
-    coordinate set to 1 (free coordinates taken in increasing column order)."""
-    red, pivots = _gauss_jordan(map(dict, m._integer_rows()))
+    """Basis of the right null space (``int_kernel_basis`` of the rows)."""
+    return int_kernel_basis(map(dict, m._integer_rows()), m.cols)
+
+
+def int_kernel_basis(rows: Iterable[SparseRow], ncols: int
+                     ) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space of the matrix with ``ncols`` columns
+    whose rows are the integer SparseRows ``rows`` (empty rows allowed).
+    Each basis vector has one free coordinate set to 1 (free coordinates
+    taken in increasing column order).  The basis depends only on the row
+    space, so any nonzero integer multiples of a rational system's rows
+    give the same basis."""
+    red, pivots = _gauss_jordan(rows)
     pivot_set = set(pivots)
     zero, one = Fraction(0), Fraction(1)
     basis = []
-    for fc in range(m.cols):
+    for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [zero] * m.cols
+        v = [zero] * ncols
         v[fc] = one
         for r, pc in zip(red, pivots):
             x = r.get(fc)

@@ -11,6 +11,12 @@ functions x1..x6.  The bracket follows the hat-omission expansion
 which for degree-1 arguments reduces to the Lie bracket.  The matrices of
 maps on Λ^m g and [r, r] of the generic bivector are built by index
 arithmetic on the blade masks and basis brackets, with no multivector.
+
+Basis-blade brackets and the invariant systems use the algebra's integer
+table D·c (``LieAlgebra.int_table``).  The ad_{e_i} system of (Λ^m g)^g is
+linear and homogeneous in c, so its integer rows have the same kernel; a
+Schouten bracket is summed in ``int`` arithmetic and each coefficient is
+divided by D (and the scales of its arguments) once.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .exactmath import Poly, RatMatrix, kernel_basis, rat
+from .exactmath import (Poly, RatMatrix, clear_denominators,
+                        int_kernel_basis, rat)
 from .liealg import DimensionMismatch, LieAlgebra
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+_popcount = int.bit_count
 
 
 def mask_of(indices: Sequence[int]) -> int:
@@ -36,6 +42,7 @@ def mask_of(indices: Sequence[int]) -> int:
     return m
 
 
+@cache
 def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask & (1 << i))
 
@@ -219,82 +226,108 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     return MultiVector(a.dim, a.degree + b.degree, out)
 
 
-def leibniz_matrix(images: Sequence[Sequence], m: int) -> RatMatrix:
-    """Matrix on Λ^m g, in blade order, of the derivation extending
-    e_i -> sum_k images[i][k] e_k.  On a blade e_I each e_i is replaced by
-    e_k: the image blade is I - {i} + {k}, with sign (-1)^(the number of
-    elements of I - {i} strictly between i and k), or 0 if k is in I - {i}."""
+def leibniz_rows(images: Sequence[Sequence], m: int) -> list[dict]:
+    """The rows of ``leibniz_matrix(images, m)`` as sparse rows {column:
+    nonzero entry}, in the arithmetic of the images (ints stay ints).
+
+    On a blade e_I each e_i is replaced by e_k: the image blade is
+    I - {i} + {k}, with sign (-1)^(the number of elements of I - {i}
+    strictly between i and k), or 0 if k is in I - {i}.  Only k = i puts
+    two terms in one entry (the diagonal)."""
     n = len(images)
     bl = blades(n, m)
     pos = {b: p for p, b in enumerate(bl)}
-    out = [[Fraction(0)] * len(bl) for _ in bl]
+    out: list[dict] = [{} for _ in bl]
     for c, mask in enumerate(bl):
         for i in indices_of(mask):
             rest = mask ^ 1 << i
             for k, x in enumerate(images[i]):
                 if x and not rest >> k & 1:
                     odd = _popcount((rest >> (i + 1)) ^ (rest >> (k + 1))) & 1
-                    out[pos[rest | 1 << k]][c] += -x if odd else x
-    return RatMatrix(out)
+                    row = out[pos[rest | 1 << k]]
+                    y = row.get(c, 0) + (-x if odd else x)
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+    return out
 
 
-def _schouten_blades(g: LieAlgebra, ma: int, mb: int):
-    """[e_A, e_B] for basis blades, as a dict from mask to Fraction."""
-    ia = indices_of(ma)
-    ib = indices_of(mb)
-    out: dict[int, Fraction] = {}
-    for p, i in enumerate(ia, start=1):
-        rest_a = ma & ~(1 << i)
-        for q, j in enumerate(ib, start=1):
-            rest_b = mb & ~(1 << j)
+def leibniz_matrix(images: Sequence[Sequence], m: int) -> RatMatrix:
+    """Matrix on Λ^m g, in blade order, of the derivation extending
+    e_i -> sum_k images[i][k] e_k (``leibniz_rows``, made dense)."""
+    size = len(blades(len(images), m))
+    zero = Fraction(0)
+    return RatMatrix([[r.get(c, zero) for c in range(size)]
+                      for r in leibniz_rows(images, m)], size)
+
+
+def _schouten_blades(g: LieAlgebra, ma: int, mb: int) -> dict[int, int]:
+    """D·[e_A, e_B] for basis blades, on the integer table D·c: a dict
+    from mask to nonzero int."""
+    _, c = g.int_table
+    out: dict[int, int] = {}
+    for p, i in enumerate(indices_of(ma)):
+        rest_a = ma ^ 1 << i
+        for q, j in enumerate(indices_of(mb)):
+            rest_b = mb ^ 1 << j
             s0 = wedge_sign(rest_a, rest_b)
             if not s0:
                 continue
             rest = rest_a | rest_b
-            sign_pq = -1 if (p + q) & 1 else 1
-            row = g.c[i][j]
-            for k in range(g.dim):
-                ck = row[k]
-                if not ck:
+            sign = -s0 if (p + q) & 1 else s0
+            for k, ck in enumerate(c[i][j]):
+                if not ck or rest >> k & 1:
                     continue
-                s1 = wedge_sign(1 << k, rest)
-                if not s1:
-                    continue
-                m = (1 << k) | rest
-                val = out.get(m, Fraction(0)) + sign_pq * s0 * s1 * ck
+                # e_k ^ e_rest: e_k passes the indices of rest below k
+                if _popcount(rest & ((1 << k) - 1)) & 1:
+                    ck = -ck
+                m = rest | 1 << k
+                val = out.get(m, 0) + sign * ck
                 if val:
                     out[m] = val
                 else:
-                    out.pop(m, None)
+                    del out[m]
     return out
 
 
 def schouten(g: LieAlgebra, a: MultiVector, b: MultiVector) -> MultiVector:
-    """Algebraic Schouten bracket on Λg; degree s + l - 1."""
+    """Algebraic Schouten bracket on Λg; degree s + l - 1.
+
+    Summed in ``int`` arithmetic: a and b are scaled to integer
+    coefficients by the lcm of their denominators, the blade brackets are
+    D times the true ones (``_schouten_blades``), and each coefficient of
+    the sum is divided by the product of the three scales once."""
     if a.dim != g.dim or b.dim != g.dim:
         raise DimensionMismatch("multivector dimension does not match algebra")
     deg = a.degree + b.degree - 1
     if a.degree == 0 or b.degree == 0:
         return MultiVector(g.dim, max(deg, 0))
+    da, ia = clear_denominators(a.terms.values())
     if a.degree == 2 and a == b:
         # [e_A, e_B] = [e_B, e_A] on bivectors: each unordered pair of terms
         # once, the off-diagonal ones doubled (as in ``generic_rr``)
-        items = list(a.terms.items())
-        pairs = ((ma, mb, ca * cb * (2 if j > i else 1))
-                 for i, (ma, ca) in enumerate(items)
-                 for j, (mb, cb) in enumerate(items[i:], i))
+        items = list(zip(a.terms, ia))
+        pairs = ((ma, mb, x * y * (2 if j > i else 1))
+                 for i, (ma, x) in enumerate(items)
+                 for j, (mb, y) in enumerate(items[i:], i))
+        den = da * da
     else:
-        pairs = ((ma, mb, ca * cb) for ma, ca in a.terms.items()
-                 for mb, cb in b.terms.items())
-    out: dict[int, Fraction] = {}
+        db, ib = clear_denominators(b.terms.values())
+        pairs = ((ma, mb, x * y) for ma, x in zip(a.terms, ia)
+                 for mb, y in zip(b.terms, ib))
+        den = da * db
+    out: dict[int, int] = {}
     for ma, mb, w in pairs:
         for m, c in _schouten_blades(g, ma, mb).items():
-            val = out.get(m, Fraction(0)) + w * c
+            val = out.get(m, 0) + w * c
             if val:
                 out[m] = val
             else:
-                out.pop(m, None)
-    return MultiVector(g.dim, deg, out)
+                del out[m]
+    den *= g.int_table[0]
+    return MultiVector(g.dim, deg, {m: Fraction(x, den)
+                                    for m, x in out.items()})
 
 
 def ad_action(g: LieAlgebra, v: Sequence, w: MultiVector) -> MultiVector:
@@ -309,16 +342,17 @@ def ad_matrix(g: LieAlgebra, i: int, m: int) -> RatMatrix:
 
 
 def invariants(g: LieAlgebra, m: int) -> list[MultiVector]:
-    """Basis of (Λ^m g)^g = {w : ad_{e_i}(w) = 0 for all i}."""
+    """Basis of (Λ^m g)^g = {w : ad_{e_i}(w) = 0 for all i}: the kernel of
+    the stacked ad_{e_i} matrices, built as integer rows on D·c
+    (``leibniz_rows``), which scales the whole system by D."""
     if m < 0 or m > g.dim:
         return []
     if m == 0:
         return [MultiVector(g.dim, 0, {0: Fraction(1)})]
-    rows = []
-    for i in range(g.dim):
-        rows.extend(ad_matrix(g, i, m).entries)
+    _, c = g.int_table
+    rows = [r for i in range(g.dim) for r in leibniz_rows(c[i], m) if r]
     return [MultiVector.from_coords(g.dim, m, v)
-            for v in kernel_basis(RatMatrix(rows))]
+            for v in int_kernel_basis(rows, len(blades(g.dim, m)))]
 
 
 def lambda_matrix(T: RatMatrix, m: int) -> RatMatrix:
@@ -345,7 +379,9 @@ def generic_rr(g: LieAlgebra) -> list[Poly]:
     """[r, r] of the generic bivector r = sum_a x_a e_B(a), one Poly per
     degree-3 blade in ``blades`` order.  The bracket is symmetric on
     bivectors, so [r, r] = sum_{a <= b} w x_a x_b [e_B(a), e_B(b)] with
-    w = 1 if a = b and w = 2 otherwise."""
+    w = 1 if a = b and w = 2 otherwise; each coefficient is w·D·[..]
+    from the integer table, divided by D once."""
+    d = g.int_table[0]
     b2 = blades(g.dim, 2)
     pos = {b: p for p, b in enumerate(blades(g.dim, 3))}
     terms: list[dict] = [{} for _ in pos]
@@ -353,7 +389,7 @@ def generic_rr(g: LieAlgebra) -> list[Poly]:
         for b in range(a, len(b2)):
             mono, w = (((a, 2),), 1) if a == b else (((a, 1), (b, 1)), 2)
             for m, c in _schouten_blades(g, ma, b2[b]).items():
-                terms[pos[m]][mono] = w * c
+                terms[pos[m]][mono] = Fraction(w * c, d)
     return [Poly(t) for t in terms]
 
 

@@ -6,6 +6,13 @@ Conventions: basis indices are 0-based internally and displayed 1-based;
 ``c[i][j][k]`` holds the e_k-coefficient of [e_i, e_j].  Structure constants
 are exact rationals; parameterized families take exact rational parameters
 only.
+
+Each algebra also holds its integer table (``LieAlgebra.int_table``): the
+lcm D of the constants' denominators and the ints D·c, computed once.  The
+per-algebra systems (the center here, derivations, invariants, the grading
+system of ``centerext``) are linear and homogeneous in c, so they are built
+from D·c: every row is scaled by D, which keeps the row space, its reduced
+row-echelon form and the kernel basis exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactmath import RatMatrix, kernel_basis, rat
+from .exactmath import clear_denominators, int_kernel_basis, rat
 
 MAX_DIM = 8  # exterior-basis bitmasks are fixed-width; larger inputs rejected
 
@@ -41,16 +49,16 @@ class LieAlgebra:
         """[e_i, e_j] as a coordinate vector."""
         return self.c[i][j]
 
-    def ad(self, v: Sequence) -> RatMatrix:
-        """Matrix of ad_v = [v, .] on the algebra itself."""
-        v = [rat(x) for x in v]
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"vector length {len(v)} != dim {self.dim}")
-        cols = []
-        for j in range(self.dim):
-            cols.append([sum((v[i] * self.c[i][j][k] for i in range(self.dim)),
-                             Fraction(0)) for k in range(self.dim)])
-        return RatMatrix(list(zip(*cols)))
+    @cached_property
+    def int_table(self) -> tuple[int, tuple]:
+        """D, the lcm of the denominators of the constants (1 if they are
+        all integers), and D·c as ints in the nested layout of ``c``."""
+        n = self.dim
+        d, flat = clear_denominators(x for plane in self.c for row in plane
+                                     for x in row)
+        it = iter(flat)
+        return d, tuple(tuple(tuple(next(it) for _ in range(n))
+                              for _ in range(n)) for _ in range(n))
 
 
 def from_brackets(dim: int, brackets: dict, name: str = "",
@@ -112,12 +120,13 @@ def validate(g: LieAlgebra) -> list[str]:
 
 
 def center(g: LieAlgebra) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : [v, w] = 0 for all w}, via one stacked kernel solve."""
-    rows = []
-    for j in range(g.dim):
-        for k in range(g.dim):
-            rows.append([g.c[i][j][k] for i in range(g.dim)])
-    return kernel_basis(RatMatrix(rows))
+    """Basis of {v : [v, w] = 0 for all w}, via one stacked kernel solve:
+    the row of (e_j, e_k) holds the D·c[i][j][k] over i."""
+    n = g.dim
+    _, c = g.int_table
+    rows = ({i: c[i][j][k] for i in range(n) if c[i][j][k]}
+            for j in range(n) for k in range(n))
+    return int_kernel_basis(rows, n)
 
 
 # ---------------------------------------------------------------------------

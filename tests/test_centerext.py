@@ -108,3 +108,25 @@ def test_trivial_center_graceful():
     assert sol is not None
     rep = build_rep(g, sol)
     assert len(rep.matrices) == 4
+
+
+def test_build_rep_still_rejects_a_commutation_fidelity_failure(monkeypatch):
+    """The fidelity check on the integer matrices D·R_i stays live: with
+    the extension's Jacobi check switched off, alpha = (1, 1, 1) is no
+    grading of [e1, e2] = 2/3 e3 (1 + 1 != 1), and build_rep rejects the
+    pair (e1, e2).  With alpha zero on the center, faithfulness fails."""
+    from darbouxlie import centerext
+    g = from_brackets(3, {(0, 1): [0, 0, Fraction(2, 3)]})
+    zg = tuple(center(g))
+    monkeypatch.setattr(centerext, "validate", lambda gt: [])
+    bad = centerext.GradingSolution(tuple(map(Fraction, (1, 1, 1))), zg)
+    with pytest.raises(centerext.RepresentationInvalid,
+                       match=r"commutation fidelity fails on \(e1, e2\)"):
+        build_rep(g, bad)
+    good = solve_grading(g)
+    assert good.alphas[0] + good.alphas[1] == good.alphas[2] != 0
+    assert len(build_rep(g, good).matrices) == 3
+    flat = centerext.GradingSolution(tuple(map(Fraction, (1, -1, 0))), zg)
+    with pytest.raises(centerext.RepresentationInvalid,
+                       match="not faithful"):
+        build_rep(g, flat)

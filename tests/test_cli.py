@@ -497,3 +497,124 @@ def test_batch_json_output_matches_the_recorded_digest(workload, extra,
     code, out = run_cli(*argv, *extra, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: user algebras with non-integer structure constants: so(3) and
+#: so(3) + R^5 in rational bases, an almost-abelian algebra with a
+#: fractional matrix and a filiform algebra with fractional constants
+PIN_ALGEBRAS = {
+    3: """dim 3
+[1,2] = -26/95*e1+159/665*e3
+[1,3] = -95/84*e2
+[2,3] = 56/57*e1-26/95*e3
+""",
+    5: """dim 5
+[1,5] = -1/2*e1-e3
+[2,5] = -3/5*e2-2/3*e4
+[3,5] = 2/3*e1+1/2*e3
+[4,5] = -1/7*e2
+""",
+    7: """dim 7
+[1,2] = 1/2*e3
+[1,3] = 2/3*e4
+[1,4] = -3/5*e5
+[1,5] = 5/7*e6
+[1,6] = -1/11*e7
+""",
+    8: """dim 8
+[1,2] = -2/5*e1+29/25*e3+87/275*e7
+[1,3] = -e2+1/7*e5-1/91*e8
+[1,4] = 1/5*e2-1/35*e5+1/455*e8
+[1,6] = 2/15*e1-29/75*e3-29/275*e7
+[2,3] = e1-2/5*e3-6/55*e7
+[2,4] = -1/2*e3-3/22*e7
+[3,4] = 1/2*e2-1/14*e5+1/182*e8
+[3,6] = 1/3*e1-2/15*e3-2/55*e7
+[4,6] = -1/6*e3-1/22*e7
+""",
+}
+
+#: per dimension: a bivector w and a multivector u; ``schouten`` is pinned
+#: on [w, w] and [w, u]
+PIN_ARGS = {3: ("e12+1/3*e23-e13", "e12-2*e13"),
+            5: ("e12+1/2*e34-e15", "e123-2/3*e345"),
+            7: ("e12+1/2*e34-e56+3*e17", "e234-1/5*e167"),
+            8: ("e12+1/2*e34-e56+e78", "e123+e456-1/3*e178")}
+
+
+def pin_verbs(w, u):
+    """The pinned verbs, by name, with a bivector w and a multivector u."""
+    return {"derivations": ["derivations"],
+            "invariants2": ["invariants", "--degree", "2"],
+            "invariants3": ["invariants", "--degree", "3"],
+            "ybe": ["ybe"],
+            "schouten-ww": ["schouten", w, w],
+            "schouten-wu": ["schouten", w, u],
+            "center-ext": ["center-ext"],
+            "bricks": ["bricks"]}
+
+
+#: sha256 of the ``--format json`` output on ``a<dim>.txt`` of each verb
+#: of ``pin_verbs``, in its order
+PIN_DIGESTS = {
+    3: (
+        "f2dc91875fa4f9d6899ab1c8c90a50e992959942665d4b2a52935d4db924a2ce",
+        "50fb78d7f2ba0e39412da97e2a9e7ab901c612865a64c1c10a396c47312f9841",
+        "ea763b2131b5f523e7a9110268f70ebb52ae724d9531e4077c9bf0b2b869c206",
+        "bebb7e99faf478d3c841a732f008dea022ad4da4db05e25770da22f0497dc1ad",
+        "fd7bfe19e48b0489d8ba542029e46b3e4d0fa4f605e173f9c00fed6a5b0c3fe4",
+        "0269cf2fd84f87bcdba14bf30d1c0bfdfa0a8814147c473eb7c38ebe901f063c",
+        "da45fd8ad8d068b5fbbd4d070a09d3611ca12e74adf20f6e327744bfc01a258d",
+        "cffb108df7d5781a4bd952ff2ec380fe50d8ab82676d06ecb08416c41020e1e3",
+    ),
+    5: (
+        "e016617b53b4ecb320c025ca1595803de39a83afb9b575c6c2dfe5f5425cf5ea",
+        "5e4c9d5c2842bdb3c1e8ec16c36776831f39b3cdc20abebb4ec94df1eb656b57",
+        "7111aa51cf01267371a489f29ff3bce4b810b937c315ebe1e98cfc1760876b4e",
+        "4951341985511b379ad52d1cb65ae53fceb29e9967176668e669b9a4e0a418de",
+        "30cebeff950f90fe383bfb7a3e798b8f6bfdb4ae84c788cd71bf9ad27577ce9f",
+        "8e0f1652f8c2d1b1cd59cf6993bdbca6e520abed680f1e45d735c2f888da91ed",
+        "cc337c8054f78def2eaf28f9c3051717d746a68088dfffedfb3e40ff1668edea",
+        "470a8695fd668cf2a2c4ee4cd13a34673afc5c899b0271a406b8ed18874ec1ab",
+    ),
+    7: (
+        "93c28580791fcb3d2203e6022a736fc3b94ff4d11b014b216a65cf7590073a5f",
+        "409394839b8360b1e69d80cb76c58b371c7481353c7d5dd2f2ecf2113806aefd",
+        "92ae78322cc3a6240af6e5e7add4655386d7a51f0a01705a62752989b3d321c6",
+        "fa3068fb969919fe04ff66624e476c14919a2bb48f9be9c6711ffe4f3cf84c5f",
+        "22baca7ff637cbf8ec359a22ee6951d73d9ab037bbb3c3cd3bf46d4905c0d57f",
+        "370ed1a744ce5bb601e9378cceda74e76a43dd4f0372983512876bd2d698c30c",
+        "6726cf320362689315d47363c37e1eb68a2d773ee51f01662895ab0c50544f28",
+        "e09923fc11f6978a755c3905dfbec93035316adc56853fad882dedea1f7da410",
+    ),
+    8: (
+        "fd67434c23fc6c113a10c72e91aea749b8b0b486158134829b8236f786dfed8a",
+        "8779931422e8d02d5b9059f5b4c5fd9504a2ebcd942885bd51df01c180fa7f59",
+        "9a7aba6bfc0c3f4ba1e4eaf59aade88ee45ea98cb8c3cf108fddf60267c00504",
+        "96fb6b6585d847e0786686c5312a1f4a8690578ef14bb2e9ea8e6fabdc175e52",
+        "baa07d79982ef4bff4d8cb47ba23f64ed366dca49c5e561d6bda39de1178dca7",
+        "c0e2851f0f3ff6a7524da3b90bfe219891515ab321a61f55d0b16e40b360fb6e",
+        "498e57a58f1b2260d0880f0a7283021630c3536ba475240fb16a98e1cbbfee0e",
+        "56bcc808568c0986d811df233124d593650e4c46219589ce2958666b191f5f4a",
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(PIN_ALGEBRAS))
+def test_per_algebra_json_output_matches_the_pinned_digest(dim, tmp_path,
+                                                           monkeypatch):
+    """The per-algebra verbs print exactly the pinned bytes with
+    ``--format json`` on a user algebra file with non-integer constants.
+    The dimension-8 algebra has no admissible grading, so ``center-ext``
+    exits 1 there with its one-line answer."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"a{dim}.txt").write_text(PIN_ALGEBRAS[dim])
+    w, u = PIN_ARGS[dim]
+    argv = pin_verbs(w, u)
+    got = {}
+    for name, verb in argv.items():
+        code, out = run_cli(*verb, "--algebra", f"a{dim}.txt",
+                            "--format", "json")
+        assert code == (1 if (dim, name) == (8, "center-ext") else 0), name
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == dict(zip(argv, PIN_DIGESTS[dim]))

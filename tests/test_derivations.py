@@ -61,8 +61,10 @@ def test_inner_derivations_in_span():
         g = catalog(fam, **PARAMS.get(fam, {}))
         basis = [d.flat() for d in derivation_basis(g)]
         for i in range(4):
-            v = [1 if k == i else 0 for k in range(4)]
-            assert span_contains(basis, g.ad(v).flat()), fam
+            # ad e_i: its column j is [e_i, e_j] = sum_k c[i][j][k] e_k
+            ad = RatMatrix([[g.c[i][j][k] for j in range(4)]
+                            for k in range(4)])
+            assert span_contains(basis, ad.flat()), fam
 
 
 def test_derivation_closure_under_commutator():
