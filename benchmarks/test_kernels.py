@@ -17,9 +17,9 @@ from darbouxlie.classify import (FAMILY_FILES, TREE_FILES,
                                  verify_tree)
 from darbouxlie.darboux import (find_bricks, flow_invariance, locus_contains,
                                 verify_family)
-from darbouxlie.derivations import (derivation_basis, field_matrix_at,
-                                    _rank_at_ints, fundamental_fields, lift,
-                                    rank_at, vf_apply)
+from darbouxlie.derivations import (_rank_at_ints, derivation_basis,
+                                    fundamental_fields, lift, rank_at,
+                                    vf_apply)
 from darbouxlie.exactmath import (Poly, RatMatrix, clear_denominators,
                                   ideal_membership, int_kernel_basis,
                                   kernel_basis, monomials_up_to,
@@ -80,15 +80,20 @@ def test_rank_at(benchmark, fields):
     assert benchmark(rank_at, fields, [1, 2, 0, 3, 0, 1]) == 4
 
 
+def field_matrix_at(fields, p) -> RatMatrix:
+    """M(p): row i holds the coefficients of field i at the point p."""
+    return RatMatrix([X.at(p) for X in fields])
+
+
 @pytest.fixture(scope="module")
 def s3_orbit_points():
     """The s3 algebra's context and its orbit-table sample points at S3,
-    with the integer forms ``is_mcybe_at`` and ``rank_at`` use already
-    built."""
+    with the integer forms ``is_mcybe_at`` and the rank count use (the
+    context's column map) already built."""
     ctx = AlgebraContext(catalog("s3", **S3))
     points = [p for rec in expand_rows(load_family("s3"), S3)
               for p in rec.samples]
-    ctx.is_mcybe_at(points[0]), rank_at(ctx.fields, points[0])
+    ctx.is_mcybe_at(points[0]), ctx.field_columns
     return ctx, points
 
 
@@ -102,9 +107,13 @@ def test_field_matrix_rank_s3_orbit_points(benchmark, s3_orbit_points):
 
 
 def test_rank_at_s3_orbit_points(benchmark, s3_orbit_points):
+    """The rank count of the orbit-table check: each point's ints on the
+    context's column map."""
     ctx, points = s3_orbit_points
     want = [rank(field_matrix_at(ctx.fields, p)) for p in points]
-    assert benchmark(lambda: [rank_at(ctx.fields, p) for p in points]) == want
+    cleared = [q for _, q in map(clear_denominators, points)]
+    assert benchmark(lambda: [_rank_at_ints(ctx.field_columns, q)
+                              for q in cleared]) == want
 
 
 def test_is_mcybe_solution_s3_orbit_points(benchmark, s3_orbit_points):
@@ -129,7 +138,7 @@ def test_rank_and_mcybe_s3_orbit_points(benchmark, s3_orbit_points):
     assert all(ok for _, ok in want) and len({k for k, _ in want}) > 1
 
     def per_point():
-        return [(_rank_at_ints(ctx.fields, q), ctx._is_mcybe_ints(q))
+        return [(_rank_at_ints(ctx.field_columns, q), ctx._is_mcybe_ints(q))
                 for _, q in map(clear_denominators, points)]
     assert per_point() == want
     assert benchmark(per_point) == want
@@ -191,16 +200,19 @@ def test_merge_walk_s3_rows(benchmark, s3_merge_rows):
 
 @pytest.fixture(scope="module")
 def s3_char_poly_rows(fields):
-    """The integer rows D·Mᵀ that ``_rational_eigenvalues`` forms for each
-    s3 lifted field matrix M (D the lcm of its denominators), with each
+    """The dense integer rows D·M that ``find_bricks`` forms from
+    ``_integer_form`` and hands to ``_integer_eigenvalues`` for each s3
+    lifted field matrix M (D the lcm of its denominators), with each
     matrix's characteristic polynomial from the Fraction recursion."""
     out = []
     for X in fields:
-        mt = X.matrix.transpose()
-        den, ints = clear_denominators(mt.flat())
-        n = mt.cols
-        out.append(([ints[i * n:(i + 1) * n] for i in range(n)],
-                    _fraction_char_poly(mt.scale(den))))
+        den, rows = X.matrix._integer_form()
+        n = X.matrix.cols
+        dense = [[0] * n for _ in range(n)]
+        for a, r in enumerate(rows):
+            for b, x in r:
+                dense[a][b] = x
+        out.append((dense, _fraction_char_poly(X.matrix.scale(den))))
     return out
 
 

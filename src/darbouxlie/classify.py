@@ -613,7 +613,7 @@ def verify_orbit_table(stem: str) -> TableReport:
             if not rec.samples:
                 problems.append("no usable sample points")
             for p, (_, q) in zip(rec.samples, rec.cleared):
-                if _rank_at_ints(ctx.fields, q) != rec.dim:
+                if _rank_at_ints(ctx.field_columns, q) != rec.dim:
                     problems.append(f"rank at {p} != {rec.dim}")
                     break
                 if not ctx._is_mcybe_ints(q):

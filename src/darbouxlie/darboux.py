@@ -11,6 +11,10 @@ constant field rank, and mCYBE membership.  Closure makes the ideal of the
 family invariant under every field, so its zero set is invariant under
 their flows; flow_invariance is the finite-order check of that by Lie
 derivatives at one point, kept as an independent test of the statement.
+
+Bricks are found in ``int`` arithmetic: each field matrix M as the ints
+D·M, its eigenvalues as the integer roots of one monic characteristic
+polynomial, and the candidate subspaces as integer rows.
 """
 
 from __future__ import annotations
@@ -19,15 +23,15 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt
-from operator import mul
+from math import gcd, isqrt
 from typing import Callable, Optional, Sequence
 
-from .derivations import LinearVectorField, _rank_at_ints, vf_apply
+from .derivations import (LinearVectorField, _rank_at_ints, field_columns,
+                          vf_apply)
 from .exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
-                        clear_denominators, ideal_memberships, kernel_basis,
-                        monomials_up_to, normalize_poly, poly_rref,
-                        poly_rref_contains, rat, rref)
+                        clear_denominators, ideal_memberships,
+                        int_kernel_basis, monomials_up_to, normalize_poly,
+                        poly_rref, poly_rref_contains, rat, rref)
 from .yangbaxter import AlgebraContext
 
 #: verify_branch checks closure with cofactors up to this degree, and
@@ -152,13 +156,20 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
     A_k = M·M_{k-1}, c_{n-k} = -tr(A_k)/k and M_k = A_k + c_{n-k}·I.  Each
     M_k is an integer polynomial in M, and c_{n-k} is a coefficient of the
     monic integer polynomial det(tI - M), so every division by k is
-    exact."""
+    exact.  Row i of A_k is summed over the nonzero entries of row i of M
+    only (the lifted field matrices are sparse)."""
     n = len(rows)
     coeffs = [0] * n + [1]
+    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        cols = list(zip(*mk))
-        mk = [[sum(map(mul, r, col)) for col in cols] for r in rows]
+        ak = []
+        for r in nonzero:
+            row = [0] * n
+            for j, x in r:
+                row = [a + x * y for a, y in zip(row, mk[j])]
+            ak.append(row)
+        mk = ak
         c = -sum(mk[i][i] for i in range(n)) // k
         coeffs[n - k] = c
         for i in range(n):
@@ -166,18 +177,15 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
     return coeffs
 
 
-def _rational_eigenvalues(m: RatMatrix) -> list[Fraction]:
-    """All rational roots of the characteristic polynomial.
+def _integer_eigenvalues(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The integer roots, sorted, of the characteristic polynomial of the
+    integer matrix with the given rows.
 
-    With D the lcm of the entries' denominators, D*M is an integer matrix
-    (formed once, as rows of ints) with a monic integer characteristic
-    polynomial (``_char_poly``), so its rational roots are integers mu: 0,
-    or divisors of the lowest nonzero coefficient with |mu| at most the
-    largest absolute row sum of D*M (the spectral radius is at most the
-    infinity norm).  The roots of M are the mu/D."""
-    den, ints = clear_denominators(m.flat())
-    n = m.cols
-    rows = [ints[i * n:(i + 1) * n] for i in range(m.rows)]
+    The polynomial is monic with integer coefficients (``_char_poly``), so
+    its rational roots are integers mu: 0, or divisors of the lowest nonzero
+    coefficient with |mu| at most the largest absolute row sum (the
+    spectral radius is at most the infinity norm).  For D·M with D the lcm
+    of the denominators of M, the rational eigenvalues of M are the mu/D."""
     coeffs = _char_poly(rows)
     bound = max((sum(map(abs, r)) for r in rows), default=0)
     k = next(i for i, c in enumerate(coeffs) if c)
@@ -189,7 +197,7 @@ def _rational_eigenvalues(m: RatMatrix) -> list[Fraction]:
                 if (abs(mu) <= bound
                         and not sum(c * mu ** i for i, c in enumerate(coeffs))):
                     roots.add(mu)
-    return sorted(Fraction(mu, den) for mu in roots)
+    return sorted(roots)
 
 
 def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
@@ -198,33 +206,56 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
 
     Computed by refining candidate subspaces through the rational
     eigenspaces of each field in turn; complete for fields with rational
-    common spectra, which covers every catalog family."""
+    common spectra, which covers every catalog family.
+
+    Each field matrix M is taken as D and the ints D·M
+    (``RatMatrix._integer_form``); D·Mᵀ has the eigenvalues mu of
+    ``_integer_eigenvalues`` (M and Mᵀ share their characteristic
+    polynomial), and M has the mu/D.  A candidate subspace is kept as
+    integer rows S, and refined to the vectors Sᵀk with (D·Mᵀ - mu)·Sᵀk = 0,
+    each kernel vector k cleared to ints.  The reduced row-echelon form of
+    the final S depends only on its span."""
     if not fields:
         return []
     n = fields[0].nvars
-    subspaces = [RatMatrix.identity(n)]
+    subspaces = [[[int(i == j) for j in range(n)] for i in range(n)]]
     eigrecords: list[tuple[Fraction, ...]] = [()]
     for X in fields:
-        mt = X.matrix.transpose()
-        shifts = [(lam, mt - RatMatrix.identity(n).scale(lam))
-                  for lam in _rational_eigenvalues(mt)]
+        den, rows = X.matrix._integer_form()
+        dense = [[0] * n for _ in range(n)]
+        for a, r in enumerate(rows):
+            for b, x in r:
+                dense[a][b] = x
+        mus = _integer_eigenvalues(dense)
         new_spaces, new_recs = [], []
         for space, rec in zip(subspaces, eigrecords):
-            st = space.transpose()
-            for lam, shift in shifts:
-                # v = spaceᵀ k, in the row space of `space`, with shift v = 0
-                vecs = [v for v in map(st.matvec,
-                                       kernel_basis(shift.matmul(st)))
-                        if any(v)]
+            # prod[b][s] = (D·Mᵀ·Sᵀ)[b][s] = sum_a (D·M)[a][b] S[s][a]
+            prod = [[0] * len(space) for _ in range(n)]
+            for s, v in enumerate(space):
+                for a, va in enumerate(v):
+                    if va:
+                        for b, x in rows[a]:
+                            prod[b][s] += x * va
+            for mu in mus:
+                system = [{s: x - mu * v[b] for s, (x, v)
+                           in enumerate(zip(prod[b], space))
+                           if x != mu * v[b]} for b in range(n)]
+                vecs = []
+                for k in int_kernel_basis(system, len(space)):
+                    _, ks = clear_denominators(k)
+                    vec = [sum(kj * v[b] for kj, v in zip(ks, space) if kj)
+                           for b in range(n)]
+                    g = gcd(*vec)
+                    vecs.append([x // g for x in vec])
                 if vecs:
-                    new_spaces.append(RatMatrix(vecs))
-                    new_recs.append(rec + (lam,))
+                    new_spaces.append(vecs)
+                    new_recs.append(rec + (Fraction(mu, den),))
         subspaces, eigrecords = new_spaces, new_recs
         if not subspaces:
             return []
     bricks = []
     for space, rec in zip(subspaces, eigrecords):
-        red, pivots = rref(space)
+        red, pivots = rref(RatMatrix(space))
         for i in range(len(pivots)):
             poly = Poly({((j, 1),): red[i, j] for j in range(n) if red[i, j]})
             bricks.append(Brick(poly=normalize_poly(poly), eigenvalues=rec))
@@ -530,7 +561,8 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     if fam is None:
         raise BranchInvalid(f"{branch.label}: equalities are not a Darboux "
                             f"family at bound {COFACTOR_DEGREE_BOUND}")
-    ranks = [_rank_at_ints(fields, q) for _, q in cleared]
+    cols = field_columns(fields)
+    ranks = [_rank_at_ints(cols, q) for _, q in cleared]
     rank_constant = len(set(ranks)) == 1
     dim_matches = None
     if branch.expected_dim is not None:

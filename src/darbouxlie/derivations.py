@@ -11,6 +11,11 @@ The derivation system is built in ``int`` arithmetic from the algebra's
 integer table D·c (``LieAlgebra.int_table``): it is linear and homogeneous
 in c, so scaling every row by D keeps its kernel, and the fraction-free
 kernel (``exactmath.int_kernel_basis``) takes the integer rows as they are.
+
+Rank counts at points read the column map of a field list
+(``field_columns``), built by whoever owns the list: per coordinate, the
+nonzero entries of the fields' integer matrices in that column, so a point
+visits only its nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -131,38 +136,56 @@ def vf_apply(X: LinearVectorField, f: Poly) -> Poly:
     return Poly(out)
 
 
-def field_matrix_at(fields: Sequence[LinearVectorField],
-                    p: Sequence) -> RatMatrix:
-    """M(p): row i holds the coefficients of field i at the point p."""
-    return RatMatrix([X.at(p) for X in fields])
-
-
 def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:
-    """Rank of the span of the fields at p (the stratum dimension there).
+    """Rank of the span of the fields at p (the stratum dimension there):
+    the rank of M(p), whose row i holds the coefficients of field i at p.
 
-    The rank of M(p) in ``int`` arithmetic: p is scaled by the lcm of its
-    denominators and each field's matrix by the lcm of all of its own, so
-    row i of M(p) is multiplied by a positive integer and the rank is kept.
-    (Scaling each row of a field's matrix by its own lcm would scale single
-    entries of M(p) and change the rank.)  The pivots of the integer rows
-    are counted by fraction-free elimination (``int_echelon``)."""
+    Counted in ``int`` arithmetic on the column map of the fields
+    (``field_columns``, built for this call; ``AlgebraContext`` keeps one
+    per algebra) at p scaled by the lcm of its denominators."""
     _, q = clear_denominators(rat(x) for x in p)
-    return _rank_at_ints(fields, q)
+    return _rank_at_ints(field_columns(fields), q)
 
 
-def _rank_at_ints(fields: Sequence[LinearVectorField],
-                  q: Sequence[int]) -> int:
+#: ``field_columns(fields)``: the distinct widths of the field matrices,
+#: and per coordinate j the entries (field i, row a, D_i·A_i[a][j]) that
+#: are nonzero
+FieldColumns = tuple[tuple[int, ...], list[list[tuple[int, int, int]]]]
+
+
+def field_columns(fields: Sequence[LinearVectorField]) -> FieldColumns:
+    """The column map of the fields, for rank counts at many points.
+
+    Field i's matrix A_i is scaled by D_i, the lcm of all of its own
+    denominators (``RatMatrix._integer_form``), so row i of M(p) is
+    multiplied by the positive integer D_i and the rank is kept.  (Scaling
+    each row of A_i by its own lcm would scale single entries of M(p) and
+    change the rank.)"""
+    widths = tuple(dict.fromkeys(X.matrix.cols for X in fields))
+    columns: list[list[tuple[int, int, int]]] = [
+        [] for _ in range(max(widths, default=0))]
+    for i, X in enumerate(fields):
+        for a, r in enumerate(X.matrix._integer_rows()):
+            for j, x in r:
+                columns[j].append((i, a, x))
+    return widths, columns
+
+
+def _rank_at_ints(cols: FieldColumns, q: Sequence[int]) -> int:
     """``rank_at`` at the point q/den, given as the ints q for any den > 0
-    (``clear_denominators``): scaling p does not change the rank."""
-    rows = []
-    for X in fields:
-        if X.matrix.cols != len(q):
-            raise ValueError(
-                f"matvec size mismatch: {X.matrix.cols} vs {len(q)}")
-        row = {}
-        for i, r in enumerate(X.matrix._integer_rows()):
-            v = sum(x * q[j] for j, x in r)
-            if v:
-                row[i] = v
-        rows.append(row)
-    return len(int_echelon(rows))
+    (``clear_denominators``): scaling p does not change the rank.  Only
+    the coordinates with q_j != 0 are visited; the pivots of the integer
+    rows of M(q) are counted by fraction-free elimination
+    (``int_echelon``)."""
+    widths, columns = cols
+    for w in widths:
+        if w != len(q):
+            raise ValueError(f"matvec size mismatch: {w} vs {len(q)}")
+    rows: dict[int, dict[int, int]] = {}
+    for qj, col in zip(q, columns):
+        if qj:
+            for i, a, x in col:
+                row = rows.setdefault(i, {})
+                row[a] = row.get(a, 0) + x * qj
+    return len(int_echelon({a: v for a, v in row.items() if v}
+                           for row in rows.values()))

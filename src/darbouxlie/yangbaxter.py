@@ -7,6 +7,10 @@ evaluated 3-vector ([r, r] annihilated by every ad_{e_i}), and
 ``AlgebraContext.is_mcybe_at`` on the integer forms of the mCYBE
 polynomials, which the batch checks use.  The two agreeing is a tested
 invariant, not an assumption.
+
+``is_automorphism`` checks the bracket identity on integer matrices: T
+scaled by the lcm d_T of its denominators and the algebra's table D·c,
+so the identity is checked times d_T²·D.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .derivations import (Derivation, LinearVectorField, derivation_basis,
-                          lift, rank_at)
+from .derivations import (Derivation, FieldColumns, LinearVectorField,
+                          _rank_at_ints, derivation_basis, field_columns, lift)
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
-                        normalize_poly, poly_rref, rank, rref, rat)
+                        int_echelon, normalize_poly, poly_rref, rank, rref,
+                        rat)
 from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
                         invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra, bracket
@@ -187,17 +192,35 @@ def quotient_class(g: LieAlgebra, r: RMatrix) -> tuple[Fraction, ...]:
 
 
 def is_automorphism(g: LieAlgebra, T: RatMatrix) -> bool:
-    """Exact bracket preservation T[v,w] = [Tv, Tw] on basis pairs, plus
-    invertibility."""
-    if T.rows != g.dim or T.cols != g.dim:
+    """Exact bracket preservation T[e_i,e_j] = [Te_i, Te_j] on basis pairs,
+    plus invertibility.
+
+    Checked in ``int`` arithmetic on t = d_T·T (``RatMatrix._integer_form``)
+    and the algebra's D·c (``LieAlgebra.int_table``): the identity times
+    d_T²·D reads d_T·t·(D·c_ij) = sum_ab t_ai t_bj (D·c_ab) for i < j.
+    Invertibility is the rank of t (``int_echelon``)."""
+    n = g.dim
+    if T.rows != n or T.cols != n:
         return False
-    if rank(T) != g.dim:
+    d_t, t = T._integer_form()
+    if len(int_echelon(map(dict, t))) != n:
         return False
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = T.matvec(g.c[i][j])
-            rhs = bracket(g, T.col(i), T.col(j))
-            if tuple(lhs) != tuple(rhs):
+    _, c = g.int_table
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, r in enumerate(t):
+        for i, x in r:
+            cols[i].append((a, x))
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = c[i][j]
+            rhs = [0] * n
+            for a, x in cols[i]:
+                for b, y in cols[j]:
+                    for k, z in enumerate(c[a][b]):
+                        if z:
+                            rhs[k] += x * y * z
+            if any(d_t * sum(x * cij[a] for a, x in r) != v
+                   for r, v in zip(t, rhs)):
                 return False
     return True
 
@@ -291,6 +314,12 @@ class AlgebraContext:
         return [lift(d, 2) for d in self.ders]
 
     @cached_property
+    def field_columns(self) -> FieldColumns:
+        """The column map of ``fields`` (``derivations.field_columns``),
+        for the rank counts at sample points."""
+        return field_columns(self.fields)
+
+    @cached_property
     def inv2(self) -> tuple[list[MultiVector], tuple[RatMatrix, list[int]]]:
         inv = invariants(self.g, 2)
         return inv, _span_rref(inv)
@@ -340,7 +369,8 @@ class AlgebraContext:
 
     def orbit_dim(self, w: MultiVector) -> int:
         """Dimension of the automorphism orbit through the bivector w."""
-        return rank_at(self.fields, w.coords())
+        _, q = clear_denominators(w.coords())
+        return _rank_at_ints(self.field_columns, q)
 
     def quotient_class(self, r: RMatrix) -> tuple[Fraction, ...]:
         return tuple(_project_out(as_bivector(self.g, r).coords(),

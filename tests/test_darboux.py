@@ -1,5 +1,6 @@
 """Darboux families, bricks, branch loci and flow invariance."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 IncompatibleFields, TreeBranch,
-                                _rational_eigenvalues, branch_samples,
+                                _integer_eigenvalues, branch_samples,
                                 certify_no_solutions, family_sum, find_bricks,
                                 flow_invariance, locus_contains,
                                 locus_sampler, solve_linear,
@@ -15,10 +16,11 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 verify_family_auto)
 from darbouxlie import darboux
 from darbouxlie.classify import TREE_FILES, verify_tree
-from darbouxlie.derivations import fundamental_fields, vf_apply
+from darbouxlie.derivations import (LinearVectorField, fundamental_fields,
+                                    vf_apply)
 from darbouxlie.exactmath import (MissingVariable, Poly, RatMatrix,
-                                  ideal_membership, monomials_up_to,
-                                  poly_rref)
+                                  clear_denominators, ideal_membership,
+                                  monomials_up_to, normalize_poly, poly_rref)
 from darbouxlie.liealg import catalog
 from darbouxlie.yangbaxter import AlgebraContext, yb_system
 
@@ -157,7 +159,8 @@ def _planted_matrix(rng, n):
 @pytest.mark.parametrize("seed", range(4))
 def test_rational_eigenvalues_match_sympy(seed):
     """The distinct rational eigenvalues, sorted, are the rational keys of
-    sympy's eigenvals, for n = 0..8 with planted rational eigenvalues."""
+    sympy's eigenvals, for n = 0..8 with planted rational eigenvalues: the
+    integer roots of D·M (``_integer_eigenvalues``) divided by D."""
     sp = pytest.importorskip("sympy")
     rng = random.Random(seed)
     for n in range(9):
@@ -166,7 +169,96 @@ def test_rational_eigenvalues_match_sympy(seed):
                                 for q in m.flat()]).eigenvals()
         want = sorted(Fraction(int(k.p), int(k.q))
                       for k in eigs if k.is_rational)
-        assert _rational_eigenvalues(m) == want, (seed, n)
+        den, ints = clear_denominators(m.flat())
+        rows = [ints[i * n:(i + 1) * n] for i in range(n)]
+        got = [Fraction(mu, den) for mu in _integer_eigenvalues(rows)]
+        assert got == want, (seed, n)
+
+
+def _planted_fields(rng, m, q):
+    """q fields on m coordinates whose transposed matrices are
+    c_k·P B_k P^-1: one unimodular integer P, B_k upper triangular with
+    diagonal entries from a small set (so that common eigenvectors occur)
+    and sparse off-diagonal entries, sometimes with a 2x2 block of
+    irrational eigenvalues; the diagonals carry the denominators 2, 3 and
+    5 and the scales c_k the primes 7, 11 and 13, so D is large."""
+    def elementary(i, j, k):
+        return RatMatrix([[int(a == b) + (k if (a, b) == (i, j) else 0)
+                           for b in range(m)] for a in range(m)])
+    p = p_inv = RatMatrix.identity(m)
+    for _ in range(2 * m):
+        i, j = rng.sample(range(m), 2)
+        k = rng.choice([-1, 1])
+        p = elementary(i, j, k).matmul(p)
+        p_inv = p_inv.matmul(elementary(i, j, -k))
+    fields = []
+    for k, prime in zip(range(q), [7, 11, 13]):
+        b = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            b[i][i] = Fraction(rng.choice([0, 1, -1, 2]),
+                               rng.choice([1, 2, 3, 5]))
+            for j in range(i + 1, m):
+                if rng.random() < 0.3:
+                    b[i][j] = Fraction(rng.choice([-1, 1, 2]), 3)
+        if rng.random() < 0.3:
+            i = rng.randrange(m - 1)
+            b[i][i] = b[i + 1][i + 1] = Fraction(0)
+            b[i][i + 1], b[i + 1][i] = Fraction(2), Fraction(1)
+        c = Fraction(rng.choice([-3, 1, 2]), prime)
+        mt = p.matmul(RatMatrix(b)).matmul(p_inv).scale(c)
+        fields.append(LinearVectorField(mt.transpose()))
+    return fields
+
+
+def _sympy_bricks(sp, fields):
+    """The common eigenvectors v of the transposed field matrices with
+    rational eigenvalues, by sympy: per tuple of rational eigenvalues (in
+    increasing order, field by field), the nullspace of the stacked
+    M_kᵀ - lambda_k, reduced to its RREF rows and normalised; sorted by
+    lowest variable as ``find_bricks`` sorts."""
+    def sym(m):
+        return sp.Matrix(m.rows, m.cols, [sp.Rational(x.numerator,
+                                                      x.denominator)
+                                          for x in m.flat()])
+    mts = [sym(X.matrix.transpose()) for X in fields]
+    n = mts[0].rows
+    spectra = [sorted(Fraction(int(k.p), int(k.q))
+                      for k in mt.eigenvals() if k.is_rational)
+               for mt in mts]
+    out = []
+    for lams in itertools.product(*spectra):
+        stacked = sp.Matrix.vstack(*[
+            mt - sp.Rational(lam.numerator, lam.denominator) * sp.eye(n)
+            for mt, lam in zip(mts, lams)])
+        null = stacked.nullspace()
+        if not null:
+            continue
+        red, pivots = sp.Matrix.hstack(*null).T.rref()
+        for i in range(len(pivots)):
+            poly = Poly({((j, 1),): Fraction(int(red[i, j].p),
+                                             int(red[i, j].q))
+                         for j in range(n) if red[i, j]})
+            out.append((normalize_poly(poly), lams))
+    out.sort(key=lambda b: min(v for m in b[0].terms for v, _ in m))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_bricks_matches_sympy_on_planted_fields(seed):
+    """The bricks of seeded field lists on Λ² of dimension 3 to 6, with
+    entries of pairwise coprime denominators, are the common rational
+    eigenvectors that sympy finds, as normalised spans, with their
+    eigenvalues."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    seen = 0
+    for m in range(3, 7):
+        fields = _planted_fields(rng, m, rng.randint(1, 3))
+        assert all(X.matrix._integer_form()[0] >= 7 for X in fields)
+        got = [(b.poly, b.eigenvalues) for b in find_bricks(fields)]
+        assert got == _sympy_bricks(sp, fields), (seed, m)
+        seen += len(got)
+    assert seen
 
 
 def test_family_sum(s1_fields):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.derivations import (LinearVectorField, derivation_basis,
-                                    field_matrix_at, fundamental_fields, lift,
-                                    orbit_dim, rank_at, vf_apply)
+from darbouxlie.derivations import (LinearVectorField, _rank_at_ints,
+                                    derivation_basis, field_columns,
+                                    fundamental_fields, lift, orbit_dim,
+                                    rank_at, vf_apply)
 from darbouxlie.exactmath import Poly, RatMatrix, rank, span_contains
 from darbouxlie.grassmann import MultiVector, blades, wedge
 from darbouxlie.liealg import FAMILIES, abelian, catalog
@@ -205,11 +206,43 @@ def test_vf_apply_matches_sympy(seed):
     assert vf_apply(rot, x(0) ** 2 + x(1) ** 2).terms == {}
 
 
+def field_matrix_at(fields, p) -> RatMatrix:
+    """M(p): row i holds the coefficients of field i at the point p, by
+    Fraction ``matvec``; the rank oracle for ``rank_at``."""
+    return RatMatrix([X.at(p) for X in fields])
+
+
 def test_rank_at_matches_field_matrix():
     g = catalog("s1")
     fields = fundamental_fields(g, 2)
     p = [0, 0, 0, 0, 0, 1]
     assert rank(field_matrix_at(fields, p)) == rank_at(fields, p) == 3
+
+
+def test_rank_count_edge_cases():
+    """The zero point has rank 0, an empty field list has rank 0 at any
+    point, and a point of the wrong length is refused with the text of
+    ``matvec``, also through the column map."""
+    fields = fundamental_fields(catalog("s1"), 2)
+    cols = field_columns(fields)
+    assert rank_at(fields, [0] * 6) == _rank_at_ints(cols, [0] * 6) == 0
+    assert rank(field_matrix_at(fields, [0] * 6)) == 0
+    assert rank_at([], [1, 2, 3]) == rank_at([], []) == 0
+    assert _rank_at_ints(field_columns([]), [5, 0, 7]) == 0
+    for p in ([1, 2, 3], [1] * 7, []):
+        msg = f"^matvec size mismatch: 6 vs {len(p)}$"
+        with pytest.raises(ValueError, match=msg):
+            rank_at(fields, p)
+        with pytest.raises(ValueError, match=msg):
+            _rank_at_ints(cols, p)
+        with pytest.raises(ValueError, match=msg):
+            field_matrix_at(fields, p)
+    # fields of two widths: the first field whose width differs is named
+    mixed = [LinearVectorField(RatMatrix.identity(2)), *fields]
+    with pytest.raises(ValueError, match="^matvec size mismatch: 2 vs 6$"):
+        rank_at(mixed, [1] * 6)
+    with pytest.raises(ValueError, match="^matvec size mismatch: 6 vs 2$"):
+        rank_at(mixed, [1] * 2)
 
 
 def test_fundamental_fields_abelian_full_gl_image():

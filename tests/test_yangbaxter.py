@@ -11,10 +11,11 @@ import darbouxlie.classify as classify
 import darbouxlie.derivations as derivations
 import darbouxlie.yangbaxter as yangbaxter
 from darbouxlie.derivations import derivation_basis, orbit_dim
-from darbouxlie.exactmath import Poly, rref, solve, span_contains
+from darbouxlie.exactmath import (Poly, clear_denominators, rref, solve,
+                                  span_contains)
 from darbouxlie.grassmann import MultiVector, blades, invariants, schouten
-from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, catalog,
-                               parse_algebra)
+from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, bracket,
+                               catalog, from_brackets, parse_algebra)
 from darbouxlie.yangbaxter import (AlgebraContext, NecessaryReport,
                                    NotAnAutomorphism, bilinear_matrix,
                                    cocommutator, cocycle_defect,
@@ -175,6 +176,131 @@ def test_context_checks_each_automorphism_once(monkeypatch):
     with pytest.raises(NotAnAutomorphism):
         ctx.same_coboundary(r1, r2, bad)
     assert calls == [bad, bad, T, bad]
+
+
+def _fraction_rank(m: RatMatrix) -> int:
+    """Rank by Gaussian elimination on the Fraction entries."""
+    rows = [list(r) for r in m.entries]
+    k = 0
+    for c in range(m.cols):
+        p = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][c] / rows[k][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        k += 1
+    return k
+
+
+def _fraction_is_automorphism(g, T: RatMatrix) -> bool:
+    """T[e_i, e_j] = [Te_i, Te_j] by Fraction ``matvec`` and ``bracket``,
+    and T invertible: the reference for the integer ``is_automorphism``."""
+    if (T.rows, T.cols) != (g.dim, g.dim) or _fraction_rank(T) != g.dim:
+        return False
+    return all(T.matvec(g.c[i][j]) == bracket(g, T.col(i), T.col(j))
+               for i in range(g.dim) for j in range(i + 1, g.dim))
+
+
+def _diag(*xs) -> RatMatrix:
+    n = len(xs)
+    return RatMatrix([[Fraction(xs[i]) if i == j else 0 for j in range(n)]
+                      for i in range(n)])
+
+
+def _non_integer_automorphisms() -> list:
+    """(algebra, T) with T an automorphism whose entries have pairwise
+    coprime denominators: diagonal scalings along a grading, and their
+    products with integer automorphisms, on catalog algebras and on
+    almost-abelian algebras with fractional constants."""
+    f = Fraction
+    cases = [
+        (catalog("s1"), _diag(f(3, 11), f(3, 11), f(-7, 5), 1)),
+        (catalog("n1"), _diag(f(2, 3) * f(5, 7) ** 2, f(2, 3) * f(5, 7),
+                              f(2, 3), f(5, 7))),
+        (catalog("s3", **PARAMS["s3"]), _diag(f(2, 3), f(-5, 7), f(11, 13),
+                                              1)),
+    ]
+    flip = RatMatrix([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0],
+                      [0, 0, 0, 1]])
+    cases.append((catalog("s1"), flip.matmul(cases[0][1])))
+    rng = random.Random("automorphisms")
+    for n in range(3, 7):
+        g = from_brackets(n, {k: [x * Fraction(3, 13) for x in v] for k, v
+                              in almost_abelian(rng, n).items()})
+        cases.append((g, _diag(*[f(5, 7)] * (n - 1), 1)))
+    return cases
+
+
+def _assert_automorphism_checks_match(cases):
+    """``is_automorphism`` equals the Fraction reference on each case, and
+    on copies of it with one entry moved by a rational, which mostly fail;
+    returns the answers seen."""
+    rng = random.Random(5)
+    seen = set()
+    for g, T in cases:
+        assert is_automorphism(g, T) == _fraction_is_automorphism(g, T), T
+        seen.add(is_automorphism(g, T))
+        for _ in range(3):
+            e = [list(r) for r in T.entries]
+            i, j = rng.randrange(T.rows), rng.randrange(T.cols)
+            e[i][j] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 7]))
+            bent = RatMatrix(e)
+            assert (is_automorphism(g, bent)
+                    == _fraction_is_automorphism(g, bent)), bent
+            seen.add(is_automorphism(g, bent))
+    return seen
+
+
+def test_is_automorphism_matches_the_fraction_reference_on_shipped_matrices():
+    """Every shipped automorphism at every qualifying parameter sample is
+    one, by both checks, and the bent copies agree with the reference."""
+    cases = []
+    for stem in classify.FAMILY_FILES:
+        fam = classify.load_family(stem)
+        for ps, _, g in classify.qualifying_samples(fam):
+            sp = classify._short_params(ps)
+            for _, rows in fam.automorphisms:
+                cases.append((g, RatMatrix([[e(sp) for e in r]
+                                            for r in rows])))
+    assert len(cases) > 50
+    assert all(_fraction_is_automorphism(g, T) for g, T in cases)
+    assert _assert_automorphism_checks_match(cases) == {True, False}
+
+
+def test_is_automorphism_on_non_integer_automorphisms():
+    cases = _non_integer_automorphisms()
+    assert all(T._integer_form()[0] > 1 for _, T in cases)
+    assert all(is_automorphism(g, T) for g, T in cases)
+    assert _assert_automorphism_checks_match(cases) == {True, False}
+
+
+def test_is_automorphism_refuses_singular_and_non_square_matrices():
+    s1 = catalog("s1")
+    # brackets preserved, but singular
+    assert not is_automorphism(abelian(3), RatMatrix.zero(3, 3))
+    assert not is_automorphism(abelian(3), _diag(1, 0, Fraction(1, 2)))
+    assert not is_automorphism(s1, _diag(0, 0, 1, 1))
+    assert not _fraction_is_automorphism(s1, _diag(0, 0, 1, 1))
+    # wrong shapes
+    assert not is_automorphism(s1, RatMatrix.identity(3))
+    assert not is_automorphism(s1, RatMatrix.zero(4, 3))
+    assert not is_automorphism(s1, RatMatrix.zero(3, 4))
+    assert not is_automorphism(s1, RatMatrix([], 4))
+    assert is_automorphism(abelian(0), RatMatrix([], 0))
+
+
+def test_dropping_the_scale_of_t_is_caught(monkeypatch):
+    """With d_T replaced by 1 (T's integer form read as T itself), the
+    non-integer automorphisms are refused, and the reference check above
+    fails: the scale is checked."""
+    cases = _non_integer_automorphisms()
+    monkeypatch.setattr(RatMatrix, "_integer_form",
+                        lambda self: (1, self._integer_rows()))
+    assert not any(is_automorphism(g, T) for g, T in cases)
+    with pytest.raises(AssertionError):
+        _assert_automorphism_checks_match(cases)
 
 
 def test_necessary_checks():
@@ -343,10 +469,17 @@ def _scaled(rng, p):
     return tuple(c * v for v in p)
 
 
+def field_matrix_at(fields, p) -> RatMatrix:
+    """M(p): row i holds the coefficients of field i at the point p, by
+    Fraction ``matvec``."""
+    return RatMatrix([X.at(p) for X in fields])
+
+
 def _assert_integer_checks_match_oracles(ctx, points):
-    """ctx.is_mcybe_at and the integer derivations.rank_at against
-    is_mcybe_solution and sympy's rank of the matrix M(p) (and ``rank``,
-    which runs the same elimination kernel as ``rank_at``); returns the
+    """ctx.is_mcybe_at and the integer derivations.rank_at (and the rank
+    count on the context's column map) against is_mcybe_solution and
+    sympy's rank of the matrix M(p) (and ``rank``, which runs the same
+    elimination kernel as ``rank_at``); returns the
     mCYBE answers and ranks seen.  Skipped when sympy is absent."""
     sp = pytest.importorskip("sympy")
     seen_mcybe, seen_ranks = set(), set()
@@ -354,7 +487,9 @@ def _assert_integer_checks_match_oracles(ctx, points):
         ok = ctx.is_mcybe_at(p)
         assert ok == is_mcybe_solution(ctx.g, p), p
         k = derivations.rank_at(ctx.fields, p)
-        m = derivations.field_matrix_at(ctx.fields, p)
+        _, q = clear_denominators(p)
+        assert derivations._rank_at_ints(ctx.field_columns, q) == k, p
+        m = field_matrix_at(ctx.fields, p)
         assert k == rank(m) == sp.Matrix(
             m.rows, m.cols, [sp.Rational(x.numerator, x.denominator)
                              for x in m.flat()]).rank(), p
@@ -413,7 +548,8 @@ def test_integer_point_checks_reject_a_point_of_the_wrong_length():
 
 def test_orbit_table_calls_no_oracle(monkeypatch):
     """No Schouten-bracket mCYBE test and no Fraction matrix M(p) per
-    sample point: both are answered on the integer forms."""
+    sample point (no field evaluated by ``LinearVectorField.at``): both
+    are answered on the integer forms."""
     calls = []
 
     def counting(original):
@@ -425,8 +561,8 @@ def test_orbit_table_calls_no_oracle(monkeypatch):
     mcybe = counting(yangbaxter.is_mcybe_solution)
     for mod in (yangbaxter, classify):
         monkeypatch.setattr(mod, "is_mcybe_solution", mcybe, raising=False)
-    monkeypatch.setattr(derivations, "field_matrix_at",
-                        counting(derivations.field_matrix_at))
+    monkeypatch.setattr(derivations.LinearVectorField, "at",
+                        counting(derivations.LinearVectorField.at))
     report = classify.verify_orbit_table("s1")
     assert report.passed and sum(r.dims_checked for r in report.rows) > 0
     assert calls == []
