@@ -30,14 +30,14 @@ from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
 # rank_at stays importable from here: perfbench's tracer wraps it by name
 from .derivations import _rank_at_ints, rank_at  # noqa: F401
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
-                        normalize_poly, poly_rref, row_space_equal)
+                        normalize_poly, poly_rref, poly_rref_contains,
+                        row_space_equal)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
                         poly_env)
-from .grassmann import (MultiVector, apply_linear, blades, lambda_matrix,
-                        schouten)
+from .grassmann import MultiVector, blades, lambda_matrix, schouten
 from .liealg import FAMILIES, LieAlgebra, catalog
-from .yangbaxter import (AlgebraContext, NecessaryReport, is_automorphism,
-                         is_cybe_solution, reduce_system)
+from .yangbaxter import (AlgebraContext, NecessaryReport, is_cybe_solution,
+                         reduce_system)
 
 
 class GoldenDataMissing(FileNotFoundError):
@@ -752,8 +752,8 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
                   if not q.is_zero()]
             if not _poly_span_equal(gp, computed):
                 problems.append(f"{kind} system span disagrees")
-            if kind == "mcybe" and not loci_agree(
-                    [p for p in ybs.mcybe if not p.is_zero()], gp):
+            if kind == "mcybe" and not _same_real_locus(
+                    ybs.mcybe, ybs.witnesses, ybs.reduced):
                 problems.append("mcybe locus equality fails")
 
         results.append(BundleResult(family=fam.name, params=dict(ps),
@@ -783,6 +783,40 @@ def _poly_span_equal(a: Sequence[Poly], b: Sequence[Poly]) -> bool:
     return poly_rref(a) == poly_rref(b)
 
 
+def _same_real_locus(raw: Sequence[Poly],
+                     witnesses: Sequence[tuple[Sequence[int], Poly]],
+                     reduced: Sequence[Poly]) -> bool:
+    """Whether the witnesses of ``reduce_system`` prove that raw and reduced
+    have the same real locus, replayed exactly.  Each round's witness w
+    must be a same-sign sum of even powers, one per variable of its round,
+    in the span of the system so far: w vanishes on that system's locus,
+    and a real point makes w zero only where each of those variables is.
+    So they are 0 there, and the terms that contain one are dropped.  At
+    the end the killed variables and what is left must span the same space
+    as reduced."""
+    work = [p for p in raw if not p.is_zero()]
+    killed: set[int] = set()
+    for vs, w in witnesses:
+        if not (_even_power_sum(w, vs)
+                and poly_rref_contains(poly_rref(work), w)):
+            return False
+        killed.update(vs)
+        work = [Poly({m: c for m, c in p.terms.items()
+                      if not any(v in killed for v, _ in m)}) for p in work]
+    return (poly_rref([Poly.var(v) for v in killed] + work)
+            == poly_rref(reduced))
+
+
+def _even_power_sum(w: Poly, vs: Sequence[int]) -> bool:
+    """Whether w = sum_v c_v x_v^(2k_v), k_v >= 1, over exactly the
+    distinct variables vs, with one term each and all c_v of one sign."""
+    powers = [m[0] for m in w.terms if len(m) == 1]
+    return (len(powers) == len(w.terms) == len(vs) == len(set(vs))
+            and {v for v, _ in powers} == set(vs)
+            and all(e % 2 == 0 for _, e in powers)
+            and len({c > 0 for c in w.terms.values()}) == 1)
+
+
 def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
                npoints: int = 800, seed: int = 7) -> bool:
     """Variety-level agreement of two polynomial systems: mutual vanishing
@@ -790,7 +824,9 @@ def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
     points actually hit the loci (integer points, tested exactly on the
     ``IntPoly`` forms of both systems).  Any sampled point on one locus but
     not the other refutes agreement.  Only the zero sets are compared, so
-    x5 agrees with x5^2 although x5 is not in the ideal of x5^2."""
+    x5 agrees with x5^2 although x5 is not in the ideal of x5^2.  The
+    sampled oracle of the tests; the bundle check proves locus equality by
+    ``_same_real_locus`` instead."""
     int_a = [IntPoly(p) for p in system_a]
     int_b = [IntPoly(p) for p in system_b]
     for pt in _loci_points(npoints, seed):
@@ -1042,17 +1078,6 @@ def verify_tree(stem: str) -> TreeReport:
 # ---------------------------------------------------------------------------
 # automorphism witnesses and coboundary classes
 # ---------------------------------------------------------------------------
-
-def verify_automorphism_witness(g: LieAlgebra, T: RatMatrix,
-                                r_from: MultiVector,
-                                target: TreeBranch) -> bool:
-    """Whether the lifted automorphism maps the representative into the
-    target branch's locus."""
-    if not is_automorphism(g, T):
-        raise WitnessMissing("matrix fails bracket preservation")
-    image = apply_linear(T, r_from)
-    return locus_contains(target, image.coords())
-
 
 @dataclass
 class ClassReport:

@@ -356,15 +356,6 @@ def linear_solver(f: Poly, v: int
     return solve
 
 
-def solve_linear(f: Poly, v: int, point: Sequence) -> Optional[Fraction]:
-    """The value of x_v that makes f vanish at point, with f's other
-    coordinates taken from point: -b(point)/a(point) for f = a*x_v + b with
-    a and b free of x_v.  None when f does not involve x_v, is not linear
-    in x_v, or has an x_v coefficient a that is zero at point."""
-    solve = linear_solver(f, v)
-    return None if solve is None else solve(point)
-
-
 def branch_samples(branch: TreeBranch, nvars: int,
                    extra: Sequence[Sequence] = ()) -> list[tuple[Fraction, ...]]:
     """Sample grid: one point per sign pattern of the inequality

@@ -54,14 +54,17 @@ class YbSystem:
     cybe: normalized coefficient polynomials of [r, r] in blade order.
     mcybe: canonical components of [r, r] after projecting out (Λ³g)^g.
     inv3: basis of (Λ³g)^g.
-    reduced: span-reduced display form of the mCYBE system (pure powers and
-    positive sums of squares split into their linear generators).
+    reduced: span-reduced display form of the mCYBE system (same-sign sums
+    of even powers split into their linear generators).
+    witnesses: the rounds of that reduction (``reduce_system``), each the
+    variables it split off and the span element that forced them to 0.
     """
 
     cybe: list[Poly]
     mcybe: list[Poly]
     inv3: list[MultiVector]
     reduced: list[Poly] = field(default_factory=list)
+    witnesses: list[tuple[list[int], Poly]] = field(default_factory=list)
 
 
 def _span_rref(vs: list[MultiVector]) -> tuple[RatMatrix, list[int]]:
@@ -87,12 +90,22 @@ def _project_out(coords: list, span: tuple[RatMatrix, list[int]]) -> list:
 
 def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
     """Real-locus display reduction of a quadratic system: whenever the span
-    contains c*x_i^k or a positive combination of squares of variables, those
-    variables vanish on the real locus and are split off as linear
-    generators.  Returns a normalized generating list with the same real
-    locus (matches the hand-simplified systems in the classification)."""
+    contains c*x_i^k for an even k >= 2, or a same-sign combination of such
+    even powers of several variables, those variables vanish on the real
+    locus and are split off as linear generators.  Returns a normalized
+    generating list with the same real locus (matches the hand-simplified
+    systems in the classification)."""
+    return _reduce_with_witnesses(polys)[0]
+
+
+def _reduce_with_witnesses(polys: Sequence[Poly]
+                           ) -> tuple[list[Poly], list[tuple[list[int], Poly]]]:
+    """``reduce_system`` and its witnesses: per round, the variables split
+    off and the span element p with ``_pure_square_vars(p)`` = those
+    variables, in the span of the system of that round."""
     work = [normalize_poly(p) for p in polys if not p.is_zero()]
     killed: list[int] = []
+    witnesses: list[tuple[list[int], Poly]] = []
     basis = _span_basis(work)
     changed = True
     while changed:
@@ -100,6 +113,7 @@ def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
         for p in basis:
             vs = _pure_square_vars(p)
             if vs and not all(v in killed for v in vs):
+                witnesses.append((vs, p))
                 for v in vs:
                     if v not in killed:
                         killed.append(v)
@@ -113,7 +127,7 @@ def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
                 break
     gens = [Poly.var(v) for v in sorted(killed)] + basis
     gens = [normalize_poly(p) for p in gens if not p.is_zero()]
-    return sorted(gens, key=lambda p: (p.degree(), p.text()))
+    return sorted(gens, key=lambda p: (p.degree(), p.text())), witnesses
 
 
 def _span_basis(polys: Sequence[Poly]) -> list[Poly]:
@@ -122,8 +136,8 @@ def _span_basis(polys: Sequence[Poly]) -> list[Poly]:
 
 
 def _pure_square_vars(p: Poly) -> list[int]:
-    """If p = sum_i c_i x_i^2 with all c_i of one sign (or p = c x_i^k),
-    the variables forced to zero on the real locus; else []."""
+    """If p = sum_i c_i x_i^(k_i) with every k_i even and all c_i of one
+    sign, the variables forced to zero on the real locus; else []."""
     vs = []
     sign = 0
     for m, c in p.terms.items():
@@ -344,9 +358,10 @@ class AlgebraContext:
 
     @cached_property
     def yb_system(self) -> YbSystem:
+        reduced, witnesses = _reduce_with_witnesses(self.mcybe)
         return YbSystem(cybe=[normalize_poly(p) for p in self.rr],
                         mcybe=self.mcybe, inv3=self.inv3[0],
-                        reduced=reduce_system(self.mcybe))
+                        reduced=reduced, witnesses=witnesses)
 
     @cached_property
     def _int_mcybe(self) -> list[IntPoly]:

@@ -98,17 +98,24 @@ def test_criterion_2_yang_baxter_loci():
                 agreements += on_a
             # loci_agree's seeded integer points plus the exact span
             # equality of the reduced systems
-            from darbouxlie.classify import _poly_span_equal, loci_agree
+            from darbouxlie.classify import (_poly_span_equal,
+                                             _same_real_locus, loci_agree)
             gold_nz = [q for q in golden if not q.is_zero()]
             if not loci_agree(computed, gold_nz, npoints=200):
                 failures.append((stem, ps, "loci_agree"))
             if not _poly_span_equal([normalize_poly(q) for q in gold_nz],
                                     yb_system(g).reduced):
                 failures.append((stem, ps, "span"))
+            # the exact certificate that verify-tables checks: the
+            # reduction's witnesses tie the raw locus to the reduced one
+            ybs = yb_system(g)
+            if not _same_real_locus(computed, ybs.witnesses, ybs.reduced):
+                failures.append((stem, ps, "certificate"))
     dt = time.time() - t0
     ok = not failures and dt < 30.0
     report(2, ok, f"mCYBE loci match the published systems at 10^4 points "
-                  f"per block sample plus exact span reduction, {dt:.1f}s"
+                  f"per block sample plus exact span reduction and its "
+                  f"locus certificate, {dt:.1f}s"
                   + (f"; failures {failures[:2]}" if failures else ""))
 
 

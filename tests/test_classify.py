@@ -9,15 +9,15 @@ from darbouxlie.classify import (FAMILY_FILES, GoldenDataMissing, TREE_FILES,
                                  WitnessMissing, expand_rows, load_family,
                                  load_automorphisms, load_tree, loci_agree,
                                  parse_multivector, qualifying_samples,
-                                 verify_automorphism_witness,
                                  verify_coboundary_classes,
                                  verify_family_bundle, verify_orbit_table,
                                  verify_schouten_family, verify_tree)
-from darbouxlie.darboux import TreeBranch
+from darbouxlie.darboux import TreeBranch, locus_contains
 from darbouxlie.exactmath import Poly, RatMatrix
 from darbouxlie.exprparse import ExprError
-from darbouxlie.grassmann import MultiVector
+from darbouxlie.grassmann import MultiVector, apply_linear
 from darbouxlie.liealg import catalog
+from darbouxlie.yangbaxter import is_automorphism
 
 x = Poly.var
 
@@ -203,6 +203,14 @@ def test_known_errata_are_reported():
     rep3 = verify_orbit_table("s3")
     xi = [r for r in rep3.rows if r.label == "XI"]
     assert xi and all(r.ok for r in xi)
+
+
+def verify_automorphism_witness(g, T, r_from, target):
+    """Whether the automorphism T, lifted to bivectors, maps the
+    representative r_from into the target branch's locus."""
+    if not is_automorphism(g, T):
+        raise WitnessMissing("matrix fails bracket preservation")
+    return locus_contains(target, apply_linear(T, r_from).coords())
 
 
 def test_verify_automorphism_witness():
@@ -519,13 +527,14 @@ def test_tree_check_makes_no_display_reduction(monkeypatch):
     display system."""
     import darbouxlie.yangbaxter as yangbaxter
     calls = []
-    real = yangbaxter.reduce_system
+    real = yangbaxter._reduce_with_witnesses
 
     def counting(polys):
         calls.append(polys)
         return real(polys)
 
-    monkeypatch.setattr(yangbaxter, "reduce_system", counting)
+    # both reduce_system and AlgebraContext.yb_system reduce through it
+    monkeypatch.setattr(yangbaxter, "_reduce_with_witnesses", counting)
     assert verify_tree("s1").passed
     assert calls == []
 
@@ -534,7 +543,6 @@ def test_coboundary_classes_check_each_shipped_matrix_once(monkeypatch):
     """A pass over every family file checks each shipped automorphism once
     per parameter sample whose classes are checked, and the identity at
     most once per such sample."""
-    import darbouxlie.classify as classify
     import darbouxlie.yangbaxter as yangbaxter
     calls = []
     original = yangbaxter.is_automorphism
@@ -543,8 +551,7 @@ def test_coboundary_classes_check_each_shipped_matrix_once(monkeypatch):
         calls.append(T)
         return original(g, T)
 
-    for module in (classify, yangbaxter):
-        monkeypatch.setattr(module, "is_automorphism", counting)
+    monkeypatch.setattr(yangbaxter, "is_automorphism", counting)
     identity = RatMatrix.identity(4)
     shipped = checked = 0
     for stem in FAMILY_FILES:
@@ -557,3 +564,155 @@ def test_coboundary_classes_check_each_shipped_matrix_once(monkeypatch):
     assert shipped > 100
     assert len([T for T in calls if T != identity]) == shipped
     assert len([T for T in calls if T == identity]) <= checked
+
+
+S1_MCYBE = "mcybe : x3*x4 | x3*x6 | x5"
+
+
+def _s1_with_mcybe(tmp_path, monkeypatch, line):
+    """A copy of the golden data whose s1 ``[mcybe]`` line reads ``line``."""
+    import shutil
+    from darbouxlie.classify import data_dir
+    alt = tmp_path / "data"
+    shutil.copytree(data_dir(), alt)
+    fam = alt / "families" / "s1.txt"
+    text = fam.read_text()
+    assert S1_MCYBE in text
+    fam.write_text(text.replace(S1_MCYBE, line))
+    monkeypatch.setenv("DARBOUXLIE_DATA", str(alt))
+
+
+@pytest.mark.parametrize("line", [
+    "mcybe : x3*x4 | x3*x6 | x6",     # another locus: x6 in place of x5
+    "mcybe : x3*x4 | x3*x6 | x5^2",   # the same locus, another span
+])
+def test_bundle_mcybe_diagnostics(line, tmp_path, monkeypatch):
+    """A golden system that differs from the computed one fails on its
+    span alone: the locus check ties the raw mCYBE system to the reduced
+    one, which the golden file does not enter."""
+    _s1_with_mcybe(tmp_path, monkeypatch, line)
+    [result] = verify_family_bundle("s1")
+    assert not result.ok
+    assert result.problems == ["mcybe system span disagrees"]
+
+
+def test_mixed_sign_witness_fails_the_locus_check(monkeypatch):
+    """A reduction that kills x5 and x6 by x5^2 - x6^2, which vanishes on
+    x5 = x6 != 0, fails the bundle check and ``verify-tables``."""
+    import darbouxlie.classify as classify
+    import darbouxlie.yangbaxter as yangbaxter
+    from darbouxlie.cli import main
+    real = yangbaxter._reduce_with_witnesses
+
+    def mutant(polys):
+        gens, witnesses = real(polys)
+        assert witnesses == [([4], x(4) ** 2)]
+        return gens, [([4, 5], x(4) ** 2 - x(5) ** 2)]
+
+    monkeypatch.setattr(yangbaxter, "_reduce_with_witnesses", mutant)
+    classify._sample_context.cache_clear()
+    try:
+        [result] = verify_family_bundle("s1")
+        assert result.problems == ["mcybe locus equality fails"]
+        assert main(["verify-tables", "--algebra", "s1"]) == 1
+    finally:
+        classify._sample_context.cache_clear()
+
+
+def test_bundle_check_calls_no_sampler(monkeypatch):
+    """The bundle check decides locus equality by the reduction's
+    witnesses: ``loci_agree`` is never called."""
+    import darbouxlie.classify as classify
+    calls = []
+    monkeypatch.setattr(classify, "loci_agree",
+                        lambda *args, **kw: calls.append(args))
+    for stem in FAMILY_FILES:
+        assert all(b.ok for b in verify_family_bundle(stem)), stem
+    assert calls == []
+
+
+def test_locus_certificate_agrees_with_the_sampler_on_the_families():
+    """On every family sample the witnesses prove that the raw mCYBE
+    system and the reduced one have the same real locus, and the sampled
+    oracle agrees; 18 samples have witnesses."""
+    from darbouxlie.classify import _same_real_locus
+    from darbouxlie.yangbaxter import AlgebraContext
+    samples = with_witnesses = 0
+    for stem in FAMILY_FILES:
+        for _, _, g in qualifying_samples(load_family(stem)):
+            ybs = AlgebraContext(g).yb_system
+            raw = [p for p in ybs.mcybe if not p.is_zero()]
+            assert loci_agree(raw, ybs.reduced), stem
+            assert _same_real_locus(raw, ybs.witnesses, ybs.reduced), stem
+            samples += 1
+            with_witnesses += bool(ybs.witnesses)
+    assert (samples, with_witnesses) == (36, 18)
+
+
+def _random_quadratic(rng):
+    monos = [(i, j) for i in range(6) for j in range(i, 6)]
+    p = Poly.zero()
+    for i, j in rng.sample(monos, rng.randint(1, 3)):
+        p = p + rng.choice([-2, -1, 1, 3]) * x(i) * x(j)
+    return p
+
+
+def test_locus_certificate_implies_sampled_agreement_on_random_systems():
+    """Seeded quadratic systems in 6 variables with a sum of two even
+    powers planted in their span, of one sign or of mixed signs.  The
+    reduction's own witnesses always pass; a witness claimed from the
+    planted sum passes exactly when its signs agree.  Whenever the
+    certificate holds, the sampled oracle agrees."""
+    from darbouxlie.classify import _same_real_locus
+    from darbouxlie.yangbaxter import _reduce_with_witnesses
+    rng = random.Random("locus certificate")
+    seen = set()
+    for _ in range(60):
+        a, b = rng.sample(range(6), 2)
+        same = rng.random() < 0.5
+        planted = (rng.randint(1, 3) * x(a) ** 2
+                   + (1 if same else -1) * rng.randint(1, 3) * x(b) ** 2)
+        qs = [_random_quadratic(rng) for _ in range(rng.randint(1, 3))]
+        raw = [qs[0] + planted, *qs]
+        reduced, witnesses = _reduce_with_witnesses(raw)
+        assert _same_real_locus(raw, witnesses, reduced)
+        assert loci_agree(raw, reduced)
+        # the planted sum claimed as the only witness
+        rest = [Poly({m: c for m, c in q.terms.items()
+                      if not any(v in (a, b) for v, _ in m)}) for q in raw]
+        claimed = [x(a), x(b), *rest]
+        ok = _same_real_locus(raw, [([a, b], planted)], claimed)
+        assert ok == same
+        if ok:
+            assert loci_agree(raw, claimed)
+        seen.add((same, bool(witnesses)))
+    assert {(True, True), (False, False)} <= seen
+
+
+S5_RAW = [x(4) ** 2 + x(5) ** 2, x(0) * x(4) + x(2) * x(3)]
+S5_WITNESS = ([4, 5], x(4) ** 2 + x(5) ** 2)
+
+
+@pytest.mark.parametrize("raw, witnesses, reduced, holds", [
+    (S5_RAW, [S5_WITNESS], [x(4), x(5), x(2) * x(3)], True),
+    # an odd power: x5^3 + x6^3 vanishes on x5 = -x6
+    ([x(4) ** 3 + x(5) ** 3], [([4, 5], x(4) ** 3 + x(5) ** 3)],
+     [x(4), x(5)], False),
+    # mixed signs: x5^2 - x6^2 vanishes on x5 = x6
+    ([x(4) ** 2 - x(5) ** 2], [([4, 5], x(4) ** 2 - x(5) ** 2)],
+     [x(4), x(5)], False),
+    # a witness outside the span of the system
+    ([x(4) * x(5)], [S5_WITNESS], [x(4), x(5)], False),
+    # a witness that names one variable too many, or one too few
+    (S5_RAW, [([0, 4, 5], S5_WITNESS[1])],
+     [x(0), x(4), x(5), x(2) * x(3)], False),
+    (S5_RAW, [([4], S5_WITNESS[1])], [x(4), x(5) ** 2, x(2) * x(3)], False),
+    # a reduced system with a generator missing, or one extra
+    (S5_RAW, [S5_WITNESS], [x(4), x(5)], False),
+    (S5_RAW, [S5_WITNESS], [x(4), x(5), x(2) * x(3), x(0) * x(1)], False),
+])
+def test_locus_certificate_on_hand_made_systems(raw, witnesses, reduced,
+                                                holds):
+    """Each mutant fails the one check it targets and passes the others."""
+    from darbouxlie.classify import _same_real_locus
+    assert _same_real_locus(raw, witnesses, reduced) == holds
