@@ -291,6 +291,42 @@ def test_constant_tree_equality_fails_its_branch(constant, reason, tmp_path,
     assert capsys.readouterr().err == ""
 
 
+S1_VIII_PLUS = ("orbit VIII+ : dim=4 star=no rep=e12+e34 x1=+ x2=. x3=0 "
+                "x4=. x5=0 x6=*")
+
+
+def test_messages_print_sample_points_as_fractions(tmp_path, monkeypatch):
+    """The three messages that name a sample point print it as a tuple of
+    Fractions, denominators included: a rank and an mCYBE failure at orbit
+    row samples (rows I+ and VIII+ loosened by one coordinate, each with a
+    rational sample off the true locus), and a tree sample off its
+    branch's locus (a sampler that accepts every point hands it on)."""
+    from darbouxlie import darboux
+    _edited_copy(tmp_path, monkeypatch, "families/s1.txt",
+                 (S1_I_PLUS, S1_I_PLUS.replace("x2=0", "x2=.")
+                  + " sample=1/2,-1/3,0,0,0,0"),
+                 (S1_VIII_PLUS, S1_VIII_PLUS.replace("x3=0", "x3=.")
+                  + " sample=1/2,0,1/3,0,0,3/2"))
+    problems = {r.label: r.problems
+                for r in verify_orbit_table("s1").rows if r.problems}
+    assert problems == {
+        "I+": ["rank at (Fraction(1, 2), Fraction(-1, 3), Fraction(0, 1), "
+               "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)) != 1"],
+        "VIII+": ["sample (Fraction(1, 2), Fraction(0, 1), Fraction(1, 3), "
+                  "Fraction(0, 1), Fraction(0, 1), Fraction(3, 2)) fails "
+                  "the mCYBE"]}
+    real = darboux.locus_sampler
+    monkeypatch.setattr(darboux, "locus_sampler",
+                        lambda branch: real(TreeBranch(branch.label, [])))
+    _edited_copy(tmp_path / "tree", monkeypatch, "trees/s1.txt",
+                 (TREE_I, TREE_I + " sample=1/2,-1/3,0,0,0,0"))
+    [reason] = [r for label, _, r in verify_tree("s1").failures
+                if label == "I"]
+    assert reason == ("I: sample (Fraction(1, 2), Fraction(-1, 3), "
+                      "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+                      "Fraction(0, 1)) not in locus")
+
+
 def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
                                                       capsys):
     # without T(+,-) and T(-,-) nothing maps x6 > 0 to x6 < 0 on the rows
