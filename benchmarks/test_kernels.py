@@ -16,14 +16,14 @@ from darbouxlie.classify import (FAMILY_FILES, TREE_FILES,
                                  load_automorphisms, load_family, loci_agree,
                                  verify_tree)
 from darbouxlie.darboux import (find_bricks, flow_invariance, locus_contains,
-                                verify_family)
+                                rational_point, verify_family)
 from darbouxlie.derivations import (_rank_at_ints, derivation_basis,
                                     fundamental_fields, lift, rank_at,
                                     vf_apply)
-from darbouxlie.exactmath import (Poly, RatMatrix, clear_denominators,
-                                  ideal_membership, int_kernel_basis,
-                                  kernel_basis, monomials_up_to,
-                                  normalize_poly, rank, solve)
+from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
+                                  int_kernel_basis, kernel_basis,
+                                  monomials_up_to, normalize_poly, rank,
+                                  solve)
 from darbouxlie.exprparse import parse_poly
 from darbouxlie.grassmann import (MultiVector, blades, generic_rr,
                                   lambda_matrix, wedge)
@@ -87,20 +87,22 @@ def field_matrix_at(fields, p) -> RatMatrix:
 
 @pytest.fixture(scope="module")
 def s3_orbit_points():
-    """The s3 algebra's context and its orbit-table sample points at S3,
-    with the integer forms ``is_mcybe_at`` and the rank count use (the
-    context's column map) already built."""
+    """The s3 algebra's context and its orbit-table sample points at S3, as
+    the samplers give them, (den, q), and as Fractions, with the integer
+    forms ``is_mcybe_at`` and the rank count use (the context's column map)
+    already built."""
     ctx = AlgebraContext(catalog("s3", **S3))
-    points = [p for rec in expand_rows(load_family("s3"), S3)
-              for p in rec.samples]
+    samples = [s for rec in expand_rows(load_family("s3"), S3)
+               for s in rec.samples]
+    points = [rational_point(*s) for s in samples]
     ctx.is_mcybe_at(points[0]), ctx.field_columns
-    return ctx, points
+    return ctx, samples, points
 
 
 def test_field_matrix_rank_s3_orbit_points(benchmark, s3_orbit_points):
     """``rank`` of the matrix M(p), built from the field matrices with
     ``matvec``: the reference ``rank_at``."""
-    ctx, points = s3_orbit_points
+    ctx, _, points = s3_orbit_points
     want = [rank_at(ctx.fields, p) for p in points]
     assert benchmark(lambda: [rank(field_matrix_at(ctx.fields, p))
                               for p in points]) == want
@@ -109,51 +111,50 @@ def test_field_matrix_rank_s3_orbit_points(benchmark, s3_orbit_points):
 def test_rank_at_s3_orbit_points(benchmark, s3_orbit_points):
     """The rank count of the orbit-table check: each point's ints on the
     context's column map."""
-    ctx, points = s3_orbit_points
+    ctx, samples, points = s3_orbit_points
     want = [rank(field_matrix_at(ctx.fields, p)) for p in points]
-    cleared = [q for _, q in map(clear_denominators, points)]
     assert benchmark(lambda: [_rank_at_ints(ctx.field_columns, q)
-                              for q in cleared]) == want
+                              for _, q in samples]) == want
 
 
 def test_is_mcybe_solution_s3_orbit_points(benchmark, s3_orbit_points):
-    ctx, points = s3_orbit_points
+    ctx, _, points = s3_orbit_points
     assert all(ctx.is_mcybe_at(p) for p in points)
     assert benchmark(lambda: [is_mcybe_solution(ctx.g, p)
                               for p in points]) == [True] * len(points)
 
 
 def test_context_is_mcybe_at(benchmark, s3_orbit_points):
-    ctx, points = s3_orbit_points
+    ctx, _, points = s3_orbit_points
     assert all(is_mcybe_solution(ctx.g, p) for p in points)
     assert benchmark(lambda: [ctx.is_mcybe_at(p)
                               for p in points]) == [True] * len(points)
 
 
 def test_rank_and_mcybe_s3_orbit_points(benchmark, s3_orbit_points):
-    """The orbit-table check of each sample point: the point cleared to
-    ints once, then the rank count and the mCYBE test on the ints."""
-    ctx, points = s3_orbit_points
+    """The orbit-table check of each sample point: the rank count and the
+    mCYBE test on the ints q of its (den, q)."""
+    ctx, samples, points = s3_orbit_points
     want = [(rank_at(ctx.fields, p), ctx.is_mcybe_at(p)) for p in points]
     assert all(ok for _, ok in want) and len({k for k, _ in want}) > 1
 
     def per_point():
         return [(_rank_at_ints(ctx.field_columns, q), ctx._is_mcybe_ints(q))
-                for _, q in map(clear_denominators, points)]
+                for _, q in samples]
     assert per_point() == want
     assert benchmark(per_point) == want
 
 
 @pytest.fixture(scope="module")
 def s3_merge_rows():
-    """The s3 orbit records at S3, with their samples and integer forms
-    built, and the lifts Λ²T of the shipped automorphisms."""
+    """The s3 orbit records at S3, with their samples (den, q) and integer
+    forms built, and the lifts Λ²T of the shipped automorphisms."""
     fam = load_family("s3")
     lifted = [lambda_matrix(T, 2) for _, T in
               load_automorphisms(fam, S3, catalog("s3", **S3))]
     records = expand_rows(fam, S3)
     for rec in records:
-        rec.cleared
+        rec.samples
     for L in lifted:
         L._integer_form()
     return lifted, records
@@ -167,7 +168,7 @@ def _fraction_merge_gaps(lifted, rec):
 
     def signature(p):
         return tuple(1 if f.eval(p) > 0 else -1 for f in strict)
-    comps = dict.fromkeys(map(signature, rec.samples))
+    comps = dict.fromkeys(signature(rational_point(*s)) for s in rec.samples)
     if not strict or len(comps) <= 1:
         return []
     start = rec.rep.coords()
@@ -405,8 +406,8 @@ def test_branch_samples_s3_tree(benchmark, s3_tree_branches):
     sampled, checked = s3_tree_branches
     want = [pts for _, _, _, pts, _ in checked]
     assert (len(want), sum(map(len, want))) == (11, 67)
-    assert all(locus_contains(b, p) for (b, _, _), pts in zip(sampled, want)
-               for p in pts)
+    assert all(locus_contains(b, rational_point(*p))
+               for (b, _, _), pts in zip(sampled, want) for p in pts)
 
     def every_branch():
         return [darboux.branch_samples(*c) for c in sampled]
@@ -416,12 +417,12 @@ def test_branch_samples_s3_tree(benchmark, s3_tree_branches):
 
 def test_verify_branch_s3_tree(benchmark, s3_tree_branches):
     """The branch checks of the s3 tree at one parameter sample, with every
-    family in the cache: each point cleared once, then the locus test, the
-    rank and the mCYBE test on its ints."""
+    family in the cache: the locus test, the rank and the mCYBE test on the
+    ints of each point's (den, q)."""
     _, checked = s3_tree_branches
-    want = [[rank_at(fields, p) for p in pts]
+    want = [[rank_at(fields, rational_point(*p)) for p in pts]
             for _, fields, _, pts, _ in checked]
-    assert all(is_mcybe_solution(ctx.g, p)
+    assert all(is_mcybe_solution(ctx.g, rational_point(*p))
                for ctx, _, _, pts, _ in checked for p in pts)
 
     def every_branch():

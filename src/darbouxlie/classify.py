@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
                       linear_solver, locus_contains, locus_contains_ints,
-                      locus_sampler, verify_branch)
+                      locus_sampler, rational_point, verify_branch)
 # rank_at stays importable from here: perfbench's tracer wraps it by name
 from .derivations import _rank_at_ints, rank_at  # noqa: F401
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
@@ -445,8 +445,8 @@ TREE_FILES = ["s1", "s2", "s3", "s311", "s4", "s5", "s6", "s7", "s8",
 @dataclass
 class OrbitRecord:
     """One orbit-table row at fixed parameters.  Its sample points are
-    built on first use of ``samples``: only the orbit-table check reads
-    them."""
+    built on first use of ``samples``, each as (den, q) (``locus_sampler``):
+    only the orbit-table check reads them."""
 
     label: str
     rep: MultiVector
@@ -457,7 +457,7 @@ class OrbitRecord:
     env: dict = field(repr=False)
 
     @cached_property
-    def samples(self) -> list[tuple[Fraction, ...]]:
+    def samples(self) -> list[tuple[int, tuple[int, ...]]]:
         row, env = self.row, self.env
         out, push = locus_sampler(self.branch)
         push(self.rep.coords())
@@ -497,13 +497,7 @@ class OrbitRecord:
                         pt[d] = x
                         break
             push(pt)
-        return out
-
-    @cached_property
-    def cleared(self) -> list[tuple[int, list[int]]]:
-        """Each sample point p as ``clear_denominators`` gives it: the lcm
-        den of its denominators and the ints q = den * p."""
-        return [clear_denominators(p) for p in self.samples]
+        return list(out)
 
 
 def _row_branch(label: str, row: OrbitRow, env: dict) -> TreeBranch:
@@ -612,12 +606,14 @@ def verify_orbit_table(stem: str) -> TableReport:
                               f"verified {rec.dim}")
             if not rec.samples:
                 problems.append("no usable sample points")
-            for p, (_, q) in zip(rec.samples, rec.cleared):
+            for den, q in rec.samples:
                 if _rank_at_ints(ctx.field_columns, q) != rec.dim:
-                    problems.append(f"rank at {p} != {rec.dim}")
+                    problems.append(f"rank at {rational_point(den, q)} "
+                                    f"!= {rec.dim}")
                     break
                 if not ctx._is_mcybe_ints(q):
-                    problems.append(f"sample {p} fails the mCYBE")
+                    problems.append(f"sample {rational_point(den, q)} "
+                                    "fails the mCYBE")
                     break
             if not ctx.is_mcybe_at(rec.rep):
                 problems.append("representative fails the mCYBE")
@@ -652,7 +648,7 @@ def _component_merge_gaps(lifted: Sequence[RatMatrix],
     def signature(den, q):
         return tuple(1 if f.eval(q, den) > 0 else -1 for f in strict)
 
-    comps = dict.fromkeys(signature(den, q) for den, q in rec.cleared)
+    comps = dict.fromkeys(signature(den, q) for den, q in rec.samples)
     if len(comps) <= 1:
         return []
     start = clear_denominators(rec.rep.coords())

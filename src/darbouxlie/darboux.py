@@ -71,28 +71,25 @@ class Brick:
     eigenvalues: tuple[Fraction, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeBranch:
     """One branch of a classification tree: equalities cut the locus,
     inequalities restrict the open set.  Inequality ops: '!=', '>', '<'.
-    Both are stored as tuples, so they change only by assignment."""
+    Immutable: both are stored as tuples."""
 
     label: str
     equalities: tuple[Poly, ...]
     inequalities: tuple[tuple[Poly, str], ...] = ()
     expected_dim: Optional[int] = None
 
-    def __setattr__(self, name, value):
-        if name in ("equalities", "inequalities"):
-            value = tuple(value)
-            self.__dict__.pop("int_forms", None)
-        object.__setattr__(self, name, value)
+    def __post_init__(self):
+        object.__setattr__(self, "equalities", tuple(self.equalities))
+        object.__setattr__(self, "inequalities", tuple(self.inequalities))
 
     @cached_property
     def int_forms(self) -> tuple[list[IntPoly], list[tuple[IntPoly, str]]]:
         """The equalities and the inequalities with their ops as
-        ``IntPoly`` forms, built on first use (by ``locus_contains``) and
-        dropped when either is assigned."""
+        ``IntPoly`` forms, built on first use (by ``locus_contains``)."""
         return ([IntPoly(f) for f in self.equalities],
                 [(IntPoly(f), op) for f, op in self.inequalities])
 
@@ -297,23 +294,27 @@ def locus_contains_ints(branch: TreeBranch, q: Sequence[int],
 
 
 def locus_sampler(branch: TreeBranch):
-    """An empty list of sample points and the function that appends a point
-    (made exact) when it is new and lies on the branch's locus.  A set
-    beside the list tests newness first, so a repeat skips the locus test;
-    it holds each point as ``clear_denominators`` gives it, (den, *q), which
-    is canonical because den is the lcm of the reduced denominators."""
-    out: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    """An empty dict of sample points and the function that adds a point
+    when it is new and lies on the branch's locus.  ``push`` takes the
+    point in any exact form and keeps it as ``clear_denominators`` gives
+    it, (den, q) with q a tuple of ints: canonical, because den is the lcm
+    of the reduced denominators.  The points are the dict's keys, in the
+    order they were accepted, so a repeat skips the locus test."""
+    out: dict[tuple[int, tuple[int, ...]], None] = {}
 
     def push(pt: Sequence) -> None:
-        pt = tuple(rat(x) for x in pt)
-        den, q = clear_denominators(pt)
-        key = (den, *q)
-        if key not in seen and locus_contains_ints(branch, q, den):
-            seen.add(key)
-            out.append(pt)
+        den, q = clear_denominators(map(rat, pt))
+        key = (den, tuple(q))
+        if key not in out and locus_contains_ints(branch, q, den):
+            out[key] = None
 
     return out, push
+
+
+def rational_point(den: int, q: Sequence[int]) -> tuple[Fraction, ...]:
+    """The sample point (den, q) as the tuple of Fractions q/den, for the
+    messages that print it."""
+    return tuple(Fraction(x, den) for x in q)
 
 
 def linear_solver(f: Poly, v: int
@@ -357,10 +358,12 @@ def linear_solver(f: Poly, v: int
 
 
 def branch_samples(branch: TreeBranch, nvars: int,
-                   extra: Sequence[Sequence] = ()) -> list[tuple[Fraction, ...]]:
+                   extra: Sequence[Sequence] = ()
+                   ) -> list[tuple[int, tuple[int, ...]]]:
     """Sample grid: one point per sign pattern of the inequality
     polynomials, coordinates drawn from {-2,-1,1,2} on constrained
-    coordinates and {0,1} on free ones, filtered through the locus."""
+    coordinates and {0,1} on free ones, filtered through the locus.  Each
+    point is given as (den, q) (``locus_sampler``)."""
     out, push = locus_sampler(branch)
     for pt in extra:
         push(pt)
@@ -398,7 +401,7 @@ def branch_samples(branch: TreeBranch, nvars: int,
         push(base)
         if len(out) >= 2 ** min(len(branch.inequalities), 4) + 4:
             break
-    return out
+    return list(out)
 
 
 def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
@@ -517,26 +520,27 @@ class BranchReport:
 
 
 def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
-                  branch: TreeBranch, samples: Sequence[Sequence],
+                  branch: TreeBranch,
+                  samples: Sequence[tuple[int, Sequence[int]]],
                   family_cache: Optional[dict] = None) -> BranchReport:
     """Full branch check: the equalities form a Darboux family (cofactors
     of degree <= COFACTOR_DEGREE_BOUND) on the branch's open set, the field
     rank is constant across samples and equals the expected stratum
     dimension (when recorded), and every sample solves the mCYBE
-    (``ctx.is_mcybe_at``).  Each sample is cleared once, to ints q and
-    their denominator den, and the three point checks read those ints; a
-    ``family_cache`` lookup compares ints only (``_family_key``).
+    (``ctx.is_mcybe_at``).  Each sample is the point q/den given as
+    (den, q), ints with den > 0, as ``branch_samples`` gives it; the three
+    point checks read those ints, and a ``family_cache`` lookup compares
+    ints only (``_family_key``).
 
     The cofactors make the ideal of the equalities invariant under every
     field, so every X^k f_j lies in it and vanishes at each sample, which
     lies on the zero set: the flow check of flow_invariance cannot fail
     there, and is not repeated."""
-    pts = [tuple(rat(x) for x in p) for p in samples]
-    cleared = [clear_denominators(p) for p in pts]
-    for p, (den, q) in zip(pts, cleared):
+    for den, q in samples:
         if not locus_contains_ints(branch, q, den):
-            raise BranchInvalid(f"{branch.label}: sample {p} not in locus")
-    if not pts:
+            raise BranchInvalid(f"{branch.label}: sample "
+                                f"{rational_point(den, q)} not in locus")
+    if not samples:
         raise BranchInvalid(f"{branch.label}: no sample points")
     if branch.equalities:
         key = None
@@ -553,19 +557,19 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
         raise BranchInvalid(f"{branch.label}: equalities are not a Darboux "
                             f"family at bound {COFACTOR_DEGREE_BOUND}")
     cols = field_columns(fields)
-    ranks = [_rank_at_ints(cols, q) for _, q in cleared]
+    ranks = [_rank_at_ints(cols, q) for _, q in samples]
     rank_constant = len(set(ranks)) == 1
     dim_matches = None
     if branch.expected_dim is not None:
         dim_matches = rank_constant and ranks[0] == branch.expected_dim
-    solves = [ctx._is_mcybe_ints(q) for _, q in cleared]
+    solves = [ctx._is_mcybe_ints(q) for _, q in samples]
     if not any(solves):
         raise BranchInvalid(f"{branch.label}: no mCYBE points")
     return BranchReport(
         label=branch.label, family_verified=True, linear=fam.linear,
         ranks=ranks, rank_constant=rank_constant,
         expected_dim=branch.expected_dim, dim_matches=dim_matches,
-        samples_checked=len(pts), mcybe_ok=all(solves))
+        samples_checked=len(samples), mcybe_ok=all(solves))
 
 
 def _family_key(fields: Sequence[LinearVectorField],

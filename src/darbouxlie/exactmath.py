@@ -353,9 +353,6 @@ class RatMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
 

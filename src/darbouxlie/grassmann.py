@@ -335,12 +335,6 @@ def ad_action(g: LieAlgebra, v: Sequence, w: MultiVector) -> MultiVector:
     return schouten(g, MultiVector.vector(g.dim, v), w)
 
 
-def ad_matrix(g: LieAlgebra, i: int, m: int) -> RatMatrix:
-    """Matrix of ad_{e_i} on Λ^m g in the canonical blade order: the
-    Leibniz extension of e_j -> [e_i, e_j] = sum_k c[i][j][k] e_k."""
-    return leibniz_matrix(g.c[i], m)
-
-
 def invariants(g: LieAlgebra, m: int) -> list[MultiVector]:
     """Basis of (Λ^m g)^g = {w : ad_{e_i}(w) = 0 for all i}: the kernel of
     the stacked ad_{e_i} matrices, built as integer rows on D·c

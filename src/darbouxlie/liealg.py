@@ -45,10 +45,6 @@ class LieAlgebra:
     name: str = ""
     params: dict = field(default_factory=dict, compare=False)
 
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """[e_i, e_j] as a coordinate vector."""
-        return self.c[i][j]
-
     @cached_property
     def int_table(self) -> tuple[int, tuple]:
         """D, the lcm of the denominators of the constants (1 if they are

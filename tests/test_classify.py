@@ -1,6 +1,8 @@
 """Golden-data loading and the classification verification harness."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -323,26 +325,80 @@ def _recorded_branches(stem, monkeypatch):
     return calls
 
 
-def test_verify_branch_clears_each_sample_point_once(monkeypatch):
-    """The locus test, the rank and the mCYBE test of a branch all read one
-    cleared form of each sample point."""
-    from darbouxlie import darboux, derivations, exactmath, yangbaxter
-    from darbouxlie.darboux import verify_branch
-    calls = _recorded_branches("s1", monkeypatch)
-    cleared = []
-    real = exactmath.clear_denominators
+def _clearing_counts(monkeypatch):
+    """From here on, clear_denominators counted in every module that calls
+    it, by the name of the calling function, and the candidate points
+    pushed to the samplers (``locus_sampler``) counted under "push"."""
+    from darbouxlie import (centerext, classify, darboux, derivations,
+                            exactmath, grassmann, liealg, yangbaxter)
+    real, real_sampler = exactmath.clear_denominators, darboux.locus_sampler
+    callers, pushes = Counter(), Counter()
 
     def counting(xs):
-        cleared.append(1)
+        callers[sys._getframe(1).f_code.co_name] += 1
         return real(xs)
 
-    for module in (darboux, derivations, exactmath, yangbaxter):
+    def sampler(branch):
+        out, push = real_sampler(branch)
+
+        def counted(pt):
+            pushes["push"] += 1
+            push(pt)
+        return out, counted
+
+    for module in (centerext, classify, darboux, derivations, exactmath,
+                   grassmann, liealg, yangbaxter):
         monkeypatch.setattr(module, "clear_denominators", counting)
+    for module in (classify, darboux):
+        monkeypatch.setattr(module, "locus_sampler", sampler)
+    return callers, pushes
+
+
+def test_verify_branch_clears_each_sample_point_once(monkeypatch):
+    """verify_branch clears no point: the locus test, the rank and the
+    mCYBE test all read the (den, q) that the sampler's push cleared each
+    sample point to."""
+    from darbouxlie.darboux import verify_branch
+    calls = _recorded_branches("s1", monkeypatch)
+    callers, _ = _clearing_counts(monkeypatch)
     for ctx, fields, branch, pts, cache in calls:
-        cleared.clear()
         rep = verify_branch(ctx, fields, branch, pts, family_cache=cache)
         assert rep.passed and rep.samples_checked == len(pts)
-        assert len(cleared) == len(pts), branch.label
+    assert not callers
+
+
+def test_check_runs_clear_each_candidate_point_once(monkeypatch):
+    """Over a whole tree check and a whole orbit-table check, each
+    candidate sample point is cleared once, by the push that tests it;
+    besides those, only polynomials, matrices and structure constants are
+    cleared, and in the orbit table each row's representative, once per
+    check of it and at the start of its merge walk."""
+    import darbouxlie.classify as classify
+    # the callers that clear polynomials, matrices and structure constants
+    not_points = {"__init__", "_integer_rows", "normalize_poly", "int_table"}
+    # the orbit-table checks of a row's representative
+    rep_checks = {"locus_contains", "orbit_dim", "is_mcybe_at", "schouten"}
+    callers, pushes = _clearing_counts(monkeypatch)
+    assert verify_tree("s1").passed
+    assert callers.pop("push") == pushes["push"] > 0
+    assert set(callers) <= not_points
+    callers.clear()
+    pushes.clear()
+    records = []
+    real = classify.expand_rows
+
+    def recording(fam, params):
+        recs = real(fam, params)
+        records.extend(recs)
+        return recs
+
+    monkeypatch.setattr(classify, "expand_rows", recording)
+    assert verify_orbit_table("s3").passed
+    assert callers.pop("push") == pushes["push"] > 0
+    assert 0 < callers.pop("_component_merge_gaps") <= len(records)
+    assert {name: callers.pop(name) for name in rep_checks} == \
+        dict.fromkeys(rep_checks, len(records))
+    assert set(callers) <= not_points
 
 
 def test_verify_branch_rejects_bad_points_as_before(monkeypatch):
@@ -351,26 +407,28 @@ def test_verify_branch_rejects_bad_points_as_before(monkeypatch):
     mCYBE's DimensionMismatch; a point too short for an equality raises
     MissingVariable from the locus test."""
     from darbouxlie.darboux import (BranchInvalid, locus_contains,
-                                    verify_branch)
+                                    rational_point, verify_branch)
     from darbouxlie.exactmath import MissingVariable
     from darbouxlie.liealg import DimensionMismatch
     ctx, fields, branch, pts, _ = next(
         c for c in _recorded_branches("s1", monkeypatch) if c[2].equalities)
-    p = pts[0]
-    off = next(q for i in range(len(p))
-               for q in [p[:i] + (p[i] + 1,) + p[i + 1:]]
-               if not locus_contains(branch, q))
+    den, q = pts[0]
+    # the point moved by 1 in one coordinate, as (den, q)
+    off = next(m for i in range(len(q))
+               for m in [(den, q[:i] + (q[i] + den,) + q[i + 1:])]
+               if not locus_contains(branch, rational_point(*m)))
     with pytest.raises(BranchInvalid, match="not in locus") as info:
         verify_branch(ctx, fields, branch, list(pts) + [off])
-    assert str(off) in str(info.value)
+    assert str(rational_point(*off)) in str(info.value)
     free = TreeBranch("free", [])
     with pytest.raises(ValueError, match="size mismatch") as info:
-        verify_branch(ctx, fields, free, [p + (0,)])
+        verify_branch(ctx, fields, free, [(den, q + (0,))])
     assert info.type is ValueError
     with pytest.raises(DimensionMismatch):
-        verify_branch(ctx, [], free, [p + (0,)])
+        verify_branch(ctx, [], free, [(den, q + (0,))])
     with pytest.raises(MissingVariable):
-        verify_branch(ctx, fields, TreeBranch("short", [x(5)]), [p[:5]])
+        verify_branch(ctx, fields, TreeBranch("short", [x(5)]),
+                      [(den, q[:5])])
 
 
 @pytest.mark.parametrize("stem", TREE_FILES)
@@ -407,10 +465,11 @@ def test_context_mcybe_matches_oracle_at_tree_branch_samples(stem,
     """ctx.is_mcybe_at agrees with is_mcybe_solution at every branch sample
     point of the tree, and at each point moved off it by adding 1 to one
     coordinate, so that both answers occur."""
+    from darbouxlie.darboux import rational_point
     from darbouxlie.yangbaxter import is_mcybe_solution
     seen = set()
     for ctx, _, _, pts, _ in _recorded_branches(stem, monkeypatch):
-        for p in pts:
+        for p in (rational_point(*s) for s in pts):
             for i in range(-1, len(p)):
                 q = p if i < 0 else p[:i] + (p[i] + 1,) + p[i + 1:]
                 want = is_mcybe_solution(ctx.g, q)
@@ -470,13 +529,16 @@ def _branch_sample_calls(monkeypatch):
 def test_sample_lists_match_the_list_based_rule(monkeypatch):
     """branch_samples on every branch of every shipped tree, and the sample
     points of every orbit row of s3, are the same lists, in the same order,
-    under the set-based rule of locus_sampler and the list-based rule."""
+    under the dict-based rule of locus_sampler (read back as Fractions) and
+    the list-based rule."""
     import darbouxlie.classify as classify
     import darbouxlie.darboux as darboux
-    from darbouxlie.darboux import branch_samples
+    from darbouxlie.darboux import branch_samples, rational_point
 
     calls, row_samples = _branch_sample_calls(monkeypatch)
-    got = ([branch_samples(*c) for c in calls], row_samples())
+    got = tuple([[rational_point(*p) for p in pts] for pts in lists]
+                for lists in ([branch_samples(*c) for c in calls],
+                              row_samples()))
     monkeypatch.setattr(darboux, "locus_sampler", _list_sampler)
     monkeypatch.setattr(classify, "locus_sampler", _list_sampler)
     want = ([branch_samples(*c) for c in calls], row_samples())

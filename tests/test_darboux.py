@@ -1,5 +1,6 @@
 """Darboux families, bricks, branch loci and flow invariance."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 certify_no_solutions, family_sum, find_bricks,
                                 flow_invariance, linear_solver,
                                 locus_contains, locus_sampler,
-                                verify_branch, verify_family,
+                                rational_point, verify_branch, verify_family,
                                 verify_family_auto)
 from darbouxlie import darboux
 from darbouxlie.classify import TREE_FILES, verify_tree
@@ -291,7 +292,7 @@ def test_locus_contains():
 def test_locus_sampler_tells_points_apart_by_their_denominator():
     """Points whose cleared numerators agree but whose denominators differ
     are different points; a repeat, in any exact spelling, is skipped, and
-    a point off the locus is dropped."""
+    a point off the locus is dropped.  Each point is kept as (den, q)."""
     out, push = locus_sampler(TreeBranch("c", [x(4)], [(x(0), ">")]))
     third = Fraction(1, 3)
     for pt in ([1, 2, 0, 0, 0, 0], [third, 2 * third, 0, 0, 0, 0],
@@ -299,9 +300,12 @@ def test_locus_sampler_tells_points_apart_by_their_denominator():
                [Fraction(2, 6), Fraction(2, 3), 0, 0, 0, 0],
                [1, 2, 0, 0, 1, 0], [1, 2, 0, 0, 0, 3]):
         push(pt)
-    assert out == [(1, 2, 0, 0, 0, 0), (third, 2 * third, 0, 0, 0, 0),
-                   (1, 2, 0, 0, 0, 3)]
-    assert all(isinstance(v, Fraction) for pt in out for v in pt)
+    assert list(out) == [(1, (1, 2, 0, 0, 0, 0)), (3, (1, 2, 0, 0, 0, 0)),
+                         (1, (1, 2, 0, 0, 0, 3))]
+    assert [rational_point(*p) for p in out] == [
+        (1, 2, 0, 0, 0, 0), (third, 2 * third, 0, 0, 0, 0), (1, 2, 0, 0, 0, 3)]
+    assert all(isinstance(v, Fraction)
+               for p in out for v in rational_point(*p))
 
 
 def test_verify_branch_s1(s1_fields):
@@ -321,9 +325,9 @@ def test_verify_branch_s1(s1_fields):
 def test_verify_branch_rejects_bad_sample(s1_fields):
     g = catalog("s1")
     branch = TreeBranch("I", [x(4)], [(x(0), "!=")])
-    with pytest.raises(BranchInvalid):
+    with pytest.raises(BranchInvalid, match="not in locus"):
         verify_branch(AlgebraContext(g), s1_fields, branch,
-                      [[0, 0, 0, 0, 1, 0]])
+                      [(1, (0, 0, 0, 0, 1, 0))])
 
 
 def test_certify_no_solutions_s1(s1_fields):
@@ -666,9 +670,9 @@ def test_locus_contains_short_point_raises_missing_variable():
 
 def test_tree_branch_int_forms_follow_its_polynomials():
     """A branch stores its polynomial lists as tuples, so changing the lists
-    it was built from does not change it, and assigning new ones drops the
-    cached ``int_forms``: ``locus_contains`` always tests the branch's
-    current polynomials."""
+    it was built from does not change it, and it refuses assignment: the
+    cached ``int_forms`` that ``locus_contains`` tests are always those of
+    the polynomials it was built with."""
     eqs, ineqs = [x(0)], [(x(1), ">")]
     branch = TreeBranch("b", eqs, ineqs)
     assert branch.equalities == (x(0),)
@@ -677,11 +681,13 @@ def test_tree_branch_int_forms_follow_its_polynomials():
     eqs.append(x(1) - 1)
     ineqs[0] = (x(1), "<")
     assert locus_contains(branch, [0, 1])
-    branch.equalities = [x(0), x(1) - 2]
-    assert branch.equalities == (x(0), x(1) - 2)
-    assert not locus_contains(branch, [0, 1])
-    assert locus_contains(branch, [0, 2])
-    branch.inequalities = [(x(1), "<")]
-    assert not locus_contains(branch, [0, 2])
+    for name, value in (("equalities", [x(0), x(1) - 2]),
+                        ("inequalities", [(x(1), "<")])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(branch, name, value)
+    assert branch.equalities == (x(0),)
+    assert branch.inequalities == ((x(1), ">"),)
+    assert locus_contains(branch, [0, 1])
+    assert not locus_contains(branch, [0, -1])
     assert locus_contains(TreeBranch("c", [x(1) - 2], [(x(0), "<")]),
                           [-1, 2])

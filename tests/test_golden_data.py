@@ -21,7 +21,7 @@ from darbouxlie.classify import (FAMILY_FILES, SCHOUTEN_TABLES, TREE_FILES,
                                  verify_orbit_table, verify_schouten_family,
                                  verify_tree)
 from darbouxlie.cli import main
-from darbouxlie.darboux import TreeBranch
+from darbouxlie.darboux import TreeBranch, rational_point
 from darbouxlie.exactmath import Poly, RatMatrix
 from darbouxlie.grassmann import MultiVector, lambda_matrix
 from darbouxlie.liealg import FAMILIES, catalog
@@ -367,7 +367,7 @@ def _fraction_merge_gaps(lifted, rec):
                 and all({"!=": v != 0, ">": v > 0, "<": v < 0}[op]
                         for v, op in values))
 
-    comps = dict.fromkeys(signature(p) for p in rec.samples)
+    comps = dict.fromkeys(signature(rational_point(*s)) for s in rec.samples)
     if not strict or len(comps) <= 1:
         return [], len(comps)
     start = rec.rep.coords()
@@ -427,7 +427,9 @@ def test_merge_walk_keeps_the_denominators():
         rec = expand_rows(load_family("s1"), {})[0]
         rec.branch = TreeBranch("c", [], [(Poly.var(5) - 1, "!=")])
         rec.rep = MultiVector.from_coords(4, 2, [0, 0, 0, 0, 0, rep])
-        rec.samples = [(0,) * 5 + (Fraction(v),) for v in (2, "1/2", 3)]
+        # the points x6 = 2, 1/2 and 3 as (den, q)
+        rec.samples = [(d, (0,) * 5 + (n,)) for d, n in ((1, 2), (2, 1),
+                                                         (1, 3))]
         assert classify._component_merge_gaps(lifted, rec) == want
         assert _fraction_merge_gaps(lifted, rec) == (want, 2)
 

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from darbouxlie.derivations import derivation_basis, lift
-from darbouxlie.grassmann import (MultiVector, ad_action, ad_matrix,
-                                  blade_name, blades, generic_rr,
-                                  indices_of, invariants, lambda_matrix,
-                                  schouten, wedge)
+from darbouxlie.grassmann import (MultiVector, ad_action, blade_name,
+                                  blades, generic_rr, indices_of, invariants,
+                                  lambda_matrix, leibniz_matrix, schouten,
+                                  wedge)
 from darbouxlie.exactmath import Poly, RatMatrix
 from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, bracket,
                                catalog, from_brackets)
@@ -275,14 +275,16 @@ def test_lift_and_ad_matrix_match_oracle_on_catalog(g):
         for d in derivation_basis(g):
             assert lift(d, m).matrix == _oracle_lift(d, m), (m, d)
         for i in range(g.dim):
-            assert ad_matrix(g, i, m) == _oracle_ad_matrix(g, i, m), (m, i)
+            assert leibniz_matrix(g.c[i], m) == _oracle_ad_matrix(g, i, m), \
+                (m, i)
 
 
 @pytest.mark.parametrize("g", RANDOM_ALGEBRAS, ids=lambda g: g.name)
 def test_ad_matrix_matches_oracle_on_random_algebras(g):
     for m in range(g.dim + 1):
         for i in range(g.dim):
-            assert ad_matrix(g, i, m) == _oracle_ad_matrix(g, i, m), (m, i)
+            assert leibniz_matrix(g.c[i], m) == _oracle_ad_matrix(g, i, m), \
+                (m, i)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -300,7 +302,7 @@ def test_lift_and_lambda_matrix_match_oracle_on_random_matrices(n):
     # the 1x1 maps on Λ^0 g = Q: a derivation kills 1, a linear map fixes it
     assert lift(T, 0).matrix == RatMatrix([[0]])
     assert lambda_matrix(T, 0) == RatMatrix([[1]])
-    assert ad_matrix(RANDOM_ALGEBRAS[n - 1], 0, 0) == RatMatrix([[0]])
+    assert leibniz_matrix(RANDOM_ALGEBRAS[n - 1].c[0], 0) == RatMatrix([[0]])
 
 
 @pytest.mark.parametrize("g", CATALOG + RANDOM_ALGEBRAS,

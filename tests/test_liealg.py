@@ -30,7 +30,7 @@ def test_catalog_brackets_s1():
     g = catalog("s1")
     assert bracket(g, E[1], E[3]) == (-1, 0, 0, 0)
     assert bracket(g, E[2], E[3]) == (0, 0, -1, 0)
-    assert g.bracket_basis(0, 1) == (0, 0, 0, 0)
+    assert g.c[0][1] == (0, 0, 0, 0)
 
 
 def test_catalog_brackets_s3_s6_n1():
@@ -213,7 +213,7 @@ def test_parse_algebra_roundtrip():
 
 def test_parse_algebra_rationals_and_errors():
     g = parse_algebra("dim 2\n[1,2] = 1/2*e1 + e2\n")
-    assert g.bracket_basis(0, 1) == (Fraction(1, 2), 1)
+    assert g.c[0][1] == (Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         parse_algebra("dim 2\n[1,3] = e1\n")
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 import darbouxlie.classify as classify
 import darbouxlie.derivations as derivations
 import darbouxlie.yangbaxter as yangbaxter
+from darbouxlie.darboux import rational_point
 from darbouxlie.derivations import derivation_basis, orbit_dim
 from darbouxlie.exactmath import (Poly, clear_denominators, rref, solve,
                                   span_contains)
@@ -509,8 +510,9 @@ def test_integer_point_checks_match_oracles_on_family_samples(stem):
         # neither answer) carry the special ranks and the mCYBE solutions
         points = _rational_points(rng, 6, 8)
         for rec in classify.expand_rows(fam, ps):
-            points += [_scaled(rng, p) for p in [rec.rep.coords(),
-                                                 *rec.samples[:4]]]
+            points += [_scaled(rng, p) for p in [
+                rec.rep.coords(),
+                *(rational_point(*s) for s in rec.samples[:4])]]
         mc, ranks = _assert_integer_checks_match_oracles(ctx, points)
         seen_mcybe |= mc
         seen_ranks |= ranks
