@@ -327,6 +327,47 @@ def test_messages_print_sample_points_as_fractions(tmp_path, monkeypatch):
                       "Fraction(0, 1)) not in locus")
 
 
+S1_I_MINUS = ("orbit I-    : dim=1 star=no rep=-e12 x1=- x2=0 x3=0 x4=0 "
+              "x5=0 x6=0")
+S1_II = "orbit II    : dim=1 star=no rep=e13 x1=0 x2=* x3=0 x4=0 x5=0 x6=0"
+S1_VI = "orbit VI    : dim=3 star=no rep=e14 x1=. x2=. x3=* x4=0 x5=0 x6=0"
+
+
+def test_representative_checks_report_every_problem_in_order(tmp_path,
+                                                             monkeypatch):
+    """Each check of a row's representative, failed on its own row of an
+    edited s1 file: I+ with a representative off its locus, I- with the
+    wrong orbit dimension (the representative, the first sample, then
+    fails the rank check too), II with the wrong star mark, and VI with a
+    representative off the mCYBE (x5 loosened, dimension 4 so that the
+    rank check passes: the representative fails as the first sample, as
+    itself and through the CYBE test behind the star mark)."""
+    _edited_copy(tmp_path, monkeypatch, "families/s1.txt",
+                 (S1_I_PLUS, S1_I_PLUS.replace("rep=e12", "rep=-e12")),
+                 (S1_I_MINUS, S1_I_MINUS.replace("dim=1", "dim=2")),
+                 (S1_II, S1_II.replace("star=no", "star=yes")),
+                 (S1_VI, S1_VI.replace("dim=3", "dim=4")
+                  .replace("rep=e14", "rep=e14+e24").replace("x5=0", "x5=.")))
+    point = ("(" + ", ".join(f"Fraction({x}, 1)" for x in (0, 0, 1, 0, 1, 0))
+             + ")")
+    problems = {r.label: r.problems
+                for r in verify_orbit_table("s1").rows if r.problems}
+    assert problems == {
+        "I+": ["representative violates its own constraints"],
+        "I-": ["orbit dim 1 != expected 2",
+               "rank at (Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1), "
+               "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)) != 2"],
+        "II": ["star mark inconsistent with the CYBE test"],
+        "VI": [f"sample {point} fails the mCYBE",
+               "representative fails the mCYBE",
+               "star mark inconsistent with the CYBE test"]}
+    code, out = run_cli(*S1_TABLES)
+    assert code == 1
+    assert [line.strip() for line in out.splitlines()
+            if line.startswith("      ")] == [
+        msg for label in ("I+", "I-", "II", "VI") for msg in problems[label]]
+
+
 def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
                                                       capsys):
     # without T(+,-) and T(-,-) nothing maps x6 > 0 to x6 < 0 on the rows
