@@ -25,8 +25,8 @@ from typing import Iterator, Optional, Sequence
 
 from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
                       branch_samples, certify_no_solutions, find_bricks,
-                      linear_solver, locus_contains, locus_contains_ints,
-                      locus_sampler, rational_point, verify_branch)
+                      linear_solver, locus_contains_ints, locus_sampler,
+                      rational_point, verify_branch)
 # rank_at stays importable from here: perfbench's tracer wraps it by name
 from .derivations import _rank_at_ints, rank_at  # noqa: F401
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
@@ -444,28 +444,41 @@ TREE_FILES = ["s1", "s2", "s3", "s311", "s4", "s5", "s6", "s7", "s8",
 
 @dataclass
 class OrbitRecord:
-    """One orbit-table row at fixed parameters.  Its sample points are
-    built on first use of ``samples``, each as (den, q) (``locus_sampler``):
-    only the orbit-table check reads them."""
+    """One orbit-table row at fixed parameters.  Its locus (``branch``),
+    the representative as (den, q) (``rep_point``) and its sample points
+    (``samples``, each as (den, q), ``locus_sampler``) are built on first
+    use: only the orbit-table check reads them."""
 
     label: str
     rep: MultiVector
     dim: int
-    branch: TreeBranch
     star: bool
     row: OrbitRow = field(repr=False)
     env: dict = field(repr=False)
 
     @cached_property
+    def branch(self) -> TreeBranch:
+        return _row_branch(self.label, self.row, self.env)
+
+    @cached_property
+    def rep_point(self) -> tuple[int, tuple[int, ...]]:
+        """The representative cleared once, as (den, q)."""
+        den, q = clear_denominators(self.rep.coords())
+        return den, tuple(q)
+
+    @cached_property
     def samples(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The representative first, when it lies on its locus, then the
+        row's listed samples and its role grid, each as (den, q)."""
         row, env = self.row, self.env
         out, push = locus_sampler(self.branch)
-        push(self.rep.coords())
+        den, q = self.rep_point
+        push(q, den)
         for s in row.samples:
-            push([Fraction(e(env)) for e in s])
+            push([e(env) for e in s])
 
         roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
-        grid_axes = [(i, [Fraction(v) for v in _ROLE_GRID[val]])
+        grid_axes = [(i, _ROLE_GRID[val])
                      for i, val in enumerate(roles) if val in _ROLE_GRID]
         expr_coords = {int(k[1:]) - 1: v.poly(env)
                        for k, v in row.coords.items()
@@ -485,7 +498,7 @@ class OrbitRecord:
             if count > 400 or len(out) > 24:
                 break
             count += 1
-            pt = [Fraction(0)] * NVARS
+            pt = [0] * NVARS
             for i, v in zip(idxs, combo):
                 pt[i] = v
             for i, expr in expr_coords.items():
@@ -525,11 +538,10 @@ def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
             env = {**sp, **binding}
             if not row.cond(env):
                 continue
-            branch = _row_branch(label, row, env)
             star = row.star if isinstance(row.star, bool) else row.star(env)
             records.append(OrbitRecord(
-                label=label, rep=row.rep.mv(env), dim=row.dim, branch=branch,
-                star=star, row=row, env=env))
+                label=label, rep=row.rep.mv(env), dim=row.dim, star=star,
+                row=row, env=env))
     return records
 
 
@@ -596,32 +608,41 @@ def verify_orbit_table(stem: str) -> TableReport:
             errata = []
             if rec.row.papernote:
                 errata.append(rec.row.papernote)
-            if not locus_contains(rec.branch, rec.rep.coords()):
+            # the representative is checked once: samples lists it first
+            # exactly when it lies on its locus, and its rank and mCYBE
+            # verdict serve both its own checks and its sample entry
+            samples = rec.samples
+            on_locus = samples[:1] == [rec.rep_point]
+            if not on_locus:
                 problems.append("representative violates its own constraints")
-            d = ctx.orbit_dim(rec.rep)
+            rep_q = rec.rep_point[1]
+            d = _rank_at_ints(ctx.field_columns, rep_q)
+            rep_mcybe = ctx._is_mcybe_ints(rep_q)
             if d != rec.dim:
                 problems.append(f"orbit dim {d} != expected {rec.dim}")
             if rec.row.paperdim not in (None, rec.dim):
                 errata.append(f"printed dim {rec.row.paperdim}, "
                               f"verified {rec.dim}")
-            if not rec.samples:
+            if not samples:
                 problems.append("no usable sample points")
-            for den, q in rec.samples:
-                if _rank_at_ints(ctx.field_columns, q) != rec.dim:
+            for k, (den, q) in enumerate(samples):
+                is_rep = on_locus and not k
+                if (d if is_rep else
+                        _rank_at_ints(ctx.field_columns, q)) != rec.dim:
                     problems.append(f"rank at {rational_point(den, q)} "
                                     f"!= {rec.dim}")
                     break
-                if not ctx._is_mcybe_ints(q):
+                if not (rep_mcybe if is_rep else ctx._is_mcybe_ints(q)):
                     problems.append(f"sample {rational_point(den, q)} "
                                     "fails the mCYBE")
                     break
-            if not ctx.is_mcybe_at(rec.rep):
+            if not rep_mcybe:
                 problems.append("representative fails the mCYBE")
             if is_cybe_solution(g, rec.rep) != (not rec.star):
                 problems.append("star mark inconsistent with the CYBE test")
             rows.append(RowResult(label=rec.label, params=dict(ps),
                                   ok=not problems, problems=problems,
-                                  errata=errata, dims_checked=len(rec.samples)))
+                                  errata=errata, dims_checked=len(samples)))
             if not problems:
                 miss = _component_merge_gaps(lifted, rec)
                 if miss:
@@ -651,7 +672,7 @@ def _component_merge_gaps(lifted: Sequence[RatMatrix],
     comps = dict.fromkeys(signature(den, q) for den, q in rec.samples)
     if len(comps) <= 1:
         return []
-    start = clear_denominators(rec.rep.coords())
+    start = rec.rep_point
     reached = {signature(*start)}
     frontier = [start]
     forms = [L._integer_form() for L in lifted]
@@ -1045,8 +1066,7 @@ def verify_tree(stem: str) -> TreeReport:
                     label=blabel, equalities=[e.poly(env) for e in eqs],
                     inequalities=[(e.poly(env), "!=") for e in ineqs],
                     expected_dim=meta["dim"])
-                extra = [[Fraction(e(env)) for e in s]
-                         for s in meta["samples"]]
+                extra = [[e(env) for e in s] for s in meta["samples"]]
                 if kind == "nosol":
                     cert = certify_no_solutions(branch, msys, NVARS)
                     if cert is None:

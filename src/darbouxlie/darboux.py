@@ -298,14 +298,24 @@ def locus_sampler(branch: TreeBranch):
     when it is new and lies on the branch's locus.  ``push`` takes the
     point in any exact form and keeps it as ``clear_denominators`` gives
     it, (den, q) with q a tuple of ints: canonical, because den is the lcm
-    of the reduced denominators.  The points are the dict's keys, in the
-    order they were accepted, so a repeat skips the locus test."""
+    of the reduced denominators.  A point of ints is that form with
+    den = 1; otherwise ints and Fractions are cleared as they are, and
+    only other forms go through ``rat``.  A point already in that form is
+    pushed as ``push(q, den)`` and not cleared again.  The points are the
+    dict's keys, in the order they were accepted, so a repeat skips the
+    locus test."""
     out: dict[tuple[int, tuple[int, ...]], None] = {}
 
-    def push(pt: Sequence) -> None:
-        den, q = clear_denominators(map(rat, pt))
-        key = (den, tuple(q))
-        if key not in out and locus_contains_ints(branch, q, den):
+    def push(pt: Sequence, den: Optional[int] = None) -> None:
+        if den is None:
+            if all(type(x) is int for x in pt):
+                den = 1
+            else:
+                den, pt = clear_denominators(
+                    x if isinstance(x, (int, Fraction)) else rat(x)
+                    for x in pt)
+        key = (den, tuple(pt))
+        if key not in out and locus_contains_ints(branch, pt, den):
             out[key] = None
 
     return out, push
@@ -391,9 +401,9 @@ def branch_samples(branch: TreeBranch, nvars: int,
               + sorted(v for v in free if v not in solved_vars))
     active = [v for v in active if v < nvars]
     for combo in itertools.product([-1, 1, 2, -2, 0], repeat=min(len(active), 4)):
-        base = [Fraction(0)] * nvars
+        base = [0] * nvars
         for v, val in zip(active[:4], combo):
-            base[v] = Fraction(val)
+            base[v] = val
         for v0, solve in solve_for:
             x = solve(base)
             if x is not None:
@@ -527,7 +537,7 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     of degree <= COFACTOR_DEGREE_BOUND) on the branch's open set, the field
     rank is constant across samples and equals the expected stratum
     dimension (when recorded), and every sample solves the mCYBE
-    (``ctx.is_mcybe_at``).  Each sample is the point q/den given as
+    (``ctx._is_mcybe_ints``).  Each sample is the point q/den given as
     (den, q), ints with den > 0, as ``branch_samples`` gives it; the three
     point checks read those ints, and a ``family_cache`` lookup compares
     ints only (``_family_key``).

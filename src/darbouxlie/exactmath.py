@@ -263,8 +263,10 @@ def _as_poly(x) -> Poly:
     raise TypeError(f"cannot coerce {x!r} to Poly")
 
 
-def clear_denominators(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """The lcm d of the denominators of xs (1 for none) and the ints d*x."""
+def clear_denominators(xs: Iterable[Fraction | int]
+                       ) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of xs, Fractions or ints (1 for
+    none), and the ints d*x."""
     xs = list(xs)
     d = lcm(*(x.denominator for x in xs))
     return d, [x.numerator * (d // x.denominator) for x in xs]
@@ -433,9 +435,6 @@ class RatMatrix:
         c = rat(c)
         return RatMatrix([[a * c for a in r] for r in self.entries], self.cols)
 
-    def commutator(self, other: "RatMatrix") -> "RatMatrix":
-        return self.matmul(other) - other.matmul(self)
-
     def is_zero(self) -> bool:
         return all(not x for r in self.entries for x in r)
 
@@ -479,9 +478,11 @@ def _primitive(row: SparseRow) -> SparseRow:
 
 
 def _cancel(row: SparseRow, p: SparseRow, c: int) -> SparseRow:
-    """``a*row - b*p``, with a/b = p[c]/row[c] in lowest terms, divided by
-    its content: the integer row that clears column c of ``row`` against
-    ``p``, with the entries that cancel dropped."""
+    """``a*row - b*p``, with a/b = p[c]/row[c] in lowest terms: the integer
+    row that clears column c of ``row`` against ``p``, with the entries
+    that cancel dropped.  Its content is not divided out; scaling ``row``
+    by k > 0 scales the result by a positive rational, so the primitive
+    row of the result does not change."""
     g = gcd(p[c], row[c])
     a, b = p[c] // g, row[c] // g
     new = {j: a * x for j, x in row.items()}
@@ -491,7 +492,7 @@ def _cancel(row: SparseRow, p: SparseRow, c: int) -> SparseRow:
             new[j] = x
         else:
             del new[j]
-    return _primitive(new)
+    return new
 
 
 def int_echelon(rows: Iterable, ncols: float = inf,
@@ -500,15 +501,15 @@ def int_echelon(rows: Iterable, ncols: float = inf,
     fractions: pivot column -> pivot row, primitive (content 1).
 
     Each row is reduced against the pivot row at its smallest column
-    (``_cancel``) until it vanishes or leads with a new pivot column.
-    Pivots are taken only in columns < ncols: a row reduced to entries in
-    columns >= ncols alone is no pivot, and its columns are added to
-    ``spilled``.  Without spills, the pivot rows span the input's rational
-    row space and there are rank-many of them.  The input rows are not
-    modified; a pivot row may be one of them."""
+    (``_cancel``) until it vanishes or leads with a new pivot column; it is
+    made primitive only then, when it becomes a pivot.  Pivots are taken
+    only in columns < ncols: a row reduced to entries in columns >= ncols
+    alone is no pivot, and its columns are added to ``spilled``.  Without
+    spills, the pivot rows span the input's rational row space and there
+    are rank-many of them.  The input rows are not modified; a pivot row
+    may be one of them."""
     pivots: dict[int, SparseRow] = {}
     for row in rows:
-        row = _primitive(row)
         while row:
             c = min(row)
             p = pivots.get(c)
@@ -516,7 +517,7 @@ def int_echelon(rows: Iterable, ncols: float = inf,
                 if c >= ncols:
                     spilled.update(row)
                 else:
-                    pivots[c] = row
+                    pivots[c] = _primitive(row)
                 break
             row = _cancel(row, p, c)
     return pivots
@@ -529,15 +530,18 @@ def _gauss_jordan(rows: Iterable, ncols: float = inf,
     pivot order, as Fractions with leading entry 1, and their pivot
     columns, pivots only in columns < ncols (see ``int_echelon``).  Back
     substitution runs from the last pivot up in ``int`` arithmetic, so
-    each row is cleared against rows that are already fully reduced, and
-    only the rows returned are divided by their leading entries."""
+    each row is cleared against rows that are already fully reduced and
+    primitive, and only the rows returned are divided by their leading
+    entries."""
     pivots = int_echelon(rows, ncols, spilled)
     cols = sorted(pivots)
     for c in reversed(cols):
         row = pivots[c]
-        for j in [j for j in row if j != c and j in pivots]:
+        reduce = [j for j in row if j != c and j in pivots]
+        for j in reduce:
             row = _cancel(row, pivots[j], j)
-        pivots[c] = row
+        if reduce:
+            pivots[c] = _primitive(row)
     return [{j: Fraction(x, pivots[c][c]) for j, x in pivots[c].items()}
             for c in cols], cols
 
@@ -655,13 +659,6 @@ def poly_rref_contains(basis: Sequence[Poly], p: Poly) -> bool:
                 else:
                     del rest[m]
     return not rest
-
-
-def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
-    """Whether vector v lies in the span of the given row vectors."""
-    rows = [_int_row({j: x for j, x in enumerate(map(rat, r)) if x})
-            for r in [*basis, v]]
-    return len(int_echelon(rows)) == len(int_echelon(rows[:-1]))
 
 
 # ---------------------------------------------------------------------------

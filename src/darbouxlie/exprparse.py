@@ -177,6 +177,3 @@ def compile_condition(s: str) -> Callable[[dict], bool]:
                                for ne, lhs, rhs in clause)
                            for clause in clauses)
 
-
-def parse_condition(s: str, params: dict[str, Fraction]) -> bool:
-    return compile_condition(s)({k: Fraction(v) for k, v in params.items()})

@@ -28,7 +28,7 @@ from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
                         rat)
 from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
                         invariants, schouten)
-from .liealg import DimensionMismatch, LieAlgebra, bracket
+from .liealg import DimensionMismatch, LieAlgebra
 
 #: an r-matrix: coordinates on Λ²g in blade order, or the bivector itself
 RMatrix = Union[Sequence, MultiVector]
@@ -181,22 +181,6 @@ def cocommutator(g: LieAlgebra, r: RMatrix, v: Sequence) -> MultiVector:
         warnings.warn("cocommutator of a non-mCYBE bivector: the induced "
                       "bracket on the dual fails co-Jacobi", stacklevel=2)
     return ad_action(g, v, rv)
-
-
-def cocycle_defect(g: LieAlgebra, r: RMatrix, i: int, j: int) -> MultiVector:
-    """delta([e_i,e_j]) - [e_i, delta(e_j)] - [delta(e_i), e_j]; zero for
-    every basis pair iff delta_r is a 1-cocycle."""
-    rv = as_bivector(g, r)
-    ei = [1 if k == i else 0 for k in range(g.dim)]
-    ej = [1 if k == j else 0 for k in range(g.dim)]
-    d_i = ad_action(g, ei, rv)
-    d_j = ad_action(g, ej, rv)
-    lhs = ad_action(g, bracket(g, ei, ej), rv)
-    # [e_i, delta(e_j)] + [delta(e_i), e_j]; the Schouten bracket of a
-    # bivector with a vector picks up the graded-symmetry sign
-    t1 = schouten(g, MultiVector.vector(g.dim, ei), d_j)
-    t2 = schouten(g, d_i, MultiVector.vector(g.dim, ej))
-    return lhs - t1 - t2
 
 
 def quotient_class(g: LieAlgebra, r: RMatrix) -> tuple[Fraction, ...]:

@@ -328,7 +328,9 @@ def _recorded_branches(stem, monkeypatch):
 def _clearing_counts(monkeypatch):
     """From here on, clear_denominators counted in every module that calls
     it, by the name of the calling function, and the candidate points
-    pushed to the samplers (``locus_sampler``) counted under "push"."""
+    pushed to the samplers (``locus_sampler``) counted under "pushed", and
+    those among them to be cleared there (not given as (den, q) and not
+    already ints) under "push"."""
     from darbouxlie import (centerext, classify, darboux, derivations,
                             exactmath, grassmann, liealg, yangbaxter)
     real, real_sampler = exactmath.clear_denominators, darboux.locus_sampler
@@ -341,9 +343,11 @@ def _clearing_counts(monkeypatch):
     def sampler(branch):
         out, push = real_sampler(branch)
 
-        def counted(pt):
-            pushes["push"] += 1
-            push(pt)
+        def counted(pt, den=None):
+            pushes["pushed"] += 1
+            pushes["push"] += den is None and any(type(x) is not int
+                                                  for x in pt)
+            push(pt, den)
         return out, counted
 
     for module in (centerext, classify, darboux, derivations, exactmath,
@@ -369,15 +373,17 @@ def test_verify_branch_clears_each_sample_point_once(monkeypatch):
 
 def test_check_runs_clear_each_candidate_point_once(monkeypatch):
     """Over a whole tree check and a whole orbit-table check, each
-    candidate sample point is cleared once, by the push that tests it;
-    besides those, only polynomials, matrices and structure constants are
-    cleared, and in the orbit table each row's representative, once per
-    check of it and at the start of its merge walk."""
+    candidate sample point that is not already a point of ints is cleared
+    once, by the push that tests it; besides those, only polynomials, matrices and structure constants are
+    cleared, and in the orbit table each row's representative, once for
+    all its checks and its merge walk (``rep_point``) and once more by the
+    Schouten bracket of the CYBE test.  The orbit table counts one rank
+    per sample point: the representative's serves its orbit dimension and
+    its sample entry."""
     import darbouxlie.classify as classify
+    from darbouxlie import yangbaxter
     # the callers that clear polynomials, matrices and structure constants
     not_points = {"__init__", "_integer_rows", "normalize_poly", "int_table"}
-    # the orbit-table checks of a row's representative
-    rep_checks = {"locus_contains", "orbit_dim", "is_mcybe_at", "schouten"}
     callers, pushes = _clearing_counts(monkeypatch)
     assert verify_tree("s1").passed
     assert callers.pop("push") == pushes["push"] > 0
@@ -385,20 +391,28 @@ def test_check_runs_clear_each_candidate_point_once(monkeypatch):
     callers.clear()
     pushes.clear()
     records = []
-    real = classify.expand_rows
+    real, real_rank = classify.expand_rows, classify._rank_at_ints
+    ranks = Counter()
 
     def recording(fam, params):
         recs = real(fam, params)
         records.extend(recs)
         return recs
 
+    def counted_rank(cols, q):
+        ranks["rank"] += 1
+        return real_rank(cols, q)
+
     monkeypatch.setattr(classify, "expand_rows", recording)
+    for module in (classify, yangbaxter):
+        monkeypatch.setattr(module, "_rank_at_ints", counted_rank)
     assert verify_orbit_table("s3").passed
-    assert callers.pop("push") == pushes["push"] > 0
-    assert 0 < callers.pop("_component_merge_gaps") <= len(records)
-    assert {name: callers.pop(name) for name in rep_checks} == \
-        dict.fromkeys(rep_checks, len(records))
+    assert callers.pop("push", 0) == pushes["push"]
+    assert pushes["pushed"] > 0
+    assert {name: callers.pop(name) for name in ("rep_point", "schouten")} \
+        == dict.fromkeys(("rep_point", "schouten"), len(records))
     assert set(callers) <= not_points
+    assert ranks["rank"] == sum(len(rec.samples) for rec in records) > 0
 
 
 def test_verify_branch_rejects_bad_points_as_before(monkeypatch):
@@ -485,8 +499,8 @@ def _list_sampler(branch):
     from darbouxlie.exactmath import rat
     out = []
 
-    def push(pt):
-        pt = tuple(rat(x) for x in pt)
+    def push(pt, den=1):
+        pt = tuple(rat(x) / den for x in pt)
         if locus_contains(branch, pt) and pt not in out:
             out.append(pt)
 

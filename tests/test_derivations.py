@@ -9,9 +9,10 @@ from darbouxlie.derivations import (LinearVectorField, _rank_at_ints,
                                     derivation_basis, field_columns,
                                     fundamental_fields, lift, orbit_dim,
                                     rank_at, vf_apply)
-from darbouxlie.exactmath import Poly, RatMatrix, rank, span_contains
+from darbouxlie.exactmath import Poly, RatMatrix, rank
 from darbouxlie.grassmann import MultiVector, blades, wedge
 from darbouxlie.liealg import FAMILIES, abelian, catalog
+from oracles import commutator, span_contains
 
 x = Poly.var
 
@@ -75,7 +76,7 @@ def test_derivation_closure_under_commutator():
         basis = [d.flat() for d in ders]
         for a in ders:
             for b in ders:
-                assert span_contains(basis, a.commutator(b).flat()), fam
+                assert span_contains(basis, commutator(a, b).flat()), fam
 
 
 def test_lift_identity_and_zero():

@@ -14,7 +14,8 @@ from darbouxlie.exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
                                   kernel_basis, mono_key, monomials_up_to,
                                   normalize_poly, poly_rref,
                                   poly_rref_contains, rank, rref,
-                                  row_space_equal, solve, span_contains)
+                                  row_space_equal, solve)
+from oracles import span_contains
 
 x = Poly.var
 
@@ -673,3 +674,113 @@ def test_int_echelon_matches_rank(sp, seed, nrows, ncols, density):
         assert all(type(v) is int for v in r.values())
     dense = [[r.get(j, 0) for j in range(ncols)] for r in pivots.values()]
     assert sym(sp, dense + rows, ncols).rank() == want
+
+
+def _old_primitive(row):
+    g = gcd(*row.values())
+    return row if g < 2 else {j: v // g for j, v in row.items()}
+
+
+def _old_cancel(row, p, c):
+    """The cancel step that divides out the content after every step."""
+    g = gcd(p[c], row[c])
+    a, b = p[c] // g, row[c] // g
+    new = {j: a * v for j, v in row.items()}
+    for j, y in p.items():
+        v = new.get(j, 0) - b * y
+        if v:
+            new[j] = v
+        else:
+            del new[j]
+    return _old_primitive(new)
+
+
+def _old_int_echelon(rows, ncols=float("inf"), spilled=None):
+    """Forward elimination with every row kept primitive, the reference
+    for ``int_echelon``, which makes only its pivot rows primitive."""
+    pivots = {}
+    for row in rows:
+        row = _old_primitive(row)
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                if c >= ncols:
+                    spilled.update(row)
+                else:
+                    pivots[c] = row
+                break
+            row = _old_cancel(row, p, c)
+    return pivots
+
+
+def _old_gauss_jordan(rows, ncols=float("inf"), spilled=None):
+    pivots = _old_int_echelon(rows, ncols, spilled)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            row = _old_cancel(row, pivots[j], j)
+        pivots[c] = row
+    return [{j: Fraction(v, pivots[c][c]) for j, v in pivots[c].items()}
+            for c in cols], cols
+
+
+def big_int_rows(seed):
+    """Seeded integer SparseRows, up to 12 x 16 with entries up to 10^6
+    in absolute value; every other seed repeats a combination of two rows
+    (rank deficiency), and every third scales a row by a common factor."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 12), rng.randint(1, 16)
+    density = rng.choice([0.15, 0.4, 1.0])
+    rows = [{j: rng.randint(-10 ** 6, 10 ** 6) for j in range(ncols)
+             if rng.random() < density} for _ in range(nrows)]
+    if seed % 2 and nrows > 2:
+        rows[-1] = {j: 3 * rows[0].get(j, 0) - 5 * rows[1].get(j, 0)
+                    for j in range(ncols)}
+    if seed % 3 == 0:
+        rows[0] = {j: 12 * v for j, v in rows[0].items()}
+    return [{j: v for j, v in r.items() if v} for r in rows], ncols
+
+
+def test_pivot_only_content_keeps_the_old_pivots():
+    """``int_echelon`` and ``_gauss_jordan`` give the same pivot rows, the
+    same reduced rows and the same spilled columns as the elimination that
+    makes every intermediate row primitive, with and without a column
+    limit ``ncols``; so do the same rows scaled by positive factors.  The
+    input rows are left as they were."""
+    spills = 0
+    for seed in range(60):
+        rows, ncols = big_int_rows(seed)
+        before = [dict(r) for r in rows]
+        scaled = [{j: (k % 4 + 1) * v for j, v in r.items()}
+                  for k, r in enumerate(rows)]
+        for limit in (float("inf"), random.Random(seed).randint(0, ncols)):
+            want_spilled = set()
+            want = _old_int_echelon(rows, limit, want_spilled)
+            for given_rows in (rows, scaled):
+                got_spilled = set()
+                assert exactmath.int_echelon(given_rows, limit,
+                                             got_spilled) == want
+                assert got_spilled == want_spilled
+                got_spilled = set()
+                assert exactmath._gauss_jordan(given_rows, limit,
+                                               got_spilled) == \
+                    _old_gauss_jordan(rows, limit, set())
+                assert got_spilled == want_spilled
+            spills += bool(want_spilled)
+        assert rows == before
+    assert spills >= 10
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_gauss_jordan_matches_sympy_on_large_entries(sp, seed):
+    """The reduced rows and pivot columns of ``_gauss_jordan`` on the
+    large-entry integer rows are sympy's rref, zero rows dropped."""
+    rows, ncols = big_int_rows(seed)
+    red, pivots = exactmath._gauss_jordan(rows)
+    sred, spivots = sp.Matrix([[r.get(j, 0) for j in range(ncols)]
+                               for r in rows]).rref()
+    assert pivots == list(spivots)
+    assert [[r.get(j, 0) for j in range(ncols)] for r in red] == [
+        [to_fraction(v) for v in sred.row(i)] for i in range(len(pivots))]

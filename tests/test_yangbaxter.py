@@ -12,19 +12,18 @@ import darbouxlie.derivations as derivations
 import darbouxlie.yangbaxter as yangbaxter
 from darbouxlie.darboux import rational_point
 from darbouxlie.derivations import derivation_basis, orbit_dim
-from darbouxlie.exactmath import (Poly, clear_denominators, rref, solve,
-                                  span_contains)
+from darbouxlie.exactmath import Poly, clear_denominators, rref, solve
 from darbouxlie.grassmann import MultiVector, blades, invariants, schouten
 from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, bracket,
                                catalog, from_brackets, parse_algebra)
 from darbouxlie.yangbaxter import (AlgebraContext, NecessaryReport,
                                    NotAnAutomorphism, bilinear_matrix,
-                                   cocommutator, cocycle_defect,
-                                   is_automorphism, is_cybe_solution,
-                                   is_mcybe_solution, necessary_checks,
-                                   quotient_class, same_coboundary,
-                                   yb_system)
+                                   cocommutator, is_automorphism,
+                                   is_cybe_solution, is_mcybe_solution,
+                                   necessary_checks, quotient_class,
+                                   same_coboundary, yb_system)
 from darbouxlie.exactmath import RatMatrix
+from oracles import cocycle_defect, span_contains
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
