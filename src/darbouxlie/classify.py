@@ -608,9 +608,8 @@ def verify_orbit_table(stem: str) -> TableReport:
             errata = []
             if rec.row.papernote:
                 errata.append(rec.row.papernote)
-            # the representative is checked once: samples lists it first
-            # exactly when it lies on its locus, and its rank and mCYBE
-            # verdict serve both its own checks and its sample entry
+            # samples leads with the representative exactly when it lies on
+            # its locus; its rank and mCYBE verdict serve its sample entry
             samples = rec.samples
             on_locus = samples[:1] == [rec.rep_point]
             if not on_locus:

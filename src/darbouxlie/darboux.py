@@ -296,12 +296,10 @@ def locus_contains_ints(branch: TreeBranch, q: Sequence[int],
 def locus_sampler(branch: TreeBranch):
     """An empty dict of sample points and the function that adds a point
     when it is new and lies on the branch's locus.  ``push`` takes the
-    point in any exact form and keeps it as ``clear_denominators`` gives
-    it, (den, q) with q a tuple of ints: canonical, because den is the lcm
-    of the reduced denominators.  A point of ints is that form with
-    den = 1; otherwise ints and Fractions are cleared as they are, and
-    only other forms go through ``rat``.  A point already in that form is
-    pushed as ``push(q, den)`` and not cleared again.  The points are the
+    point in any exact form, or as ``push(q, den)`` when it is cleared
+    already, and keeps it as ``clear_denominators`` gives it, (den, q)
+    with q a tuple of ints: canonical, because den is the lcm of the
+    reduced denominators (1 for a point of ints).  The points are the
     dict's keys, in the order they were accepted, so a repeat skips the
     locus test."""
     out: dict[tuple[int, tuple[int, ...]], None] = {}

@@ -537,11 +537,9 @@ def _gauss_jordan(rows: Iterable, ncols: float = inf,
     cols = sorted(pivots)
     for c in reversed(cols):
         row = pivots[c]
-        reduce = [j for j in row if j != c and j in pivots]
-        for j in reduce:
+        for j in [j for j in row if j != c and j in pivots]:
             row = _cancel(row, pivots[j], j)
-        if reduce:
-            pivots[c] = _primitive(row)
+        pivots[c] = _primitive(row)
     return [{j: Fraction(x, pivots[c][c]) for j, x in pivots[c].items()}
             for c in cols], cols
 

@@ -374,12 +374,12 @@ def test_verify_branch_clears_each_sample_point_once(monkeypatch):
 def test_check_runs_clear_each_candidate_point_once(monkeypatch):
     """Over a whole tree check and a whole orbit-table check, each
     candidate sample point that is not already a point of ints is cleared
-    once, by the push that tests it; besides those, only polynomials, matrices and structure constants are
-    cleared, and in the orbit table each row's representative, once for
-    all its checks and its merge walk (``rep_point``) and once more by the
-    Schouten bracket of the CYBE test.  The orbit table counts one rank
-    per sample point: the representative's serves its orbit dimension and
-    its sample entry."""
+    once, by the push that tests it; besides those, only polynomials,
+    matrices and structure constants are cleared, and in the orbit table
+    each row's representative, once for all its checks and its merge walk
+    (``rep_point``) and once more by the Schouten bracket of the CYBE
+    test.  The orbit table counts one rank per sample point: the
+    representative's serves its orbit dimension and its sample entry."""
     import darbouxlie.classify as classify
     from darbouxlie import yangbaxter
     # the callers that clear polynomials, matrices and structure constants
