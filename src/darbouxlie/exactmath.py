@@ -263,8 +263,7 @@ def _as_poly(x) -> Poly:
     raise TypeError(f"cannot coerce {x!r} to Poly")
 
 
-def clear_denominators(xs: Iterable[Fraction | int]
-                       ) -> tuple[int, list[int]]:
+def clear_denominators(xs: Iterable) -> tuple[int, list[int]]:
     """The lcm d of the denominators of xs, Fractions or ints (1 for
     none), and the ints d*x."""
     xs = list(xs)
