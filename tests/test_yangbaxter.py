@@ -1,5 +1,6 @@
 """Yang-Baxter systems, solution predicates, cocommutators, quotients."""
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -627,3 +628,31 @@ def test_reduce_system_matches_the_elimination_by_rounds():
         if any(p.degree() == 1 and len(p.terms) == 1 for p in want):
             killing.add(n)
     assert {4, 5, 6, 7} <= killing
+
+
+def test_yb_system_display_is_pinned():
+    """The display text of ``yb_system`` (the CYBE and mCYBE components,
+    the reduced system and its witnesses) for every qualifying catalog
+    sample and 20 seeded algebras of dimensions 3-7 hashes to the recorded
+    digest, so a faster reduction cannot change a byte of it."""
+    algebras = []
+    for stem in classify.FAMILY_FILES:
+        fam = classify.load_family(stem)
+        algebras += [g for _, _, g in classify.qualifying_samples(fam)]
+    rng = random.Random("yb_system display")
+    for n in range(3, 8):
+        for gen in (almost_abelian, so3_plus_abelian, _sparse_almost_abelian,
+                    _sparse_almost_abelian):
+            algebras.append(parse_algebra(bracket_text(n, gen(rng, n))))
+    h = hashlib.sha256()
+    for g in algebras:
+        ybs = yb_system(g)
+        for label, ps in (("cybe", ybs.cybe), ("mcybe", ybs.mcybe),
+                          ("reduced", ybs.reduced)):
+            h.update(f"{label}: {'; '.join(p.text() for p in ps)}\n".encode())
+        h.update(("witnesses: " + "; ".join(
+            f"{[v + 1 for v in vs]} {p.text()}" for vs, p in ybs.witnesses)
+            + "\n").encode())
+    assert len(algebras) == 56
+    assert h.hexdigest() == ("eaefcca95b90cdb16f0ddbb660c49387"
+                             "a403d60f24304365943949c11ae7d2e7")
