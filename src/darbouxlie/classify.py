@@ -565,6 +565,7 @@ class TableReport:
     rows: list
     unmerged_components: list
     auts_validated: int
+    algebra: str  # the catalog algebra of the family file
 
     @property
     def passed(self) -> bool:
@@ -647,7 +648,8 @@ def verify_orbit_table(stem: str) -> TableReport:
                 if miss:
                     unmerged.append((rec.label, dict(ps), miss))
     return TableReport(family=fam.name, rows=rows,
-                       unmerged_components=unmerged, auts_validated=auts_count)
+                       unmerged_components=unmerged, auts_validated=auts_count,
+                       algebra=fam.algebra)
 
 
 def _component_merge_gaps(lifted: Sequence[RatMatrix],

@@ -267,6 +267,9 @@ def _pstr(ps: dict) -> str:
 
 
 def _verify_one_family(stem: str):
+    """The orbit-table and bundle checks of one family file: whether they
+    pass, their report lines, the errata, and the file's algebra, whose
+    Schouten tables ``cmd_verify_tables`` checks next."""
     lines = []
     ok = True
     errata = []
@@ -291,7 +294,7 @@ def _verify_one_family(stem: str):
         ok = ok and b.ok
         lines.append(f"  bundle {_pstr(b.params):24s} {mark}" +
                      ("" if b.ok else " " + "; ".join(b.problems)))
-    return ok, lines, errata
+    return ok, lines, errata, table.algebra
 
 
 def _family_stems(args, groups: dict) -> list[str]:
@@ -323,14 +326,13 @@ def cmd_verify_tables(args):
             results = list(ex.map(_verify_one_family, stems))
     else:
         results = [_verify_one_family(stem) for stem in stems]
-    for stem, (fok, flines, errata) in zip(stems, results):
+    for stem, (fok, flines, errata, _) in zip(stems, results):
         ok = ok and fok
         lines.append(f"family file {stem}: {'PASS' if fok else 'FAIL'}")
         lines.extend(flines)
         payload["families"][stem] = fok
         payload["errata"].extend(errata)
-    schouten_families = sorted({classify.load_family(s).algebra
-                                for s in stems})
+    schouten_families = sorted({algebra for *_, algebra in results})
     tables = classify.load_schouten_tables()
     for famname in schouten_families:
         bad, errata = verify_schouten_family(famname, tables)

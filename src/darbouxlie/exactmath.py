@@ -55,6 +55,11 @@ def mono_key(m: Monomial):
     return (mono_degree(m), tuple((v, -e) for v, e in m))
 
 
+def _lead_key(m: Monomial):
+    """The sort key whose least monomial is the ``Poly.leading`` one."""
+    return (-mono_degree(m), m)
+
+
 def mono_str(m: Monomial, names=None) -> str:
     if not m:
         return "1"
@@ -112,7 +117,15 @@ class Poly:
 
     @staticmethod
     def var(i: int) -> "Poly":
-        return Poly({((i, 1),): Fraction(1)})
+        return Poly._of({((i, 1),): Fraction(1)})
+
+    @staticmethod
+    def _of(terms: dict) -> "Poly":
+        """The Poly over ``terms``, a canonical term map (sorted monomials,
+        nonzero Fractions), taken as it is."""
+        p = Poly.__new__(Poly)
+        p.terms = terms
+        return p
 
     # queries ---------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -135,7 +148,7 @@ class Poly:
         low-index variables weighing most."""
         if not self.terms:
             return (), Fraction(0)
-        m = min(self.terms, key=lambda m: (-mono_degree(m), m))
+        m = min(self.terms, key=_lead_key)
         return m, self.terms[m]
 
     # arithmetic ------------------------------------------------------------
@@ -148,16 +161,12 @@ class Poly:
                 out[m] = s
             elif m in out:
                 del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
@@ -170,9 +179,7 @@ class Poly:
             c = rat(other)
             if not c:
                 return Poly()
-            p = Poly.__new__(Poly)
-            p.terms = {m: c0 * c for m, c0 in self.terms.items()}
-            return p
+            return Poly._of({m: c0 * c for m, c0 in self.terms.items()})
         other = _as_poly(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -183,9 +190,7 @@ class Poly:
                     out[m] = s
                 elif m in out:
                     del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -273,14 +278,18 @@ def clear_denominators(xs: Iterable) -> tuple[int, list[int]]:
 
 def normalize_poly(p: Poly) -> Poly:
     """Scale to integer coefficients with content 1 and positive leading
-    (graded-lex) coefficient.  The zero polynomial is returned unchanged."""
+    (graded-lex) coefficient: the cleared numerators divided by their
+    signed gcd.  A polynomial that is already normalized, the zero
+    polynomial included, is returned itself."""
     if p.is_zero():
         return p
     den, nums = clear_denominators(p.terms.values())
-    scale = Fraction(den, gcd(*nums))
+    g = gcd(*nums)
     if p.leading()[1] < 0:
-        scale = -scale
-    return p * scale
+        g = -g
+    if den == g == 1:
+        return p
+    return Poly._of({m: Fraction(x // g) for m, x in zip(p.terms, nums)})
 
 
 class IntPoly:
@@ -522,16 +531,14 @@ def int_echelon(rows: Iterable, ncols: float = inf,
     return pivots
 
 
-def _gauss_jordan(rows: Iterable, ncols: float = inf,
-                  spilled: Optional[set] = None
-                  ) -> tuple[list[SparseRow], list[int]]:
-    """Sparse reduced row-echelon form of integer rows: the pivot rows in
-    pivot order, as Fractions with leading entry 1, and their pivot
-    columns, pivots only in columns < ncols (see ``int_echelon``).  Back
-    substitution runs from the last pivot up in ``int`` arithmetic, so
-    each row is cleared against rows that are already fully reduced and
-    primitive, and only the rows returned are divided by their leading
-    entries."""
+def _int_rref(rows: Iterable, ncols: float = inf,
+              spilled: Optional[set] = None
+              ) -> tuple[list[SparseRow], list[int]]:
+    """Integer reduced row-echelon form of integer rows: the pivot rows in
+    pivot order, fully reduced and primitive (of either sign), and their
+    pivot columns, pivots only in columns < ncols (see ``int_echelon``).
+    Back substitution runs from the last pivot up, so each row is cleared
+    against rows that are already fully reduced and primitive."""
     pivots = int_echelon(rows, ncols, spilled)
     cols = sorted(pivots)
     for c in reversed(cols):
@@ -539,8 +546,17 @@ def _gauss_jordan(rows: Iterable, ncols: float = inf,
         for j in [j for j in row if j != c and j in pivots]:
             row = _cancel(row, pivots[j], j)
         pivots[c] = _primitive(row)
-    return [{j: Fraction(x, pivots[c][c]) for j, x in pivots[c].items()}
-            for c in cols], cols
+    return [pivots[c] for c in cols], cols
+
+
+def _gauss_jordan(rows: Iterable, ncols: float = inf,
+                  spilled: Optional[set] = None
+                  ) -> tuple[list[SparseRow], list[int]]:
+    """``_int_rref`` with each row divided by its pivot entry: the sparse
+    reduced row-echelon form, as Fractions with leading entry 1."""
+    red, cols = _int_rref(rows, ncols, spilled)
+    return [{j: Fraction(x, r[c]) for j, x in r.items()}
+            for r, c in zip(red, cols)], cols
 
 
 def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
@@ -631,13 +647,37 @@ def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:
     each basis polynomial has coefficient 1 at its pivot monomial and 0 at
     the others'.  The basis depends only on the span and the order, so two
     lists span the same space exactly when their bases are equal."""
+    support, red, cols = _poly_int_rref(polys, reverse)
+    return [Poly._of({support[j]: Fraction(x, r[c]) for j, x in r.items()})
+            for r, c in zip(red, cols)]
+
+
+def poly_rref_normalized(polys: Iterable[Poly], reverse: bool = False
+                         ) -> list[Poly]:
+    """``normalize_poly`` of each ``poly_rref`` basis polynomial, read off
+    the primitive integer rows of the elimination: both are the primitive
+    integer vector on the row's ray, with the sign that makes the leading
+    (graded-lex) coefficient positive."""
+    support, red, _ = _poly_int_rref(polys, reverse)
+    lead = [_lead_key(m) for m in support]
+    out = []
+    for r in red:
+        s = -1 if r[min(r, key=lead.__getitem__)] < 0 else 1
+        out.append(Poly._of({support[j]: Fraction(s * x)
+                             for j, x in r.items()}))
+    return out
+
+
+def _poly_int_rref(polys: Iterable[Poly], reverse: bool
+                   ) -> tuple[list[Monomial], list[SparseRow], list[int]]:
+    """The monomial columns of the polynomials in ``poly_rref`` order, and
+    ``_int_rref`` of their coefficient rows."""
     polys = list(polys)
     support = sorted({m for p in polys for m in p.terms}, key=mono_key,
                      reverse=reverse)
     col = {m: j for j, m in enumerate(support)}
-    red, _ = _gauss_jordan(_int_row({col[m]: c for m, c in p.terms.items()})
-                           for p in polys)
-    return [Poly({support[j]: c for j, c in r.items()}) for r in red]
+    return support, *_int_rref(
+        _int_row({col[m]: c for m, c in p.terms.items()}) for p in polys)
 
 
 def poly_rref_contains(basis: Sequence[Poly], p: Poly) -> bool:

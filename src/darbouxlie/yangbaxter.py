@@ -24,8 +24,8 @@ from typing import Sequence, Union
 from .derivations import (Derivation, FieldColumns, LinearVectorField,
                           _rank_at_ints, derivation_basis, field_columns, lift)
 from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
-                        int_echelon, normalize_poly, poly_rref, rank, rref,
-                        rat)
+                        int_echelon, normalize_poly, poly_rref_normalized,
+                        rank, rref, rat)
 from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
                         invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra
@@ -102,37 +102,37 @@ def _reduce_with_witnesses(polys: Sequence[Poly]
                            ) -> tuple[list[Poly], list[tuple[list[int], Poly]]]:
     """``reduce_system`` and its witnesses: per round, the variables split
     off and the span element p with ``_pure_square_vars(p)`` = those
-    variables, in the span of the system of that round."""
-    work = [normalize_poly(p) for p in polys if not p.is_zero()]
-    killed: list[int] = []
+    variables, in the span of the system of that round.
+
+    Only the span basis is carried from round to round: setting the split
+    variables to 0 is linear, so it maps the span of the system onto the
+    span of the restricted basis, and ``_span_basis`` depends only on the
+    span.  Every basis element, and every ``Poly.var``, is normalized."""
+    killed: set[int] = set()
     witnesses: list[tuple[list[int], Poly]] = []
-    basis = _span_basis(work)
+    basis = _span_basis(polys)
     changed = True
     while changed:
         changed = False
         for p in basis:
+            # the basis holds no killed variable, so vs are all new
             vs = _pure_square_vars(p)
-            if vs and not all(v in killed for v in vs):
+            if vs:
                 witnesses.append((vs, p))
-                for v in vs:
-                    if v not in killed:
-                        killed.append(v)
+                killed.update(vs)
                 # x_v = 0 for every killed v: drop the terms that contain one
-                work = [normalize_poly(Poly({
+                basis = _span_basis([Poly._of({
                     m: c for m, c in q.terms.items()
-                    if not any(v in killed for v, _ in m)})) for q in work]
-                work = [q for q in work if not q.is_zero()]
-                basis = _span_basis(work)
+                    if not any(v in killed for v, _ in m)}) for q in basis])
                 changed = True
                 break
     gens = [Poly.var(v) for v in sorted(killed)] + basis
-    gens = [normalize_poly(p) for p in gens if not p.is_zero()]
     return sorted(gens, key=lambda p: (p.degree(), p.text())), witnesses
 
 
 def _span_basis(polys: Sequence[Poly]) -> list[Poly]:
     """Normalized RREF basis of the Q-span, highest monomials first."""
-    return [normalize_poly(p) for p in poly_rref(polys, reverse=True)]
+    return poly_rref_normalized(polys, reverse=True)
 
 
 def _pure_square_vars(p: Poly) -> list[int]:

@@ -463,12 +463,30 @@ def test_verify_tables_reads_each_schouten_table_once(monkeypatch):
         loads.append(spec[0])
         return real(*spec)
     monkeypatch.setattr(classify, "load_schouten_table", load)
-    monkeypatch.setattr(cli, "_verify_one_family",
-                        lambda stem: (True, [], []))
+    monkeypatch.setattr(cli, "_verify_one_family", lambda stem: (
+        True, [], [], classify.load_family(stem).algebra))
     code, out = run_cli("verify-tables", "--algebra", "all")
     assert code == 0 and out.count("schouten tables ") == 13
     assert "FAIL" not in out
     assert sorted(loads) == sorted(f for f, _, _ in classify.SCHOUTEN_TABLES)
+
+
+def test_verify_tables_reads_each_family_file_twice(monkeypatch):
+    """The orbit tables and the family bundles each read the 18 family
+    files once; the Schouten stage takes its algebras from their results
+    and reads none."""
+    from darbouxlie import classify
+    loads = []
+    real = classify.load_family
+
+    def load(stem):
+        loads.append(stem)
+        return real(stem)
+    monkeypatch.setattr(classify, "load_family", load)
+    code, out = run_cli("verify-tables", "--algebra", "all")
+    assert code == 0 and out.count("schouten tables ") == 13
+    assert len(loads) == 2 * len(classify.FAMILY_FILES) == 36
+    assert sorted(loads) == sorted(2 * classify.FAMILY_FILES)
 
 
 @pytest.mark.slow

@@ -13,7 +13,8 @@ from darbouxlie.exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
                                   ideal_membership, ideal_memberships,
                                   kernel_basis, mono_key, monomials_up_to,
                                   normalize_poly, poly_rref,
-                                  poly_rref_contains, rank, rref,
+                                  poly_rref_contains, poly_rref_normalized,
+                                  rank, rref,
                                   row_space_equal, solve)
 from oracles import span_contains
 
@@ -500,6 +501,53 @@ def test_poly_rref_pivots_lead_with_one(seed, reverse):
         assert all(q.coefficient(m) == 0 for q in basis if q is not p)
     # pivots come in the order of the columns
     assert pivots == sorted(pivots, key=mono_key, reverse=reverse)
+
+
+def _normalize_by_scaling(p):
+    """``normalize_poly`` by its former formula: p times den/content, with
+    the sign of the leading coefficient."""
+    if p.is_zero():
+        return p
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    scale = Fraction(den, gcd(*(c.numerator * (den // c.denominator)
+                                for c in p.terms.values())))
+    return p * (-scale if p.leading()[1] < 0 else scale)
+
+
+def kernel_inputs(seed):
+    """Seeded polynomials with Fraction coefficients (dependent ones on odd
+    seeds), with a zero and a constant polynomial mixed in."""
+    polys = random_polys(seed, 3 + seed % 3, nvars=3 + seed % 2,
+                         density=0.2 + 0.1 * (seed % 4))
+    return polys + [Poly.zero(), Poly.const(Fraction(-4, 3)),
+                    polys[0] * Fraction(-5, 2)]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_poly_rref_normalized_is_the_normalized_rref(seed, reverse):
+    polys = kernel_inputs(seed)
+    want = [normalize_poly(p) for p in poly_rref(polys, reverse)]
+    assert poly_rref_normalized(polys, reverse) == want
+    assert [p.text() for p in poly_rref_normalized(polys, reverse)] == \
+        [p.text() for p in want]
+    assert poly_rref_normalized([], reverse) == []
+    assert poly_rref_normalized([Poly.zero()], reverse) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_normalize_poly_matches_scaling_and_keeps_normalized_input(seed):
+    polys = kernel_inputs(seed) + [-x(0) * x(1) + Fraction(1, 2) * x(2)]
+    for p in polys + [-p for p in polys]:
+        n = normalize_poly(p)
+        assert n == _normalize_by_scaling(p)
+        assert n.text() == _normalize_by_scaling(p).text()
+        assert normalize_poly(n) is n
+        assert all(c.denominator == 1 for c in n.terms.values())
+    z = Poly.zero()
+    assert normalize_poly(z) is z
+    v = x(2)
+    assert normalize_poly(v) is v
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -63,6 +63,44 @@ def test_validate_detects_jacobi_failure():
     assert validate(g) != []
 
 
+def _dense_from_brackets(dim, brackets):
+    """The structure constants by the dense formula: every entry of every
+    given vector written, zeros included."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), vec in brackets.items():
+        for k, v in enumerate(vec):
+            c[i][j][k] = Fraction(v)
+            c[j][i][k] = -Fraction(v)
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_brackets_matches_the_dense_formula(seed):
+    """Sparse bracket vectors of mixed entry types, short vectors, and a
+    pair given both ways (the later vector wins, zeros included) give the
+    constants of the dense formula."""
+    rng = random.Random(seed)
+    n = 3 + seed
+    brackets = {(i, j): [rng.choice([0, 0, 0, 2, Fraction(-1, 3), "5/2"])
+                         for _ in range(rng.randint(1, n))]
+                for i in range(n) for j in range(i + 1, n)}
+    brackets[(1, 0)] = [0, 1]
+    g = from_brackets(n, brackets)
+    assert g.c == _dense_from_brackets(n, brackets)
+    assert g.c[0][1][:2] == (0, -1)
+
+
+def test_from_brackets_rejects_bad_entries_and_long_vectors():
+    with pytest.raises(TypeError):
+        from_brackets(3, {(0, 1): [0, 0.5, 0]})
+    with pytest.raises(ValueError):
+        from_brackets(3, {(0, 1): ["x", 0, 0]})
+    with pytest.raises(ZeroDivisionError):
+        from_brackets(3, {(0, 1): [0, "1/0", 0]})
+    with pytest.raises(DimensionMismatch, match="4 coordinates"):
+        from_brackets(3, {(0, 1): [0, 0, 1, 0]})
+
+
 def _dense_validate(g):
     """The violation list by the dense formula: every product
     c[i][j][m]*c[m][k][l], zeros included."""

@@ -571,29 +571,38 @@ def test_orbit_table_calls_no_oracle(monkeypatch):
 
 
 def _reduce_system_by_rounds(polys):
-    """``reduce_system`` as a loop that eliminates the whole span again in
-    every round, also after its last one: the reference for the loop that
-    reuses its last basis."""
-    from darbouxlie.exactmath import normalize_poly
-    from darbouxlie.yangbaxter import _pure_square_vars, _span_basis
+    """``reduce_system`` and its witnesses as the loop that restricts the
+    whole working list in every round, normalizes it and eliminates it
+    again, also after its last round: the reference for the loop that
+    carries only its span basis.  Self-contained: its basis is the
+    normalized ``poly_rref`` of the list."""
+    from darbouxlie.exactmath import normalize_poly, poly_rref
+    from darbouxlie.yangbaxter import _pure_square_vars
+
+    def span_basis(ps):
+        return [normalize_poly(p) for p in poly_rref(ps, reverse=True)]
     work = [normalize_poly(p) for p in polys if not p.is_zero()]
     killed = []
+    witnesses = []
     changed = True
     while changed:
         changed = False
-        for p in _span_basis(work):
+        for p in span_basis(work):
             vs = _pure_square_vars(p)
             if vs and not all(v in killed for v in vs):
-                killed += [v for v in vs if v not in killed]
+                witnesses.append((vs, p))
+                for v in vs:
+                    if v not in killed:
+                        killed.append(v)
                 work = [normalize_poly(Poly({
                     m: c for m, c in q.terms.items()
                     if not any(v in killed for v, _ in m)})) for q in work]
                 work = [q for q in work if not q.is_zero()]
                 changed = True
                 break
-    gens = [Poly.var(v) for v in sorted(killed)] + _span_basis(work)
+    gens = [Poly.var(v) for v in sorted(killed)] + span_basis(work)
     gens = [normalize_poly(p) for p in gens if not p.is_zero()]
-    return sorted(gens, key=lambda p: (p.degree(), p.text()))
+    return sorted(gens, key=lambda p: (p.degree(), p.text())), witnesses
 
 
 def _sparse_almost_abelian(rng, n):
@@ -608,9 +617,10 @@ def _sparse_almost_abelian(rng, n):
 
 
 def test_reduce_system_matches_the_elimination_by_rounds():
-    """The display reduction of every catalog family at its golden samples,
-    and of seeded sparse almost-abelian algebras of dimensions 3-7, equals
-    the one that eliminates its final span again."""
+    """The display reduction and its witnesses, for every catalog family at
+    its golden samples and for seeded sparse almost-abelian algebras and
+    so(3) + R^k of dimensions 3-7, equal those of the loop that restricts
+    and eliminates the whole system in every round."""
     systems = []
     for stem in classify.FAMILY_FILES:
         fam = classify.load_family(stem)
@@ -618,14 +628,16 @@ def test_reduce_system_matches_the_elimination_by_rounds():
                     for _, _, g in classify.qualifying_samples(fam)]
     rng = random.Random("reduce_system")
     for n in range(3, 8):
-        for _ in range(4):
-            g = parse_algebra(bracket_text(n, _sparse_almost_abelian(rng, n)))
+        for gen in 4 * [_sparse_almost_abelian] + [so3_plus_abelian]:
+            g = parse_algebra(bracket_text(n, gen(rng, n)))
             systems.append((n, AlgebraContext(g).mcybe))
     killing = set()
     for n, mcybe in systems:
-        want = _reduce_system_by_rounds(mcybe)
+        want, want_witnesses = _reduce_system_by_rounds(mcybe)
+        assert yangbaxter._reduce_with_witnesses(mcybe) == (want,
+                                                            want_witnesses)
         assert yangbaxter.reduce_system(mcybe) == want
-        if any(p.degree() == 1 and len(p.terms) == 1 for p in want):
+        if want_witnesses:
             killing.add(n)
     assert {4, 5, 6, 7} <= killing
 
