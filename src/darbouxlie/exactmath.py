@@ -652,13 +652,13 @@ def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:
             for r, c in zip(red, cols)]
 
 
-def poly_rref_normalized(polys: Iterable[Poly], reverse: bool = False
-                         ) -> list[Poly]:
-    """``normalize_poly`` of each ``poly_rref`` basis polynomial, read off
-    the primitive integer rows of the elimination: both are the primitive
-    integer vector on the row's ray, with the sign that makes the leading
-    (graded-lex) coefficient positive."""
-    support, red, _ = _poly_int_rref(polys, reverse)
+def poly_rref_normalized(polys: Iterable[Poly]) -> list[Poly]:
+    """``normalize_poly`` of each ``poly_rref(polys, reverse=True)`` basis
+    polynomial (highest monomials first), read off the primitive integer
+    rows of the elimination: both are the primitive integer vector on the
+    row's ray, with the sign that makes the leading (graded-lex)
+    coefficient positive."""
+    support, red, _ = _poly_int_rref(polys, True)
     lead = [_lead_key(m) for m in support]
     out = []
     for r in red:

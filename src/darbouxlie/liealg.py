@@ -60,13 +60,12 @@ class LieAlgebra:
 def from_brackets(dim: int, brackets: dict, name: str = "",
                   params: Optional[dict] = None) -> LieAlgebra:
     """Build a LieAlgebra from nonzero brackets {(i, j): vector}, i < j.
-    Only the nonzero constants are stored; every other entry is the one
-    shared ``Fraction(0)``.  A vector longer than ``dim`` raises
+    Zero constants are not negated: a zero entry and its antisymmetric
+    partner are the same object.  A vector longer than ``dim`` raises
     ``DimensionMismatch``."""
     if dim > MAX_DIM:
         raise DimensionMismatch(f"dim {dim} exceeds supported maximum {MAX_DIM}")
-    zero = Fraction(0)
-    c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), vec in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise DimensionMismatch(f"bad basis index in bracket ({i},{j})")
@@ -75,13 +74,9 @@ def from_brackets(dim: int, brackets: dict, name: str = "",
             raise DimensionMismatch(f"bracket ({i},{j}) has {len(xs)} "
                                     f"coordinates in dimension {dim}")
         row, neg = c[i][j], c[j][i]
-        if (j, i) in brackets:
-            # a pair given both ways: the later vector overwrites the other
-            row[:len(xs)] = neg[:len(xs)] = [zero] * len(xs)
         for k, x in enumerate(xs):
-            if x:
-                row[k] = x
-                neg[k] = -x
+            row[k] = x
+            neg[k] = -x if x else x
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
     return LieAlgebra(dim, frozen, name, dict(params or {}))
 

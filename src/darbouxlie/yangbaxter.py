@@ -106,11 +106,12 @@ def _reduce_with_witnesses(polys: Sequence[Poly]
 
     Only the span basis is carried from round to round: setting the split
     variables to 0 is linear, so it maps the span of the system onto the
-    span of the restricted basis, and ``_span_basis`` depends only on the
-    span.  Every basis element, and every ``Poly.var``, is normalized."""
+    span of the restricted basis, and ``poly_rref_normalized`` depends
+    only on the span.  Every basis element, and every ``Poly.var``, is
+    normalized."""
     killed: set[int] = set()
     witnesses: list[tuple[list[int], Poly]] = []
-    basis = _span_basis(polys)
+    basis = poly_rref_normalized(polys)
     changed = True
     while changed:
         changed = False
@@ -121,7 +122,7 @@ def _reduce_with_witnesses(polys: Sequence[Poly]
                 witnesses.append((vs, p))
                 killed.update(vs)
                 # x_v = 0 for every killed v: drop the terms that contain one
-                basis = _span_basis([Poly._of({
+                basis = poly_rref_normalized([Poly._of({
                     m: c for m, c in q.terms.items()
                     if not any(v in killed for v, _ in m)}) for q in basis])
                 changed = True
@@ -130,14 +131,10 @@ def _reduce_with_witnesses(polys: Sequence[Poly]
     return sorted(gens, key=lambda p: (p.degree(), p.text())), witnesses
 
 
-def _span_basis(polys: Sequence[Poly]) -> list[Poly]:
-    """Normalized RREF basis of the Q-span, highest monomials first."""
-    return poly_rref_normalized(polys, reverse=True)
-
-
 def _pure_square_vars(p: Poly) -> list[int]:
     """If p = sum_i c_i x_i^(k_i) with every k_i even and all c_i of one
-    sign, the variables forced to zero on the real locus; else []."""
+    sign, the variables forced to zero on the real locus, in ascending
+    order; else []."""
     vs = []
     sign = 0
     for m, c in p.terms.items():
@@ -151,7 +148,7 @@ def _pure_square_vars(p: Poly) -> list[int]:
             return []
         sign = s
         vs.append(v)
-    return vs
+    return sorted(vs)
 
 
 def yb_system(g: LieAlgebra) -> YbSystem:
