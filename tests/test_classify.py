@@ -1,5 +1,6 @@
 """Golden-data loading and the classification verification harness."""
 
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -69,6 +70,25 @@ def test_forall_expansion():
     recs = expand_rows(fam, {})
     ks = [r.label for r in recs if r.label.startswith("VII[")]
     assert ks == ["VII[k=2]", "VII[k=-2]", "VII[k=3]", "VII[k=-3]"]
+
+
+#: sha256 of the (family, label, samples) list of every orbit record
+ORBIT_SAMPLES_DIGEST = (
+    "1ca00e920ed0f8f1d86aba6269815c553d9346c376ee98efafb8c563f7a4d82d")
+
+
+def test_orbit_record_samples_match_the_recorded_digest():
+    """The sample points of all 334 orbit records of the family files, in
+    order and as (den, q), are exactly the recorded ones."""
+    recs = []
+    for stem in FAMILY_FILES:
+        fam = load_family(stem)
+        for ps, _, _ in qualifying_samples(fam):
+            recs += [(stem, rec.label, rec.samples)
+                     for rec in expand_rows(fam, ps)]
+    assert len(recs) == 334
+    digest = hashlib.sha256(repr(recs).encode()).hexdigest()
+    assert digest == ORBIT_SAMPLES_DIGEST
 
 
 def test_shipped_automorphisms_validate():
