@@ -23,15 +23,14 @@ from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .darboux import (BranchInvalid, IncompatibleFields, TreeBranch,
-                      branch_samples, certify_no_solutions, find_bricks,
-                      linear_solver, locus_contains_ints, locus_sampler,
-                      rational_point, verify_branch)
+from .darboux import (BranchInvalid, TreeBranch, branch_samples,
+                      certify_no_solutions, find_bricks, linear_solver,
+                      locus_contains_ints, locus_sampler, rational_point,
+                      verify_branch)
 # rank_at stays importable from here: perfbench's tracer wraps it by name
 from .derivations import _rank_at_ints, rank_at  # noqa: F401
-from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
-                        normalize_poly, poly_rref, poly_rref_contains,
-                        row_space_equal)
+from .exactmath import (Poly, RatMatrix, clear_denominators, normalize_poly,
+                        poly_rref, poly_rref_contains, row_space_equal)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
                         poly_env)
 from .grassmann import MultiVector, blades, lambda_matrix, schouten
@@ -480,16 +479,16 @@ class OrbitRecord:
         roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
         grid_axes = [(i, _ROLE_GRID[val])
                      for i, val in enumerate(roles) if val in _ROLE_GRID]
-        expr_coords = {int(k[1:]) - 1: v.poly(env)
-                       for k, v in row.coords.items()
-                       if isinstance(v, GoldenExpr)}
+        coords = [(int(k[1:]) - 1, v) for k, v in row.coords.items()]
         eq_polys = [e.poly(env) for e in row.extra_eqs]
+        # each expression coordinate x_i = e is solved from x_i - e, then
         # each dependent coordinate takes the value of the first equality
-        # solvable for it at the point; each equality is split once
-        dep = [(d, [s for s in (linear_solver(e, d) for e in eq_polys)
-                    if s is not None])
-               for d in (int(k[1:]) - 1 for k, v in row.coords.items()
-                         if v == "dep")]
+        # solvable for it at the point; each equation is split once
+        placed = ([(i, [Poly.var(i) - v.poly(env)]) for i, v in coords
+                   if isinstance(v, GoldenExpr)]
+                  + [(i, eq_polys) for i, v in coords if v == "dep"])
+        placed = [(i, [s for s in (linear_solver(e, i) for e in eqs)
+                       if s is not None]) for i, eqs in placed]
 
         axes = [vals for _, vals in grid_axes]
         idxs = [i for i, _ in grid_axes]
@@ -501,9 +500,7 @@ class OrbitRecord:
             pt = [0] * NVARS
             for i, v in zip(idxs, combo):
                 pt[i] = v
-            for i, expr in expr_coords.items():
-                pt[i] = expr.eval(pt)
-            for d, solvers in dep:
+            for d, solvers in placed:
                 for solve in solvers:
                     x = solve(pt)
                     if x is not None:
@@ -660,15 +657,15 @@ def _component_merge_gaps(lifted: Sequence[RatMatrix],
 
     The walk runs on integer points (den, q) for q/den: with L = D·Λ²T the
     integer form of a lift, the image of q/den is (den·D, L·q).  The locus
-    and the signs are read by ``eval(q, den)`` with the denominator kept,
-    since the forms may have constant terms."""
-    strict = [f for f, op in rec.branch.int_forms[1] if op == "!="
-              and f.degree == 1]
+    and the signs are read by ``eval_int(q, den)`` with the denominator
+    kept, since the polynomials may have constant terms."""
+    strict = [f for f, op in rec.branch.inequalities if op == "!="
+              and f.degree() == 1]
     if not strict:
         return []
 
     def signature(den, q):
-        return tuple(1 if f.eval(q, den) > 0 else -1 for f in strict)
+        return tuple(1 if f.eval_int(q, den) > 0 else -1 for f in strict)
 
     comps = dict.fromkeys(signature(den, q) for den, q in rec.samples)
     if len(comps) <= 1:
@@ -839,17 +836,15 @@ def loci_agree(system_a: Sequence[Poly], system_b: Sequence[Poly],
                npoints: int = 800, seed: int = 7) -> bool:
     """Variety-level agreement of two polynomial systems: mutual vanishing
     on a biased random grid whose random zero patterns make the sampled
-    points actually hit the loci (integer points, tested exactly on the
-    ``IntPoly`` forms of both systems).  Any sampled point on one locus but
-    not the other refutes agreement.  Only the zero sets are compared, so
-    x5 agrees with x5^2 although x5 is not in the ideal of x5^2.  The
+    points actually hit the loci (integer points, tested exactly by
+    ``Poly.eval_int``).  Any sampled point on one locus but not the other
+    refutes agreement.  Only the zero sets are compared, so x5 agrees with
+    x5^2 although x5 is not in the ideal of x5^2.  The
     sampled oracle of the tests; the bundle check proves locus equality by
     ``_same_real_locus`` instead."""
-    int_a = [IntPoly(p) for p in system_a]
-    int_b = [IntPoly(p) for p in system_b]
     for pt in _loci_points(npoints, seed):
-        on_a = all(p.eval(pt) == 0 for p in int_a)
-        on_b = all(p.eval(pt) == 0 for p in int_b)
+        on_a = not any(p.eval_int(pt) for p in system_a)
+        on_b = not any(p.eval_int(pt) for p in system_b)
         if on_a != on_b:
             return False
     return True
@@ -1079,7 +1074,7 @@ def verify_tree(stem: str) -> TreeReport:
                 try:
                     rep = verify_branch(ctx, ctx.fields, branch, pts,
                                         family_cache=family_cache)
-                except (BranchInvalid, IncompatibleFields) as e:
+                except BranchInvalid as e:
                     failures.append((blabel, dict(ps), str(e)))
                     continue
                 if not rep.passed:

@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Optional, Sequence
 
 from .derivations import (LinearVectorField, _rank_at_ints, field_columns,
                           vf_apply)
-from .exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
-                        clear_denominators, ideal_memberships,
-                        int_kernel_basis, monomials_up_to, normalize_poly,
-                        poly_rref, poly_rref_contains, rat, rref)
+from .exactmath import (MissingVariable, Poly, RatMatrix, clear_denominators,
+                        ideal_memberships, int_kernel_basis, monomials_up_to,
+                        normalize_poly, poly_rref, poly_rref_contains, rat,
+                        rref)
 from .yangbaxter import AlgebraContext
 
 #: verify_branch checks closure with cofactors up to this degree, and
@@ -85,13 +84,6 @@ class TreeBranch:
     def __post_init__(self):
         object.__setattr__(self, "equalities", tuple(self.equalities))
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
-
-    @cached_property
-    def int_forms(self) -> tuple[list[IntPoly], list[tuple[IntPoly, str]]]:
-        """The equalities and the inequalities with their ops as
-        ``IntPoly`` forms, built on first use (by ``locus_contains``)."""
-        return ([IntPoly(f) for f in self.equalities],
-                [(IntPoly(f), op) for f, op in self.inequalities])
 
 
 def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
@@ -267,9 +259,9 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
 def locus_contains(branch: TreeBranch, p: Sequence) -> bool:
     """All equalities vanish at p and all sign constraints hold at p.
 
-    Tested in ``int`` arithmetic on the branch's ``int_forms``: p is q/den
-    for the ints q and the lcm den > 0 of its denominators, and each form's
-    ``eval(q, den)`` is a positive multiple of the polynomial's value at p.
+    Tested in ``int`` arithmetic (``Poly.eval_int``): p is q/den for the
+    ints q and the lcm den > 0 of its denominators, and each polynomial's
+    ``eval_int(q, den)`` is a positive multiple of its value at p.
     A point too short for a polynomial raises ``MissingVariable``."""
     den, q = clear_denominators(rat(x) for x in p)
     return locus_contains_ints(branch, q, den)
@@ -278,12 +270,11 @@ def locus_contains(branch: TreeBranch, p: Sequence) -> bool:
 def locus_contains_ints(branch: TreeBranch, q: Sequence[int],
                         den: int) -> bool:
     """``locus_contains`` at the point q/den, given as ints q and den > 0."""
-    eqs, ineqs = branch.int_forms
-    for f in eqs:
-        if f.eval(q, den):
+    for f in branch.equalities:
+        if f.eval_int(q, den):
             return False
-    for f, op in ineqs:
-        v = f.eval(q, den)
+    for f, op in branch.inequalities:
+        v = f.eval_int(q, den)
         if op == "!=" and v == 0:
             return False
         if op == ">" and v <= 0:
@@ -517,7 +508,6 @@ class BranchReport:
     dim_matches: Optional[bool]
     samples_checked: int
     mcybe_ok: bool
-    certificate: str = ""
 
     @property
     def passed(self) -> bool:
@@ -537,8 +527,8 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     dimension (when recorded), and every sample solves the mCYBE
     (``ctx._is_mcybe_ints``).  Each sample is the point q/den given as
     (den, q), ints with den > 0, as ``branch_samples`` gives it; the three
-    point checks read those ints, and a ``family_cache`` lookup compares
-    ints only (``_family_key``).
+    point checks read those ints, and ``family_cache`` is keyed by
+    ``_family_key``.
 
     The cofactors make the ideal of the equalities invariant under every
     field, so every X^k f_j lies in it and vanishes at each sample, which
@@ -582,14 +572,12 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
 
 def _family_key(fields: Sequence[LinearVectorField],
                 branch: TreeBranch) -> tuple:
-    """The fields and the equalities of a branch in canonical integer form:
-    each field matrix as its width and ``_integer_form`` (D, the lcm of its
-    reduced denominators, and the nonzero entries of D times it), each
-    equality as the scale and the set of (monomial, coefficient) terms of
-    its ``IntPoly``."""
+    """The fields and the equalities of a branch, as a dict key: each
+    field matrix as its width and ``_integer_form`` (D, the lcm of its
+    reduced denominators, and the nonzero entries of D times it), and the
+    equalities themselves."""
     return (tuple((X.matrix.cols, X.matrix._integer_form()) for X in fields),
-            tuple((f.scale, frozenset((m, c) for c, m, _ in f.terms))
-                  for f in branch.int_forms[0]))
+            branch.equalities)
 
 
 def _lie_chain(X: LinearVectorField, f: Poly,

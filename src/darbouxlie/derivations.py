@@ -165,7 +165,7 @@ def field_columns(fields: Sequence[LinearVectorField]) -> FieldColumns:
     columns: list[list[tuple[int, int, int]]] = [
         [] for _ in range(max(widths, default=0))]
     for i, X in enumerate(fields):
-        for a, r in enumerate(X.matrix._integer_rows()):
+        for a, r in enumerate(X.matrix._integer_form()[1]):
             for j, x in r:
                 columns[j].append((i, a, x))
     return widths, columns

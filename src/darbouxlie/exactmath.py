@@ -87,9 +87,10 @@ class Poly:
 
     Canonical form: no zero coefficients stored; the zero polynomial has an
     empty term map.  Two Polys are equal iff their term maps are equal.
+    Its integer form (``eval_int``) is computed once, on first use.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_ints")
 
     def __init__(self, terms=None):
         clean: dict[Monomial, Fraction] = {}
@@ -235,6 +236,33 @@ class Poly:
             total += v
         return total
 
+    def eval_int(self, point: Sequence[int], den: int = 1) -> int:
+        """``scale * den^d * p(point/den)`` in ``int`` arithmetic, for the
+        point given as ints over den > 0 (``clear_denominators``), d the
+        degree of p and scale the lcm of its coefficients' denominators:
+        a positive multiple of ``eval``, with the same zero and sign.  A
+        point too short for p raises ``MissingVariable`` for the same
+        variable as ``eval``."""
+        try:
+            terms = self._ints
+        except AttributeError:
+            _, coeffs = clear_denominators(self.terms.values())
+            d = self.degree()
+            # each term with d - deg(m), its power of den in the
+            # homogenization
+            terms = self._ints = tuple(
+                (c, m, d - mono_degree(m)) for c, m in zip(coeffs, self.terms))
+        total = 0
+        try:
+            for c, m, k in terms:
+                for v, e in m:
+                    c *= point[v] ** e
+                total += c * den ** k if k else c
+        except IndexError:
+            v = next(v for _, m, _ in terms for v, _ in m if v >= len(point))
+            raise MissingVariable(f"x{v + 1}") from None
+        return total
+
     # display ----------------------------------------------------------------
     def text(self, names=None) -> str:
         if not self.terms:
@@ -292,42 +320,6 @@ def normalize_poly(p: Poly) -> Poly:
     return Poly._of({m: Fraction(x // g) for m, x in zip(p.terms, nums)})
 
 
-class IntPoly:
-    """``scale * p`` with integer coefficients, for a positive integer
-    ``scale`` that clears the denominators of ``p``: the same zeros and
-    signs as ``p``, evaluated in ``int`` arithmetic.
-
-    A rational point is passed as ints ``q`` and their common denominator
-    ``den > 0`` (``clear_denominators``), and ``eval(q, den)`` is the value
-    of the homogenization, ``scale * den^d * p(q/den)`` for ``d = deg p``:
-    a positive multiple of ``p(q/den)``, so it has the same zero and sign."""
-
-    __slots__ = ("scale", "degree", "terms")
-
-    def __init__(self, p: Poly):
-        self.scale, coeffs = clear_denominators(p.terms.values())
-        self.degree = d = p.degree()
-        # each term with d - deg(m), its power of den in the homogenization
-        self.terms = tuple((c, m, d - sum(e for _, e in m))
-                           for c, m in zip(coeffs, p.terms))
-
-    def eval(self, point: Sequence[int], den: int = 1) -> int:
-        """``scale * den^d * p(point/den)`` at a point of ints indexed by
-        variable.  A point too short for ``p`` raises ``MissingVariable``
-        for the same variable as ``Poly.eval``."""
-        total = 0
-        try:
-            for c, m, k in self.terms:
-                for v, e in m:
-                    c *= point[v] ** e
-                total += c * den ** k if k else c
-        except IndexError:
-            v = next(v for _, m, _ in self.terms for v, _ in m
-                     if v >= len(point))
-            raise MissingVariable(f"x{v + 1}") from None
-        return total
-
-
 # ---------------------------------------------------------------------------
 # rational matrices
 # ---------------------------------------------------------------------------
@@ -335,11 +327,9 @@ class IntPoly:
 class RatMatrix:
     """Dense matrix of Fractions.  Immutable once constructed, so the
     nonzero pattern (``_nonzero_rows``), its integer form
-    (``_integer_rows``, with its scale in ``_integer_form``) and the hash
-    are computed once and cached."""
+    (``_integer_form``) and the hash are computed once and cached."""
 
-    __slots__ = ("entries", "rows", "cols", "_sparse", "_int_sparse",
-                 "_int_den", "_hash")
+    __slots__ = ("entries", "rows", "cols", "_sparse", "_ints", "_hash")
 
     def __init__(self, entries: Iterable[Iterable], cols: int = 0):
         """``cols`` is the width of a matrix without rows."""
@@ -380,26 +370,19 @@ class RatMatrix:
                                  for r in self.entries)
             return self._sparse
 
-    def _integer_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``_nonzero_rows`` times the lcm of all the entries' denominators:
-        the matrix scaled by one positive integer, as ints."""
-        try:
-            return self._int_sparse
-        except AttributeError:
-            rows = self._nonzero_rows()
-            self._int_den, ints = clear_denominators(
-                x for r in rows for _, x in r)
-            it = iter(ints)
-            self._int_sparse = tuple(tuple((j, next(it)) for j, _ in r)
-                                     for r in rows)
-            return self._int_sparse
-
     def _integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...],
                                                 ...]]:
-        """The positive integer D and ``_integer_rows``, the rows of D
-        times the matrix."""
-        rows = self._integer_rows()
-        return self._int_den, rows
+        """The lcm D of all the entries' denominators and the rows of D
+        times the matrix as ints, in ``_nonzero_rows`` form."""
+        try:
+            return self._ints
+        except AttributeError:
+            rows = self._nonzero_rows()
+            den, ints = clear_denominators(x for r in rows for _, x in r)
+            it = iter(ints)
+            self._ints = den, tuple(tuple((j, next(it)) for j, _ in r)
+                                    for r in rows)
+            return self._ints
 
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = [rat(x) for x in v]
@@ -578,7 +561,7 @@ def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row-echelon form and its pivot columns (row space preserved)."""
-    red, pivots = _gauss_jordan(map(dict, m._integer_rows()))
+    red, pivots = _gauss_jordan(map(dict, m._integer_form()[1]))
     zero = Fraction(0)
     dense = [[r.get(j, zero) for j in range(m.cols)] for r in red]
     dense += [[zero] * m.cols] * (m.rows - len(red))
@@ -586,12 +569,12 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(int_echelon(map(dict, m._integer_rows())))
+    return len(int_echelon(map(dict, m._integer_form()[1])))
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space (``int_kernel_basis`` of the rows)."""
-    return int_kernel_basis(map(dict, m._integer_rows()), m.cols)
+    return int_kernel_basis(map(dict, m._integer_form()[1]), m.cols)
 
 
 def int_kernel_basis(rows: Iterable[SparseRow], ncols: int
@@ -637,8 +620,8 @@ def row_space_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """Whether two matrices span the same row space."""
     if a.cols != b.cols:
         return False
-    return (_gauss_jordan(map(dict, a._integer_rows()))
-            == _gauss_jordan(map(dict, b._integer_rows())))
+    return (_gauss_jordan(map(dict, a._integer_form()[1]))
+            == _gauss_jordan(map(dict, b._integer_form()[1])))
 
 
 def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:

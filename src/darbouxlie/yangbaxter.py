@@ -4,8 +4,8 @@ and the necessary-condition checks for equivalence of r-matrices.
 
 Membership in the mCYBE is decided two ways: ``is_mcybe_solution`` on the
 evaluated 3-vector ([r, r] annihilated by every ad_{e_i}), and
-``AlgebraContext.is_mcybe_at`` on the integer forms of the mCYBE
-polynomials, which the batch checks use.  The two agreeing is a tested
+``AlgebraContext.is_mcybe_at`` on the mCYBE polynomials at integer
+points (``Poly.eval_int``), which the batch checks use.  The two agreeing is a tested
 invariant, not an assumption.
 
 ``is_automorphism`` checks the bracket identity on integer matrices: T
@@ -23,9 +23,9 @@ from typing import Sequence, Union
 
 from .derivations import (Derivation, FieldColumns, LinearVectorField,
                           _rank_at_ints, derivation_basis, field_columns, lift)
-from .exactmath import (IntPoly, Poly, RatMatrix, clear_denominators,
-                        int_echelon, normalize_poly, poly_rref_normalized,
-                        rank, rref, rat)
+from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
+                        normalize_poly, poly_rref_normalized, rank, rref,
+                        rat)
 from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
                         invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra
@@ -286,10 +286,10 @@ class AlgebraContext:
     RREFs, the symbolic [r, r] and the Yang-Baxter system.  Build one per
     algebra and pass it along; ``ders`` overrides the derivation basis.
 
-    ``is_mcybe_at`` tests a point in ``int`` arithmetic on the ``IntPoly``
-    forms of the mCYBE system, built once: the point is first scaled by the
-    lcm of its denominators, which keeps the answer because the mCYBE
-    polynomials are homogeneous quadratics.  A matrix T that passes
+    ``is_mcybe_at`` tests a point in ``int`` arithmetic (``Poly.eval_int``
+    on the mCYBE system): the point is first scaled by the lcm of its
+    denominators, which keeps the answer because the mCYBE polynomials are
+    homogeneous quadratics.  A matrix T that passes
     ``_is_automorphism`` (which ``same_coboundary`` and
     ``classify.load_automorphisms`` call) is remembered and not checked
     again."""
@@ -344,10 +344,6 @@ class AlgebraContext:
                         mcybe=self.mcybe, inv3=self.inv3[0],
                         reduced=reduced, witnesses=witnesses)
 
-    @cached_property
-    def _int_mcybe(self) -> list[IntPoly]:
-        return [IntPoly(p) for p in self.mcybe]
-
     def is_mcybe_at(self, r: RMatrix) -> bool:
         """Whether r solves the mCYBE (``is_mcybe_solution``)."""
         coords = (as_bivector(self.g, r).coords() if isinstance(r, MultiVector)
@@ -361,7 +357,7 @@ class AlgebraContext:
         dim Λ²g raises ``DimensionMismatch``."""
         if len(q) != self.g.dim * (self.g.dim - 1) // 2:
             raise DimensionMismatch("coordinate count mismatch")
-        return all(f.eval(q) == 0 for f in self._int_mcybe)
+        return not any(f.eval_int(q) for f in self.mcybe)
 
     def orbit_dim(self, w: MultiVector) -> int:
         """Dimension of the automorphism orbit through the bivector w."""

@@ -403,7 +403,7 @@ def test_check_runs_clear_each_candidate_point_once(monkeypatch):
     import darbouxlie.classify as classify
     from darbouxlie import yangbaxter
     # the callers that clear polynomials, matrices and structure constants
-    not_points = {"__init__", "_integer_rows", "normalize_poly", "int_table"}
+    not_points = {"eval_int", "_integer_form", "normalize_poly", "int_table"}
     callers, pushes = _clearing_counts(monkeypatch)
     assert verify_tree("s1").passed
     assert callers.pop("push") == pushes["push"] > 0

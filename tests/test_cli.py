@@ -517,6 +517,28 @@ def test_batch_json_output_matches_the_recorded_digest(workload, extra,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_every_traced_layer_resolves_to_a_callable(monkeypatch):
+    """Each function that perfbench's tracer wraps (``LAYERS``, methods as
+    ``Class.method``) is a callable of its ``darbouxlie`` module, and
+    ``verify_branch`` takes the branch third, where the tracer's hook reads
+    it: a rename or a reordering shows here, not as a broken trace."""
+    import importlib
+    import inspect
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.trace import LAYERS
+    for module, names in LAYERS.items():
+        mod = importlib.import_module(f"darbouxlie.{module}")
+        for name in names:
+            obj = mod
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), f"{module}.{name}"
+    from darbouxlie.darboux import verify_branch
+    params = list(inspect.signature(verify_branch).parameters.values())
+    assert params[2].name == "branch"
+    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
 #: user algebras with non-integer structure constants: so(3) and
 #: so(3) + R^5 in rational bases, an almost-abelian algebra with a
 #: fractional matrix and a filiform algebra with fractional constants

@@ -671,8 +671,8 @@ def test_locus_contains_short_point_raises_missing_variable():
 def test_tree_branch_int_forms_follow_its_polynomials():
     """A branch stores its polynomial lists as tuples, so changing the lists
     it was built from does not change it, and it refuses assignment: the
-    cached ``int_forms`` that ``locus_contains`` tests are always those of
-    the polynomials it was built with."""
+    polynomials that ``locus_contains`` evaluates (``Poly.eval_int``) are
+    always those it was built with."""
     eqs, ineqs = [x(0)], [(x(1), ">")]
     branch = TreeBranch("b", eqs, ineqs)
     assert branch.equalities == (x(0),)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbouxlie import exactmath
-from darbouxlie.exactmath import (IntPoly, MissingVariable, Poly, RatMatrix,
-                                  ideal_membership, ideal_memberships,
-                                  kernel_basis, mono_key, monomials_up_to,
+from darbouxlie.exactmath import (MissingVariable, Poly, RatMatrix,
+                                  clear_denominators, ideal_membership,
+                                  ideal_memberships, kernel_basis, mono_key,
+                                  monomials_up_to,
                                   normalize_poly, poly_rref,
                                   poly_rref_contains, poly_rref_normalized,
                                   rank, rref,
@@ -169,7 +170,7 @@ def test_integer_form_is_the_matrix_times_one_positive_integer():
     den, rows = m._integer_form()
     assert den == 6
     assert rows == (((0, 3), (2, -4)), (), ((0, 24), (1, 5)))
-    assert rows is m._integer_rows()
+    assert m._integer_form() is m._integer_form()
     assert RatMatrix.zero(2, 2)._integer_form() == (1, ((), ()))
 
 
@@ -246,14 +247,37 @@ def test_normalize_poly():
     assert n == x(0) - 2 * x(1)
 
 
+def scale(p: Poly) -> int:
+    """The positive integer that ``Poly.eval_int`` multiplies p by."""
+    return clear_denominators(p.terms.values())[0]
+
+
 def test_int_poly_clears_denominators_with_a_positive_scale():
-    q = IntPoly(x(0) / 2 - x(1) / 3)
-    assert q.scale == 6
-    assert sorted(q.terms) == [(-2, ((1, 1),), 0), (3, ((0, 1),), 0)]
-    assert q.eval([2, 3]) == 0 and q.eval([1, 0]) == 3
-    assert IntPoly(-Fraction(3, 4) * x(2) ** 2).eval([0, 0, 2]) == -12
-    zero = IntPoly(Poly.zero())
-    assert (zero.scale, zero.terms, zero.eval([1, 2])) == (1, (), 0)
+    p = x(0) / 2 - x(1) / 3
+    assert scale(p) == 6
+    assert p.eval_int([2, 3]) == 0 and p.eval_int([1, 0]) == 3
+    assert p.eval_int([0, 1]) == -2 and p.eval_int([1, 1], 2) == 1
+    assert (-Fraction(3, 4) * x(2) ** 2).eval_int([0, 0, 2]) == -12
+    assert (scale(Poly.zero()), Poly.zero().eval_int([1, 2])) == (1, 0)
+
+
+def test_eval_int_clears_the_coefficients_once(monkeypatch):
+    """Repeated ``eval_int`` calls on one Poly clear its coefficients on
+    the first call only; another Poly clears its own."""
+    calls = []
+    real = exactmath.clear_denominators
+
+    def counting(xs):
+        calls.append(1)
+        return real(xs)
+
+    monkeypatch.setattr(exactmath, "clear_denominators", counting)
+    p, q = x(0) / 2 - x(1) / 3, x(0) ** 2 / 5
+    assert [p.eval_int(pt, den) for pt in ([2, 3], [1, 0], [0, 1])
+            for den in (1, 4)] == [0, 0, 3, 3, -2, -2]
+    assert len(calls) == 1
+    assert q.eval_int([5]) == 25 and q.eval_int([5], 3) == 25
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +674,7 @@ def test_int_poly_matches_eval_and_sympy(sp, seed):
     assert any(p.leading()[1] < 0 for p in polys)
     signs = set()
     for p in polys:
-        q = IntPoly(p)
-        assert q.scale > 0
+        assert scale(p) > 0
         expr = sympy_expr(sp, p, syms)
         for _ in range(30):
             pt = [0] * 4
@@ -660,8 +683,8 @@ def test_int_poly_matches_eval_and_sympy(sp, seed):
             exact = p.eval(pt)
             want = to_fraction(expr.subs(dict(zip(syms, pt))))
             assert exact == want
-            got = q.eval(pt)
-            assert got == q.scale * exact
+            got = p.eval_int(pt)
+            assert got == scale(p) * exact
             assert (got > 0) - (got < 0) == (want > 0) - (want < 0)
             signs.add((got > 0) - (got < 0))
     assert signs == {-1, 0, 1}
@@ -669,23 +692,21 @@ def test_int_poly_matches_eval_and_sympy(sp, seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_int_poly_homogenized_eval_matches_eval(seed):
-    """``IntPoly(p).eval(q, den) == scale * den^d * p(q/den)`` for d = deg p
+    """``p.eval_int(q, den) == scale * den^d * p(q/den)`` for d = deg p
     on non-homogeneous polynomials with constant terms, constants and 0,
     at integer points q with denominators den from 1 to 12."""
     rng = random.Random(seed)
     polys = random_polys(seed, 6, nvars=4, degree=3, density=0.5)
     polys += [Poly.zero(), Poly.const(Fraction(-5, 3)), x(3) / 7 + 2]
     for p in polys:
-        q = IntPoly(p)
-        assert q.degree == p.degree()
         for _ in range(20):
             den = rng.randint(1, 12)
             pt = [rng.randint(-9, 9) for _ in range(4)]
-            want = q.scale * den ** p.degree() * p.eval(
+            want = scale(p) * den ** p.degree() * p.eval(
                 [Fraction(v, den) for v in pt])
-            assert q.eval(pt, den) == want, (p, pt, den)
+            assert p.eval_int(pt, den) == want, (p, pt, den)
             if den == 1:
-                assert q.eval(pt) == want
+                assert p.eval_int(pt) == want
 
 
 def test_int_poly_short_point_raises_missing_variable_like_eval():
@@ -694,7 +715,7 @@ def test_int_poly_short_point_raises_missing_variable_like_eval():
             p.eval([1, 2])
         for den in (1, 3):
             with pytest.raises(MissingVariable) as got:
-                IntPoly(p).eval([1, 2], den)
+                p.eval_int([1, 2], den)
             assert str(got.value) == str(want.value)
 
 

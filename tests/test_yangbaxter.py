@@ -297,8 +297,9 @@ def test_dropping_the_scale_of_t_is_caught(monkeypatch):
     non-integer automorphisms are refused, and the reference check above
     fails: the scale is checked."""
     cases = _non_integer_automorphisms()
+    real = RatMatrix._integer_form
     monkeypatch.setattr(RatMatrix, "_integer_form",
-                        lambda self: (1, self._integer_rows()))
+                        lambda self: (1, real(self)[1]))
     assert not any(is_automorphism(g, T) for g, T in cases)
     with pytest.raises(AssertionError):
         _assert_automorphism_checks_match(cases)
