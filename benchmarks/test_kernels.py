@@ -151,7 +151,7 @@ def s3_merge_rows():
     forms built, and the lifts Λ²T of the shipped automorphisms."""
     fam = load_family("s3")
     lifted = [lambda_matrix(T, 2) for _, T in
-              load_automorphisms(fam, S3, catalog("s3", **S3))]
+              load_automorphisms(fam, S3, AlgebraContext(catalog("s3", **S3)))]
     records = expand_rows(fam, S3)
     for rec in records:
         rec.samples

@@ -19,7 +19,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -27,8 +27,7 @@ from .darboux import (BranchInvalid, TreeBranch, branch_samples,
                       certify_no_solutions, find_bricks, linear_solver,
                       locus_contains_ints, locus_sampler, rational_point,
                       verify_branch)
-# rank_at stays importable from here: perfbench's tracer wraps it by name
-from .derivations import _rank_at_ints, rank_at  # noqa: F401
+from .derivations import _rank_at_ints
 from .exactmath import (Poly, RatMatrix, clear_denominators, normalize_poly,
                         poly_rref, poly_rref_contains, row_space_equal)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
@@ -420,16 +419,6 @@ def qualifying_samples(fam: FamilyData, samples: Optional[list] = None
             yield ps, sp, catalog(fam.algebra, **ps)
 
 
-@lru_cache(maxsize=8)
-def _sample_context(g: LieAlgebra) -> AlgebraContext:
-    """The context of one parameter sample's algebra, shared by the
-    orbit-table and bundle checks of a family file.  The cache holds more
-    contexts than any family file has samples, so the bundle check finds
-    every one that the orbit-table check built, and it stays bounded over
-    a run of all the files."""
-    return AlgebraContext(g)
-
-
 FAMILY_FILES = ["s1", "s2", "s3", "s3aa", "s3a1", "s311", "s4", "s41",
                 "s5", "s6", "s7", "s8", "s81", "s9", "s10", "s11",
                 "s12", "n1"]
@@ -457,7 +446,33 @@ class OrbitRecord:
 
     @cached_property
     def branch(self) -> TreeBranch:
-        return _row_branch(self.label, self.row, self.env)
+        return self._locus[0]
+
+    @cached_property
+    def _locus(self) -> tuple[TreeBranch, list]:
+        """The row's locus and, from one walk over its coordinates, the
+        placements that ``samples`` runs: each expression coordinate x_i = e
+        solved from x_i - e, then each dependent one from the first equality
+        (``eq=``) solvable for it at the point."""
+        row, env = self.row, self.env
+        eqs, ineqs, exprs, deps = [], [], [], []
+        for key, val in row.coords.items():
+            i = int(key[1:]) - 1
+            if val == "0":
+                eqs.append(Poly.var(i))
+            elif val in _ROLE_OPS:
+                ineqs.append((Poly.var(i), _ROLE_OPS[val]))
+            elif val == "dep":
+                deps.append(i)
+            elif isinstance(val, GoldenExpr):
+                eqs.append(Poly.var(i) - val.poly(env))
+                exprs.append((i, eqs[-1:]))
+        extra = [e.poly(env) for e in row.extra_eqs]
+        placed = [(i, [s for s in (linear_solver(e, i) for e in es)
+                       if s is not None])
+                  for i, es in exprs + [(i, extra) for i in deps]]
+        ineqs += [(e.poly(env), op) for e, op in row.extra_ineqs]
+        return TreeBranch(self.label, eqs + extra, ineqs), placed
 
     @cached_property
     def rep_point(self) -> tuple[int, tuple[int, ...]]:
@@ -479,16 +494,6 @@ class OrbitRecord:
         roles = [row.coords.get(f"x{i + 1}", ".") for i in range(NVARS)]
         grid_axes = [(i, _ROLE_GRID[val])
                      for i, val in enumerate(roles) if val in _ROLE_GRID]
-        coords = [(int(k[1:]) - 1, v) for k, v in row.coords.items()]
-        eq_polys = [e.poly(env) for e in row.extra_eqs]
-        # each expression coordinate x_i = e is solved from x_i - e, then
-        # each dependent coordinate takes the value of the first equality
-        # solvable for it at the point; each equation is split once
-        placed = ([(i, [Poly.var(i) - v.poly(env)]) for i, v in coords
-                   if isinstance(v, GoldenExpr)]
-                  + [(i, eq_polys) for i, v in coords if v == "dep"])
-        placed = [(i, [s for s in (linear_solver(e, i) for e in eqs)
-                       if s is not None]) for i, eqs in placed]
 
         axes = [vals for _, vals in grid_axes]
         idxs = [i for i, _ in grid_axes]
@@ -500,7 +505,7 @@ class OrbitRecord:
             pt = [0] * NVARS
             for i, v in zip(idxs, combo):
                 pt[i] = v
-            for d, solvers in placed:
+            for d, solvers in self._locus[1]:
                 for solve in solvers:
                     x = solve(pt)
                     if x is not None:
@@ -508,22 +513,6 @@ class OrbitRecord:
                         break
             push(pt)
         return list(out)
-
-
-def _row_branch(label: str, row: OrbitRow, env: dict) -> TreeBranch:
-    eqs: list[Poly] = []
-    ineqs: list = []
-    for key, val in row.coords.items():
-        i = int(key[1:]) - 1
-        if val == "0":
-            eqs.append(Poly.var(i))
-        elif val in _ROLE_OPS:
-            ineqs.append((Poly.var(i), _ROLE_OPS[val]))
-        elif isinstance(val, GoldenExpr):
-            eqs.append(Poly.var(i) - val.poly(env))
-    eqs += [e.poly(env) for e in row.extra_eqs]
-    ineqs += [(e.poly(env), op) for e, op in row.extra_ineqs]
-    return TreeBranch(label=label, equalities=eqs, inequalities=ineqs)
 
 
 def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
@@ -563,20 +552,19 @@ class TableReport:
     unmerged_components: list
     auts_validated: int
     algebra: str  # the catalog algebra of the family file
+    bundles: list  # a BundleResult per parameter sample, apart from passed
 
     @property
     def passed(self) -> bool:
         return all(r.ok for r in self.rows) and not self.unmerged_components
 
 
-def load_automorphisms(fam: FamilyData, params: dict, g: LieAlgebra,
-                       ctx: Optional[AlgebraContext] = None
+def load_automorphisms(fam: FamilyData, params: dict, ctx: AlgebraContext
                        ) -> list[tuple[str, RatMatrix]]:
     """The shipped matrices at one parameter sample, each validated by
-    ``is_automorphism`` through ``ctx``, the context of g when given, which
-    then does not check them again."""
+    ``is_automorphism`` on ``ctx.g`` through ``ctx``, the context of the
+    sample's algebra, which then does not check them again."""
     sp = _short_params(params)
-    ctx = ctx or AlgebraContext(g)
     out = []
     for nme, rows in fam.automorphisms:
         T = RatMatrix([[e(sp) for e in r] for r in rows])
@@ -591,16 +579,18 @@ def verify_orbit_table(stem: str) -> TableReport:
     """Check every qualifying golden row of one family file: representative
     in its locus, orbit dimension, rank constancy across the sample grid,
     mCYBE membership, star consistency, and that the shipped automorphisms
-    join the sign components of each row's locus."""
+    join the sign components of each row's locus.  The bundle check runs on
+    the same context per parameter sample (``bundles``)."""
     fam = load_family(stem)
     rows: list[RowResult] = []
     unmerged = []
+    bundles = []
     auts_count = 0
     for ps, sp, g in qualifying_samples(fam):
-        auts = load_automorphisms(fam, ps, g)
+        ctx = AlgebraContext(g)
+        auts = load_automorphisms(fam, ps, ctx)
         auts_count += len(auts)
         lifted = [lambda_matrix(T, 2) for _, T in auts]
-        ctx = _sample_context(g)
         for rec in expand_rows(fam, ps):
             problems = []
             errata = []
@@ -644,9 +634,10 @@ def verify_orbit_table(stem: str) -> TableReport:
                 miss = _component_merge_gaps(lifted, rec)
                 if miss:
                     unmerged.append((rec.label, dict(ps), miss))
+        bundles.append(_check_bundle(fam, ps, sp, ctx))
     return TableReport(family=fam.name, rows=rows,
                        unmerged_components=unmerged, auts_validated=auts_count,
-                       algebra=fam.algebra)
+                       algebra=fam.algebra, bundles=bundles)
 
 
 def _component_merge_gaps(lifted: Sequence[RatMatrix],
@@ -714,66 +705,69 @@ def verify_family_bundle(stem: str) -> list[BundleResult]:
     form span, fundamental-field span, bricks, the displayed [r,r], and
     span/locus agreement of the Yang-Baxter systems."""
     fam = load_family(stem)
-    results = []
-    for ps, sp, g in qualifying_samples(fam):
-        ctx = _sample_context(g)
-        problems = []
+    return [_check_bundle(fam, ps, sp, AlgebraContext(g))
+            for ps, sp, g in qualifying_samples(fam)]
 
-        for deg, (inv, _) in ((2, ctx.inv2), (3, ctx.inv3)):
-            want = [e.mv(sp).coords() for cond, e in fam.invariants[deg]
-                    if cond(sp)]
-            got = [v.coords() for v in inv]
-            if not _same_span(want, got):
-                problems.append(f"invariants deg {deg} disagree")
 
-        if fam.der_form:
-            form = _der_form_basis(fam.der_form, sp)
-            if not _same_span([m.flat() for m in form],
-                              [m.flat() for m in ctx.ders]):
-                problems.append("derivation form span disagrees")
+def _check_bundle(fam: FamilyData, ps: dict, sp: dict,
+                  ctx: AlgebraContext) -> BundleResult:
+    """The bundle check at one parameter sample (long and short names) on
+    the context of its algebra."""
+    problems = []
+    for deg, (inv, _) in ((2, ctx.inv2), (3, ctx.inv3)):
+        want = [e.mv(sp).coords() for cond, e in fam.invariants[deg]
+                if cond(sp)]
+        got = [v.coords() for v in inv]
+        if not _same_span(want, got):
+            problems.append(f"invariants deg {deg} disagree")
 
-        if fam.fields:
-            env = {**_XS, **sp}
-            want_rows = [[c for e in frow for c in e(env, _linear_row)]
-                         for frow in fam.fields]
-            comp = [X.matrix.flat() for X in ctx.fields]
-            if not _same_span(want_rows, comp):
-                problems.append("fundamental field span disagrees")
+    if fam.der_form:
+        form = _der_form_basis(fam.der_form, sp)
+        if not _same_span([m.flat() for m in form],
+                          [m.flat() for m in ctx.ders]):
+            problems.append("derivation form span disagrees")
 
-        if fam.bricks is not None:
-            want_bricks = [normalize_poly(b.poly(sp)) for b in fam.bricks]
-            got_bricks = [b.poly for b in find_bricks(ctx.fields)]
-            if sorted(p.text() for p in want_bricks) != \
-                    sorted(p.text() for p in got_bricks):
-                problems.append(
-                    f"bricks disagree: expected "
-                    f"{[p.text() for p in want_bricks]},"
-                    f" got {[p.text() for p in got_bricks]}")
+    if fam.fields:
+        env = {**_XS, **sp}
+        want_rows = [[c for e in frow for c in e(env, _linear_row)]
+                     for frow in fam.fields]
+        comp = [X.matrix.flat() for X in ctx.fields]
+        if not _same_span(want_rows, comp):
+            problems.append("fundamental field span disagrees")
 
-        ybs = ctx.yb_system
-        if fam.rr:
-            for bl, expr, got in zip(blades(4, 3), fam.rr, ctx.rr):
-                if expr.poly(sp) != got:
-                    problems.append(f"[r,r] coefficient at blade {bl} differs")
+    if fam.bricks is not None:
+        want_bricks = [normalize_poly(b.poly(sp)) for b in fam.bricks]
+        got_bricks = [b.poly for b in find_bricks(ctx.fields)]
+        if sorted(p.text() for p in want_bricks) != \
+                sorted(p.text() for p in got_bricks):
+            problems.append(
+                f"bricks disagree: expected "
+                f"{[p.text() for p in want_bricks]},"
+                f" got {[p.text() for p in got_bricks]}")
 
-        for kind, lines, computed in (("mcybe", fam.mcybe, ybs.reduced),
-                                      ("cybe", fam.cybe,
-                                       reduce_system([p for p in ybs.cybe
-                                                      if not p.is_zero()]))):
-            golden = next((polys for cond, polys in lines if cond(sp)), None)
-            if golden is None:
-                continue
-            gp = [normalize_poly(q) for q in (e.poly(sp) for e in golden)
-                  if not q.is_zero()]
-            if not _poly_span_equal(gp, computed):
-                problems.append(f"{kind} system span disagrees")
-            if kind == "mcybe" and not _same_real_locus(
-                    ybs.mcybe, ybs.witnesses, ybs.reduced):
-                problems.append("mcybe locus equality fails")
+    ybs = ctx.yb_system
+    if fam.rr:
+        for bl, expr, got in zip(blades(4, 3), fam.rr, ctx.rr):
+            if expr.poly(sp) != got:
+                problems.append(f"[r,r] coefficient at blade {bl} differs")
 
-        results.append(BundleResult(family=fam.name, params=dict(ps),
-                                    ok=not problems, problems=problems))
-    return results
+    for kind, lines, computed in (("mcybe", fam.mcybe, ybs.reduced),
+                                  ("cybe", fam.cybe,
+                                   reduce_system([p for p in ybs.cybe
+                                                  if not p.is_zero()]))):
+        golden = next((polys for cond, polys in lines if cond(sp)), None)
+        if golden is None:
+            continue
+        gp = [normalize_poly(q) for q in (e.poly(sp) for e in golden)
+              if not q.is_zero()]
+        if not _poly_span_equal(gp, computed):
+            problems.append(f"{kind} system span disagrees")
+        if kind == "mcybe" and not _same_real_locus(
+                ybs.mcybe, ybs.witnesses, ybs.reduced):
+            problems.append("mcybe locus equality fails")
+
+    return BundleResult(family=fam.name, params=dict(ps), ok=not problems,
+                        problems=problems)
 
 
 def _linear_row(v, text: str) -> list[Fraction]:
@@ -1127,7 +1121,7 @@ def verify_coboundary_classes(stem: str,
         ctx = AlgebraContext(g)
         records = {r.label: r for r in expand_rows(fam, ps)}
         auts = ([("id", RatMatrix.identity(4))]
-                + load_automorphisms(fam, ps, g, ctx))
+                + load_automorphisms(fam, ps, ctx))
         applied = [(cl.name, [m for m in cl.members if m in records])
                    for cl in fam.classes if cl.cond(sp)]
         applied = [(name, ms) for name, ms in applied if ms]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import classify
 from .centerext import RepresentationInvalid, build_rep, solve_grading
-from .darboux import BranchInvalid, IncompatibleFields, find_bricks
+from .darboux import BranchInvalid, find_bricks
 from .derivations import derivation_basis, fundamental_fields, orbit_dim, rank_at
 from .exactmath import Poly, RatMatrix, mono_str
 from .grassmann import MultiVector, invariants
@@ -26,8 +26,7 @@ from .liealg import FAMILIES, catalog, parse_algebra, validate
 from .yangbaxter import NotAnAutomorphism, yb_system
 from .classify import (FAMILY_FILES, TREE_FILES, WitnessMissing,
                        parse_multivector, verify_coboundary_classes,
-                       verify_orbit_table, verify_schouten_family, verify_tree,
-                       verify_family_bundle)
+                       verify_orbit_table, verify_schouten_family, verify_tree)
 
 
 class InputError(ValueError):
@@ -35,8 +34,8 @@ class InputError(ValueError):
 
 
 #: ValueErrors that report a failed check (exit 1), not bad input (exit 2)
-VERIFICATION_FAILURES = (WitnessMissing, BranchInvalid, IncompatibleFields,
-                         NotAnAutomorphism, RepresentationInvalid)
+VERIFICATION_FAILURES = (WitnessMissing, BranchInvalid, NotAnAutomorphism,
+                         RepresentationInvalid)
 
 
 def _rat_str(x: Fraction) -> str:
@@ -289,7 +288,7 @@ def _verify_one_family(stem: str):
         lines.append(f"  row {label:12s} {_pstr(ps):24s} GAP: sign "
                      f"components {signs} not reached by the shipped "
                      f"automorphisms")
-    for b in verify_family_bundle(stem):
+    for b in table.bundles:
         mark = "ok" if b.ok else "FAIL"
         ok = ok and b.ok
         lines.append(f"  bundle {_pstr(b.params):24s} {mark}" +

@@ -20,7 +20,7 @@ from darbouxlie.exactmath import Poly, RatMatrix
 from darbouxlie.exprparse import ExprError
 from darbouxlie.grassmann import MultiVector, apply_linear
 from darbouxlie.liealg import catalog
-from darbouxlie.yangbaxter import is_automorphism
+from darbouxlie.yangbaxter import AlgebraContext, is_automorphism
 
 x = Poly.var
 
@@ -95,7 +95,7 @@ def test_shipped_automorphisms_validate():
     for stem in FAMILY_FILES:
         fam = load_family(stem)
         for ps, _, g in qualifying_samples(fam):
-            auts = load_automorphisms(fam, ps, g)
+            auts = load_automorphisms(fam, ps, AlgebraContext(g))
             assert all(T.rows == 4 for _, T in auts)
 
 
@@ -185,9 +185,9 @@ def test_loci_agree_draws_its_points_once(monkeypatch):
 
 
 def test_orbit_table_and_bundle_share_one_context_per_sample(monkeypatch):
-    """On one family file the two checks compute the derivations and the
-    Yang-Baxter system once per parameter sample."""
-    import darbouxlie.classify as classify
+    """One orbit-table check of a family file, which runs the bundle check
+    on the same contexts, computes the derivations and the Yang-Baxter
+    system once per parameter sample, and its bundles pass."""
     import darbouxlie.yangbaxter as yangbaxter
     calls = []
 
@@ -199,14 +199,14 @@ def test_orbit_table_and_bundle_share_one_context_per_sample(monkeypatch):
             return original(g)
         return wrapped
 
-    classify._sample_context.cache_clear()
     for name in ("derivation_basis", "generic_rr"):
         monkeypatch.setattr(yangbaxter, name, counting(name))
     fam = load_family("s3")
     algebras = [g for _, _, g in qualifying_samples(fam)]
     assert len(algebras) == 5
-    assert verify_orbit_table("s3").passed
-    assert all(b.ok for b in verify_family_bundle("s3"))
+    table = verify_orbit_table("s3")
+    assert table.passed
+    assert len(table.bundles) == 5 and all(b.ok for b in table.bundles)
     for name in ("derivation_basis", "generic_rr"):
         assert [g for n, g in calls if n == name] == algebras, name
 
@@ -327,6 +327,55 @@ def test_verify_tree_records_branch_errors_only(monkeypatch):
         verify_tree("s1")
 
 
+def test_tree_check_needs_the_golden_derivation_form(monkeypatch):
+    """``verify_tree`` builds its contexts on the family file's derivation
+    form, ``AlgebraContext(g, ders)``, not on der(g).  The form lies in
+    der(g) everywhere, and at seven tree samples it spans only part of it.
+    With der(g) in its place, 47 branch instances of s3, s4 and s8 at those
+    samples are not Darboux families at cofactor bound 2, so the form
+    cannot be dropped."""
+    import darbouxlie.classify as classify
+    from darbouxlie.derivations import derivation_basis
+    from darbouxlie.exactmath import rank
+    partial = {}
+    for stem in TREE_FILES:
+        tree = load_tree(stem)
+        fam = load_family(tree.family_stem)
+        for ps in tree.samples:
+            full = [d.flat() for d in derivation_basis(
+                catalog(fam.algebra, **ps))]
+            form = [m.flat() for m in classify._der_form_basis(
+                fam.der_form, classify._short_params(ps))]
+            assert rank(RatMatrix(form + full)) == len(full), (stem, ps)
+            if rank(RatMatrix(form)) < len(full):
+                key = (stem, tuple(sorted(ps.items())))
+                partial[key] = (rank(RatMatrix(form)), len(full))
+    F = Fraction
+
+    def s3(a, b):
+        return ("s3", (("alpha", a), ("beta", b)))
+    assert partial == {
+        s3(F(1), F(1, 2)): (6, 8), s3(F(1), F(-1)): (6, 8),
+        s3(F(-1, 2), F(-1, 2)): (6, 8), s3(F(1, 3), F(1, 3)): (6, 8),
+        s3(F(1), F(1)): (6, 12), ("s4", (("alpha", F(1)),)): (6, 8),
+        ("s8", (("alpha", F(1)),)): (5, 7)}
+
+    assert all(verify_tree(stem).passed for stem in ("s3", "s4", "s8"))
+    real = classify.AlgebraContext
+    monkeypatch.setattr(classify, "AlgebraContext",
+                        lambda g, ders=None: real(g))
+    failed = Counter()
+    for stem in TREE_FILES:
+        rep = verify_tree(stem)
+        assert not rep.unconfirmed
+        for label, ps, reason in rep.failures:
+            assert reason == (f"{label}: equalities are not a Darboux "
+                              "family at bound 2")
+            assert (stem, tuple(sorted(ps.items()))) in partial
+            failed[stem] += 1
+    assert failed == {"s3": 40, "s4": 3, "s8": 4}
+
+
 def _recorded_branches(stem, monkeypatch):
     """verify_tree(stem), which must pass, with the arguments of each of
     its verify_branch calls: (context, fields, branch, sample points,
@@ -402,8 +451,11 @@ def test_check_runs_clear_each_candidate_point_once(monkeypatch):
     representative's serves its orbit dimension and its sample entry."""
     import darbouxlie.classify as classify
     from darbouxlie import yangbaxter
-    # the callers that clear polynomials, matrices and structure constants
-    not_points = {"eval_int", "_integer_form", "normalize_poly", "int_table"}
+    # the callers that clear polynomials, matrices and structure constants,
+    # and find_bricks, which the orbit table's bundle check runs: it clears
+    # the kernel vectors of its brick search, not sample points
+    not_points = {"eval_int", "_integer_form", "normalize_poly", "int_table",
+                  "find_bricks"}
     callers, pushes = _clearing_counts(monkeypatch)
     assert verify_tree("s1").passed
     assert callers.pop("push") == pushes["push"] > 0
@@ -695,7 +747,6 @@ def test_bundle_mcybe_diagnostics(line, tmp_path, monkeypatch):
 def test_mixed_sign_witness_fails_the_locus_check(monkeypatch):
     """A reduction that kills x5 and x6 by x5^2 - x6^2, which vanishes on
     x5 = x6 != 0, fails the bundle check and ``verify-tables``."""
-    import darbouxlie.classify as classify
     import darbouxlie.yangbaxter as yangbaxter
     from darbouxlie.cli import main
     real = yangbaxter._reduce_with_witnesses
@@ -706,13 +757,9 @@ def test_mixed_sign_witness_fails_the_locus_check(monkeypatch):
         return gens, [([4, 5], x(4) ** 2 - x(5) ** 2)]
 
     monkeypatch.setattr(yangbaxter, "_reduce_with_witnesses", mutant)
-    classify._sample_context.cache_clear()
-    try:
-        [result] = verify_family_bundle("s1")
-        assert result.problems == ["mcybe locus equality fails"]
-        assert main(["verify-tables", "--algebra", "s1"]) == 1
-    finally:
-        classify._sample_context.cache_clear()
+    [result] = verify_family_bundle("s1")
+    assert result.problems == ["mcybe locus equality fails"]
+    assert main(["verify-tables", "--algebra", "s1"]) == 1
 
 
 def test_bundle_check_calls_no_sampler(monkeypatch):

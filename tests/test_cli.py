@@ -471,10 +471,10 @@ def test_verify_tables_reads_each_schouten_table_once(monkeypatch):
     assert sorted(loads) == sorted(f for f, _, _ in classify.SCHOUTEN_TABLES)
 
 
-def test_verify_tables_reads_each_family_file_twice(monkeypatch):
-    """The orbit tables and the family bundles each read the 18 family
-    files once; the Schouten stage takes its algebras from their results
-    and reads none."""
+def test_verify_tables_reads_each_family_file_once(monkeypatch):
+    """The orbit-table check, which runs the bundle check too, reads each
+    of the 18 family files once; the Schouten stage takes its algebras
+    from their results and reads none."""
     from darbouxlie import classify
     loads = []
     real = classify.load_family
@@ -485,8 +485,8 @@ def test_verify_tables_reads_each_family_file_twice(monkeypatch):
     monkeypatch.setattr(classify, "load_family", load)
     code, out = run_cli("verify-tables", "--algebra", "all")
     assert code == 0 and out.count("schouten tables ") == 13
-    assert len(loads) == 2 * len(classify.FAMILY_FILES) == 36
-    assert sorted(loads) == sorted(2 * classify.FAMILY_FILES)
+    assert len(loads) == len(classify.FAMILY_FILES) == 18
+    assert sorted(loads) == sorted(classify.FAMILY_FILES)
 
 
 @pytest.mark.slow
@@ -508,7 +508,7 @@ def test_batch_json_output_matches_the_recorded_digest(workload, extra,
     ``coboundary-classes`` with ``--format json`` print exactly the bytes
     whose sha256 the benchmark records for them (``perfbench/batch.py``).
     With ``--jobs 2`` the family files run in forked workers, each with
-    its own cached contexts and points, and the bytes are the same."""
+    its own contexts and cached points, and the bytes are the same."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.batch import VERBS
     argv, digest, _ = VERBS[workload]
@@ -520,8 +520,9 @@ def test_batch_json_output_matches_the_recorded_digest(workload, extra,
 def test_every_traced_layer_resolves_to_a_callable(monkeypatch):
     """Each function that perfbench's tracer wraps (``LAYERS``, methods as
     ``Class.method``) is a callable of its ``darbouxlie`` module, and
-    ``verify_branch`` takes the branch third, where the tracer's hook reads
-    it: a rename or a reordering shows here, not as a broken trace."""
+    ``verify_branch`` takes the branch third and the two family-file stages
+    take the stem first, where the tracer's hooks read them: a rename or a
+    reordering shows here, not as a broken trace."""
     import importlib
     import inspect
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
@@ -533,10 +534,14 @@ def test_every_traced_layer_resolves_to_a_callable(monkeypatch):
             for part in name.split("."):
                 obj = getattr(obj, part)
             assert callable(obj), f"{module}.{name}"
+    from darbouxlie.classify import verify_family_bundle, verify_orbit_table
     from darbouxlie.darboux import verify_branch
-    params = list(inspect.signature(verify_branch).parameters.values())
-    assert params[2].name == "branch"
-    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    for f, pos, name in ((verify_branch, 2, "branch"),
+                         (verify_orbit_table, 0, "stem"),
+                         (verify_family_bundle, 0, "stem")):
+        param = list(inspect.signature(f).parameters.values())[pos]
+        assert param.name == name, f.__name__
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 #: user algebras with non-integer structure constants: so(3) and

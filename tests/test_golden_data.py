@@ -25,6 +25,7 @@ from darbouxlie.darboux import TreeBranch, rational_point
 from darbouxlie.exactmath import Poly, RatMatrix
 from darbouxlie.grassmann import MultiVector, lambda_matrix
 from darbouxlie.liealg import FAMILIES, catalog
+from darbouxlie.yangbaxter import AlgebraContext
 
 
 def run_cli(*args):
@@ -241,7 +242,8 @@ EXPRESSIONS = {
                                  "cybe : x3*x4 | x3*x6 | x5/0"),
     "automorphism-division": _s1_section(
         S1_AUT, S1_AUT.replace(": 1 0", ": 1/0 0"),
-        lambda: load_automorphisms(load_family("s1"), {}, catalog("s1"))),
+        lambda: load_automorphisms(load_family("s1"), {},
+                                   AlgebraContext(catalog("s1")))),
     "schouten-division": (
         "schouten/table_g_l2.txt", "e2 : 0 | 0 | 0 | 0 | e12 | e13",
         "e2 : 0 | 0 | 0 | 0 | e12/0 | e13",
@@ -430,7 +432,7 @@ def _merge_walks(stem):
     out = []
     for ps, _, g in classify.qualifying_samples(fam):
         lifted = [lambda_matrix(T, 2)
-                  for _, T in load_automorphisms(fam, ps, g)]
+                  for _, T in load_automorphisms(fam, ps, AlgebraContext(g))]
         for rec in expand_rows(fam, ps):
             want, ncomps = _fraction_merge_gaps(lifted, rec)
             out.append((rec.label, classify._component_merge_gaps(
