@@ -201,19 +201,16 @@ def test_merge_walk_s3_rows(benchmark, s3_merge_rows):
 
 @pytest.fixture(scope="module")
 def s3_char_poly_rows(fields):
-    """The dense integer rows D·M that ``find_bricks`` forms from
-    ``_integer_form`` and hands to ``_integer_eigenvalues`` for each s3
-    lifted field matrix M (D the lcm of its denominators), with each
-    matrix's characteristic polynomial from the Fraction recursion."""
+    """The sparse integer rows D·M of ``_integer_form`` that
+    ``find_bricks`` hands to ``_integer_eigenvalues`` for each s3 lifted
+    field matrix M (D the lcm of its denominators), with D·M as a
+    RatMatrix and its characteristic polynomial from the Fraction
+    recursion."""
     out = []
     for X in fields:
         den, rows = X.matrix._integer_form()
-        n = X.matrix.cols
-        dense = [[0] * n for _ in range(n)]
-        for a, r in enumerate(rows):
-            for b, x in r:
-                dense[a][b] = x
-        out.append((dense, _fraction_char_poly(X.matrix.scale(den))))
+        scaled = X.matrix.scale(den)
+        out.append((rows, scaled, _fraction_char_poly(scaled)))
     return out
 
 
@@ -232,14 +229,14 @@ def _fraction_char_poly(m: RatMatrix) -> list[Fraction]:
 
 def test_fraction_char_poly_s3_fields(benchmark, s3_char_poly_rows):
     """The recursion on RatMatrix: the reference ``_char_poly``."""
-    mats = [RatMatrix(rows) for rows, _ in s3_char_poly_rows]
-    want = [c for _, c in s3_char_poly_rows]
+    mats = [m for _, m, _ in s3_char_poly_rows]
+    want = [c for _, _, c in s3_char_poly_rows]
     assert benchmark(lambda: [_fraction_char_poly(m) for m in mats]) == want
 
 
 def test_char_poly_s3_fields(benchmark, s3_char_poly_rows):
-    want = [c for _, c in s3_char_poly_rows]
-    rows = [r for r, _ in s3_char_poly_rows]
+    want = [c for _, _, c in s3_char_poly_rows]
+    rows = [r for r, _, _ in s3_char_poly_rows]
     assert [darboux._char_poly(r) for r in rows] == want
     assert benchmark(lambda: [darboux._char_poly(r) for r in rows]) == want
 

@@ -28,8 +28,8 @@ from .darboux import (BranchInvalid, TreeBranch, branch_samples,
                       locus_contains_ints, locus_sampler, rational_point,
                       verify_branch)
 from .derivations import _rank_at_ints
-from .exactmath import (Poly, RatMatrix, clear_denominators, normalize_poly,
-                        poly_rref, poly_rref_contains, row_space_equal)
+from .exactmath import (Poly, RatMatrix, _span_rref, clear_denominators,
+                        normalize_poly, poly_rref, poly_rref_contains)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
                         poly_env)
 from .grassmann import MultiVector, blades, lambda_matrix, schouten
@@ -780,12 +780,10 @@ def _linear_row(v, text: str) -> list[Fraction]:
 
 
 def _same_span(a, b) -> bool:
-    if not a and not b:
-        return True
-    width = len(a[0] if a else b[0])
-    ma = RatMatrix(a) if a else RatMatrix.zero(0, width)
-    mb = RatMatrix(b) if b else RatMatrix.zero(0, width)
-    return row_space_equal(ma, mb)
+    """Whether two lists of rows span the same space; rows of two widths
+    never do."""
+    return (len({len(r) for r in (*a, *b)}) < 2
+            and _span_rref(a) == _span_rref(b))
 
 
 def _poly_span_equal(a: Sequence[Poly], b: Sequence[Poly]) -> bool:

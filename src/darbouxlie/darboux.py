@@ -27,10 +27,9 @@ from typing import Callable, Optional, Sequence
 
 from .derivations import (LinearVectorField, _rank_at_ints, field_columns,
                           vf_apply)
-from .exactmath import (MissingVariable, Poly, RatMatrix, clear_denominators,
+from .exactmath import (MissingVariable, Poly, _int_rref, clear_denominators,
                         ideal_memberships, int_kernel_basis, monomials_up_to,
-                        normalize_poly, poly_rref, poly_rref_contains, rat,
-                        rref)
+                        normalize_poly, poly_rref, poly_rref_contains, rat)
 from .yangbaxter import AlgebraContext
 
 #: verify_branch checks closure with cofactors up to this degree, and
@@ -138,9 +137,10 @@ def family_sum(a: DarbouxFamily, b: DarbouxFamily) -> DarbouxFamily:
 # bricks
 # ---------------------------------------------------------------------------
 
-def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
+def _char_poly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     """Characteristic polynomial coefficients [c_0..c_n] of det(tI - M) for
-    the integer matrix M with the given rows, by the Faddeev-LeVerrier
+    the integer matrix M with the given sparse rows (``(column, int)``
+    pairs, as in ``RatMatrix._integer_form``), by the Faddeev-LeVerrier
     recursion in ``int`` arithmetic: from M_0 = I, step k forms
     A_k = M·M_{k-1}, c_{n-k} = -tr(A_k)/k and M_k = A_k + c_{n-k}·I.  Each
     M_k is an integer polynomial in M, and c_{n-k} is a coefficient of the
@@ -149,11 +149,10 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
     only (the lifted field matrices are sparse)."""
     n = len(rows)
     coeffs = [0] * n + [1]
-    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         ak = []
-        for r in nonzero:
+        for r in rows:
             row = [0] * n
             for j, x in r:
                 row = [a + x * y for a, y in zip(row, mk[j])]
@@ -166,9 +165,10 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
     return coeffs
 
 
-def _integer_eigenvalues(rows: Sequence[Sequence[int]]) -> list[int]:
+def _integer_eigenvalues(rows: Sequence[Sequence[tuple[int, int]]]
+                         ) -> list[int]:
     """The integer roots, sorted, of the characteristic polynomial of the
-    integer matrix with the given rows.
+    integer matrix with the given sparse rows.
 
     The polynomial is monic with integer coefficients (``_char_poly``), so
     its rational roots are integers mu: 0, or divisors of the lowest nonzero
@@ -176,7 +176,7 @@ def _integer_eigenvalues(rows: Sequence[Sequence[int]]) -> list[int]:
     spectral radius is at most the infinity norm).  For D·M with D the lcm
     of the denominators of M, the rational eigenvalues of M are the mu/D."""
     coeffs = _char_poly(rows)
-    bound = max((sum(map(abs, r)) for r in rows), default=0)
+    bound = max((sum(abs(x) for _, x in r) for r in rows), default=0)
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {0} if k else set()
     low = abs(coeffs[k])
@@ -202,8 +202,9 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
     ``_integer_eigenvalues`` (M and Mᵀ share their characteristic
     polynomial), and M has the mu/D.  A candidate subspace is kept as
     integer rows S, and refined to the vectors Sᵀk with (D·Mᵀ - mu)·Sᵀk = 0,
-    each kernel vector k cleared to ints.  The reduced row-echelon form of
-    the final S depends only on its span."""
+    each kernel vector k cleared to ints.  The bricks are the rows of the
+    integer RREF of the final S (``_int_rref``), each normalized: they
+    depend only on its span."""
     if not fields:
         return []
     n = fields[0].nvars
@@ -211,11 +212,7 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
     eigrecords: list[tuple[Fraction, ...]] = [()]
     for X in fields:
         den, rows = X.matrix._integer_form()
-        dense = [[0] * n for _ in range(n)]
-        for a, r in enumerate(rows):
-            for b, x in r:
-                dense[a][b] = x
-        mus = _integer_eigenvalues(dense)
+        mus = _integer_eigenvalues(rows)
         new_spaces, new_recs = [], []
         for space, rec in zip(subspaces, eigrecords):
             # prod[b][s] = (D·Mᵀ·Sᵀ)[b][s] = sum_a (D·M)[a][b] S[s][a]
@@ -244,9 +241,10 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
             return []
     bricks = []
     for space, rec in zip(subspaces, eigrecords):
-        red, pivots = rref(RatMatrix(space))
-        for i in range(len(pivots)):
-            poly = Poly({((j, 1),): red[i, j] for j in range(n) if red[i, j]})
+        red, _ = _int_rref({j: x for j, x in enumerate(v) if x}
+                           for v in space)
+        for r in red:
+            poly = Poly({((j, 1),): x for j, x in sorted(r.items())})
             bricks.append(Brick(poly=normalize_poly(poly), eigenvalues=rec))
     bricks.sort(key=lambda b: min(v for m in b.poly.terms for v, _ in m))
     return bricks
@@ -449,17 +447,15 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
                 continue
             q2 = _gram(q * q, nvars)
             for c in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 4)):
-                diff = RatMatrix([[gram[a, b] - c * q2[a, b]
-                                   for b in range(nvars)]
-                                  for a in range(nvars)])
-                if _psd(diff):
+                if _psd([[x - c * y for x, y in zip(r, r2)]
+                         for r, r2 in zip(gram, q2)]):
                     return (f"PSD domination: {z.text()} = 0 forces "
                             f"ineq{i + 1} = {q.text()} = 0")
     return None
 
 
-def _gram(p: Poly, nvars: int) -> Optional[RatMatrix]:
-    """Symmetric matrix of a quadratic form, or None if p is not one."""
+def _gram(p: Poly, nvars: int) -> Optional[list[list[Fraction]]]:
+    """Symmetric matrix (rows) of a quadratic form, or None if p is not one."""
     m = [[Fraction(0)] * nvars for _ in range(nvars)]
     for mono, c in p.terms.items():
         if sum(e for _, e in mono) != 2:
@@ -470,17 +466,18 @@ def _gram(p: Poly, nvars: int) -> Optional[RatMatrix]:
         else:
             (v1, _), (v2, _) = mono
             m[v1][v2] = m[v2][v1] = c / 2
-    return RatMatrix(m)
+    return m
 
 
-def _psd(m: RatMatrix) -> bool:
-    """Exact positive-semidefiniteness of a symmetric matrix by symmetric
-    elimination: a positive pivot a_kk is replaced by its Schur complement
-    on the rows and columns after k, a_ij -= a_ik a_kj / a_kk for
-    j >= i > k (mirrored to a_ji).  A negative pivot, or a zero pivot with
-    a nonzero entry after it in its row, makes the matrix indefinite."""
-    a = [list(r) for r in m.entries]
-    n = m.rows
+def _psd(m: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact positive-semidefiniteness of a symmetric matrix (its rows,
+    left unchanged) by symmetric elimination: a positive pivot a_kk is
+    replaced by its Schur complement on the rows and columns after k,
+    a_ij -= a_ik a_kj / a_kk for j >= i > k (mirrored to a_ji).  A
+    negative pivot, or a zero pivot with a nonzero entry after it in its
+    row, makes the matrix indefinite."""
+    a = [list(r) for r in m]
+    n = len(a)
     for k in range(n):
         piv = a[k][k]
         if piv < 0:
@@ -500,7 +497,6 @@ def _psd(m: RatMatrix) -> bool:
 @dataclass
 class BranchReport:
     label: str
-    family_verified: bool
     linear: bool
     ranks: list[int]
     rank_constant: bool
@@ -511,7 +507,7 @@ class BranchReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.family_verified and self.rank_constant and self.mcybe_ok
+        ok = self.rank_constant and self.mcybe_ok
         if self.dim_matches is not None:
             ok = ok and self.dim_matches
         return ok
@@ -564,7 +560,7 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     if not any(solves):
         raise BranchInvalid(f"{branch.label}: no mCYBE points")
     return BranchReport(
-        label=branch.label, family_verified=True, linear=fam.linear,
+        label=branch.label, linear=fam.linear,
         ranks=ranks, rank_constant=rank_constant,
         expected_dim=branch.expected_dim, dim_matches=dim_matches,
         samples_checked=len(samples), mcybe_ok=all(solves))

@@ -45,15 +45,14 @@ class LinearVectorField:
     def at(self, p: Sequence) -> tuple[Fraction, ...]:
         return self.matrix.matvec(p)
 
-    def text(self, names=None) -> str:
+    def text(self) -> str:
         bits = []
         for a in range(self.nvars):
             coef = Poly({((b, 1),): self.matrix[a, b]
                          for b in range(self.nvars) if self.matrix[a, b]})
             if coef.is_zero():
                 continue
-            nm = names[a] if names else f"x{a + 1}"
-            bits.append(f"({coef.text(names)})*d/d{nm}")
+            bits.append(f"({coef.text()})*d/dx{a + 1}")
         return " + ".join(bits) if bits else "0"
 
 
@@ -117,8 +116,9 @@ def vf_apply(X: LinearVectorField, f: Poly) -> Poly:
     """Directional derivative (Xf)(p) = sum_a (A p)_a df/dx_a.
 
     Term by term: c*m with x_a^e in m contributes c*e*A[a, b] to the
-    monomial m*x_b/x_a for every nonzero A[a, b]."""
-    rows = X.matrix._nonzero_rows()
+    monomial m*x_b/x_a for every nonzero A[a, b].  The sums run on the
+    ints D·A of the matrix's integer form and are divided by D once."""
+    den, rows = X.matrix._integer_form()
     out: dict = {}
     for m, c in f.terms.items():
         for a, e in m:
@@ -133,7 +133,7 @@ def vf_apply(X: LinearVectorField, f: Poly) -> Poly:
                 exps[b] = exps.get(b, 0) + 1
                 key = tuple(sorted(exps.items()))
                 out[key] = out.get(key, 0) + ce * x
-    return Poly(out)
+    return Poly({m: c / den for m, c in out.items()} if den > 1 else out)
 
 
 def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:

@@ -60,14 +60,10 @@ def _lead_key(m: Monomial):
     return (-mono_degree(m), m)
 
 
-def mono_str(m: Monomial, names=None) -> str:
+def mono_str(m: Monomial) -> str:
     if not m:
         return "1"
-    parts = []
-    for v, e in m:
-        name = names[v] if names else f"x{v + 1}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(f"x{v + 1}" if e == 1 else f"x{v + 1}^{e}" for v, e in m)
 
 
 def monomials_up_to(nvars: int, degree: int) -> list[Monomial]:
@@ -264,12 +260,12 @@ class Poly:
         return total
 
     # display ----------------------------------------------------------------
-    def text(self, names=None) -> str:
+    def text(self) -> str:
         if not self.terms:
             return "0"
         bits = []
         for m, c in self.sorted_terms():
-            s = mono_str(m, names)
+            s = mono_str(m)
             if s == "1":
                 frag = str(c)
             elif c == 1:
@@ -325,11 +321,12 @@ def normalize_poly(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RatMatrix:
-    """Dense matrix of Fractions.  Immutable once constructed, so the
-    nonzero pattern (``_nonzero_rows``), its integer form
-    (``_integer_form``) and the hash are computed once and cached."""
+    """Dense matrix of Fractions.  Immutable once constructed, so its one
+    sparse form, the integer form (``_integer_form``), and the hash are
+    computed once and cached.  Products and solves read the integer form
+    and divide by its D once per entry of the result."""
 
-    __slots__ = ("entries", "rows", "cols", "_sparse", "_ints", "_hash")
+    __slots__ = ("entries", "rows", "cols", "_ints", "_hash")
 
     def __init__(self, entries: Iterable[Iterable], cols: int = 0):
         """``cols`` is the width of a matrix without rows."""
@@ -361,42 +358,39 @@ class RatMatrix:
             return RatMatrix.zero(0, self.rows)
         return RatMatrix(zip(*self.entries) if self.rows else [()] * self.cols)
 
-    def _nonzero_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each row as its ``(column, entry)`` pairs with nonzero entry."""
-        try:
-            return self._sparse
-        except AttributeError:
-            self._sparse = tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                                 for r in self.entries)
-            return self._sparse
-
     def _integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...],
                                                 ...]]:
-        """The lcm D of all the entries' denominators and the rows of D
-        times the matrix as ints, in ``_nonzero_rows`` form."""
+        """The lcm D of all the entries' denominators, and each row of D
+        times the matrix as its ``(column, int)`` pairs with nonzero
+        entry."""
         try:
             return self._ints
         except AttributeError:
-            rows = self._nonzero_rows()
-            den, ints = clear_denominators(x for r in rows for _, x in r)
+            den, ints = clear_denominators(x for r in self.entries
+                                           for x in r if x)
             it = iter(ints)
-            self._ints = den, tuple(tuple((j, next(it)) for j, _ in r)
-                                    for r in rows)
+            self._ints = den, tuple(
+                tuple((j, next(it)) for j, x in enumerate(r) if x)
+                for r in self.entries)
             return self._ints
 
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = [rat(x) for x in v]
         if len(v) != self.cols:
             raise ValueError(f"matvec size mismatch: {self.cols} vs {len(v)}")
-        return tuple(sum((x * v[j] for j, x in r), Fraction(0))
-                     for r in self._nonzero_rows())
+        den, rows = self._integer_form()
+        dv, q = clear_denominators(v)
+        den *= dv
+        return tuple(Fraction(sum(q[j] * x for j, x in r), den)
+                     for r in rows)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("matmul size mismatch")
+        den, rows = self._integer_form()
         bt = other.transpose()
-        return RatMatrix([[sum((x * b[k] for k, x in a), Fraction(0))
-                           for b in bt.entries] for a in self._nonzero_rows()])
+        return RatMatrix([[sum((b[k] * x for k, x in a), Fraction(0)) / den
+                           for b in bt.entries] for a in rows])
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -542,6 +536,14 @@ def _gauss_jordan(rows: Iterable, ncols: float = inf,
             for r, c in zip(red, cols)], cols
 
 
+def _span_rref(rows: Iterable[Sequence]
+               ) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """``_gauss_jordan`` of dense rows of Fractions or ints: the sparse
+    RREF of their span, which depends only on the span."""
+    return _gauss_jordan(_int_row({j: x for j, x in enumerate(r) if x})
+                         for r in rows)
+
+
 def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
                 ) -> list[Optional[dict[int, Fraction]]]:
     """Solutions of the augmented systems that share the unknowns in
@@ -608,8 +610,9 @@ def solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     b = [rat(x) for x in b]
     if len(b) != m.rows:
         raise ValueError(f"solve size mismatch: {m.rows} vs {len(b)}")
-    sol, = _solve_rows([dict(r + ((m.cols, bi),) if bi else r)
-                        for r, bi in zip(m._nonzero_rows(), b)], m.cols)
+    den, rows = m._integer_form()
+    sol, = _solve_rows([dict(r + ((m.cols, den * bi),) if bi else r)
+                        for r, bi in zip(rows, b)], m.cols)
     if sol is None:
         return None
     zero = Fraction(0)
@@ -618,10 +621,7 @@ def solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
 
 def row_space_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """Whether two matrices span the same row space."""
-    if a.cols != b.cols:
-        return False
-    return (_gauss_jordan(map(dict, a._integer_form()[1]))
-            == _gauss_jordan(map(dict, b._integer_form()[1])))
+    return a.cols == b.cols and _span_rref(a.entries) == _span_rref(b.entries)
 
 
 def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:

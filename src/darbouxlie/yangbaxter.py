@@ -23,9 +23,9 @@ from typing import Sequence, Union
 
 from .derivations import (Derivation, FieldColumns, LinearVectorField,
                           _rank_at_ints, derivation_basis, field_columns, lift)
-from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
-                        normalize_poly, poly_rref_normalized, rank, rref,
-                        rat)
+from .exactmath import (Poly, RatMatrix, _span_rref, clear_denominators,
+                        int_echelon, normalize_poly, poly_rref_normalized,
+                        rank, rat)
 from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
                         invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra
@@ -67,25 +67,20 @@ class YbSystem:
     witnesses: list[tuple[list[int], Poly]] = field(default_factory=list)
 
 
-def _span_rref(vs: list[MultiVector]) -> tuple[RatMatrix, list[int]]:
-    return rref(RatMatrix([v.coords() for v in vs]))
-
-
-def _project_out(coords: list, span: tuple[RatMatrix, list[int]]) -> list:
+def _project_out(coords: list, span: tuple) -> list:
     """Canonical components after eliminating the pivot coordinates of an
-    invariant span given by its RREF (deterministic complement: the
-    non-pivot coordinates).  The coordinates may be Polys or Fractions."""
+    invariant span given by its sparse RREF (``exactmath._span_rref``;
+    deterministic complement: the non-pivot coordinates).  The coordinates
+    may be Polys or Fractions."""
     red, pivots = span
     out = list(coords)
-    for prow, pc in enumerate(pivots):
+    for row, pc in zip(red, pivots):
         factor = out[pc]
-        for j in range(len(out)):
-            if j == pc:
-                continue
-            if red[prow, j]:
-                out[j] = out[j] - factor * red[prow, j]
-        out[pc] = Poly.zero()
-    return [out[j] for j in range(len(out)) if j not in pivots]
+        for j, x in row.items():
+            if j != pc:
+                out[j] = out[j] - factor * x
+    drop = set(pivots)
+    return [x for j, x in enumerate(out) if j not in drop]
 
 
 def reduce_system(polys: Sequence[Poly]) -> list[Poly]:
@@ -315,14 +310,14 @@ class AlgebraContext:
         return field_columns(self.fields)
 
     @cached_property
-    def inv2(self) -> tuple[list[MultiVector], tuple[RatMatrix, list[int]]]:
+    def inv2(self) -> tuple[list[MultiVector], tuple[list[dict], list[int]]]:
         inv = invariants(self.g, 2)
-        return inv, _span_rref(inv)
+        return inv, _span_rref(v.coords() for v in inv)
 
     @cached_property
-    def inv3(self) -> tuple[list[MultiVector], tuple[RatMatrix, list[int]]]:
+    def inv3(self) -> tuple[list[MultiVector], tuple[list[dict], list[int]]]:
         inv = invariants(self.g, 3)
-        return inv, _span_rref(inv)
+        return inv, _span_rref(v.coords() for v in inv)
 
     @cached_property
     def rr(self) -> list[Poly]:

@@ -196,11 +196,13 @@ def _fraction_rank(m: RatMatrix) -> int:
 
 
 def _fraction_is_automorphism(g, T: RatMatrix) -> bool:
-    """T[e_i, e_j] = [Te_i, Te_j] by Fraction ``matvec`` and ``bracket``,
-    and T invertible: the reference for the integer ``is_automorphism``."""
+    """T[e_i, e_j] = [Te_i, Te_j] in Fraction arithmetic on ``T.entries``
+    and by ``bracket``, and T invertible: the reference for the integer
+    ``is_automorphism``, which reads T's integer form instead."""
     if (T.rows, T.cols) != (g.dim, g.dim) or _fraction_rank(T) != g.dim:
         return False
-    return all(T.matvec(g.c[i][j]) == bracket(g, T.col(i), T.col(j))
+    return all(tuple(sum((x * y for x, y in zip(r, g.c[i][j])), Fraction(0))
+                     for r in T.entries) == bracket(g, T.col(i), T.col(j))
                for i in range(g.dim) for j in range(i + 1, g.dim))
 
 
@@ -292,14 +294,16 @@ def test_is_automorphism_refuses_singular_and_non_square_matrices():
     assert is_automorphism(abelian(0), RatMatrix([], 0))
 
 
-def test_dropping_the_scale_of_t_is_caught(monkeypatch):
-    """With d_T replaced by 1 (T's integer form read as T itself), the
-    non-integer automorphisms are refused, and the reference check above
-    fails: the scale is checked."""
+def test_dropping_the_scale_of_t_is_caught():
+    """With d_T replaced by 1 (T's integer form read as T itself, seeded
+    on the case matrices only), the non-integer automorphisms are refused,
+    and the reference check above fails: the scale is checked.  With their
+    true forms they are all accepted, so a check that ignores d_T fails
+    here too."""
     cases = _non_integer_automorphisms()
-    real = RatMatrix._integer_form
-    monkeypatch.setattr(RatMatrix, "_integer_form",
-                        lambda self: (1, real(self)[1]))
+    assert all(is_automorphism(g, T) for g, T in cases)
+    for _, T in cases:
+        T._ints = (1, T._integer_form()[1])
     assert not any(is_automorphism(g, T) for g, T in cases)
     with pytest.raises(AssertionError):
         _assert_automorphism_checks_match(cases)
