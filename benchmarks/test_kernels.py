@@ -82,7 +82,7 @@ def test_rank_at(benchmark, fields):
 
 def field_matrix_at(fields, p) -> RatMatrix:
     """M(p): row i holds the coefficients of field i at the point p."""
-    return RatMatrix([X.at(p) for X in fields])
+    return RatMatrix([X.matrix.matvec(p) for X in fields])
 
 
 @pytest.fixture(scope="module")

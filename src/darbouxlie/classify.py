@@ -165,7 +165,6 @@ class ClassLine:
     name: str
     members: list
     cond: GoldenExpr
-    unwitnessed: bool = False
 
 
 @dataclass
@@ -347,10 +346,7 @@ def _orbit(value: str, where: str) -> OrbitRow:
 def _class(value: str, where: str) -> ClassLine:
     head, body = _colon(value)
     name, cond = _split_cond(head, "when")
-    members = body.split()
-    return ClassLine(name=name, cond=_cond(cond, where),
-                     members=[m for m in members if m != "unwitnessed"],
-                     unwitnessed="unwitnessed" in members)
+    return ClassLine(name=name, cond=_cond(cond, where), members=body.split())
 
 
 def _skipclasses(value: str, where: str) -> tuple[GoldenExpr, str]:

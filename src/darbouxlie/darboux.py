@@ -140,7 +140,7 @@ def family_sum(a: DarbouxFamily, b: DarbouxFamily) -> DarbouxFamily:
 def _char_poly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     """Characteristic polynomial coefficients [c_0..c_n] of det(tI - M) for
     the integer matrix M with the given sparse rows (``(column, int)``
-    pairs, as in ``RatMatrix._integer_form``), by the Faddeev-LeVerrier
+    pairs, as in ``LinearVectorField.rows``), by the Faddeev-LeVerrier
     recursion in ``int`` arithmetic: from M_0 = I, step k forms
     A_k = M·M_{k-1}, c_{n-k} = -tr(A_k)/k and M_k = A_k + c_{n-k}·I.  Each
     M_k is an integer polynomial in M, and c_{n-k} is a coefficient of the
@@ -197,8 +197,8 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
     eigenspaces of each field in turn; complete for fields with rational
     common spectra, which covers every catalog family.
 
-    Each field matrix M is taken as D and the ints D·M
-    (``RatMatrix._integer_form``); D·Mᵀ has the eigenvalues mu of
+    Each field matrix M is taken as its integer form, D and the ints D·M
+    (``LinearVectorField``); D·Mᵀ has the eigenvalues mu of
     ``_integer_eigenvalues`` (M and Mᵀ share their characteristic
     polynomial), and M has the mu/D.  A candidate subspace is kept as
     integer rows S, and refined to the vectors Sᵀk with (D·Mᵀ - mu)·Sᵀk = 0,
@@ -211,7 +211,7 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
     subspaces = [[[int(i == j) for j in range(n)] for i in range(n)]]
     eigrecords: list[tuple[Fraction, ...]] = [()]
     for X in fields:
-        den, rows = X.matrix._integer_form()
+        den, rows = X.den, X.rows
         mus = _integer_eigenvalues(rows)
         new_spaces, new_recs = [], []
         for space, rec in zip(subspaces, eigrecords):
@@ -523,8 +523,9 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     dimension (when recorded), and every sample solves the mCYBE
     (``ctx._is_mcybe_ints``).  Each sample is the point q/den given as
     (den, q), ints with den > 0, as ``branch_samples`` gives it; the three
-    point checks read those ints, and ``family_cache`` is keyed by
-    ``_family_key``.
+    point checks read those ints, and ``family_cache`` is keyed by the
+    fields and the equalities (a field compares by its canonical integer
+    form).
 
     The cofactors make the ideal of the equalities invariant under every
     field, so every X^k f_j lies in it and vanishes at each sample, which
@@ -539,7 +540,7 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
     if branch.equalities:
         key = None
         if family_cache is not None:
-            key = _family_key(fields, branch)
+            key = (tuple(fields), branch.equalities)
         fam = family_cache.get(key) if key is not None else None
         if fam is None:
             fam = verify_family_auto(fields, branch.equalities)
@@ -564,16 +565,6 @@ def verify_branch(ctx: AlgebraContext, fields: Sequence[LinearVectorField],
         ranks=ranks, rank_constant=rank_constant,
         expected_dim=branch.expected_dim, dim_matches=dim_matches,
         samples_checked=len(samples), mcybe_ok=all(solves))
-
-
-def _family_key(fields: Sequence[LinearVectorField],
-                branch: TreeBranch) -> tuple:
-    """The fields and the equalities of a branch, as a dict key: each
-    field matrix as its width and ``_integer_form`` (D, the lcm of its
-    reduced denominators, and the nonzero entries of D times it), and the
-    equalities themselves."""
-    return (tuple((X.matrix.cols, X.matrix._integer_form()) for X in fields),
-            branch.equalities)
 
 
 def _lie_chain(X: LinearVectorField, f: Poly,

@@ -3,9 +3,10 @@ vector fields on Λ^2 g, and orbit dimensions via rank computations.
 
 A derivation is stored as its matrix d with column action d(e_j) = sum_i
 d[i][j] e_i.  Its Leibniz lift to Λ^m (index arithmetic in
-``grassmann.leibniz_matrix``) is a linear vector field on the blade
+``grassmann.leibniz_rows``) is a linear vector field on the blade
 coordinates: X(p) = A p, whose coefficient of ``d/dx_a`` at p is the a-th
-component of A p.
+component of A p.  A field is held only as D, the lcm of the denominators
+of A, and the sparse int rows of D·A.
 
 The derivation system is built in ``int`` arithmetic from the algebra's
 integer table D·c (``LieAlgebra.int_table``): it is linear and homogeneous
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
                         int_kernel_basis, rat)
-from .grassmann import MultiVector, leibniz_matrix
+from .grassmann import MultiVector, leibniz_rows
 from .liealg import LieAlgebra
 
 Derivation = RatMatrix
@@ -34,25 +35,30 @@ Derivation = RatMatrix
 
 @dataclass(frozen=True)
 class LinearVectorField:
-    """Linear vector field on the coordinates of Λ^m g: X(p) = A·p."""
+    """Linear vector field on the coordinates of Λ^m g: X(p) = A·p, as
+    ``den``, the lcm of the denominators of A, and per row of den·A its
+    nonzero ``(column, int)`` pairs by column: equal fields, equal forms."""
 
-    matrix: RatMatrix
+    den: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def nvars(self) -> int:
-        return self.matrix.rows
+        return len(self.rows)
 
-    def at(self, p: Sequence) -> tuple[Fraction, ...]:
-        return self.matrix.matvec(p)
+    @property
+    def matrix(self) -> RatMatrix:
+        """A, built on each call."""
+        rows, n = map(dict, self.rows), self.nvars
+        return RatMatrix([[Fraction(r.get(b, 0), self.den) for b in range(n)]
+                          for r in rows], n)
 
     def text(self) -> str:
         bits = []
-        for a in range(self.nvars):
-            coef = Poly({((b, 1),): self.matrix[a, b]
-                         for b in range(self.nvars) if self.matrix[a, b]})
-            if coef.is_zero():
-                continue
-            bits.append(f"({coef.text()})*d/dx{a + 1}")
+        for a, r in enumerate(self.rows):
+            if r:
+                coef = Poly({((b, 1),): Fraction(x, self.den) for b, x in r})
+                bits.append(f"({coef.text()})*d/dx{a + 1}")
         return " + ".join(bits) if bits else "0"
 
 
@@ -95,9 +101,15 @@ def derivation_system(g: LieAlgebra) -> list[dict[int, int]]:
 
 
 def lift(d: Derivation, m: int) -> LinearVectorField:
-    """Λ^m d, the Leibniz extension of d to degree-m multivectors."""
-    return LinearVectorField(leibniz_matrix(
-        [d.col(j) for j in range(d.cols)], m))
+    """Λ^m d, the Leibniz extension of d to degree-m multivectors: the
+    ``leibniz_rows`` of the columns of d, cleared once (so den is that of
+    Λ^m d, which may be smaller than d's)."""
+    rows = [sorted(r.items())
+            for r in leibniz_rows([d.col(j) for j in range(d.cols)], m)]
+    den, ints = clear_denominators(x for r in rows for _, x in r)
+    it = iter(ints)
+    return LinearVectorField(den, tuple(tuple((j, next(it)) for j, _ in r)
+                                        for r in rows))
 
 
 def fundamental_fields(g: LieAlgebra, m: int = 2) -> list[LinearVectorField]:
@@ -117,8 +129,8 @@ def vf_apply(X: LinearVectorField, f: Poly) -> Poly:
 
     Term by term: c*m with x_a^e in m contributes c*e*A[a, b] to the
     monomial m*x_b/x_a for every nonzero A[a, b].  The sums run on the
-    ints D·A of the matrix's integer form and are divided by D once."""
-    den, rows = X.matrix._integer_form()
+    ints D·A of the field and are divided by D once."""
+    den, rows = X.den, X.rows
     out: dict = {}
     for m, c in f.terms.items():
         for a, e in m:
@@ -147,25 +159,23 @@ def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:
     return _rank_at_ints(field_columns(fields), q)
 
 
-#: ``field_columns(fields)``: the distinct widths of the field matrices,
-#: and per coordinate j the entries (field i, row a, D_i·A_i[a][j]) that
-#: are nonzero
+#: ``field_columns(fields)``: the distinct sizes of the fields, and per
+#: coordinate j the entries (field i, row a, D_i·A_i[a][j]) that are nonzero
 FieldColumns = tuple[tuple[int, ...], list[list[tuple[int, int, int]]]]
 
 
 def field_columns(fields: Sequence[LinearVectorField]) -> FieldColumns:
     """The column map of the fields, for rank counts at many points.
 
-    Field i's matrix A_i is scaled by D_i, the lcm of all of its own
-    denominators (``RatMatrix._integer_form``), so row i of M(p) is
-    multiplied by the positive integer D_i and the rank is kept.  (Scaling
-    each row of A_i by its own lcm would scale single entries of M(p) and
-    change the rank.)"""
-    widths = tuple(dict.fromkeys(X.matrix.cols for X in fields))
+    Field i's matrix A_i is read as its rows D_i·A_i, with D_i the lcm of
+    all of its own denominators, so row i of M(p) is multiplied by the
+    positive integer D_i and the rank is kept.  (Scaling each row of A_i by
+    its own lcm would scale single entries of M(p) and change the rank.)"""
+    widths = tuple(dict.fromkeys(X.nvars for X in fields))
     columns: list[list[tuple[int, int, int]]] = [
         [] for _ in range(max(widths, default=0))]
     for i, X in enumerate(fields):
-        for a, r in enumerate(X.matrix._integer_form()[1]):
+        for a, r in enumerate(X.rows):
             for j, x in r:
                 columns[j].append((i, a, x))
     return widths, columns

@@ -227,8 +227,9 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
 
 
 def leibniz_rows(images: Sequence[Sequence], m: int) -> list[dict]:
-    """The rows of ``leibniz_matrix(images, m)`` as sparse rows {column:
-    nonzero entry}, in the arithmetic of the images (ints stay ints).
+    """The matrix on Λ^m g, in blade order, of the derivation extending
+    e_i -> sum_k images[i][k] e_k, as sparse rows {column: nonzero entry},
+    in the arithmetic of the images (ints stay ints).
 
     On a blade e_I each e_i is replaced by e_k: the image blade is
     I - {i} + {k}, with sign (-1)^(the number of elements of I - {i}
@@ -251,15 +252,6 @@ def leibniz_rows(images: Sequence[Sequence], m: int) -> list[dict]:
                     else:
                         del row[c]
     return out
-
-
-def leibniz_matrix(images: Sequence[Sequence], m: int) -> RatMatrix:
-    """Matrix on Λ^m g, in blade order, of the derivation extending
-    e_i -> sum_k images[i][k] e_k (``leibniz_rows``, made dense)."""
-    size = len(blades(len(images), m))
-    zero = Fraction(0)
-    return RatMatrix([[r.get(c, zero) for c in range(size)]
-                      for r in leibniz_rows(images, m)], size)
 
 
 def _schouten_blades(g: LieAlgebra, ma: int, mb: int) -> dict[int, int]:

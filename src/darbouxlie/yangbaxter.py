@@ -25,9 +25,9 @@ from .derivations import (Derivation, FieldColumns, LinearVectorField,
                           _rank_at_ints, derivation_basis, field_columns, lift)
 from .exactmath import (Poly, RatMatrix, _span_rref, clear_denominators,
                         int_echelon, normalize_poly, poly_rref_normalized,
-                        rank, rat)
+                        rat)
 from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
-                        invariants, schouten)
+                        indices_of, invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra
 
 #: an r-matrix: coordinates on Λ²g in blade order, or the bivector itself
@@ -222,18 +222,6 @@ def same_coboundary(g: LieAlgebra, r1: RMatrix, r2: RMatrix,
     return AlgebraContext(g).same_coboundary(r1, r2, T)
 
 
-def bilinear_matrix(g: LieAlgebra, r: RMatrix) -> RatMatrix:
-    """r as an antisymmetric bilinear form on g*."""
-    rv = as_bivector(g, r)
-    n = g.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for mask, c in rv.terms.items():
-        i, j = (k for k in range(n) if mask & (1 << k))
-        m[i][j] = c
-        m[j][i] = -c
-    return RatMatrix(m)
-
-
 @dataclass
 class NecessaryReport:
     rank1: int
@@ -383,7 +371,15 @@ class AlgebraContext:
         """The invariants separating r from other representatives: its
         bilinear rank, [r,r] = 0, [r,r] in (Λ³g)^g, its orbit dimension."""
         b = as_bivector(self.g, r)
-        k = rank(bilinear_matrix(self.g, b))
+        # r as an antisymmetric form on g*: each term x·e_i^e_j puts x at
+        # (i, j) and -x at (j, i), on the ints of r's cleared coefficients
+        rows: dict[int, dict[int, int]] = {}
+        _, ints = clear_denominators(b.terms.values())
+        for mask, x in zip(b.terms, ints):
+            i, j = indices_of(mask)
+            rows.setdefault(i, {})[j] = x
+            rows.setdefault(j, {})[i] = -x
+        k = len(int_echelon(rows.values()))
         assert k % 2 == 0, "antisymmetric rank must be even"
         rr = schouten(self.g, b, b)
         return (k, rr.is_zero(),

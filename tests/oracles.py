@@ -1,7 +1,9 @@
 """Reference functions that only the tests use, each built on the public
-API: span membership by ranks, the matrix commutator, and the cocycle
-defect of the cocommutator of an r-matrix."""
+API: span membership by ranks, the matrix commutator, the cocycle defect
+of the cocommutator of an r-matrix, and an r-matrix as a dense bilinear
+form."""
 
+from fractions import Fraction
 from typing import Sequence
 
 from darbouxlie.exactmath import RatMatrix, rank
@@ -37,3 +39,15 @@ def cocycle_defect(g: LieAlgebra, r: RMatrix, i: int, j: int) -> MultiVector:
     t1 = schouten(g, MultiVector.vector(g.dim, ei), d_j)
     t2 = schouten(g, d_i, MultiVector.vector(g.dim, ej))
     return lhs - t1 - t2
+
+
+def bilinear_matrix(g: LieAlgebra, r: RMatrix) -> RatMatrix:
+    """r as an antisymmetric bilinear form on g*."""
+    rv = as_bivector(g, r)
+    n = g.dim
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for mask, c in rv.terms.items():
+        i, j = (k for k in range(n) if mask & (1 << k))
+        m[i][j] = c
+        m[j][i] = -c
+    return RatMatrix(m)

@@ -451,11 +451,12 @@ def test_check_runs_clear_each_candidate_point_once(monkeypatch):
     representative's serves its orbit dimension and its sample entry."""
     import darbouxlie.classify as classify
     from darbouxlie import yangbaxter
-    # the callers that clear polynomials, matrices and structure constants,
-    # and find_bricks, which the orbit table's bundle check runs: it clears
-    # the kernel vectors of its brick search, not sample points
+    # the callers that clear polynomials, matrices and structure constants
+    # (lift clears each field matrix), and find_bricks, which the orbit
+    # table's bundle check runs: it clears the kernel vectors of its brick
+    # search, not sample points
     not_points = {"eval_int", "_integer_form", "normalize_poly", "int_table",
-                  "find_bricks"}
+                  "lift", "find_bricks"}
     callers, pushes = _clearing_counts(monkeypatch)
     assert verify_tree("s1").passed
     assert callers.pop("push") == pushes["push"] > 0

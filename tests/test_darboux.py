@@ -208,7 +208,7 @@ def _planted_fields(rng, m, q):
             b[i][i + 1], b[i + 1][i] = Fraction(2), Fraction(1)
         c = Fraction(rng.choice([-3, 1, 2]), prime)
         mt = p.matmul(RatMatrix(b)).matmul(p_inv).scale(c)
-        fields.append(LinearVectorField(mt.transpose()))
+        fields.append(LinearVectorField(*mt.transpose()._integer_form()))
     return fields
 
 

@@ -175,6 +175,11 @@ INCONSISTENT = {
         "class g2 : VII[k=2] VII[k=5]", lambda: load_family("s6"),
         ("coboundary-classes", "--algebra", "s6"),
         "class g2: member 'VII[k=5]' names no orbit row"),
+    # every member names an orbit row: no member word is a flag
+    "class-member-unwitnessed": (
+        "families/s6.txt", "class e : V Vext", "class e : V Vext unwitnessed",
+        lambda: load_family("s6"), ("verify-tables", "--algebra", "s6"),
+        "class e: member 'unwitnessed' names no orbit row"),
     "class-member-forall-row": (
         "families/s6.txt", "class g2 : VII[k=2] VII[k=-2]",
         "class g2 : VII VII[k=-2]", lambda: load_family("s6"),

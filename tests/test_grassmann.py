@@ -11,7 +11,7 @@ import pytest
 from darbouxlie.derivations import derivation_basis, lift
 from darbouxlie.grassmann import (MultiVector, ad_action, blade_name,
                                   blades, generic_rr, indices_of, invariants,
-                                  lambda_matrix, leibniz_matrix, schouten,
+                                  lambda_matrix, leibniz_rows, schouten,
                                   wedge)
 from darbouxlie.exactmath import Poly, RatMatrix
 from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, bracket,
@@ -250,6 +250,20 @@ def _oracle_lift(d, m):
     return _by_columns(n, m, image)
 
 
+def _assert_lift_matches_oracle(d, m):
+    """Λ^m d against the oracle, as a matrix and as its integer form (D the
+    lcm of the denominators of Λ^m d itself)."""
+    X, want = lift(d, m), _oracle_lift(d, m)
+    assert X.matrix == want, (m, d)
+    assert (X.den, X.rows) == want._integer_form(), (m, d)
+
+
+def _dense(rows):
+    """The square matrix of the sparse rows {column: entry}."""
+    return RatMatrix([[r.get(c, 0) for c in range(len(rows))] for r in rows],
+                     len(rows))
+
+
 def _oracle_ad_matrix(g, i, m):
     """ad_{e_i} on Λ^m g through the Schouten bracket."""
     e_i = [int(k == i) for k in range(g.dim)]
@@ -273,18 +287,18 @@ def _oracle_lambda(T, m):
 def test_lift_and_ad_matrix_match_oracle_on_catalog(g):
     for m in range(g.dim + 1):
         for d in derivation_basis(g):
-            assert lift(d, m).matrix == _oracle_lift(d, m), (m, d)
+            _assert_lift_matches_oracle(d, m)
         for i in range(g.dim):
-            assert leibniz_matrix(g.c[i], m) == _oracle_ad_matrix(g, i, m), \
-                (m, i)
+            assert _dense(leibniz_rows(g.c[i], m)) == \
+                _oracle_ad_matrix(g, i, m), (m, i)
 
 
 @pytest.mark.parametrize("g", RANDOM_ALGEBRAS, ids=lambda g: g.name)
 def test_ad_matrix_matches_oracle_on_random_algebras(g):
     for m in range(g.dim + 1):
         for i in range(g.dim):
-            assert leibniz_matrix(g.c[i], m) == _oracle_ad_matrix(g, i, m), \
-                (m, i)
+            assert _dense(leibniz_rows(g.c[i], m)) == \
+                _oracle_ad_matrix(g, i, m), (m, i)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -292,7 +306,7 @@ def test_lift_and_lambda_matrix_match_oracle_on_random_matrices(n):
     rng = random.Random(40 + n)
     T, S = _random_matrix(rng, n), _random_matrix(rng, n)
     for m in range(n + 1):
-        assert lift(T, m).matrix == _oracle_lift(T, m), m
+        _assert_lift_matches_oracle(T, m)
         assert lambda_matrix(T, m) == _oracle_lambda(T, m), m
         # Λ^m is multiplicative (Cauchy-Binet); checked where Λ^m has at
         # most 28 blades, which keeps the Fraction products small
@@ -302,7 +316,20 @@ def test_lift_and_lambda_matrix_match_oracle_on_random_matrices(n):
     # the 1x1 maps on Λ^0 g = Q: a derivation kills 1, a linear map fixes it
     assert lift(T, 0).matrix == RatMatrix([[0]])
     assert lambda_matrix(T, 0) == RatMatrix([[1]])
-    assert leibniz_matrix(RANDOM_ALGEBRAS[n - 1].c[0], 0) == RatMatrix([[0]])
+    assert _dense(leibniz_rows(RANDOM_ALGEBRAS[n - 1].c[0], 0)) == \
+        RatMatrix([[0]])
+
+
+def test_lift_is_scaled_by_the_lcm_of_its_own_denominators():
+    """The D of Λ^m d is the lcm of the denominators of Λ^m d, not of d: on
+    d = diag(1/2, 1/2, -1/2, -1/2), Λ²d = diag(1, 0, 0, 0, 0, -1) has D = 1,
+    where d and Λ³d have D = 2."""
+    h = Fraction(1, 2)
+    d = RatMatrix([[h, 0, 0, 0], [0, h, 0, 0], [0, 0, -h, 0], [0, 0, 0, -h]])
+    assert [lift(d, m).den for m in range(5)] == [1, 2, 1, 2, 1]
+    assert lift(d, 2).rows == (((0, 1),), (), (), (), (), ((5, -1),))
+    for m in range(5):
+        _assert_lift_matches_oracle(d, m)
 
 
 @pytest.mark.parametrize("g", CATALOG + RANDOM_ALGEBRAS,

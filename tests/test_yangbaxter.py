@@ -18,13 +18,13 @@ from darbouxlie.grassmann import MultiVector, blades, invariants, schouten
 from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, bracket,
                                catalog, from_brackets, parse_algebra)
 from darbouxlie.yangbaxter import (AlgebraContext, NecessaryReport,
-                                   NotAnAutomorphism, bilinear_matrix,
-                                   cocommutator, is_automorphism,
-                                   is_cybe_solution, is_mcybe_solution,
-                                   necessary_checks, quotient_class,
-                                   same_coboundary, yb_system)
+                                   NotAnAutomorphism, cocommutator,
+                                   is_automorphism, is_cybe_solution,
+                                   is_mcybe_solution, necessary_checks,
+                                   quotient_class, same_coboundary,
+                                   yb_system)
 from darbouxlie.exactmath import RatMatrix
-from oracles import cocycle_defect, span_contains
+from oracles import bilinear_matrix, cocycle_defect, span_contains
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -353,7 +353,11 @@ CONTEXT_ALGEBRAS = [("s1", lambda: catalog("s1")),
                     ("s3", lambda: catalog("s3", **PARAMS["s3"])),
                     ("s7", lambda: catalog("s7")),
                     ("n1", lambda: catalog("n1")),
-                    ("so3", lambda: parse_algebra(SO3, "so3"))]
+                    ("so3", lambda: parse_algebra(SO3, "so3")),
+                    ("almost_abelian_7", lambda: parse_algebra(bracket_text(
+                        7, almost_abelian(random.Random(7), 7)))),
+                    ("so3_plus_abelian_8", lambda: parse_algebra(bracket_text(
+                        8, so3_plus_abelian(random.Random(8), 8))))]
 
 
 def random_bivectors(g, seed: int, count: int = 12) -> list[MultiVector]:
@@ -478,7 +482,7 @@ def _scaled(rng, p):
 def field_matrix_at(fields, p) -> RatMatrix:
     """M(p): row i holds the coefficients of field i at the point p, by
     Fraction ``matvec``."""
-    return RatMatrix([X.at(p) for X in fields])
+    return RatMatrix([X.matrix.matvec(p) for X in fields])
 
 
 def _assert_integer_checks_match_oracles(ctx, points):
@@ -555,8 +559,8 @@ def test_integer_point_checks_reject_a_point_of_the_wrong_length():
 
 def test_orbit_table_calls_no_oracle(monkeypatch):
     """No Schouten-bracket mCYBE test and no Fraction matrix M(p) per
-    sample point (no field evaluated by ``LinearVectorField.at``): both
-    are answered on the integer forms."""
+    sample point (no ``RatMatrix.matvec``, by which a field's matrix is
+    evaluated at a point): both are answered on the integer forms."""
     calls = []
 
     def counting(original):
@@ -568,8 +572,7 @@ def test_orbit_table_calls_no_oracle(monkeypatch):
     mcybe = counting(yangbaxter.is_mcybe_solution)
     for mod in (yangbaxter, classify):
         monkeypatch.setattr(mod, "is_mcybe_solution", mcybe, raising=False)
-    monkeypatch.setattr(derivations.LinearVectorField, "at",
-                        counting(derivations.LinearVectorField.at))
+    monkeypatch.setattr(RatMatrix, "matvec", counting(RatMatrix.matvec))
     report = classify.verify_orbit_table("s1")
     assert report.passed and sum(r.dims_checked for r in report.rows) > 0
     assert calls == []
