@@ -25,8 +25,7 @@ from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
                                   monomials_up_to, normalize_poly, rank,
                                   solve)
 from darbouxlie.exprparse import parse_poly
-from darbouxlie.grassmann import (MultiVector, blades, generic_rr,
-                                  lambda_matrix, wedge)
+from darbouxlie.grassmann import MultiVector, blades, generic_rr, wedge
 from darbouxlie.liealg import bracket, catalog, parse_algebra
 from darbouxlie.yangbaxter import (AlgebraContext, is_mcybe_solution,
                                    necessary_checks, yb_system)
@@ -150,19 +149,19 @@ def s3_merge_rows():
     """The s3 orbit records at S3, with their samples (den, q) and integer
     forms built, and the lifts Λ²T of the shipped automorphisms."""
     fam = load_family("s3")
-    lifted = [lambda_matrix(T, 2) for _, T in
-              load_automorphisms(fam, S3, AlgebraContext(catalog("s3", **S3)))]
+    ctx = AlgebraContext(catalog("s3", **S3))
+    lifted = [ctx.lift_automorphism(T)
+              for _, T in load_automorphisms(fam, S3, ctx)]
     records = expand_rows(fam, S3)
     for rec in records:
         rec.samples
-    for L in lifted:
-        L._integer_form()
     return lifted, records
 
 
 def _fraction_merge_gaps(lifted, rec):
-    """The merge walk on Fraction points with ``matvec`` and ``Poly.eval``:
-    the reference ``_component_merge_gaps``."""
+    """The merge walk on Fraction points, each lift (den, rows) applied in
+    Fraction arithmetic and read with ``Poly.eval``: the reference
+    ``_component_merge_gaps``."""
     strict = [f for f, op in rec.branch.inequalities
               if op == "!=" and f.degree() == 1]
 
@@ -175,8 +174,8 @@ def _fraction_merge_gaps(lifted, rec):
     reached, frontier = {signature(start)}, [start]
     while frontier:
         p = frontier.pop()
-        for L in lifted:
-            q = L.matvec(p)
+        for den, rows in lifted:
+            q = [Fraction(sum(x * p[j] for j, x in r), den) for r in rows]
             if _poly_eval_locus(rec.branch, q) and signature(q) not in reached:
                 reached.add(signature(q))
                 frontier.append(q)

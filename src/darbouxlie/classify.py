@@ -32,7 +32,7 @@ from .exactmath import (Poly, RatMatrix, _span_rref, clear_denominators,
                         normalize_poly, poly_rref, poly_rref_contains)
 from .exprparse import (ExprError, as_poly, compile_condition, compile_expr,
                         poly_env)
-from .grassmann import MultiVector, blades, lambda_matrix, schouten
+from .grassmann import MultiVector, blades, schouten
 from .liealg import FAMILIES, LieAlgebra, catalog
 from .yangbaxter import (AlgebraContext, NecessaryReport, is_cybe_solution,
                          reduce_system)
@@ -558,13 +558,12 @@ class TableReport:
 def load_automorphisms(fam: FamilyData, params: dict, ctx: AlgebraContext
                        ) -> list[tuple[str, RatMatrix]]:
     """The shipped matrices at one parameter sample, each validated by
-    ``is_automorphism`` on ``ctx.g`` through ``ctx``, the context of the
-    sample's algebra, which then does not check them again."""
+    ``ctx``, the context of the sample's algebra, which keeps them."""
     sp = _short_params(params)
     out = []
     for nme, rows in fam.automorphisms:
         T = RatMatrix([[e(sp) for e in r] for r in rows])
-        if not ctx._is_automorphism(T):
+        if not ctx.is_automorphism(T):
             raise WitnessMissing(
                 f"{fam.name}: shipped matrix {nme} fails bracket preservation")
         out.append((nme, T))
@@ -586,7 +585,7 @@ def verify_orbit_table(stem: str) -> TableReport:
         ctx = AlgebraContext(g)
         auts = load_automorphisms(fam, ps, ctx)
         auts_count += len(auts)
-        lifted = [lambda_matrix(T, 2) for _, T in auts]
+        lifted = [ctx.lift_automorphism(T) for _, T in auts]
         for rec in expand_rows(fam, ps):
             problems = []
             errata = []
@@ -636,16 +635,12 @@ def verify_orbit_table(stem: str) -> TableReport:
                        algebra=fam.algebra, bundles=bundles)
 
 
-def _component_merge_gaps(lifted: Sequence[RatMatrix],
-                          rec: OrbitRecord) -> list:
+def _component_merge_gaps(lifted: Sequence[tuple], rec: OrbitRecord) -> list:
     """Sign components of the row locus not reachable from the
     representative's component via the shipped automorphisms, given as
-    their lifts Λ²T.
-
-    The walk runs on integer points (den, q) for q/den: with L = D·Λ²T the
-    integer form of a lift, the image of q/den is (den·D, L·q).  The locus
-    and the signs are read by ``eval_int(q, den)`` with the denominator
-    kept, since the polynomials may have constant terms."""
+    their lifts Λ²T in integer form (D, L).  The walk runs on integer points
+    (den, q) for q/den, whose image is (den·D, L·q); ``eval_int(q, den)``
+    keeps the denominator, since the polynomials may have constant terms."""
     strict = [f for f, op in rec.branch.inequalities if op == "!="
               and f.degree() == 1]
     if not strict:
@@ -660,10 +655,9 @@ def _component_merge_gaps(lifted: Sequence[RatMatrix],
     start = rec.rep_point
     reached = {signature(*start)}
     frontier = [start]
-    forms = [L._integer_form() for L in lifted]
     while frontier:
         den, q = frontier.pop()
-        for scale, rows in forms:
+        for scale, rows in lifted:
             d, image = den * scale, [sum(x * q[j] for j, x in r)
                                      for r in rows]
             if locus_contains_ints(rec.branch, image, d):

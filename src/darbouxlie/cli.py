@@ -65,6 +65,8 @@ def _load_algebra(args, check: bool = True):
     src = args.algebra
     if src in FAMILIES:
         return catalog(src, **params)
+    if params:
+        raise InputError(f"--param needs a catalog family, not {src!r}")
     try:
         text = open(src).read()
     except OSError as e:
@@ -99,8 +101,11 @@ def _emit(args, text_lines, json_obj) -> None:
     else:
         payload = "\n".join(text_lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {args.out!r}: {e.strerror}") from e
     else:
         print(payload)
 

@@ -141,8 +141,8 @@ class Poly:
         return sorted(self.terms.items(), key=lambda it: mono_key(it[0]))
 
     def leading(self) -> tuple[Monomial, Fraction]:
-        """Graded-lex leading term: highest total degree, ties broken with
-        low-index variables weighing most."""
+        """Leading term: of highest degree, ties to the least sorted list of
+        (variable, exponent) pairs, so x1*x2 leads x1^2, which leads x2^2."""
         if not self.terms:
             return (), Fraction(0)
         m = min(self.terms, key=_lead_key)

@@ -11,12 +11,6 @@ functions x1..x6.  The bracket follows the hat-omission expansion
 which for degree-1 arguments reduces to the Lie bracket.  The matrices of
 maps on Λ^m g and [r, r] of the generic bivector are built by index
 arithmetic on the blade masks and basis brackets, with no multivector.
-
-Basis-blade brackets and the invariant systems use the algebra's integer
-table D·c (``LieAlgebra.int_table``).  The ad_{e_i} system of (Λ^m g)^g is
-linear and homogeneous in c, so its integer rows have the same kernel; a
-Schouten bracket is summed in ``int`` arithmetic and each coefficient is
-divided by D (and the scales of its arguments) once.
 """
 
 from __future__ import annotations
@@ -341,24 +335,25 @@ def invariants(g: LieAlgebra, m: int) -> list[MultiVector]:
             for v in int_kernel_basis(rows, len(blades(g.dim, m)))]
 
 
-def lambda_matrix(T: RatMatrix, m: int) -> RatMatrix:
-    """Λ^m T, the m-th compound matrix of T: the column of e_J is
-    T e_j1 ^ .. ^ T e_jm, wedged on dicts from blade mask to coefficient."""
+def compound(T: RatMatrix, m: int) -> tuple[int, tuple]:
+    """Λ^m T, the m-th compound of the square T, as the integer form (d^m,
+    rows of Λ^m t) where (d, t) is that of T (``RatMatrix._integer_form``).
+    Row J of Λ^m t is the wedge of rows j1..jm of t: Λ^m(tᵀ) = (Λ^m t)ᵀ."""
+    d, t = T._integer_form()
     bl = blades(T.rows, m)
-    cols = []
+    rows = []
     for mask in bl:
-        img = {0: Fraction(1)}
+        img = {0: 1}
         for j in indices_of(mask):
-            col = T.col(j)
-            nxt: dict[int, Fraction] = {}
+            nxt: dict[int, int] = {}
             for mk, y in img.items():
-                for k, x in enumerate(col):
-                    if x and not mk >> k & 1:
+                for k, x in t[j]:
+                    if not mk >> k & 1:
                         v = -x * y if _popcount(mk >> (k + 1)) & 1 else x * y
                         nxt[mk | 1 << k] = nxt.get(mk | 1 << k, 0) + v
             img = nxt
-        cols.append([img.get(b, Fraction(0)) for b in bl])
-    return RatMatrix(list(zip(*cols)))
+        rows.append(tuple((c, img[b]) for c, b in enumerate(bl) if img.get(b)))
+    return d ** m, tuple(rows)
 
 
 def generic_rr(g: LieAlgebra) -> list[Poly]:
@@ -380,7 +375,10 @@ def generic_rr(g: LieAlgebra) -> list[Poly]:
 
 
 def apply_linear(T: RatMatrix, w: MultiVector) -> MultiVector:
-    """(Λ^m T)(w) for an invertible map T on g."""
-    out = MultiVector.from_coords(
-        w.dim, w.degree, lambda_matrix(T, w.degree).matvec(w.coords()))
-    return out
+    """(Λ^m T)(w): the ``compound`` of T on the cleared coordinates of w."""
+    if (T.rows, T.cols) != (w.dim, w.dim):
+        raise DimensionMismatch("map and multivector dimensions differ")
+    den, rows = compound(T, w.degree)
+    dw, q = clear_denominators(w.coords())
+    return MultiVector.from_coords(w.dim, w.degree, [
+        Fraction(sum(x * q[j] for j, x in r), den * dw) for r in rows])

@@ -7,10 +7,6 @@ evaluated 3-vector ([r, r] annihilated by every ad_{e_i}), and
 ``AlgebraContext.is_mcybe_at`` on the mCYBE polynomials at integer
 points (``Poly.eval_int``), which the batch checks use.  The two agreeing is a tested
 invariant, not an assumption.
-
-``is_automorphism`` checks the bracket identity on integer matrices: T
-scaled by the lcm d_T of its denominators and the algebra's table D·c,
-so the identity is checked times d_T²·D.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from .derivations import (Derivation, FieldColumns, LinearVectorField,
 from .exactmath import (Poly, RatMatrix, _span_rref, clear_denominators,
                         int_echelon, normalize_poly, poly_rref_normalized,
                         rat)
-from .grassmann import (MultiVector, ad_action, apply_linear, generic_rr,
+from .grassmann import (MultiVector, ad_action, compound, generic_rr,
                         indices_of, invariants, schouten)
 from .liealg import DimensionMismatch, LieAlgebra
 
@@ -272,14 +268,12 @@ class AlgebraContext:
     ``is_mcybe_at`` tests a point in ``int`` arithmetic (``Poly.eval_int``
     on the mCYBE system): the point is first scaled by the lcm of its
     denominators, which keeps the answer because the mCYBE polynomials are
-    homogeneous quadratics.  A matrix T that passes
-    ``_is_automorphism`` (which ``same_coboundary`` and
-    ``classify.load_automorphisms`` call) is remembered and not checked
-    again."""
+    homogeneous quadratics.  The automorphisms that pass
+    ``is_automorphism`` are kept with their Λ²T."""
 
     def __init__(self, g: LieAlgebra, ders: list[Derivation] | None = None):
         self.g = g
-        self._automorphisms: set[RatMatrix] = set()
+        self._automorphisms: dict[RatMatrix, tuple | None] = {}
         if ders is not None:
             self.ders = ders
 
@@ -351,20 +345,28 @@ class AlgebraContext:
         return tuple(_project_out(as_bivector(self.g, r).coords(),
                                   self.inv2[1]))
 
-    def _is_automorphism(self, T: RatMatrix) -> bool:
-        """``is_automorphism`` on this algebra, remembering the matrices
-        that pass, so each is checked once; one that fails is checked on
-        every call."""
+    def is_automorphism(self, T: RatMatrix) -> bool:
+        """``is_automorphism`` on this algebra.  A matrix that passes is
+        checked once and kept; one that fails is checked on every call."""
         if T not in self._automorphisms:
             if not is_automorphism(self.g, T):
                 return False
-            self._automorphisms.add(T)
+            self._automorphisms[T] = None
         return True
 
-    def same_coboundary(self, r1: RMatrix, r2: RMatrix, T: RatMatrix) -> bool:
-        if not self._is_automorphism(T):
+    def lift_automorphism(self, T: RatMatrix) -> tuple:
+        """Λ²T in its integer form (``grassmann.compound``), built once per
+        automorphism T and on its first use."""
+        if not self.is_automorphism(T):
             raise NotAnAutomorphism("T does not preserve the Lie bracket")
-        moved = apply_linear(T, as_bivector(self.g, r1))
+        if self._automorphisms[T] is None:
+            self._automorphisms[T] = compound(T, 2)
+        return self._automorphisms[T]
+
+    def same_coboundary(self, r1: RMatrix, r2: RMatrix, T: RatMatrix) -> bool:
+        den, rows = self.lift_automorphism(T)
+        dr, q = clear_denominators(as_bivector(self.g, r1).coords())
+        moved = [Fraction(sum(x * q[j] for j, x in r), den * dr) for r in rows]
         return self.quotient_class(moved) == self.quotient_class(r2)
 
     def signature(self, r: RMatrix) -> tuple[int, bool, bool, int]:

@@ -107,18 +107,22 @@ def test_verify_orbit_table_passes_everywhere():
         assert not rep.unmerged_components, stem
 
 
-def test_orbit_table_lifts_each_automorphism_once_per_sample(monkeypatch):
-    import darbouxlie.classify as classify
-    import darbouxlie.grassmann as grassmann
+def _count_compounds(monkeypatch) -> list:
+    """The (T, m) of each ``grassmann.compound`` call from now on."""
+    import darbouxlie.yangbaxter as yangbaxter
     lifts = []
-    real = grassmann.lambda_matrix
+    real = yangbaxter.compound
 
     def counting(T, m):
         lifts.append((T, m))
         return real(T, m)
 
-    monkeypatch.setattr(grassmann, "lambda_matrix", counting)
-    monkeypatch.setattr(classify, "lambda_matrix", counting)
+    monkeypatch.setattr(yangbaxter, "compound", counting)
+    return lifts
+
+
+def test_orbit_table_lifts_each_automorphism_once_per_sample(monkeypatch):
+    lifts = _count_compounds(monkeypatch)
     rep = verify_orbit_table("s1")
     assert all(r.ok for r in rep.rows) and not rep.unmerged_components
     # s1 ships three automorphisms and has one parameter sample
@@ -713,6 +717,26 @@ def test_coboundary_classes_check_each_shipped_matrix_once(monkeypatch):
     assert shipped > 100
     assert len([T for T in calls if T != identity]) == shipped
     assert len([T for T in calls if T == identity]) <= checked
+
+
+def test_coboundary_classes_lift_each_matrix_once_per_context(monkeypatch):
+    """A pass over every family file builds Λ²T once for each (context,
+    matrix) that witnesses a class, on its first use, and never for a
+    shipped matrix that is only validated."""
+    lifts = _count_compounds(monkeypatch)
+    used = []
+    original = AlgebraContext.same_coboundary
+
+    def recording(ctx, r1, r2, T):
+        used.append((ctx, T))  # holds ctx, so no id is reused
+        return original(ctx, r1, r2, T)
+
+    monkeypatch.setattr(AlgebraContext, "same_coboundary", recording)
+    for stem in FAMILY_FILES:
+        verify_coboundary_classes(stem)
+    pairs = {(id(ctx), T) for ctx, T in used}
+    assert len(used) == 75 and len(pairs) == len(lifts) == 25
+    assert all(m == 2 for _, m in lifts)
 
 
 S1_MCYBE = "mcybe : x3*x4 | x3*x6 | x5"

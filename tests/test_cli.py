@@ -398,6 +398,24 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["algebra"] == "s1"
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_out_that_cannot_be_written_exits_2(where, tmp_path, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "no" / "o.txt"
+    code, out = run_cli("validate", "--algebra", "s1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {str(target)!r}: ")
+
+
+def test_param_with_an_algebra_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "alg.txt"
+    f.write_text("dim 4\n[2,4] = -e1\n[3,4] = -e3\n")
+    code, out = run_cli("validate", "--algebra", str(f), "--param", "alpha=3")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: --param needs a catalog family, not {str(f)!r}\n")
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "darbouxlie.cli", "validate",
@@ -542,6 +560,23 @@ def test_every_traced_layer_resolves_to_a_callable(monkeypatch):
         param = list(inspect.signature(f).parameters.values())[pos]
         assert param.name == name, f.__name__
         assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_every_name_the_kernel_benchmarks_import_resolves():
+    """Each ``darbouxlie`` name that ``benchmarks/test_kernels.py`` imports
+    exists.  The suite does not collect ``benchmarks/``, so a rename in
+    ``src`` shows here, not as a benchmark that fails to import."""
+    import ast
+    import importlib
+    path = Path(__file__).resolve().parents[1] / "benchmarks/test_kernels.py"
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "darbouxlie"]
+    assert len(imports) >= 5
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
 
 
 #: user algebras with non-integer structure constants: so(3) and

@@ -247,6 +247,22 @@ def test_normalize_poly():
     assert n == x(0) - 2 * x(1)
 
 
+@pytest.mark.parametrize("p, want", [
+    (x(0) ** 2 - x(0) * x(1), x(0) * x(1) - x(0) ** 2),
+    (x(0) ** 2 - x(0) * x(2), x(0) * x(2) - x(0) ** 2),
+    (x(1) ** 2 - x(0) ** 2, x(0) ** 2 - x(1) ** 2),
+    (x(0) ** 2 * x(1) - x(0) * x(1) ** 2, x(0) * x(1) ** 2 - x(0) ** 2 * x(1)),
+    (x(2) * x(3) - x(1) ** 2, x(1) ** 2 - x(2) * x(3)),
+    (x(3) ** 2 - 2 * x(0), x(3) ** 2 - 2 * x(0)),
+])
+def test_normalize_poly_sign_follows_the_leading_term(p, want):
+    """The leading term is of highest degree, then of the least list of
+    (variable, exponent) pairs: x1*x2 leads x1^2, which leads x2^2.  The
+    sign of every displayed polynomial follows it."""
+    assert normalize_poly(p) == want
+    assert want.leading()[1] > 0
+
+
 def scale(p: Poly) -> int:
     """The positive integer that ``Poly.eval_int`` multiplies p by."""
     return clear_denominators(p.terms.values())[0]

@@ -23,7 +23,7 @@ from darbouxlie.classify import (FAMILY_FILES, SCHOUTEN_TABLES, TREE_FILES,
 from darbouxlie.cli import main
 from darbouxlie.darboux import TreeBranch, rational_point
 from darbouxlie.exactmath import Poly, RatMatrix
-from darbouxlie.grassmann import MultiVector, lambda_matrix
+from darbouxlie.grassmann import MultiVector
 from darbouxlie.liealg import FAMILIES, catalog
 from darbouxlie.yangbaxter import AlgebraContext
 
@@ -399,9 +399,10 @@ def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
 
 def _fraction_merge_gaps(lifted, rec):
     """The merge walk in Fraction arithmetic, the reference for
-    ``classify._component_merge_gaps``: each lift applied with ``matvec``,
-    the locus and the signs read with ``Poly.eval``.  Returns the missed
-    sign components and the number of components the samples show."""
+    ``classify._component_merge_gaps``: each lift (den, rows) applied to
+    Fraction points, the locus and the signs read with ``Poly.eval``.
+    Returns the missed sign components and the number of components the
+    samples show."""
     branch = rec.branch
     strict = [f for f, op in branch.inequalities
               if op == "!=" and f.degree() == 1]
@@ -422,8 +423,8 @@ def _fraction_merge_gaps(lifted, rec):
     reached, frontier = {signature(start)}, [start]
     while frontier:
         p = frontier.pop()
-        for L in lifted:
-            image = L.matvec(p)
+        for den, rows in lifted:
+            image = [Fraction(sum(x * p[j] for j, x in r), den) for r in rows]
             if on_locus(image) and signature(image) not in reached:
                 reached.add(signature(image))
                 frontier.append(image)
@@ -436,8 +437,9 @@ def _merge_walks(stem):
     fam = load_family(stem)
     out = []
     for ps, _, g in classify.qualifying_samples(fam):
-        lifted = [lambda_matrix(T, 2)
-                  for _, T in load_automorphisms(fam, ps, AlgebraContext(g))]
+        ctx = AlgebraContext(g)
+        lifted = [ctx.lift_automorphism(T)
+                  for _, T in load_automorphisms(fam, ps, ctx)]
         for rec in expand_rows(fam, ps):
             want, ncomps = _fraction_merge_gaps(lifted, rec)
             out.append((rec.label, classify._component_merge_gaps(
@@ -469,7 +471,8 @@ def test_merge_walk_keeps_the_denominators():
     and the integer walk keeps both.  From x6 = 2 the lift reaches x6 < 1;
     from x6 = 4 it lands on x6 = 1, off the locus."""
     quarter = RatMatrix([[Fraction(int(i == j), 4 if i == 5 else 1)
-                          for j in range(6)] for i in range(6)])
+                          for j in range(6)]
+                         for i in range(6)])._integer_form()
     for rep, lifted, want in ((2, [], [(-1,)]), (2, [quarter], []),
                               (4, [quarter], [(-1,)])):
         rec = expand_rows(load_family("s1"), {})[0]

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from darbouxlie.derivations import derivation_basis, lift
-from darbouxlie.grassmann import (MultiVector, ad_action, blade_name,
-                                  blades, generic_rr, indices_of, invariants,
-                                  lambda_matrix, leibniz_rows, schouten,
-                                  wedge)
+from darbouxlie.grassmann import (MultiVector, ad_action, apply_linear,
+                                  blade_name, blades, compound, generic_rr,
+                                  indices_of, invariants, leibniz_rows,
+                                  schouten, wedge)
 from darbouxlie.exactmath import Poly, RatMatrix
 from darbouxlie.liealg import (FAMILIES, DimensionMismatch, abelian, bracket,
                                catalog, from_brackets)
@@ -283,6 +283,16 @@ def _oracle_lambda(T, m):
     return _by_columns(n, m, image)
 
 
+def _compound_matrix(T, m):
+    """``compound(T, m)`` made dense, after checking that it is an integer
+    form: nonzero ints at increasing columns in each row."""
+    den, rows = compound(T, m)
+    assert all(isinstance(x, int) and x for r in rows for _, x in r)
+    assert all([c for c, _ in r] == sorted({c for c, _ in r}) for r in rows)
+    return RatMatrix([[Fraction(dict(r).get(c, 0), den)
+                       for c in range(len(rows))] for r in rows], len(rows))
+
+
 @pytest.mark.parametrize("g", CATALOG, ids=lambda g: g.name)
 def test_lift_and_ad_matrix_match_oracle_on_catalog(g):
     for m in range(g.dim + 1):
@@ -307,17 +317,31 @@ def test_lift_and_lambda_matrix_match_oracle_on_random_matrices(n):
     T, S = _random_matrix(rng, n), _random_matrix(rng, n)
     for m in range(n + 1):
         _assert_lift_matches_oracle(T, m)
-        assert lambda_matrix(T, m) == _oracle_lambda(T, m), m
+        assert _compound_matrix(T, m) == _oracle_lambda(T, m), m
+        w = MultiVector.from_coords(n, m, [Fraction(rng.randint(-3, 3),
+                                                    rng.randint(1, 4))
+                                           for _ in blades(n, m)])
+        assert apply_linear(T, w).coords() == \
+            _oracle_lambda(T, m).matvec(w.coords()), m
         # Λ^m is multiplicative (Cauchy-Binet); checked where Λ^m has at
         # most 28 blades, which keeps the Fraction products small
         if len(blades(n, m)) <= 28:
-            assert lambda_matrix(T.matmul(S), m) == \
-                lambda_matrix(T, m).matmul(lambda_matrix(S, m)), m
+            assert _compound_matrix(T.matmul(S), m) == \
+                _compound_matrix(T, m).matmul(_compound_matrix(S, m)), m
     # the 1x1 maps on Λ^0 g = Q: a derivation kills 1, a linear map fixes it
     assert lift(T, 0).matrix == RatMatrix([[0]])
-    assert lambda_matrix(T, 0) == RatMatrix([[1]])
+    assert compound(T, 0) == (1, (((0, 1),),))
     assert _dense(leibniz_rows(RANDOM_ALGEBRAS[n - 1].c[0], 0)) == \
         RatMatrix([[0]])
+
+
+def test_apply_linear_refuses_a_map_of_another_dimension():
+    w = B(4, [0, 1])
+    for T in (RatMatrix.identity(3), RatMatrix.identity(5),
+              RatMatrix.zero(4, 5)):
+        with pytest.raises(DimensionMismatch):
+            apply_linear(T, w)
+    assert apply_linear(RatMatrix.identity(4), w) == w
 
 
 def test_lift_is_scaled_by_the_lcm_of_its_own_denominators():

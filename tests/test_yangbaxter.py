@@ -154,16 +154,21 @@ def test_same_coboundary_and_automorphisms():
 
 
 def test_context_checks_each_automorphism_once(monkeypatch):
-    """A context checks a matrix that passed only once; a matrix that
-    fails raises on every call, also after a valid one."""
-    calls = []
-    original = yangbaxter.is_automorphism
+    """A context checks and lifts a matrix that passed only once; a matrix
+    that fails raises on every call, also after a valid one."""
+    calls, lifts = [], []
+    original, compound = yangbaxter.is_automorphism, yangbaxter.compound
 
     def counting(g, T):
         calls.append(T)
         return original(g, T)
 
+    def lifting(T, m):
+        lifts.append(T)
+        return compound(T, m)
+
     monkeypatch.setattr(yangbaxter, "is_automorphism", counting)
+    monkeypatch.setattr(yangbaxter, "compound", lifting)
     ctx = AlgebraContext(catalog("s1"))
     T = RatMatrix([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     bad = RatMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -176,7 +181,7 @@ def test_context_checks_each_automorphism_once(monkeypatch):
     assert answers == [False, True]
     with pytest.raises(NotAnAutomorphism):
         ctx.same_coboundary(r1, r2, bad)
-    assert calls == [bad, bad, T, bad]
+    assert calls == [bad, bad, T, bad] and lifts == [T]
 
 
 def _fraction_rank(m: RatMatrix) -> int:
