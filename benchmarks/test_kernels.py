@@ -81,7 +81,7 @@ def test_rank_at(benchmark, fields):
 
 def field_matrix_at(fields, p) -> RatMatrix:
     """M(p): row i holds the coefficients of field i at the point p."""
-    return RatMatrix([X.matrix.matvec(p) for X in fields])
+    return RatMatrix([X.matvec(p) for X in fields])
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,8 @@ def s3_merge_rows():
 
 
 def _fraction_merge_gaps(lifted, rec):
-    """The merge walk on Fraction points, each lift (den, rows) applied in
-    Fraction arithmetic and read with ``Poly.eval``: the reference
+    """The merge walk on Fraction points, each lift applied by ``matvec``
+    and read with ``Poly.eval``: the reference
     ``_component_merge_gaps``."""
     strict = [f for f, op in rec.branch.inequalities
               if op == "!=" and f.degree() == 1]
@@ -174,8 +174,8 @@ def _fraction_merge_gaps(lifted, rec):
     reached, frontier = {signature(start)}, [start]
     while frontier:
         p = frontier.pop()
-        for den, rows in lifted:
-            q = [Fraction(sum(x * p[j] for j, x in r), den) for r in rows]
+        for L in lifted:
+            q = L.matvec(p)
             if _poly_eval_locus(rec.branch, q) and signature(q) not in reached:
                 reached.add(signature(q))
                 frontier.append(q)
@@ -200,16 +200,15 @@ def test_merge_walk_s3_rows(benchmark, s3_merge_rows):
 
 @pytest.fixture(scope="module")
 def s3_char_poly_rows(fields):
-    """The sparse integer rows D·M of ``_integer_form`` that
+    """The sparse integer rows D·M (``RatMatrix.ints``) that
     ``find_bricks`` hands to ``_integer_eigenvalues`` for each s3 lifted
     field matrix M (D the lcm of its denominators), with D·M as a
     RatMatrix and its characteristic polynomial from the Fraction
     recursion."""
     out = []
     for X in fields:
-        den, rows = X.matrix._integer_form()
-        scaled = X.matrix.scale(den)
-        out.append((rows, scaled, _fraction_char_poly(scaled)))
+        scaled = X.scale(X.den)
+        out.append((X.ints, scaled, _fraction_char_poly(scaled)))
     return out
 
 
@@ -288,7 +287,7 @@ def test_locus_contains_s3_sample_candidates(benchmark, s3_locus_candidates):
 
 
 def test_matvec_lifted_field(benchmark, fields):
-    A = fields[0].matrix
+    A = fields[0]
     p = [Fraction(k, 3) for k in range(1, 7)]
     assert benchmark(A.matvec, p) == tuple(
         sum((A[i, j] * p[j] for j in range(6)), Fraction(0))
@@ -304,7 +303,7 @@ def test_lift_s3_derivation(benchmark):
         ei, ej = MultiVector.blade(4, [i]), MultiVector.blade(4, [j])
         want = (wedge(MultiVector.vector(4, d.col(i)), ej)
                 + wedge(ei, MultiVector.vector(4, d.col(j))))
-        assert X.matrix.col(k) == want.coords()
+        assert X.col(k) == want.coords()
 
 
 def test_schouten_generic_bivector_s3(benchmark):

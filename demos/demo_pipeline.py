@@ -16,6 +16,13 @@ from darbouxlie.grassmann import blade_name, blades
 
 x = Poly.var
 
+
+def field_text(X) -> str:
+    """The lifted field X(p) = A p as sum_a (A x)_a * d/dx_a."""
+    bits = [f"({Poly({((b, 1),): c for b, c in enumerate(row)}).text()})"
+            f"*d/dx{a}" for a, row in enumerate(X.entries, 1) if any(row)]
+    return " + ".join(bits) or "0"
+
 g = catalog("s1")
 print(f"== {g.name}: nonzero brackets [e2,e4] = -e1, [e3,e4] = -e3")
 
@@ -27,7 +34,7 @@ for row in ders[0].entries:
 fields = fundamental_fields(g, 2)
 print("\nlifted vector fields on the bivector coordinates x1..x6:")
 for i, X in enumerate(fields, 1):
-    print(f"  X{i} = {X.text()}")
+    print(f"  X{i} = {field_text(X)}")
 
 rr = " + ".join(f"({p.text()})*{blade_name(b)}"
                for b, p in zip(blades(g.dim, 3), generic_rr(g))

@@ -405,11 +405,11 @@ def load_family(stem: str) -> FamilyData:
     return fam
 
 
-def qualifying_samples(fam: FamilyData, samples: Optional[list] = None
+def qualifying_samples(fam: FamilyData
                        ) -> Iterator[tuple[dict, dict, LieAlgebra]]:
-    """(params, short params, algebra) at each parameter sample (those
-    given, or the family's own) where the family's ``when`` holds."""
-    for ps in fam.samples if samples is None else samples:
+    """(params, short params, algebra) at each parameter sample of the
+    family where its ``when`` holds."""
+    for ps in fam.samples:
         sp = _short_params(ps)
         if fam.when(sp):
             yield ps, sp, catalog(fam.algebra, **ps)
@@ -635,11 +635,12 @@ def verify_orbit_table(stem: str) -> TableReport:
                        algebra=fam.algebra, bundles=bundles)
 
 
-def _component_merge_gaps(lifted: Sequence[tuple], rec: OrbitRecord) -> list:
+def _component_merge_gaps(lifted: Sequence[RatMatrix], rec: OrbitRecord
+                          ) -> list:
     """Sign components of the row locus not reachable from the
     representative's component via the shipped automorphisms, given as
-    their lifts Λ²T in integer form (D, L).  The walk runs on integer points
-    (den, q) for q/den, whose image is (den·D, L·q); ``eval_int(q, den)``
+    their lifts Λ²T.  The walk runs on integer points (den, q) for q/den,
+    whose image under L = Λ²T is (den·L.den, L.ints·q); ``eval_int(q, den)``
     keeps the denominator, since the polynomials may have constant terms."""
     strict = [f for f, op in rec.branch.inequalities if op == "!="
               and f.degree() == 1]
@@ -657,9 +658,9 @@ def _component_merge_gaps(lifted: Sequence[tuple], rec: OrbitRecord) -> list:
     frontier = [start]
     while frontier:
         den, q = frontier.pop()
-        for scale, rows in lifted:
-            d, image = den * scale, [sum(x * q[j] for j, x in r)
-                                     for r in rows]
+        for L in lifted:
+            d, image = den * L.den, [sum(x * q[j] for j, x in r)
+                                     for r in L.ints]
             if locus_contains_ints(rec.branch, image, d):
                 s = signature(d, image)
                 if s not in reached:
@@ -721,7 +722,7 @@ def _check_bundle(fam: FamilyData, ps: dict, sp: dict,
         env = {**_XS, **sp}
         want_rows = [[c for e in frow for c in e(env, _linear_row)]
                      for frow in fam.fields]
-        comp = [X.matrix.flat() for X in ctx.fields]
+        comp = [X.flat() for X in ctx.fields]
         if not _same_span(want_rows, comp):
             problems.append("fundamental field span disagrees")
 
@@ -1087,8 +1088,7 @@ class ClassReport:
         return not self.unwitnessed
 
 
-def verify_coboundary_classes(stem: str,
-                              params: Optional[dict] = None) -> list[ClassReport]:
+def verify_coboundary_classes(stem: str) -> list[ClassReport]:
     """For each printed class grouping, find witness chains through the
     shipped automorphisms (identity included): consecutive members r_i,
     r_{i+1} need some T with (Λ²T) r_i equal to r_{i+1} modulo invariant
@@ -1097,8 +1097,7 @@ def verify_coboundary_classes(stem: str,
     where the necessary conditions distinguish representatives."""
     fam = load_family(stem)
     reports = []
-    for ps, sp, g in qualifying_samples(
-            fam, None if params is None else [params]):
+    for ps, sp, g in qualifying_samples(fam):
         skip = next((note for cond, note in reversed(fam.skipclasses)
                      if cond(sp)), None)
         if skip:

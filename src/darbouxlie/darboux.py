@@ -140,7 +140,7 @@ def family_sum(a: DarbouxFamily, b: DarbouxFamily) -> DarbouxFamily:
 def _char_poly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     """Characteristic polynomial coefficients [c_0..c_n] of det(tI - M) for
     the integer matrix M with the given sparse rows (``(column, int)``
-    pairs, as in ``LinearVectorField.rows``), by the Faddeev-LeVerrier
+    pairs, as in ``RatMatrix.ints``), by the Faddeev-LeVerrier
     recursion in ``int`` arithmetic: from M_0 = I, step k forms
     A_k = M·M_{k-1}, c_{n-k} = -tr(A_k)/k and M_k = A_k + c_{n-k}·I.  Each
     M_k is an integer polynomial in M, and c_{n-k} is a coefficient of the
@@ -197,8 +197,8 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
     eigenspaces of each field in turn; complete for fields with rational
     common spectra, which covers every catalog family.
 
-    Each field matrix M is taken as its integer form, D and the ints D·M
-    (``LinearVectorField``); D·Mᵀ has the eigenvalues mu of
+    Each field matrix M is taken as its integer form, D and the ints D·M;
+    D·Mᵀ has the eigenvalues mu of
     ``_integer_eigenvalues`` (M and Mᵀ share their characteristic
     polynomial), and M has the mu/D.  A candidate subspace is kept as
     integer rows S, and refined to the vectors Sᵀk with (D·Mᵀ - mu)·Sᵀk = 0,
@@ -207,11 +207,11 @@ def find_bricks(fields: Sequence[LinearVectorField]) -> list[Brick]:
     depend only on its span."""
     if not fields:
         return []
-    n = fields[0].nvars
+    n = fields[0].rows
     subspaces = [[[int(i == j) for j in range(n)] for i in range(n)]]
     eigrecords: list[tuple[Fraction, ...]] = [()]
     for X in fields:
-        den, rows = X.den, X.rows
+        den, rows = X.den, X.ints
         mus = _integer_eigenvalues(rows)
         new_spaces, new_recs = [], []
         for space, rec in zip(subspaces, eigrecords):

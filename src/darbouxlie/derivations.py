@@ -1,28 +1,16 @@
 """Derivations of a Lie algebra, their lifts to Λ^m g, the induced linear
 vector fields on Λ^2 g, and orbit dimensions via rank computations.
 
-A derivation is stored as its matrix d with column action d(e_j) = sum_i
-d[i][j] e_i.  Its Leibniz lift to Λ^m (index arithmetic in
-``grassmann.leibniz_rows``) is a linear vector field on the blade
-coordinates: X(p) = A p, whose coefficient of ``d/dx_a`` at p is the a-th
-component of A p.  A field is held only as D, the lcm of the denominators
-of A, and the sparse int rows of D·A.
-
-The derivation system is built in ``int`` arithmetic from the algebra's
-integer table D·c (``LieAlgebra.int_table``): it is linear and homogeneous
-in c, so scaling every row by D keeps its kernel, and the fraction-free
-kernel (``exactmath.int_kernel_basis``) takes the integer rows as they are.
-
-Rank counts at points read the column map of a field list
-(``field_columns``), built by whoever owns the list: per coordinate, the
-nonzero entries of the fields' integer matrices in that column, so a point
-visits only its nonzero coordinates.
+A derivation d, and its Leibniz lift Λ^m d (``lift``), are ``RatMatrix``
+values acting on columns: d(e_j) = sum_i d[i][j] e_i.  The lift is the
+linear vector field X(p) = A p on the blade coordinates, whose coefficient
+of ``d/dx_a`` at p is the a-th component of A p.  The derivation system and
+the lifts are built in ``int`` arithmetic, on the algebra's integer table
+D·c (``LieAlgebra.int_table``) and on the integer forms of the matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
@@ -30,36 +18,7 @@ from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
 from .grassmann import MultiVector, leibniz_rows
 from .liealg import LieAlgebra
 
-Derivation = RatMatrix
-
-
-@dataclass(frozen=True)
-class LinearVectorField:
-    """Linear vector field on the coordinates of Λ^m g: X(p) = A·p, as
-    ``den``, the lcm of the denominators of A, and per row of den·A its
-    nonzero ``(column, int)`` pairs by column: equal fields, equal forms."""
-
-    den: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def nvars(self) -> int:
-        return len(self.rows)
-
-    @property
-    def matrix(self) -> RatMatrix:
-        """A, built on each call."""
-        rows, n = map(dict, self.rows), self.nvars
-        return RatMatrix([[Fraction(r.get(b, 0), self.den) for b in range(n)]
-                          for r in rows], n)
-
-    def text(self) -> str:
-        bits = []
-        for a, r in enumerate(self.rows):
-            if r:
-                coef = Poly({((b, 1),): Fraction(x, self.den) for b, x in r})
-                bits.append(f"({coef.text()})*d/dx{a + 1}")
-        return " + ".join(bits) if bits else "0"
+Derivation = LinearVectorField = RatMatrix
 
 
 def derivation_basis(g: LieAlgebra) -> list[Derivation]:
@@ -102,14 +61,14 @@ def derivation_system(g: LieAlgebra) -> list[dict[int, int]]:
 
 def lift(d: Derivation, m: int) -> LinearVectorField:
     """Λ^m d, the Leibniz extension of d to degree-m multivectors: the
-    ``leibniz_rows`` of the columns of d, cleared once (so den is that of
-    Λ^m d, which may be smaller than d's)."""
-    rows = [sorted(r.items())
-            for r in leibniz_rows([d.col(j) for j in range(d.cols)], m)]
-    den, ints = clear_denominators(x for r in rows for _, x in r)
-    it = iter(ints)
-    return LinearVectorField(den, tuple(tuple((j, next(it)) for j, _ in r)
-                                        for r in rows))
+    ``leibniz_rows`` of the integer columns of den·d, divided by den."""
+    images = [[0] * d.rows for _ in range(d.cols)]
+    for i, r in enumerate(d.ints):
+        for j, x in r:
+            images[j][i] = x
+    rows = leibniz_rows(images, m)
+    return RatMatrix.from_ints(d.den, (sorted(r.items()) for r in rows),
+                               len(rows))
 
 
 def fundamental_fields(g: LieAlgebra, m: int = 2) -> list[LinearVectorField]:
@@ -129,8 +88,8 @@ def vf_apply(X: LinearVectorField, f: Poly) -> Poly:
 
     Term by term: c*m with x_a^e in m contributes c*e*A[a, b] to the
     monomial m*x_b/x_a for every nonzero A[a, b].  The sums run on the
-    ints D·A of the field and are divided by D once."""
-    den, rows = X.den, X.rows
+    ints of the field and are divided by its den once."""
+    den, rows = X.den, X.ints
     out: dict = {}
     for m, c in f.terms.items():
         for a, e in m:
@@ -171,11 +130,11 @@ def field_columns(fields: Sequence[LinearVectorField]) -> FieldColumns:
     all of its own denominators, so row i of M(p) is multiplied by the
     positive integer D_i and the rank is kept.  (Scaling each row of A_i by
     its own lcm would scale single entries of M(p) and change the rank.)"""
-    widths = tuple(dict.fromkeys(X.nvars for X in fields))
+    widths = tuple(dict.fromkeys(X.rows for X in fields))
     columns: list[list[tuple[int, int, int]]] = [
         [] for _ in range(max(widths, default=0))]
     for i, X in enumerate(fields):
-        for a, r in enumerate(X.rows):
+        for a, r in enumerate(X.ints):
             for j, x in r:
                 columns[j].append((i, a, x))
     return widths, columns

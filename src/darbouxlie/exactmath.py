@@ -321,21 +321,65 @@ def normalize_poly(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RatMatrix:
-    """Dense matrix of Fractions.  Immutable once constructed, so its one
-    sparse form, the integer form (``_integer_form``), and the hash are
-    computed once and cached.  Products and solves read the integer form
-    and divide by its D once per entry of the result."""
+    """Immutable matrix over Q with two views, each built once, on first
+    use, from the one it was made from: ``entries``, the dense rows of
+    Fractions, and the integer form, ``den`` (the lcm of the entries'
+    denominators, 1 for none) with ``ints`` (per row of den times the
+    matrix, its nonzero ``(column, int)`` pairs by column).  The integer
+    form is canonical, so equality and hash read it; products and solves
+    read it too and divide by den once per entry of the result."""
 
-    __slots__ = ("entries", "rows", "cols", "_ints", "_hash")
+    __slots__ = ("rows", "cols", "_entries", "_den", "_ints")
 
     def __init__(self, entries: Iterable[Iterable], cols: int = 0):
         """``cols`` is the width of a matrix without rows."""
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
-        self.entries = rows
+        self._entries = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else cols
+
+    @staticmethod
+    def from_ints(den: int, rows: Iterable[Iterable[tuple[int, int]]],
+                  cols: int) -> "RatMatrix":
+        """The matrix whose row i is ``rows[i]``, nonzero ``(column, int)``
+        pairs by column, divided by den > 0.  The gcd g of den and all the
+        ints is divided out: entry a/den has reduced denominator
+        den/gcd(den, a), and the lcm of those is den/g."""
+        rows = tuple(map(tuple, rows))
+        g = gcd(den, *(x for r in rows for _, x in r))
+        if g > 1:
+            den //= g
+            rows = tuple(tuple((j, x // g) for j, x in r) for r in rows)
+        m = RatMatrix.__new__(RatMatrix)
+        m.rows, m.cols, m._den, m._ints = len(rows), cols, den, rows
+        return m
+
+    entries = property(lambda self: self._entries)
+    den = property(lambda self: self._den)
+    ints = property(lambda self: self._ints)
+
+    def __getattr__(self, name: str):
+        """Builds a view that is missing from the one the matrix was made
+        from; called only while it is missing."""
+        if name == "_entries":
+            zero, den = Fraction(0), self._den
+            dense = [[zero] * self.cols for _ in self._ints]
+            for row, r in zip(dense, self._ints):
+                for j, x in r:
+                    row[j] = Fraction(x, den)
+            self._entries = tuple(map(tuple, dense))
+        elif name in ("_den", "_ints"):
+            den, ints = clear_denominators(x for r in self._entries
+                                           for x in r if x)
+            it = iter(ints)
+            self._den, self._ints = den, tuple(
+                tuple((j, next(it)) for j, x in enumerate(r) if x)
+                for r in self._entries)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -358,27 +402,11 @@ class RatMatrix:
             return RatMatrix.zero(0, self.rows)
         return RatMatrix(zip(*self.entries) if self.rows else [()] * self.cols)
 
-    def _integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...],
-                                                ...]]:
-        """The lcm D of all the entries' denominators, and each row of D
-        times the matrix as its ``(column, int)`` pairs with nonzero
-        entry."""
-        try:
-            return self._ints
-        except AttributeError:
-            den, ints = clear_denominators(x for r in self.entries
-                                           for x in r if x)
-            it = iter(ints)
-            self._ints = den, tuple(
-                tuple((j, next(it)) for j, x in enumerate(r) if x)
-                for r in self.entries)
-            return self._ints
-
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = [rat(x) for x in v]
         if len(v) != self.cols:
             raise ValueError(f"matvec size mismatch: {self.cols} vs {len(v)}")
-        den, rows = self._integer_form()
+        den, rows = self.den, self.ints
         dv, q = clear_denominators(v)
         den *= dv
         return tuple(Fraction(sum(q[j] * x for j, x in r), den)
@@ -387,7 +415,7 @@ class RatMatrix:
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("matmul size mismatch")
-        den, rows = self._integer_form()
+        den, rows = self.den, self.ints
         bt = other.transpose()
         return RatMatrix([[sum((b[k] * x for k, x in a), Fraction(0)) / den
                            for b in bt.entries] for a in rows])
@@ -428,14 +456,10 @@ class RatMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self.entries)
-            return self._hash
+        return hash((self.cols, self.den, self.ints))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
@@ -563,7 +587,7 @@ def _solve_rows(rows: Iterable, ncols: int, nrhs: int = 1
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row-echelon form and its pivot columns (row space preserved)."""
-    red, pivots = _gauss_jordan(map(dict, m._integer_form()[1]))
+    red, pivots = _gauss_jordan(map(dict, m.ints))
     zero = Fraction(0)
     dense = [[r.get(j, zero) for j in range(m.cols)] for r in red]
     dense += [[zero] * m.cols] * (m.rows - len(red))
@@ -571,12 +595,12 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(int_echelon(map(dict, m._integer_form()[1])))
+    return len(int_echelon(map(dict, m.ints)))
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space (``int_kernel_basis`` of the rows)."""
-    return int_kernel_basis(map(dict, m._integer_form()[1]), m.cols)
+    return int_kernel_basis(map(dict, m.ints), m.cols)
 
 
 def int_kernel_basis(rows: Iterable[SparseRow], ncols: int
@@ -610,7 +634,7 @@ def solve(m: RatMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     b = [rat(x) for x in b]
     if len(b) != m.rows:
         raise ValueError(f"solve size mismatch: {m.rows} vs {len(b)}")
-    den, rows = m._integer_form()
+    den, rows = m.den, m.ints
     sol, = _solve_rows([dict(r + ((m.cols, den * bi),) if bi else r)
                         for r, bi in zip(rows, b)], m.cols)
     if sol is None:

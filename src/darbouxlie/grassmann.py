@@ -44,7 +44,7 @@ def indices_of(mask: int) -> tuple[int, ...]:
 @cache
 def blades(dim: int, m: int) -> tuple[int, ...]:
     """Degree-m basis masks in lexicographic index-tuple order, built once
-    per (dim, m)."""
+    per (dim, m); none for m < 0 or m > dim."""
     out = []
 
     def rec(start: int, left: int, acc: int):
@@ -54,7 +54,8 @@ def blades(dim: int, m: int) -> tuple[int, ...]:
         for i in range(start, dim - left + 1):
             rec(i + 1, left - 1, acc | (1 << i))
 
-    rec(0, m, 0)
+    if m >= 0:
+        rec(0, m, 0)
     return tuple(out)
 
 
@@ -111,6 +112,8 @@ class MultiVector:
 
     @staticmethod
     def vector(dim: int, v: Sequence) -> "MultiVector":
+        if len(v) != dim:
+            raise DimensionMismatch("vector length does not match dimension")
         return MultiVector(dim, 1, {1 << i: rat(x)
                                     for i, x in enumerate(v) if rat(x)})
 
@@ -335,11 +338,11 @@ def invariants(g: LieAlgebra, m: int) -> list[MultiVector]:
             for v in int_kernel_basis(rows, len(blades(g.dim, m)))]
 
 
-def compound(T: RatMatrix, m: int) -> tuple[int, tuple]:
-    """Λ^m T, the m-th compound of the square T, as the integer form (d^m,
-    rows of Λ^m t) where (d, t) is that of T (``RatMatrix._integer_form``).
-    Row J of Λ^m t is the wedge of rows j1..jm of t: Λ^m(tᵀ) = (Λ^m t)ᵀ."""
-    d, t = T._integer_form()
+def compound(T: RatMatrix, m: int) -> RatMatrix:
+    """Λ^m T, the m-th compound of the square T, built on the integer form
+    (d, t) of T as (Λ^m t)/d^m.  Row J of Λ^m t is the wedge of rows
+    j1..jm of t: Λ^m(tᵀ) = (Λ^m t)ᵀ."""
+    t = T.ints
     bl = blades(T.rows, m)
     rows = []
     for mask in bl:
@@ -352,8 +355,8 @@ def compound(T: RatMatrix, m: int) -> tuple[int, tuple]:
                         v = -x * y if _popcount(mk >> (k + 1)) & 1 else x * y
                         nxt[mk | 1 << k] = nxt.get(mk | 1 << k, 0) + v
             img = nxt
-        rows.append(tuple((c, img[b]) for c, b in enumerate(bl) if img.get(b)))
-    return d ** m, tuple(rows)
+        rows.append([(c, img[b]) for c, b in enumerate(bl) if img.get(b)])
+    return RatMatrix.from_ints(T.den ** max(m, 0), rows, len(bl))
 
 
 def generic_rr(g: LieAlgebra) -> list[Poly]:
@@ -375,10 +378,8 @@ def generic_rr(g: LieAlgebra) -> list[Poly]:
 
 
 def apply_linear(T: RatMatrix, w: MultiVector) -> MultiVector:
-    """(Λ^m T)(w): the ``compound`` of T on the cleared coordinates of w."""
+    """(Λ^m T)(w), by the ``compound`` of T."""
     if (T.rows, T.cols) != (w.dim, w.dim):
         raise DimensionMismatch("map and multivector dimensions differ")
-    den, rows = compound(T, w.degree)
-    dw, q = clear_denominators(w.coords())
-    return MultiVector.from_coords(w.dim, w.degree, [
-        Fraction(sum(x * q[j] for j, x in r), den * dw) for r in rows])
+    return MultiVector.from_coords(
+        w.dim, w.degree, compound(T, w.degree).matvec(w.coords()))

@@ -181,14 +181,14 @@ def is_automorphism(g: LieAlgebra, T: RatMatrix) -> bool:
     """Exact bracket preservation T[e_i,e_j] = [Te_i, Te_j] on basis pairs,
     plus invertibility.
 
-    Checked in ``int`` arithmetic on t = d_T·T (``RatMatrix._integer_form``)
-    and the algebra's D·c (``LieAlgebra.int_table``): the identity times
+    Checked in ``int`` arithmetic on the integer form t = d_T·T of T and
+    the algebra's D·c (``LieAlgebra.int_table``): the identity times
     d_T²·D reads d_T·t·(D·c_ij) = sum_ab t_ai t_bj (D·c_ab) for i < j.
     Invertibility is the rank of t (``int_echelon``)."""
     n = g.dim
     if T.rows != n or T.cols != n:
         return False
-    d_t, t = T._integer_form()
+    d_t, t = T.den, T.ints
     if len(int_echelon(map(dict, t))) != n:
         return False
     _, c = g.int_table
@@ -273,7 +273,7 @@ class AlgebraContext:
 
     def __init__(self, g: LieAlgebra, ders: list[Derivation] | None = None):
         self.g = g
-        self._automorphisms: dict[RatMatrix, tuple | None] = {}
+        self._automorphisms: dict[RatMatrix, RatMatrix | None] = {}
         if ders is not None:
             self.ders = ders
 
@@ -354,9 +354,9 @@ class AlgebraContext:
             self._automorphisms[T] = None
         return True
 
-    def lift_automorphism(self, T: RatMatrix) -> tuple:
-        """Λ²T in its integer form (``grassmann.compound``), built once per
-        automorphism T and on its first use."""
+    def lift_automorphism(self, T: RatMatrix) -> RatMatrix:
+        """Λ²T (``grassmann.compound``), built once per automorphism T and
+        on its first use."""
         if not self.is_automorphism(T):
             raise NotAnAutomorphism("T does not preserve the Lie bracket")
         if self._automorphisms[T] is None:
@@ -364,9 +364,8 @@ class AlgebraContext:
         return self._automorphisms[T]
 
     def same_coboundary(self, r1: RMatrix, r2: RMatrix, T: RatMatrix) -> bool:
-        den, rows = self.lift_automorphism(T)
-        dr, q = clear_denominators(as_bivector(self.g, r1).coords())
-        moved = [Fraction(sum(x * q[j] for j, x in r), den * dr) for r in rows]
+        moved = self.lift_automorphism(T).matvec(
+            as_bivector(self.g, r1).coords())
         return self.quotient_class(moved) == self.quotient_class(r2)
 
     def signature(self, r: RMatrix) -> tuple[int, bool, bool, int]:

@@ -17,8 +17,7 @@ from darbouxlie.darboux import (BranchInvalid, DarbouxFamily,
                                 verify_family_auto)
 from darbouxlie import darboux
 from darbouxlie.classify import TREE_FILES, verify_tree
-from darbouxlie.derivations import (LinearVectorField, fundamental_fields,
-                                    vf_apply)
+from darbouxlie.derivations import fundamental_fields, vf_apply
 from darbouxlie.exactmath import (MissingVariable, Poly, RatMatrix,
                                   clear_denominators, ideal_membership,
                                   monomials_up_to, normalize_poly, poly_rref)
@@ -208,7 +207,7 @@ def _planted_fields(rng, m, q):
             b[i][i + 1], b[i + 1][i] = Fraction(2), Fraction(1)
         c = Fraction(rng.choice([-3, 1, 2]), prime)
         mt = p.matmul(RatMatrix(b)).matmul(p_inv).scale(c)
-        fields.append(LinearVectorField(*mt.transpose()._integer_form()))
+        fields.append(mt.transpose())
     return fields
 
 
@@ -222,7 +221,7 @@ def _sympy_bricks(sp, fields):
         return sp.Matrix(m.rows, m.cols, [sp.Rational(x.numerator,
                                                       x.denominator)
                                           for x in m.flat()])
-    mts = [sym(X.matrix.transpose()) for X in fields]
+    mts = [sym(X.transpose()) for X in fields]
     n = mts[0].rows
     spectra = [sorted(Fraction(int(k.p), int(k.q))
                       for k in mt.eigenvals() if k.is_rational)
@@ -256,7 +255,7 @@ def test_find_bricks_matches_sympy_on_planted_fields(seed):
     seen = 0
     for m in range(3, 7):
         fields = _planted_fields(rng, m, rng.randint(1, 3))
-        assert all(X.matrix._integer_form()[0] >= 7 for X in fields)
+        assert all(X.den >= 7 for X in fields)
         got = [(b.poly, b.eigenvalues) for b in find_bricks(fields)]
         assert got == _sympy_bricks(sp, fields), (seed, m)
         seen += len(got)
@@ -425,7 +424,7 @@ def test_flow_invariance_matches_sympy_expansion():
     for X in fields:
         p = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
              for _ in range(6)]
-        table = sp.Matrix([_flow_coefficients(sp, mu, X.matrix, p, 3)
+        table = sp.Matrix([_flow_coefficients(sp, mu, X, p, 3)
                            for mu in MONOS]).T
         for degree in (1, 2):
             for m in range(4):
@@ -438,7 +437,7 @@ def test_flow_invariance_matches_sympy_expansion():
                 for gens in [[f]] + ([[f, g]] if g is not None else []):
                     fam = DarbouxFamily(gens, [], False)
                     on_locus = all(not h.eval(p) for h in gens)
-                    coeffs = [_flow_coefficients(sp, h, X.matrix, p, 8)
+                    coeffs = [_flow_coefficients(sp, h, X, p, 8)
                               for h in gens]
                     for order in range(9):
                         want = _oracle(coeffs, gens, order)

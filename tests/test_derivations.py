@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from darbouxlie.derivations import (LinearVectorField, _rank_at_ints,
+from darbouxlie.derivations import (_rank_at_ints,
                                     derivation_basis, field_columns,
                                     fundamental_fields, lift, orbit_dim,
                                     rank_at, vf_apply)
@@ -82,8 +82,8 @@ def test_derivation_closure_under_commutator():
 def test_lift_identity_and_zero():
     d = RatMatrix.identity(4)
     X = lift(d, 2)
-    assert X.matrix == RatMatrix.identity(6).scale(2)
-    assert lift(RatMatrix.zero(4, 4), 2).matrix.is_zero()
+    assert X == RatMatrix.identity(6).scale(2)
+    assert lift(RatMatrix.zero(4, 4), 2).is_zero()
 
 
 def test_lift_paper_field_s1():
@@ -91,9 +91,9 @@ def test_lift_paper_field_s1():
     # 2 x1 d1 + x2 d2 + x3 d3 + x4 d4 + x5 d5
     d = RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     X = lift(d, 2)
-    diag = [X.matrix[i, i] for i in range(6)]
+    diag = [X[i, i] for i in range(6)]
     assert diag == [2, 1, 1, 1, 1, 0]
-    assert all(X.matrix[i, j] == 0 for i in range(6) for j in range(6)
+    assert all(X[i, j] == 0 for i in range(6) for j in range(6)
                if i != j)
 
 
@@ -106,12 +106,25 @@ def test_lift_leibniz_randomized():
         u = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
         w = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
         uw = wedge(MultiVector.vector(4, u), MultiVector.vector(4, w))
-        lhs = MultiVector.from_coords(4, 2, X.matrix.matvec(uw.coords()))
+        lhs = MultiVector.from_coords(4, 2, X.matvec(uw.coords()))
         rhs = wedge(MultiVector.vector(4, d.matvec(u)),
                     MultiVector.vector(4, w)) + \
             wedge(MultiVector.vector(4, u),
                   MultiVector.vector(4, d.matvec(w)))
         assert lhs == rhs
+
+
+def test_lift_reads_only_the_integer_form():
+    """``lift`` works on the integer form of d: for a d given by its ints,
+    neither d nor Λ²d builds its Fractions.  With d = diag(1/2, 3/2, -1/2,
+    0), Λ²d is diagonal with d_i + d_j at e_ij."""
+    d = RatMatrix.from_ints(2, [[(0, 1)], [(1, 3)], [(2, -1)], []], 4)
+    X = lift(d, 2)
+    for m in (d, X):
+        with pytest.raises(AttributeError):
+            RatMatrix._entries.__get__(m)
+    assert (X.den, X.ints) == (2, (((0, 4),), (), ((2, 1),), ((3, 2),),
+                                   ((4, 3),), ((5, -1),)))
 
 
 def test_fundamental_fields_span_displayed_s1():
@@ -132,7 +145,7 @@ def test_fundamental_fields_span_displayed_s1():
         for (i, j), c in entries.items():
             m[i][j] = Fraction(c)
         want.append(RatMatrix(m).flat())
-    got = [X.matrix.flat() for X in fields]
+    got = [X.flat() for X in fields]
     from darbouxlie.exactmath import row_space_equal
     assert row_space_equal(RatMatrix(want), RatMatrix(got))
 
@@ -153,12 +166,12 @@ def test_vf_apply():
     assert vf_apply(lift(d, 2), x(2) * x(3)) == 2 * x(2) * x(3)
     # the paper's X5 = x2 d2 + x4 d4 + x6 d6 kills x5^2
     X5 = next(X for X in fields
-              if X.matrix[1, 1] == 1 and X.matrix[3, 3] == 1
-              and X.matrix[5, 5] == 1)
+              if X[1, 1] == 1 and X[3, 3] == 1
+              and X[5, 5] == 1)
     assert vf_apply(X5, x(4) ** 2).is_zero()
     # Euler identity: the identity field scales degree-d by d
     euler = lift(RatMatrix.identity(4), 2)
-    assert euler.matrix == RatMatrix.identity(6).scale(2)
+    assert euler == RatMatrix.identity(6).scale(2)
     f = 3 * x(0) * x(5) - x(2) * x(3)
     assert vf_apply(euler, f) == 4 * f  # Euler scales deg 2 by 2, doubled
 
@@ -188,13 +201,12 @@ def test_vf_apply_matches_sympy(seed):
         A = RatMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                         if rng.random() < 0.3 else 0 for _ in range(n)]
                        for _ in range(n)])
-        X = LinearVectorField(*A._integer_form())
         Ax = [sum((sp.Rational(A[a, b].numerator, A[a, b].denominator)
                    * xs[b] for b in range(n)), sp.Integer(0))
               for a in range(n)]
         for f in [Poly.zero(), Poly.const(Fraction(-7, 3))] + [
                 _random_poly(rng, n) for _ in range(4)]:
-            got = vf_apply(X, f)
+            got = vf_apply(A, f)
             want = sum((Ax[a] * sp.diff(to_sympy(f), xs[a])
                         for a in range(n)), sp.Integer(0))
             assert sp.expand(to_sympy(got) - want) == 0
@@ -203,14 +215,14 @@ def test_vf_apply_matches_sympy(seed):
             assert all(m == tuple(sorted(m)) and all(e > 0 for _, e in m)
                        for m in got.terms)
     # terms that cancel are dropped: a rotation fixes x1^2 + x2^2
-    rot = LinearVectorField(*RatMatrix([[0, -1], [1, 0]])._integer_form())
+    rot = RatMatrix([[0, -1], [1, 0]])
     assert vf_apply(rot, x(0) ** 2 + x(1) ** 2).terms == {}
 
 
 def field_matrix_at(fields, p) -> RatMatrix:
     """M(p): row i holds the coefficients of field i at the point p, by
     Fraction ``matvec``; the rank oracle for ``rank_at``."""
-    return RatMatrix([X.matrix.matvec(p) for X in fields])
+    return RatMatrix([X.matvec(p) for X in fields])
 
 
 def test_rank_at_matches_field_matrix():
@@ -239,7 +251,7 @@ def test_rank_count_edge_cases():
         with pytest.raises(ValueError, match=msg):
             field_matrix_at(fields, p)
     # fields of two widths: the first field whose width differs is named
-    mixed = [LinearVectorField(*RatMatrix.identity(2)._integer_form()),
+    mixed = [RatMatrix.identity(2),
              *fields]
     with pytest.raises(ValueError, match="^matvec size mismatch: 2 vs 6$"):
         rank_at(mixed, [1] * 6)
@@ -256,8 +268,8 @@ def test_fundamental_fields_abelian_full_gl_image():
         for j in range(4):
             m = [[1 if (r, c) == (i, j) else 0 for c in range(4)]
                  for r in range(4)]
-            elementary.append(lift(RatMatrix(m), 2).matrix.flat())
-    got = [X.matrix.flat() for X in fields]
+            elementary.append(lift(RatMatrix(m), 2).flat())
+    got = [X.flat() for X in fields]
     from darbouxlie.exactmath import row_space_equal
     assert row_space_equal(RatMatrix(elementary), RatMatrix(got))
     assert rank(RatMatrix(got)) == 16

@@ -158,7 +158,8 @@ def test_ideal_memberships_inconsistent_rows_stay_apart():
 def test_ratmatrix_hash_is_equal_for_equal_matrices():
     a = RatMatrix([[1, Fraction(1, 2)], [0, 3]])
     b = RatMatrix([["1", "1/2"], [0, Fraction(6, 2)]])
-    assert a == b and hash(a) == hash(b) == hash(a.entries)
+    assert a == b and hash(a) == hash(b) == hash(
+        RatMatrix.from_ints(a.den, a.ints, a.cols))
     assert hash(a) == hash(a) and {a: 1}[b] == 1
     assert hash(RatMatrix.zero(0, 3)) == hash(RatMatrix.zero(0, 3))
     assert {(a, b): 2}[(b, RatMatrix(a.entries))] == 2
@@ -167,11 +168,44 @@ def test_ratmatrix_hash_is_equal_for_equal_matrices():
 def test_integer_form_is_the_matrix_times_one_positive_integer():
     m = RatMatrix([[Fraction(1, 2), 0, Fraction(-2, 3)], [0, 0, 0],
                    [4, Fraction(5, 6), 0]])
-    den, rows = m._integer_form()
+    den, rows = m.den, m.ints
     assert den == 6
     assert rows == (((0, 3), (2, -4)), (), ((0, 24), (1, 5)))
-    assert m._integer_form() is m._integer_form()
-    assert RatMatrix.zero(2, 2)._integer_form() == (1, ((), ()))
+    assert m.ints is m.ints
+    z = RatMatrix.zero(2, 2)
+    assert (z.den, z.ints) == (1, ((), ()))
+
+
+def _has_dense_view(m: RatMatrix) -> bool:
+    """Whether m holds its Fractions, read without building them."""
+    try:
+        RatMatrix._entries.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_matrix_from_ints_is_the_matrix_from_fractions():
+    """A matrix given by its integer form equals, and hashes like, the same
+    matrix given by Fractions; a non-canonical form is reduced by the gcd of
+    den and all the ints, and the dense view is built only when read."""
+    a = RatMatrix([[Fraction(1, 2), 0, Fraction(-2, 3)], [0, 0, 0]])
+    for den, rows in ((6, [[(0, 3), (2, -4)], []]),
+                      (12, [[(0, 6), (2, -8)], []]),
+                      (-6 * -7, [((0, 21), (2, -28)), ()])):
+        b = RatMatrix.from_ints(den, rows, 3)
+        assert (b.den, b.ints) == (6, (((0, 3), (2, -4)), ()))
+        assert not _has_dense_view(b)
+        assert b.matvec([6, 1, 3]) == a.matvec([6, 1, 3]) == (1, 0)
+        assert not _has_dense_view(b)
+        assert b == a and hash(b) == hash(a) and {a: 1}[b] == 1
+        assert b.entries == a.entries and _has_dense_view(b)
+    z = RatMatrix.from_ints(6, [(), ()], 3)
+    assert (z.den, z.ints) == (1, ((), ())) and z == RatMatrix.zero(2, 3)
+    assert RatMatrix.from_ints(1, [], 3) == RatMatrix.zero(0, 3)
+    assert RatMatrix.from_ints(1, [], 3) != RatMatrix.zero(0, 4)
+    assert RatMatrix.from_ints(2, [[(0, 1)]], 1) != RatMatrix([[1]])
+    assert RatMatrix([[1]]).den == 1 and RatMatrix([[Fraction(2, 4)]]).den == 2
 
 
 small_rats = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))

@@ -399,8 +399,8 @@ def test_unreached_sign_components_fail_verify_tables(tmp_path, monkeypatch,
 
 def _fraction_merge_gaps(lifted, rec):
     """The merge walk in Fraction arithmetic, the reference for
-    ``classify._component_merge_gaps``: each lift (den, rows) applied to
-    Fraction points, the locus and the signs read with ``Poly.eval``.
+    ``classify._component_merge_gaps``: each lift applied to
+    Fraction points by ``matvec``, the locus and the signs read with ``Poly.eval``.
     Returns the missed sign components and the number of components the
     samples show."""
     branch = rec.branch
@@ -423,8 +423,8 @@ def _fraction_merge_gaps(lifted, rec):
     reached, frontier = {signature(start)}, [start]
     while frontier:
         p = frontier.pop()
-        for den, rows in lifted:
-            image = [Fraction(sum(x * p[j] for j, x in r), den) for r in rows]
+        for L in lifted:
+            image = L.matvec(p)
             if on_locus(image) and signature(image) not in reached:
                 reached.add(signature(image))
                 frontier.append(image)
@@ -472,7 +472,7 @@ def test_merge_walk_keeps_the_denominators():
     from x6 = 4 it lands on x6 = 1, off the locus."""
     quarter = RatMatrix([[Fraction(int(i == j), 4 if i == 5 else 1)
                           for j in range(6)]
-                         for i in range(6)])._integer_form()
+                         for i in range(6)])
     for rep, lifted, want in ((2, [], [(-1,)]), (2, [quarter], []),
                               (4, [quarter], [(-1,)])):
         rec = expand_rows(load_family("s1"), {})[0]

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from darbouxlie.derivations import derivation_basis, lift
+from darbouxlie.derivations import (derivation_basis, fundamental_fields,
+                                    lift)
 from darbouxlie.grassmann import (MultiVector, ad_action, apply_linear,
                                   blade_name, blades, compound, generic_rr,
                                   indices_of, invariants, leibniz_rows,
@@ -254,8 +255,8 @@ def _assert_lift_matches_oracle(d, m):
     """Λ^m d against the oracle, as a matrix and as its integer form (D the
     lcm of the denominators of Λ^m d itself)."""
     X, want = lift(d, m), _oracle_lift(d, m)
-    assert X.matrix == want, (m, d)
-    assert (X.den, X.rows) == want._integer_form(), (m, d)
+    assert X == want, (m, d)
+    assert (X.den, X.ints) == (want.den, want.ints), (m, d)
 
 
 def _dense(rows):
@@ -284,13 +285,17 @@ def _oracle_lambda(T, m):
 
 
 def _compound_matrix(T, m):
-    """``compound(T, m)`` made dense, after checking that it is an integer
-    form: nonzero ints at increasing columns in each row."""
-    den, rows = compound(T, m)
+    """``compound(T, m)``, after checking that its integer form is one:
+    nonzero ints at increasing columns in each row, and made dense, it is
+    the same matrix."""
+    L = compound(T, m)
+    den, rows = L.den, L.ints
     assert all(isinstance(x, int) and x for r in rows for _, x in r)
     assert all([c for c, _ in r] == sorted({c for c, _ in r}) for r in rows)
-    return RatMatrix([[Fraction(dict(r).get(c, 0), den)
-                       for c in range(len(rows))] for r in rows], len(rows))
+    dense = RatMatrix([[Fraction(dict(r).get(c, 0), den)
+                        for c in range(len(rows))] for r in rows], len(rows))
+    assert dense == L and dense.entries == L.entries
+    return L
 
 
 @pytest.mark.parametrize("g", CATALOG, ids=lambda g: g.name)
@@ -329,10 +334,51 @@ def test_lift_and_lambda_matrix_match_oracle_on_random_matrices(n):
             assert _compound_matrix(T.matmul(S), m) == \
                 _compound_matrix(T, m).matmul(_compound_matrix(S, m)), m
     # the 1x1 maps on Λ^0 g = Q: a derivation kills 1, a linear map fixes it
-    assert lift(T, 0).matrix == RatMatrix([[0]])
-    assert compound(T, 0) == (1, (((0, 1),),))
+    assert lift(T, 0) == RatMatrix([[0]])
+    L = compound(T, 0)
+    assert (L.den, L.ints) == (1, (((0, 1),),)) and L == RatMatrix([[1]])
     assert _dense(leibniz_rows(RANDOM_ALGEBRAS[n - 1].c[0], 0)) == \
         RatMatrix([[0]])
+
+
+def test_compound_divides_out_the_common_factor():
+    """Λ²T of T = [[1/2, 1/2], [0, 1]] is det T = 1/2: d_T² = 4 over the
+    int 2 is reduced to den 2, so it equals the matrix of Fractions."""
+    h = Fraction(1, 2)
+    L = compound(RatMatrix([[h, h], [0, 1]]), 2)
+    assert isinstance(L, RatMatrix)
+    assert (L.den, L.ints) == (2, (((0, 1),),))
+    assert L == RatMatrix([[h]]) and hash(L) == hash(RatMatrix([[h]]))
+
+
+def test_negative_degree_is_empty():
+    """Λ^m g is empty for m < 0, as for m > dim: no blades, empty maps and
+    multivectors, and no invariants."""
+    g, T = catalog("s1"), RatMatrix.identity(4)
+    for m in (-1, -3):
+        assert blades(4, m) == ()
+        assert lift(derivation_basis(g)[0], m) == RatMatrix.zero(0, 0)
+        assert fundamental_fields(g, m) == [RatMatrix.zero(0, 0)] * 6
+        assert compound(T, m) == RatMatrix.zero(0, 0)
+        assert MultiVector.from_coords(4, m, []).coords() == ()
+        assert invariants(g, m) == []
+    assert blades(4, 5) == () and compound(T, 5) == RatMatrix.zero(0, 0)
+
+
+def test_vectors_of_another_length_are_refused():
+    """A vector must have exactly dim coordinates, as for ``bracket``:
+    short ones are not padded with zeros, long ones are refused even when
+    the extra coordinates are 0."""
+    g = catalog("s1")
+    w = B(4, [0, 1]) + B(4, [2, 3])
+    assert ad_action(g, [0, 1, 0, 0], w) == B(4, [0, 2])
+    for v in ([0, 1], [0, 1, 0, 0, 0], []):
+        with pytest.raises(DimensionMismatch):
+            MultiVector.vector(4, v)
+        with pytest.raises(DimensionMismatch):
+            ad_action(g, v, w)
+        with pytest.raises(DimensionMismatch):
+            bracket(g, v, [0, 0, 0, 1])
 
 
 def test_apply_linear_refuses_a_map_of_another_dimension():
@@ -351,7 +397,7 @@ def test_lift_is_scaled_by_the_lcm_of_its_own_denominators():
     h = Fraction(1, 2)
     d = RatMatrix([[h, 0, 0, 0], [0, h, 0, 0], [0, 0, -h, 0], [0, 0, 0, -h]])
     assert [lift(d, m).den for m in range(5)] == [1, 2, 1, 2, 1]
-    assert lift(d, 2).rows == (((0, 1),), (), (), (), (), ((5, -1),))
+    assert lift(d, 2).ints == (((0, 1),), (), (), (), (), ((5, -1),))
     for m in range(5):
         _assert_lift_matches_oracle(d, m)
 

@@ -104,6 +104,10 @@ def test_cocommutator_values():
     # invariant bivector gives the zero cocommutator
     for v0 in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]):
         assert cocommutator(g, bv(1, 0, 0, 0, 0, 0), v0).is_zero()
+    # a vector needs all four coordinates: e1 is not [1]
+    for v1 in ([1], [0, 0, 0, 1, 0]):
+        with pytest.raises(DimensionMismatch):
+            cocommutator(g, bv(0, 0, 0, 0, 0, 1), v1)
 
 
 def test_cocommutator_warns_for_nonsolution():
@@ -182,6 +186,7 @@ def test_context_checks_each_automorphism_once(monkeypatch):
     with pytest.raises(NotAnAutomorphism):
         ctx.same_coboundary(r1, r2, bad)
     assert calls == [bad, bad, T, bad] and lifts == [T]
+    assert ctx.lift_automorphism(T) == _diag(1, -1, -1, -1, -1, 1)
 
 
 def _fraction_rank(m: RatMatrix) -> int:
@@ -279,7 +284,7 @@ def test_is_automorphism_matches_the_fraction_reference_on_shipped_matrices():
 
 def test_is_automorphism_on_non_integer_automorphisms():
     cases = _non_integer_automorphisms()
-    assert all(T._integer_form()[0] > 1 for _, T in cases)
+    assert all(T.den > 1 for _, T in cases)
     assert all(is_automorphism(g, T) for g, T in cases)
     assert _assert_automorphism_checks_match(cases) == {True, False}
 
@@ -308,7 +313,7 @@ def test_dropping_the_scale_of_t_is_caught():
     cases = _non_integer_automorphisms()
     assert all(is_automorphism(g, T) for g, T in cases)
     for _, T in cases:
-        T._ints = (1, T._integer_form()[1])
+        T._den = 1
     assert not any(is_automorphism(g, T) for g, T in cases)
     with pytest.raises(AssertionError):
         _assert_automorphism_checks_match(cases)
@@ -487,7 +492,7 @@ def _scaled(rng, p):
 def field_matrix_at(fields, p) -> RatMatrix:
     """M(p): row i holds the coefficients of field i at the point p, by
     Fraction ``matvec``."""
-    return RatMatrix([X.matrix.matvec(p) for X in fields])
+    return RatMatrix([X.matvec(p) for X in fields])
 
 
 def _assert_integer_checks_match_oracles(ctx, points):
