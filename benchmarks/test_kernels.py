@@ -21,9 +21,8 @@ from darbouxlie.derivations import (_rank_at_ints, derivation_basis,
                                     fundamental_fields, lift, rank_at,
                                     vf_apply)
 from darbouxlie.exactmath import (Poly, RatMatrix, ideal_membership,
-                                  int_kernel_basis, kernel_basis,
-                                  monomials_up_to, normalize_poly, rank,
-                                  solve)
+                                  int_kernel_basis, monomials_up_to,
+                                  normalize_poly, rank, solve)
 from darbouxlie.exprparse import parse_poly
 from darbouxlie.grassmann import MultiVector, blades, generic_rr, wedge
 from darbouxlie.liealg import bracket, catalog, parse_algebra

@@ -20,9 +20,8 @@ times D^2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactmath import (RatMatrix, clear_denominators, int_echelon,
                         int_kernel_basis)
@@ -33,14 +32,12 @@ class RepresentationInvalid(ValueError):
     """The graded extension or its adjoint representation fails a check."""
 
 
-@dataclass(frozen=True)
-class GradingSolution:
+class GradingSolution(NamedTuple):
     alphas: tuple[Fraction, ...]
     center_basis: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass
-class MatrixRep:
+class MatrixRep(NamedTuple):
     matrices: list[RatMatrix]
     extended: LieAlgebra
 

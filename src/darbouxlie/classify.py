@@ -17,11 +17,10 @@ import itertools
 import os
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .darboux import (BranchInvalid, TreeBranch, branch_samples,
                       certify_no_solutions, find_bricks, linear_solver,
@@ -136,20 +135,23 @@ _ALWAYS = GoldenExpr("", "", compile_condition)
 _ZERO = GoldenExpr("0", "")
 
 
-@dataclass
 class OrbitRow:
-    label: str
-    dim: int
-    rep: GoldenExpr                # multivector
-    star: bool | GoldenExpr        # yes, no, or the condition of if:COND
-    cond: GoldenExpr               # when the row exists
-    coords: dict = field(default_factory=dict)   # x1.. -> role or poly expr
-    extra_eqs: list = field(default_factory=list)     # poly exprs
-    extra_ineqs: list = field(default_factory=list)   # (poly expr, op)
-    samples: list = field(default_factory=list)   # NVARS number exprs each
-    forall: Optional[tuple] = None  # (name, [values])
-    paperdim: Optional[int] = None
-    papernote: str = ""
+    """An orbit line of a family file; ``_orbit`` fills it in token by
+    token, so it is a plain class."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.dim = -1
+        self.rep = _ZERO               # multivector
+        self.star = False              # yes, no, or the condition of if:COND
+        self.cond = _ALWAYS            # when the row exists
+        self.coords: dict = {}         # x1.. -> role or poly expr
+        self.extra_eqs: list = []      # poly exprs
+        self.extra_ineqs: list = []    # (poly expr, op)
+        self.samples: list = []        # NVARS number exprs each
+        self.forall: Optional[tuple] = None  # (name, [values])
+        self.paperdim: Optional[int] = None
+        self.papernote = ""
 
     def variants(self) -> list[tuple[str, dict]]:
         """(label, forall binding) of each concrete row: the row itself,
@@ -160,15 +162,13 @@ class OrbitRow:
         return [(f"{self.label}[{name}={v}]", {name: v}) for v in vals]
 
 
-@dataclass
-class ClassLine:
+class ClassLine(NamedTuple):
     name: str
     members: list
     cond: GoldenExpr
 
 
-@dataclass
-class FamilyData:
+class FamilyData(NamedTuple):
     name: str
     algebra: str
     when: GoldenExpr              # condition on the parameters
@@ -307,7 +307,7 @@ _COORDS = {f"x{i}" for i in range(1, NVARS + 1)}
 
 def _orbit(value: str, where: str) -> OrbitRow:
     label, body = _colon(value)
-    row = OrbitRow(label=label, dim=-1, rep=_ZERO, star=False, cond=_ALWAYS)
+    row = OrbitRow(label)
     for tok in body.split():
         key, val = _key_value(tok)
         if key in ("dim", "paperdim"):
@@ -426,19 +426,16 @@ TREE_FILES = ["s1", "s2", "s3", "s311", "s4", "s5", "s6", "s7", "s8",
 # concrete records at fixed parameter values
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OrbitRecord:
     """One orbit-table row at fixed parameters.  Its locus (``branch``),
     the representative as (den, q) (``rep_point``) and its sample points
     (``samples``, each as (den, q), ``locus_sampler``) are built on first
     use: only the orbit-table check reads them."""
 
-    label: str
-    rep: MultiVector
-    dim: int
-    star: bool
-    row: OrbitRow = field(repr=False)
-    env: dict = field(repr=False)
+    def __init__(self, label: str, rep: MultiVector, dim: int, star: bool,
+                 row: OrbitRow, env: dict):
+        self.label, self.rep, self.dim, self.star = label, rep, dim, star
+        self.row, self.env = row, env
 
     @cached_property
     def branch(self) -> TreeBranch:
@@ -531,8 +528,7 @@ def expand_rows(fam: FamilyData, params: dict) -> list[OrbitRecord]:
 # verification reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RowResult:
+class RowResult(NamedTuple):
     label: str
     params: dict
     ok: bool
@@ -541,8 +537,7 @@ class RowResult:
     dims_checked: int
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     family: str
     rows: list
     unmerged_components: list
@@ -673,8 +668,7 @@ def _component_merge_gaps(lifted: Sequence[RatMatrix], rec: OrbitRecord
 # bundle checks: invariants, derivations, fields, bricks, systems, [r,r]
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BundleResult:
+class BundleResult(NamedTuple):
     family: str
     params: dict
     ok: bool
@@ -953,8 +947,7 @@ def verify_schouten_family(family: str,
 # trees
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TreeData:
+class TreeData(NamedTuple):
     name: str
     family_stem: str
     samples: list
@@ -1006,8 +999,7 @@ def load_tree(stem: str) -> TreeData:
                               if kind in ("branch", "nosol")])
 
 
-@dataclass
-class TreeReport:
+class TreeReport(NamedTuple):
     tree: str
     verified: list     # (label, params, dim info)
     nosol: list        # (label, params, certificate)
@@ -1074,8 +1066,7 @@ def verify_tree(stem: str) -> TreeReport:
 # automorphism witnesses and coboundary classes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     family: str
     params: dict
     witnessed: list      # (class name, members, witness names)

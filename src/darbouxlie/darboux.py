@@ -20,10 +20,9 @@ polynomial, and the candidate subspaces as integer rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .derivations import (LinearVectorField, _rank_at_ints, field_columns,
                           vf_apply)
@@ -49,8 +48,7 @@ class BranchInvalid(ValueError):
         self.reason = reason
 
 
-@dataclass
-class DarbouxFamily:
+class DarbouxFamily(NamedTuple):
     """Verified family: generators plus the cofactor witness table
     cofactors[j][k] with X_k f_j = sum_i cofactors[j][k][i] * f_i."""
 
@@ -60,8 +58,7 @@ class DarbouxFamily:
     fields: tuple[LinearVectorField, ...] = ()
 
 
-@dataclass(frozen=True)
-class Brick:
+class Brick(NamedTuple):
     """One-dimensional linear Darboux family: a common eigenvector of all
     lifted derivations, with its eigenvalue per basis field."""
 
@@ -69,20 +66,23 @@ class Brick:
     eigenvalues: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class TreeBranch:
-    """One branch of a classification tree: equalities cut the locus,
-    inequalities restrict the open set.  Inequality ops: '!=', '>', '<'.
-    Immutable: both are stored as tuples."""
-
+class _TreeBranch(NamedTuple):
     label: str
     equalities: tuple[Poly, ...]
     inequalities: tuple[tuple[Poly, str], ...] = ()
     expected_dim: Optional[int] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "equalities", tuple(self.equalities))
-        object.__setattr__(self, "inequalities", tuple(self.inequalities))
+
+class TreeBranch(_TreeBranch):
+    """One branch of a classification tree: equalities cut the locus,
+    inequalities restrict the open set.  Inequality ops: '!=', '>', '<'.
+    Immutable: both are stored as tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, label, equalities, inequalities=(), expected_dim=None):
+        return super().__new__(cls, label, tuple(equalities),
+                               tuple(inequalities), expected_dim)
 
 
 def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
@@ -494,8 +494,7 @@ def _psd(m: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-@dataclass
-class BranchReport:
+class BranchReport(NamedTuple):
     label: str
     linear: bool
     ranks: list[int]

@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactmath import clear_denominators, int_kernel_basis, rat
 
@@ -38,12 +37,30 @@ class ParamOutOfRange(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    dim: int
-    c: tuple  # c[i][j][k] : Fraction
-    name: str = ""
-    params: dict = field(default_factory=dict, compare=False)
+    """Constants c[i][j][k] (Fractions), a name and the parameters.
+    Immutable; equality and the hash read (dim, c, name), not params.  A
+    plain class, not a NamedTuple, as it caches ``int_table``."""
+
+    def __init__(self, dim: int, c: tuple, name: str = "",
+                 params: Optional[dict] = None):
+        self.__dict__.update(dim=dim, c=c, name=name, params=params or {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to LieAlgebra.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.c, self.name) == (other.dim, other.c,
+                                                 other.name)
+
+    def __hash__(self):
+        return hash((self.dim, self.c, self.name))
+
+    def __repr__(self):
+        return (f"LieAlgebra(dim={self.dim!r}, c={self.c!r}, "
+                f"name={self.name!r}, params={self.params!r})")
 
     @cached_property
     def int_table(self) -> tuple[int, tuple]:
@@ -136,8 +153,7 @@ def center(g: LieAlgebra) -> list[tuple[Fraction, ...]]:
 # catalog of real four-dimensional indecomposable Lie algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogId:
+class CatalogId(NamedTuple):
     family: str
     params: tuple = ()  # sorted (name, Fraction) pairs
 

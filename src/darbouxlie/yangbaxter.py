@@ -12,10 +12,9 @@ invariant, not an assumption.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .derivations import (Derivation, FieldColumns, LinearVectorField,
                           _rank_at_ints, derivation_basis, field_columns, lift)
@@ -43,8 +42,7 @@ def as_bivector(g: LieAlgebra, r: RMatrix) -> MultiVector:
     return MultiVector.from_coords(g.dim, 2, coords)
 
 
-@dataclass
-class YbSystem:
+class YbSystem(NamedTuple):
     """The polynomial content of [r, r] for a fixed algebra.
 
     cybe: normalized coefficient polynomials of [r, r] in blade order.
@@ -59,8 +57,8 @@ class YbSystem:
     cybe: list[Poly]
     mcybe: list[Poly]
     inv3: list[MultiVector]
-    reduced: list[Poly] = field(default_factory=list)
-    witnesses: list[tuple[list[int], Poly]] = field(default_factory=list)
+    reduced: list[Poly]
+    witnesses: list[tuple[list[int], Poly]]
 
 
 def _project_out(coords: list, span: tuple) -> list:
@@ -218,8 +216,7 @@ def same_coboundary(g: LieAlgebra, r1: RMatrix, r2: RMatrix,
     return AlgebraContext(g).same_coboundary(r1, r2, T)
 
 
-@dataclass
-class NecessaryReport:
+class NecessaryReport(NamedTuple):
     rank1: int
     rank2: int
     rr1_zero: bool

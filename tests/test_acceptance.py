@@ -12,22 +12,18 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from darbouxlie.classify import (FAMILY_FILES, TREE_FILES, expand_rows,
                                  load_family, verify_coboundary_classes,
-                                 verify_family_bundle, verify_orbit_table,
-                                 verify_schouten_family, verify_tree,
-                                 qualifying_samples)
+                                 verify_orbit_table, verify_schouten_family,
+                                 verify_tree, qualifying_samples)
 from darbouxlie.centerext import build_rep, solve_grading
 from darbouxlie.darboux import find_bricks
 from darbouxlie.derivations import derivation_basis, fundamental_fields
-from darbouxlie.exactmath import RatMatrix, Poly, normalize_poly
-from darbouxlie.grassmann import (MultiVector, ad_action, blades,
-                                  invariants, schouten, wedge)
-from darbouxlie.liealg import FAMILIES, bracket, catalog, center, from_brackets
-from darbouxlie.yangbaxter import (is_cybe_solution, is_mcybe_solution,
-                                   yb_system)
+from darbouxlie.exactmath import RatMatrix, normalize_poly
+from darbouxlie.grassmann import (MultiVector, blades, invariants, schouten,
+                                  wedge)
+from darbouxlie.liealg import bracket, catalog, center, from_brackets
+from darbouxlie.yangbaxter import is_mcybe_solution, yb_system
 from oracles import cocycle_defect, commutator, span_contains
 
 ALL_FAMILIES = ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9",

@@ -1,6 +1,7 @@
 """Golden-data loading and the classification verification harness."""
 
 import hashlib
+import pickle
 import random
 import sys
 from collections import Counter
@@ -75,6 +76,23 @@ def test_forall_expansion():
 #: sha256 of the (family, label, samples) list of every orbit record
 ORBIT_SAMPLES_DIGEST = (
     "1ca00e920ed0f8f1d86aba6269815c553d9346c376ee98efafb8c563f7a4d82d")
+
+
+def test_records_survive_a_pickle_round_trip():
+    """``verify-tables --jobs N`` sends results between processes: an
+    algebra with its cached integer table, a catalog id, a tree branch and
+    a tree report come back equal and of their own type."""
+    from darbouxlie.liealg import CatalogId
+    g = catalog("s3", alpha=Fraction(1, 2), beta=Fraction(-1, 3))
+    table = g.int_table
+    branch = TreeBranch("b", [Poly.var(0)], [(Poly.var(1) - 1, "<")], 2)
+    records = [g, CatalogId("s3", tuple(sorted(g.params.items()))), branch,
+               verify_tree("s5")]
+    backs = [pickle.loads(pickle.dumps(rec)) for rec in records]
+    for rec, back in zip(records, backs):
+        assert type(back) is type(rec) and back == rec
+    assert backs[0].params == g.params and backs[0].int_table == table
+    assert backs[2].equalities == (Poly.var(0),)
 
 
 def test_orbit_record_samples_match_the_recorded_digest():

@@ -445,6 +445,24 @@ def test_verify_tables_parallel_jobs():
     assert code == 0 and "ALL PASS" in out
 
 
+def test_verify_tables_prints_the_same_bytes_with_two_jobs():
+    """The forked workers pickle their results back; the text is that of
+    one process."""
+    one = run_cli("verify-tables", "--algebra", "all", "--jobs", "1")
+    assert one[0] == 0
+    assert run_cli("verify-tables", "--algebra", "all", "--jobs", "2") == one
+
+
+def test_importing_the_cli_generates_no_code():
+    """The records are NamedTuples and plain classes, so a fresh process
+    that imports the CLI loads neither ``dataclasses`` nor ``inspect``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, darbouxlie.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 class PoolStarted(Exception):
     pass
 

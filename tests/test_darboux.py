@@ -1,6 +1,5 @@
 """Darboux families, bricks, branch loci and flow invariance."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -684,7 +683,7 @@ def test_tree_branch_int_forms_follow_its_polynomials():
     assert locus_contains(branch, [0, 1])
     for name, value in (("equalities", [x(0), x(1) - 2]),
                         ("inequalities", [(x(1), "<")])):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(branch, name, value)
     assert branch.equalities == (x(0),)
     assert branch.inequalities == ((x(1), ">"),)

@@ -10,7 +10,7 @@ from darbouxlie.derivations import (_rank_at_ints,
                                     fundamental_fields, lift, orbit_dim,
                                     rank_at, vf_apply)
 from darbouxlie.exactmath import Poly, RatMatrix, rank
-from darbouxlie.grassmann import MultiVector, blades, wedge
+from darbouxlie.grassmann import MultiVector, wedge
 from darbouxlie.liealg import FAMILIES, abelian, catalog
 from oracles import commutator, span_contains
 

@@ -2,7 +2,6 @@
 errors that name the file and line, and generated one-line mutations."""
 
 import contextlib
-import dataclasses
 import functools
 import shutil
 from fractions import Fraction
@@ -564,9 +563,8 @@ def _golden_exprs(obj):
     elif isinstance(obj, dict):
         for o in obj.values():
             yield from _golden_exprs(o)
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _golden_exprs(getattr(obj, f.name))
+    elif hasattr(obj, "__dict__"):  # a plain-class record: OrbitRow
+        yield from _golden_exprs(vars(obj))
 
 
 @functools.cache

@@ -277,3 +277,16 @@ def test_catalog_id_roundtrip():
     assert g.params == cid.as_dict()
     assert cid.label() == "s3(alpha=1/2,beta=1/3)"
     assert catalog(CatalogId("n1")).name == "n1"
+
+
+def test_algebras_that_differ_only_in_params_are_equal():
+    """Equality and the hash read the dimension, the constants and the
+    name, not the parameters; an algebra refuses assignment."""
+    g = catalog("s3", alpha=Fraction(1, 2), beta=Fraction(1, 3))
+    h = LieAlgebra(g.dim, g.c, g.name, {"alpha": 7})
+    assert g.params != h.params
+    assert g == h and hash(g) == hash(h)
+    assert g != LieAlgebra(g.dim, g.c, "s3'") and g != (g.dim, g.c, g.name)
+    with pytest.raises(AttributeError):
+        g.dim = 3
+    assert g.dim == 4
