@@ -342,15 +342,16 @@ def test_flow_invariance_s1_mcybe(benchmark):
 @pytest.fixture(scope="module")
 def largest_tree_family():
     """The branch family with the most generators times fields among those
-    that the shipped trees check: (fields, generators, bound)."""
+    that the shipped trees check: (fields, generators, bound), recorded at
+    ``darboux._family_at_bound``, which tries each bound."""
     calls = []
-    real = darboux.verify_family
+    real = darboux._family_at_bound
 
-    def recorded(fields, gens, bound=0):
+    def recorded(fields, gens, targets, bound):
         calls.append((fields, list(gens), bound))
-        return real(fields, gens, bound)
+        return real(fields, gens, targets, bound)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(darboux, "verify_family", recorded)
+        mp.setattr(darboux, "_family_at_bound", recorded)
         for stem in TREE_FILES:
             verify_tree(stem)
     return max(calls, key=lambda c: len(c[0]) * len(c[1]))
@@ -366,6 +367,55 @@ def test_verify_family_tree_branch(benchmark, largest_tree_family):
     assert verify_family(fields, gens, bound).cofactors == want
     fam = benchmark(verify_family, fields, gens, bound)
     assert fam.cofactors == want and fam.linear
+
+
+def test_verify_family_auto_escalates_to_bound_2(benchmark):
+    """A family of the s1 fields whose closure needs quadratic cofactors:
+    with X x3 = c*x5 + lambda*x3, X x3^3 = 3c*x3^2*x5 + 3*lambda*x3^3.  The
+    targets are built once and bounds 0, 1 and 2 are tried on them."""
+    fields = fundamental_fields(catalog("s1"), 2)
+    gens = [Poly.var(4), Poly.var(2) ** 3]
+    assert [verify_family(fields, gens, b) for b in (0, 1)] == [None, None]
+    want = verify_family(fields, gens, 2)
+    assert want is not None and not want.linear
+    assert max(c.degree() for row in want.cofactors for hs in row
+               for c in hs) == 2
+    fam = benchmark(darboux.verify_family_auto, fields, gens)
+    assert fam == want
+
+
+@pytest.fixture(scope="module")
+def s5_nosol_leaves():
+    """The ``certify_no_solutions`` arguments of every nosol leaf of the s5
+    tree (all its parameter samples), recorded from a passing run, with
+    the certificates it gave."""
+    import darbouxlie.classify as classify
+    calls = []
+    real = classify.certify_no_solutions
+
+    def recorded(branch, system, nvars):
+        cert = real(branch, system, nvars)
+        calls.append(((branch, system, nvars), cert))
+        return cert
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "certify_no_solutions", recorded)
+        assert verify_tree("s5").passed
+    return calls
+
+
+def test_certify_no_solutions_s5_tree(benchmark, s5_nosol_leaves):
+    """Every nosol leaf of the s5 tree: 14 forced-zero certificates and 4
+    by PSD domination, which reduce the echelon to the RREF basis."""
+    want = [cert for _, cert in s5_nosol_leaves]
+    kinds = [c.split(":")[0] for c in want]
+    assert (kinds.count("forced zero"), kinds.count("PSD domination")) \
+        == (14, 4)
+
+    def every_leaf():
+        return [darboux.certify_no_solutions(*args)
+                for args, _ in s5_nosol_leaves]
+    assert every_leaf() == want
+    assert benchmark(every_leaf) == want
 
 
 @pytest.fixture(scope="module")

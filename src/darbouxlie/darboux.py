@@ -26,9 +26,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .derivations import (LinearVectorField, _rank_at_ints, field_columns,
                           vf_apply)
-from .exactmath import (MissingVariable, Poly, _int_rref, clear_denominators,
-                        ideal_memberships, int_kernel_basis, monomials_up_to,
-                        normalize_poly, poly_rref, poly_rref_contains, rat)
+from .exactmath import (MissingVariable, Poly, _in_row_space, _int_rref,
+                        _reduced, _rref_polys, clear_denominators,
+                        ideal_memberships, int_echelon, int_kernel_basis,
+                        mono_key, mono_mul, monomials_up_to, normalize_poly,
+                        poly_rref, rat)
 from .yangbaxter import AlgebraContext
 
 #: verify_branch checks closure with cofactors up to this degree, and
@@ -93,29 +95,57 @@ def verify_family(fields: Sequence[LinearVectorField], gens: Sequence[Poly],
     elimination (``ideal_memberships``); each cofactor list is the one that
     the target alone would get."""
     gens, fields = list(gens), tuple(fields)
-    if not gens or len(poly_rref(gens)) != len(gens):
+    if not _independent(gens):
         return None
-    cofs = ideal_memberships([vf_apply(X, f) for f in gens for X in fields],
-                             gens, cofactor_degree_bound)
-    if None in cofs:
-        return None
-    q = len(fields)
-    table = [cofs[j * q:(j + 1) * q] for j in range(len(gens))]
-    linear = all(c.degree() == 0 for hs in cofs for c in hs)
-    return DarbouxFamily(generators=gens, cofactors=table, linear=linear,
-                         fields=fields)
+    return _family_at_bound(fields, gens, _targets(fields, gens),
+                            cofactor_degree_bound)
 
 
 def verify_family_auto(fields: Sequence[LinearVectorField],
                        gens: Sequence[Poly]) -> Optional[DarbouxFamily]:
     """verify_family with the cofactor degree bound escalated on demand up
     to COFACTOR_DEGREE_BOUND (constant cofactors suffice for most
-    families, so try those first)."""
+    families, so try those first).  The independence check and the
+    targets X_k f_j are made once, and each bound is tried on them."""
+    gens, fields = list(gens), tuple(fields)
+    if not _independent(gens):
+        return None
+    targets = _targets(fields, gens)
     for bound in range(COFACTOR_DEGREE_BOUND + 1):
-        fam = verify_family(fields, gens, bound)
+        fam = _family_at_bound(fields, gens, targets, bound)
         if fam is not None:
             return fam
     return None
+
+
+def _independent(gens: Sequence[Poly]) -> bool:
+    """Whether there are generators and they are linearly independent: the
+    rank of their integer coefficient rows (``Poly._integer_form``)."""
+    col: dict = {}
+    rows = ({col.setdefault(m, len(col)): c
+             for c, m, _ in g._integer_form()[1]} for g in gens)
+    return bool(gens) and len(int_echelon(rows)) == len(gens)
+
+
+def _targets(fields: tuple[LinearVectorField, ...],
+             gens: Sequence[Poly]) -> list[Poly]:
+    """The targets X_k f_j of the closure check, j-major."""
+    return [vf_apply(X, f) for f in gens for X in fields]
+
+
+def _family_at_bound(fields: tuple[LinearVectorField, ...],
+                     gens: list[Poly], targets: Sequence[Poly],
+                     bound: int) -> Optional[DarbouxFamily]:
+    """The family with cofactors of degree <= bound for the targets of
+    ``_targets(fields, gens)``, or None when one has none."""
+    cofs = ideal_memberships(targets, gens, bound)
+    if None in cofs:
+        return None
+    q = len(fields)
+    table = [cofs[j * q:(j + 1) * q] for j in range(len(gens))]
+    linear = bound == 0 or all(c.degree() == 0 for hs in cofs for c in hs)
+    return DarbouxFamily(generators=gens, cofactors=table, linear=linear,
+                         fields=fields)
 
 
 def family_sum(a: DarbouxFamily, b: DarbouxFamily) -> DarbouxFamily:
@@ -410,18 +440,38 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
     polynomials, or (b) a positive-semidefinite quadratic form dominating
     the square of an inequality polynomial.  Returns a human-readable
     certificate or None (reported as "unconfirmed", never asserted).
+
+    The consequences are integer rows over their monomials (each an
+    equality f times a monomial mu is f's integer form shifted by mu), and
+    their span is the integer echelon (``int_echelon``), built once: a
+    candidate of (a) is tested against its pivot rows.  The basis that (b)
+    reads, ``poly_rref`` of the consequences, is reduced from the echelon
+    (in place) only when (a) finds no certificate.
     """
-    consequences: list[Poly] = list(system)
+    consequences = [{m: c for c, m, _ in p._integer_form()[1]}
+                    for p in system if p.degree() <= COFACTOR_DEGREE_BOUND]
     for f in branch.equalities:
         bound = COFACTOR_DEGREE_BOUND - f.degree()
         if bound < 0:
             continue
+        _, terms = f._integer_form()
         for mu in monomials_up_to(nvars, bound):
-            consequences.append(f * Poly({mu: 1}))
-    basis = poly_rref(p for p in consequences
-                      if p.degree() <= COFACTOR_DEGREE_BOUND)
-    if not basis:
+            consequences.append({mono_mul(m, mu): c for c, m, _ in terms})
+    support = sorted({m for r in consequences for m in r}, key=mono_key)
+    col = {m: j for j, m in enumerate(support)}
+    pivots = int_echelon({col[m]: c for m, c in r.items()}
+                         for r in consequences)
+    if not pivots:
         return None
+
+    def in_span(p: Poly) -> bool:
+        row = {}
+        for c, m, _ in p._integer_form()[1]:
+            j = col.get(m)
+            if j is None:
+                return False
+            row[j] = c
+        return _in_row_space(pivots, row)
 
     ineqs = [f for f, _ in branch.inequalities]
     # (a) products of inequality polynomials up to total degree 2
@@ -435,10 +485,10 @@ def certify_no_solutions(branch: TreeBranch, system: Sequence[Poly],
             if f.degree() + g.degree() <= COFACTOR_DEGREE_BOUND:
                 candidates.append((f * g, f"ineq{i + 1}*ineq{j + 1}"))
     for p, tag in candidates:
-        if poly_rref_contains(basis, p):
+        if in_span(p):
             return f"forced zero: {tag} = {p.text()}"
     # (b) PSD form z with z - c*q^2 still PSD for a linear inequality q
-    for z in basis:
+    for z in _rref_polys(support, *_reduced(pivots)):
         gram = _gram(z, nvars)
         if gram is None or not _psd(gram):
             continue

@@ -11,12 +11,13 @@ D·c (``LieAlgebra.int_table``) and on the integer forms of the matrices.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (Poly, RatMatrix, clear_denominators, int_echelon,
-                        int_kernel_basis, rat)
+from .exactmath import (Monomial, Poly, RatMatrix, clear_denominators,
+                        int_echelon, int_kernel_basis, rat)
 from .grassmann import MultiVector, leibniz_rows
-from .liealg import LieAlgebra
+from .liealg import DimensionMismatch, LieAlgebra
 
 Derivation = LinearVectorField = RatMatrix
 
@@ -86,25 +87,40 @@ def orbit_dim(g: LieAlgebra, w: MultiVector) -> int:
 def vf_apply(X: LinearVectorField, f: Poly) -> Poly:
     """Directional derivative (Xf)(p) = sum_a (A p)_a df/dx_a.
 
-    Term by term: c*m with x_a^e in m contributes c*e*A[a, b] to the
-    monomial m*x_b/x_a for every nonzero A[a, b].  The sums run on the
-    ints of the field and are divided by its den once."""
+    Term by term on the integer forms: with A = ints/den (``X.ints``) and
+    f = sum c*m/scale (``Poly._integer_form``), the term c*m with x_a^e in
+    m contributes c*e*ints[a][b] to the monomial m*x_b/x_a for every
+    nonzero ints[a][b].  The sums run in ``int``, and each output term is
+    one Fraction, its sum over den*scale.  A variable of f past the
+    field's size raises ``DimensionMismatch`` naming it."""
     den, rows = X.den, X.ints
-    out: dict = {}
-    for m, c in f.terms.items():
-        for a, e in m:
-            ce = c * e
-            rest = dict(m)
-            if e == 1:
-                del rest[a]
-            else:
-                rest[a] = e - 1
-            for b, x in rows[a]:
-                exps = dict(rest)
-                exps[b] = exps.get(b, 0) + 1
-                key = tuple(sorted(exps.items()))
-                out[key] = out.get(key, 0) + ce * x
-    return Poly({m: c / den for m, c in out.items()} if den > 1 else out)
+    scale, terms = f._integer_form()
+    out: dict[Monomial, int] = {}
+    try:
+        for c, m, _ in terms:
+            for i, (a, e) in enumerate(m):
+                ce = c * e
+                rest = (m[:i] + ((a, e - 1),) + m[i + 1:] if e > 1
+                        else m[:i] + m[i + 1:])
+                for b, x in rows[a]:
+                    key = _times_var(rest, b)
+                    out[key] = out.get(key, 0) + ce * x
+    except IndexError:
+        v = next(v for _, m, _ in terms for v, _ in m if v >= len(rows))
+        raise DimensionMismatch(f"x{v + 1} is past the {len(rows)} "
+                                f"coordinates of the field") from None
+    d = den * scale
+    return Poly._of({m: Fraction(c, d) for m, c in out.items() if c})
+
+
+def _times_var(m: Monomial, b: int) -> Monomial:
+    """The canonical monomial m*x_b."""
+    for i, (v, e) in enumerate(m):
+        if v >= b:
+            if v == b:
+                return m[:i] + ((b, e + 1),) + m[i + 1:]
+            return m[:i] + ((b, 1),) + m[i:]
+    return m + ((b, 1),)
 
 
 def rank_at(fields: Sequence[LinearVectorField], p: Sequence) -> int:

@@ -38,6 +38,19 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _canonical(m: Iterable[tuple[int, int]]) -> Monomial:
+    """The monomial with the given (variable, exponent) pairs in canonical
+    form: sorted, zero exponents dropped, and a variable named in several
+    pairs merged into one pair with the summed exponent."""
+    m = tuple(sorted((v, e) for v, e in m if e))
+    if len(m) < 2 or len(dict(m)) == len(m):
+        return m
+    exps: dict[int, int] = {}
+    for v, e in m:
+        exps[v] = exps.get(v, 0) + e
+    return tuple((v, e) for v, e in exps.items() if e)
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     exps = dict(a)
     for v, e in b:
@@ -81,12 +94,13 @@ def monomials_up_to(nvars: int, degree: int) -> list[Monomial]:
 class Poly:
     """Sparse multivariate polynomial over Q.
 
-    Canonical form: no zero coefficients stored; the zero polynomial has an
-    empty term map.  Two Polys are equal iff their term maps are equal.
-    Its integer form (``eval_int``) is computed once, on first use.
+    Canonical form: no zero coefficients stored, and every monomial
+    canonical (``_canonical``); the zero polynomial has an empty term map.
+    Two Polys are equal iff their term maps are equal.  Its integer form
+    (``_integer_form``) is computed once, on first use.
     """
 
-    __slots__ = ("terms", "_ints")
+    __slots__ = ("terms", "_scale", "_ints")
 
     def __init__(self, terms=None):
         clean: dict[Monomial, Fraction] = {}
@@ -94,7 +108,7 @@ class Poly:
             for m, c in (terms.items() if isinstance(terms, dict) else terms):
                 c = rat(c) if not isinstance(c, Fraction) else c
                 if c:
-                    m = tuple(sorted((v, e) for v, e in m if e))
+                    m = _canonical(m)
                     prev = clean.get(m)
                     s = c if prev is None else prev + c
                     if s:
@@ -135,7 +149,7 @@ class Poly:
         return {v for m in self.terms for v, _ in m}
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(m)), Fraction(0))
+        return self.terms.get(_canonical(m), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda it: mono_key(it[0]))
@@ -232,6 +246,21 @@ class Poly:
             total += v
         return total
 
+    def _integer_form(self) -> tuple[int, tuple]:
+        """``(scale, terms)``, built on first use: scale is the lcm of the
+        coefficients' denominators, and terms holds, in term order, each
+        term as ``(scale * c, m, d - deg(m))``, an int, its monomial, and
+        its power of den in ``eval_int``'s homogenization (d the degree
+        of p)."""
+        try:
+            return self._scale, self._ints
+        except AttributeError:
+            self._scale, coeffs = clear_denominators(self.terms.values())
+            d = self.degree()
+            self._ints = tuple(
+                (c, m, d - mono_degree(m)) for c, m in zip(coeffs, self.terms))
+            return self._scale, self._ints
+
     def eval_int(self, point: Sequence[int], den: int = 1) -> int:
         """``scale * den^d * p(point/den)`` in ``int`` arithmetic, for the
         point given as ints over den > 0 (``clear_denominators``), d the
@@ -242,12 +271,7 @@ class Poly:
         try:
             terms = self._ints
         except AttributeError:
-            _, coeffs = clear_denominators(self.terms.values())
-            d = self.degree()
-            # each term with d - deg(m), its power of den in the
-            # homogenization
-            terms = self._ints = tuple(
-                (c, m, d - mono_degree(m)) for c, m in zip(coeffs, self.terms))
+            terms = self._integer_form()[1]
         total = 0
         try:
             for c, m, k in terms:
@@ -540,7 +564,14 @@ def _int_rref(rows: Iterable, ncols: float = inf,
     pivot columns, pivots only in columns < ncols (see ``int_echelon``).
     Back substitution runs from the last pivot up, so each row is cleared
     against rows that are already fully reduced and primitive."""
-    pivots = int_echelon(rows, ncols, spilled)
+    return _reduced(int_echelon(rows, ncols, spilled))
+
+
+def _reduced(pivots: dict[int, SparseRow]
+             ) -> tuple[list[SparseRow], list[int]]:
+    """Back substitution on the pivot rows of ``int_echelon``, given as
+    its dict, which is reduced in place: the rows of ``_int_rref`` and
+    their pivot columns."""
     cols = sorted(pivots)
     for c in reversed(cols):
         row = pivots[c]
@@ -548,6 +579,20 @@ def _int_rref(rows: Iterable, ncols: float = inf,
             row = _cancel(row, pivots[j], j)
         pivots[c] = _primitive(row)
     return [pivots[c] for c in cols], cols
+
+
+def _in_row_space(pivots: dict[int, SparseRow], row: SparseRow) -> bool:
+    """Whether the integer row lies in the span of the pivot rows of
+    ``int_echelon``, given as its dict: the row is reduced against the
+    pivot row at its smallest column (which leads that pivot row) until
+    it vanishes, or leads at a column without one."""
+    while row:
+        c = min(row)
+        p = pivots.get(c)
+        if p is None:
+            return False
+        row = _cancel(row, p, c)
+    return True
 
 
 def _gauss_jordan(rows: Iterable, ncols: float = inf,
@@ -654,7 +699,14 @@ def poly_rref(polys: Iterable[Poly], reverse: bool = False) -> list[Poly]:
     each basis polynomial has coefficient 1 at its pivot monomial and 0 at
     the others'.  The basis depends only on the span and the order, so two
     lists span the same space exactly when their bases are equal."""
-    support, red, cols = _poly_int_rref(polys, reverse)
+    return _rref_polys(*_poly_int_rref(polys, reverse))
+
+
+def _rref_polys(support: Sequence[Monomial], red: Sequence[SparseRow],
+                cols: Sequence[int]) -> list[Poly]:
+    """The basis polynomials of ``poly_rref`` from integer reduced rows
+    (``_int_rref``) over the monomial columns ``support``: each row
+    divided by its pivot entry."""
     return [Poly._of({support[j]: Fraction(x, r[c]) for j, x in r.items()})
             for r, c in zip(red, cols)]
 
@@ -721,26 +773,39 @@ def ideal_memberships(targets: Sequence[Poly], generators: Sequence[Poly],
     are those in all variables of the generators and targets.  A variable
     that is in no generator and not in a given target only adds unknowns
     that solve to 0 for that target, so each answer is the one that the
-    target alone would get.
+    target alone would get.  The column of g*mu is g with each monomial
+    shifted by mu (``mono_mul``); each cofactor is made of the solver's
+    nonzero values.
     """
     if cofactor_degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     targets, gens = list(targets), list(generators)
     nvars = max([v + 1 for p in gens + targets for v in p.variables()] or [0])
     monos = monomials_up_to(nvars, cofactor_degree_bound)
-    # unknown j <-> (generator gi, cofactor monomial mu): columns of the system
-    columns = [g * Poly({mu: 1}) for g in gens for mu in monos]
-    # one sparse row per monomial of the support; the columns from
-    # len(columns) on are the right-hand sides
+    k = len(monos)
+    # unknown i*k + t <-> (generator g_i, cofactor monomial monos[t]), and
+    # one sparse row per monomial of the support; the columns from ncols
+    # on are the right-hand sides
     rows: dict[Monomial, SparseRow] = {}
-    for j, p in enumerate(columns + targets):
+    for i, g in enumerate(gens):
+        for t, mu in enumerate(monos):
+            for m, c in g.terms.items():
+                rows.setdefault(mono_mul(m, mu), {})[i * k + t] = c
+    ncols = len(gens) * k
+    for j, p in enumerate(targets, ncols):
         for m, c in p.terms.items():
             rows.setdefault(m, {})[j] = c
-    k = len(monos)
-    return [None if sol is None
-            else [Poly({mu: sol[i * k + t] for t, mu in enumerate(monos)
-                        if i * k + t in sol}) for i in range(len(gens))]
-            for sol in _solve_rows(rows.values(), len(columns), len(targets))]
+    out: list[Optional[list[Poly]]] = []
+    for sol in _solve_rows(rows.values(), ncols, len(targets)):
+        if sol is None:
+            out.append(None)
+            continue
+        cofs: list[dict[Monomial, Fraction]] = [{} for _ in gens]
+        for j, x in sol.items():
+            i, t = divmod(j, k)
+            cofs[i][monos[t]] = x
+        out.append([Poly._of(h) for h in cofs])
+    return out
 
 
 def ideal_membership(target: Poly, generators: Sequence[Poly],

@@ -478,8 +478,8 @@ def test_check_runs_clear_each_candidate_point_once(monkeypatch):
     # form), and find_bricks, which the orbit
     # table's bundle check runs: it clears the kernel vectors of its brick
     # search, not sample points
-    not_points = {"eval_int", "__getattr__", "normalize_poly", "int_table",
-                  "find_bricks"}
+    not_points = {"_integer_form", "__getattr__", "normalize_poly",
+                  "int_table", "find_bricks"}
     callers, pushes = _clearing_counts(monkeypatch)
     assert verify_tree("s1").passed
     assert callers.pop("push") == pushes["push"] > 0

@@ -1,5 +1,6 @@
 """Darboux families, bricks, branch loci and flow invariance."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -84,15 +85,17 @@ def _one_target_at_a_time(fields, gens, bound):
 def test_verify_family_matches_one_target_at_a_time_on_tree_families(
         monkeypatch):
     """Every family that the shipped trees check, at every bound tried,
-    gets the cofactor table and the linear flag of one solve per target."""
+    gets the cofactor table and the linear flag of one solve per target.
+    ``verify_family_auto`` builds the targets once and tries each bound
+    through ``_family_at_bound``, the seam recorded here."""
     calls = []
-    real = darboux.verify_family
+    real = darboux._family_at_bound
 
-    def recorded(fields, gens, bound=0):
-        fam = real(fields, gens, bound)
+    def recorded(fields, gens, targets, bound):
+        fam = real(fields, gens, targets, bound)
         calls.append((fields, list(gens), bound, fam))
         return fam
-    monkeypatch.setattr(darboux, "verify_family", recorded)
+    monkeypatch.setattr(darboux, "_family_at_bound", recorded)
     for stem in TREE_FILES:
         assert verify_tree(stem).passed, stem
     assert len(calls) == 179
@@ -102,6 +105,41 @@ def test_verify_family_matches_one_target_at_a_time_on_tree_families(
         want = _one_target_at_a_time(fields, gens, bound)
         got = None if fam is None else (fam.cofactors, fam.linear)
         assert got == want, [g.text() for g in gens]
+
+
+#: sha256 of ``repr([tuple(verify_tree(s)) for s in TREE_FILES])``: every
+#: verified branch with its rank, and every certificate string
+TREE_REPORTS_DIGEST = (
+    "bdf74c44b05802d77d6aa2fab4708a5e9093946106c8100f720b1f5a5f6c6496")
+
+
+def test_tree_reports_match_the_recorded_digest():
+    """All 14 tree reports, field by field, are exactly the recorded ones:
+    313 verified branches and 164 certificates (156 forced-zero, 8 PSD)."""
+    reports = [tuple(verify_tree(s)) for s in TREE_FILES]
+    verified = [v for rep in reports for v in rep[1]]
+    certs = [c for rep in reports for *_, c in rep[2]]
+    assert len(verified) == 313 and len(certs) == 164
+    assert sum(c.startswith("forced zero") for c in certs) == 156
+    assert sum(c.startswith("PSD domination") for c in certs) == 8
+    assert not any(rep[3] or rep[4] for rep in reports)
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == TREE_REPORTS_DIGEST
+
+
+def test_tree_checks_apply_each_field_to_each_generator_once(monkeypatch):
+    """The 157 families of the 14 trees need 3180 targets X f; a family
+    whose cofactors need a higher bound reuses its targets."""
+    calls = []
+    real = darboux.vf_apply
+
+    def counted(X, f):
+        calls.append(1)
+        return real(X, f)
+    monkeypatch.setattr(darboux, "vf_apply", counted)
+    for stem in TREE_FILES:
+        verify_tree(stem)
+    assert len(calls) == 3180
 
 
 def test_bricks_catalog_statements():

@@ -11,7 +11,7 @@ from darbouxlie.derivations import (_rank_at_ints,
                                     rank_at, vf_apply)
 from darbouxlie.exactmath import Poly, RatMatrix, rank
 from darbouxlie.grassmann import MultiVector, wedge
-from darbouxlie.liealg import FAMILIES, abelian, catalog
+from darbouxlie.liealg import FAMILIES, DimensionMismatch, abelian, catalog
 from oracles import commutator, span_contains
 
 x = Poly.var
@@ -176,6 +176,21 @@ def test_vf_apply():
     assert vf_apply(euler, f) == 4 * f  # Euler scales deg 2 by 2, doubled
 
 
+def test_vf_apply_rejects_a_variable_past_the_fields():
+    """A polynomial in a variable that the fields do not act on is a
+    dimension mismatch that names the variable, for ``vf_apply`` and the
+    family checks that apply it."""
+    from darbouxlie.darboux import verify_family, verify_family_auto
+    fields = fundamental_fields(catalog("s1"), 2)
+    with pytest.raises(DimensionMismatch, match="x7"):
+        vf_apply(fields[0], x(6))
+    with pytest.raises(DimensionMismatch, match="x9"):
+        vf_apply(fields[0], x(0) * x(8) + x(1))
+    for check in (verify_family, verify_family_auto):
+        with pytest.raises(DimensionMismatch, match="x7"):
+            check(fields, [x(0), x(6)])
+
+
 def _random_poly(rng, n):
     terms = {}
     for _ in range(rng.randint(1, 6)):
@@ -217,6 +232,39 @@ def test_vf_apply_matches_sympy(seed):
     # terms that cancel are dropped: a rotation fixes x1^2 + x2^2
     rot = RatMatrix([[0, -1], [1, 0]])
     assert vf_apply(rot, x(0) ** 2 + x(1) ** 2).terms == {}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vf_apply_matches_sympy_on_fields_with_denominators(seed):
+    """Random fields A with den > 1 and Fraction polynomials f of degree
+    <= 3: vf_apply(A, f) is sum_a (A x)_a df/dx_a, expanded by sympy."""
+    sp = pytest.importorskip("sympy")
+    from darbouxlie.exactmath import monomials_up_to
+    rng = random.Random(100 + seed)
+    n = 2 + seed
+    xs = sp.symbols(f"y0:{n}")
+    A = RatMatrix([[Fraction(rng.randint(-5, 5), rng.choice([2, 3, 4, 6]))
+                    if rng.random() < 0.4 else 0 for _ in range(n)]
+                   for _ in range(n)])
+    if A.den == 1:
+        A = A.scale(Fraction(1, 2))
+    assert A.den > 1
+    Ax = [sp.Add(*(sp.Rational(A[a, b].numerator, A[a, b].denominator)
+                   * xs[b] for b in range(n))) for a in range(n)]
+    monos = monomials_up_to(n, 3)
+    for _ in range(6):
+        f = Poly({m: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                  for m in rng.sample(monos, min(len(monos), 5))})
+        fs = sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                      * sp.Mul(*(xs[v] ** e for v, e in m))
+                      for m, c in f.terms.items()))
+        got = vf_apply(A, f)
+        gs = sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                      * sp.Mul(*(xs[v] ** e for v, e in m))
+                      for m, c in got.terms.items()))
+        want = sp.Add(*(Ax[a] * sp.diff(fs, xs[a]) for a in range(n)))
+        assert sp.expand(gs - want) == 0
+        assert all(got.terms.values()) and got.degree() <= 3
 
 
 def field_matrix_at(fields, p) -> RatMatrix:

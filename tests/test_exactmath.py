@@ -107,6 +107,21 @@ def test_poly_eval_missing_variable():
         (x(0) + x(3)).eval({0: 1})
 
 
+def test_poly_merges_repeated_variables_in_a_monomial():
+    """A monomial that names a variable twice is the one with the summed
+    exponent: it is stored once, in canonical form, and compares, adds
+    and reads its coefficient as that monomial."""
+    assert Poly({((0, 1), (0, 1)): 1}) == x(0) ** 2
+    assert Poly({((0, 1), (0, 1)): 1}).terms == {((0, 2),): 1}
+    assert Poly({((1, 1), (0, 2), (1, 2)): 3}).terms == {((0, 2), (1, 3)): 3}
+    assert Poly({((0, 1), (0, 1)): 1, ((0, 2),): 1}) == 2 * x(0) ** 2
+    assert Poly({((0, 1), (0, 1)): 1, ((0, 2),): -1}).is_zero()
+    assert Poly({((2, 1), (0, 1)): 5}).terms == {((0, 1), (2, 1)): 5}
+    assert (x(0) ** 2).coefficient(((0, 1), (0, 1))) == 1
+    assert (x(0) * x(2)).coefficient(((2, 1), (0, 1))) == 1
+    assert (x(0) ** 2).coefficient(((0, 1),)) == 0
+
+
 def test_ideal_membership_trivial():
     f1, f2, f3 = x(2) * x(3), x(2) * x(5), x(4) ** 2
     cofs = ideal_membership(f1, [f1, f2, f3], 0)
@@ -671,6 +686,42 @@ def test_ideal_memberships_match_one_target_at_a_time(seed, bound):
         assert all(c.degree() <= bound for c in cofs)
         assert sum((c * g for c, g in zip(cofs, gens)), Poly.zero()) == t
     assert sum(c is not None for c in got) > 1 + bound
+
+
+def from_sympy(sp, expr, syms):
+    """The Poly of a sympy polynomial in the symbols syms."""
+    return Poly({tuple((v, e) for v, e in enumerate(exps) if e):
+                 Fraction(int(c.p), int(c.q))
+                 for exps, c in sp.Poly(expr, *syms).terms()})
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_ideal_memberships_rebuild_their_targets_in_sympy(sp, seed, bound):
+    """Targets planted as sum h_i g_i by sympy, with Fraction cofactors of
+    degree <= bound, and the seeded membership targets: every answer's
+    sum h_i g_i, expanded by sympy, is its target."""
+    rng = random.Random(300 + seed)
+    syms = sp.symbols("x1:6")
+    targets, gens = membership_system(seed)
+    gs = [sympy_expr(sp, g, syms) for g in gens]
+    monos = monomials_up_to(3, bound)
+    for _ in range(3):
+        hs = [sympy_expr(sp, Poly({m: Fraction(rng.randint(-4, 4),
+                                              rng.randint(1, 3))
+                                   for m in rng.sample(monos, bound + 1)}),
+                         syms) for _ in gens]
+        targets.append(from_sympy(sp, sp.expand(
+            sp.Add(*(h * g for h, g in zip(hs, gs)))), syms))
+    got = ideal_memberships(targets, gens, bound)
+    assert all(cofs is not None for cofs in got[-3:])
+    for t, cofs in zip(targets, got):
+        if cofs is None:
+            continue
+        assert all(c.degree() <= bound for c in cofs)
+        rebuilt = sp.expand(sp.Add(*(sympy_expr(sp, c, syms) * g
+                                     for c, g in zip(cofs, gs))))
+        assert sp.expand(rebuilt - sympy_expr(sp, t, syms)) == 0
 
 
 def test_ideal_memberships_make_one_solve(monkeypatch):
